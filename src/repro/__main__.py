@@ -13,7 +13,7 @@ Subcommands:
   loadable in Perfetto;
 * ``compare BENCH`` — all schedulers on one benchmark;
 * ``sweep``       — fill the result cache with a parallel
-  (benchmark x scheduler x seed) sweep: worker pool, retries, live
+  (benchmark x scheduler x seed) sweep: worker processes, retries, live
   progress, resumable manifest, machine-readable throughput report;
   ``--spec FILE`` runs a declarative scenario spec instead of grid
   flags (docs/scenarios.md);
@@ -996,7 +996,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sw.add_argument("--cluster-dir", default=None, metavar="DIR",
                       help="drain through the fault-tolerant distributed "
                            "backend rooted at DIR (docs/distributed.md); "
-                           "omitted = the ordinary local pool")
+                           "omitted = one local process per job")
     p_sw.set_defaults(fn=cmd_sweep)
 
     p_sc = sub.add_parser(
@@ -1146,7 +1146,7 @@ def main(argv: list[str] | None = None) -> int:
                      help="schedulers to measure (default: --quick set or all)")
     p_b.add_argument("--scales", nargs="+", metavar="SCALE", default=None,
                      choices=[s.name.lower() for s in Scale],
-                     help="scales to measure (default: tiny+small, or tiny "
+                     help="scales to measure (default: tiny+quick, or tiny "
                           "with --quick)")
     p_b.add_argument("--seed", type=int, default=None,
                      help="trace RNG seed (default 1)")

@@ -18,12 +18,7 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.plotting import chart_result, hbar_chart, sparkline
 from repro.analysis.report import bar, format_table, geomean, rows_to_csv
-from repro.analysis.runner import (
-    ExperimentRunner,
-    atomic_write_json,
-    config_hash,
-    prefetch_parallel,
-)
+from repro.analysis.runner import ExperimentRunner, atomic_write_json, config_hash
 from repro.analysis.sweep import SweepJob, SweepReport, load_manifest, run_sweep
 
 __all__ = [
@@ -37,7 +32,6 @@ __all__ = [
     "config_hash",
     "hbar_chart",
     "load_manifest",
-    "prefetch_parallel",
     "run_sweep",
     "sparkline",
     "fig10_divergence",

@@ -136,16 +136,10 @@ class BenchReport:
         return self.events_total / busy if busy > 0 else 0.0
 
     def to_dict(self) -> dict:
-        from repro.gpu.frontend import scalar_frontend_enabled
-
         return {
             "schema_version": BENCH_SCHEMA,
             "kind": "core",
             "python": self.python,
-            # Additive key (no schema bump: the bench contract pins only
-            # jobs + calibration): which SM front end produced the run,
-            # so scalar-mode reports are never mistaken for regressions.
-            "frontend": "scalar" if scalar_frontend_enabled() else "vectorized",
             "calibration_ops_per_sec": round(self.calibration_ops_per_sec, 1),
             "wall_s": round(self.wall_s, 4),
             "jobs_total": len(self.jobs),

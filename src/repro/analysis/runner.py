@@ -56,7 +56,6 @@ __all__ = [
     "ExperimentRunner",
     "atomic_write_json",
     "config_hash",
-    "prefetch_parallel",
     "run_one_job",
 ]
 
@@ -173,29 +172,6 @@ def _crash_mid_run_faults(
         return ()  # already crashed once; the retry runs fault-free
     os.close(fd)
     return (FaultSpec("crash", at_ns=float(at_ns)),)
-
-
-def prefetch_parallel(
-    runner: "ExperimentRunner",
-    benchmarks,
-    schedulers,
-    workers: int = 4,
-    perfect: bool = False,
-) -> int:
-    """Fill the runner's disk cache with a (benchmark x scheduler x seed)
-    sweep using a process pool.  Requires ``cache_dir`` (workers
-    communicate through it).  Returns the number of jobs executed.
-
-    Thin compatibility wrapper over :func:`repro.analysis.sweep.run_sweep`,
-    which adds retries, per-job timeouts, progress and a resume manifest.
-    """
-    from repro.analysis.sweep import run_sweep
-
-    report = run_sweep(
-        runner, benchmarks, schedulers, workers=workers, perfect=perfect
-    )
-    report.raise_on_failure()
-    return report.n_done
 
 
 class ExperimentRunner:

@@ -1,15 +1,13 @@
 """Robust parallel sweep harness over :class:`ExperimentRunner`.
 
-``run_sweep`` executes a (benchmark x scheduler x seed) grid with a
-process pool and makes the sweep safe to run at scale:
+``run_sweep`` executes a (benchmark x scheduler x seed) grid with one
+supervised process per job and makes the sweep safe to run at scale:
 
-* **as_completed dispatch** — results are harvested as workers finish,
+* **harvest on completion** — results are collected as workers finish,
   with a live progress/ETA line per completion;
-* **bounded retry** — a worker exception fails only that job, which is
-  resubmitted up to ``retries`` times before being recorded as failed
-  (the rest of the sweep always completes);
-* **per-job timeout** — a job running past ``timeout_s`` is cancelled if
-  still queued, failed (or retried) otherwise;
+* **bounded retry** — a worker exception or death fails only that job,
+  which is resubmitted up to ``retries`` times before being recorded as
+  failed (the rest of the sweep always completes);
 * **resume manifest** — every completion is appended to a manifest JSON
   in the cache directory; ``resume=True`` skips jobs the manifest marks
   done (whose cache entry still exists), so an interrupted sweep picks
@@ -27,11 +25,10 @@ process pool and makes the sweep safe to run at scale:
   retry resumes from its last snapshot instead of re-simulating from
   zero, and a job that fails even its retries records the exception
   type and the snapshot path in the manifest for the next sweep;
-* **real timeout enforcement** — with ``timeout_s`` set, jobs run in
-  per-job supervised processes (:func:`_run_procs`) that are **killed**
-  on expiry, not abandoned: a hung simulation never pins a pool slot,
-  and a worker that dies without reporting (OOM-killed, SIGKILL) is
-  detected and retried like any other failure;
+* **real timeout enforcement** — a job running past ``timeout_s`` has
+  its process **killed**, not abandoned, and a worker that dies without
+  reporting (OOM-killed, SIGKILL) is detected by its exit code; both
+  are retried like any other failure (:func:`_run_procs`);
 * **seeded retry backoff** — retries wait out an exponential,
   deterministically-jittered delay (:class:`repro.cluster.RetryPolicy`)
   instead of re-firing instantly; the same policy type drives the
@@ -41,9 +38,7 @@ process pool and makes the sweep safe to run at scale:
   lease-based shared-filesystem backend (:mod:`repro.cluster`): the
   grid is enqueued as per-job records, ``workers - 1`` independent
   agent processes plus this orchestrator claim and drain them, and the
-  manifest is compacted from per-job outcomes.  Without ``cluster_dir``
-  nothing changes — the local pool path is byte-for-byte the old
-  behavior (graceful degradation, pinned by the pre-existing tests).
+  manifest is compacted from per-job outcomes.
 
 The returned :class:`SweepReport` carries per-job wall-clock and
 events/sec and serializes to the machine-readable ``BENCH_sweep.json``
@@ -58,7 +53,6 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
@@ -79,7 +73,7 @@ __all__ = [
 
 MANIFEST_NAME = "sweep-manifest.json"
 _MANIFEST_SCHEMA = 1
-_POLL_S = 0.25  # wait() tick while enforcing per-job timeouts
+_POLL_S = 0.05  # supervisor tick while no running job has reported
 
 
 @dataclass(frozen=True)
@@ -356,9 +350,12 @@ def run_sweep(
 ) -> SweepReport:
     """Run the (benchmark x scheduler x seed) grid; returns a report.
 
-    ``workers <= 0`` executes inline (no processes) — same retry/manifest
-    semantics, useful under pytest and for debugging.  Jobs communicate
-    exclusively through the runner's ``cache_dir``, which is required.
+    ``workers >= 1`` runs up to that many jobs at once, each in its own
+    supervised process; ``timeout_s=None`` means no deadline.
+    ``workers <= 0`` executes inline (no processes, no timeout) — same
+    retry/manifest semantics, useful under pytest and for debugging.
+    Jobs communicate exclusively through the runner's ``cache_dir``,
+    which is required.
 
     ``retry_policy`` spaces retry attempts (seeded exponential backoff,
     docs/distributed.md); the default policy retries quickly enough for
@@ -480,15 +477,23 @@ def run_sweep(
             runner.trace_paths or None,
         )
 
-    def fail(
-        job: SweepJob, attempt: int, wall_s: float, error: str, error_type: str
-    ) -> None:
-        """Record a job whose retries are exhausted.
+    policy = retry_policy if retry_policy is not None else RetryPolicy()
 
-        The manifest entry names the exception type and — when the job
-        was checkpointing — its last snapshot, so a later sweep (or a
-        human) can resume it from where it died instead of from zero.
+    def retry_or_fail(
+        job: SweepJob, attempt: int, wall_s: float, error: str, error_type: str
+    ) -> Optional[float]:
+        """Backoff seconds before ``job``'s next attempt, or None once its
+        retries are exhausted.
+
+        An exhausted job is recorded as failed.  Its manifest entry names
+        the exception type and — when the job was checkpointing — its last
+        snapshot, so a later sweep (or a human) can resume it from where
+        it died instead of from zero.
         """
+        if attempt < retries:
+            delay = policy.delay_s(attempt + 1, token=job.job_id)
+            say(f"[sweep] retrying {job.job_id} in {delay:.2f}s: {error}")
+            return delay
         ckpt = runner.checkpoint_path(job.bench, job.scheduler, job.seed, job.perfect)
         record(
             JobResult(
@@ -501,8 +506,7 @@ def run_sweep(
                 checkpoint=ckpt if ckpt and os.path.exists(ckpt) else "",
             )
         )
-
-    policy = retry_policy if retry_policy is not None else RetryPolicy()
+        return None
 
     if todo and cluster_dir is not None:
         _run_cluster(
@@ -510,14 +514,9 @@ def run_sweep(
             record, say, manifest_name,
         )
     elif todo and workers <= 0:
-        _run_inline(todo, payload, retries, policy, record, fail, say)
-    elif todo and timeout_s is not None:
-        _run_procs(
-            todo, payload, workers, timeout_s, retries, policy,
-            record, fail, say,
-        )
+        _run_inline(todo, payload, record, retry_or_fail)
     elif todo:
-        _run_pool(todo, payload, workers, retries, policy, record, fail, say)
+        _run_procs(todo, payload, workers, timeout_s, record, retry_or_fail, say)
 
     report = SweepReport(
         results,
@@ -553,7 +552,8 @@ def _done_result(job: SweepJob, meta: dict, attempt: int) -> JobResult:
     )
 
 
-def _run_inline(todo, payload, retries, policy, record, fail, say) -> None:
+def _run_inline(todo, payload, record, retry_or_fail) -> None:
+    """Run each job in this process, one after another (no timeout)."""
     for job in todo:
         attempt = 0
         while True:
@@ -561,72 +561,16 @@ def _run_inline(todo, payload, retries, policy, record, fail, say) -> None:
             try:
                 _key, _summary, meta = run_one_job(payload(job))
             except Exception as exc:
-                if attempt < retries:
-                    attempt += 1
-                    delay = policy.delay_s(attempt, token=job.job_id)
-                    say(f"[sweep] retrying {job.job_id} in {delay:.2f}s: {exc}")
-                    time.sleep(delay)
-                    continue
-                fail(job, attempt, time.time() - t_start, str(exc), type(exc).__name__)
-                break
+                delay = retry_or_fail(
+                    job, attempt, time.time() - t_start, str(exc), type(exc).__name__
+                )
+                if delay is None:
+                    break
+                time.sleep(delay)
+                attempt += 1
+                continue
             record(_done_result(job, meta, attempt))
             break
-
-
-def _run_pool(todo, payload, workers, retries, policy, record, fail, say) -> None:
-    """ProcessPoolExecutor dispatch (no per-job timeout — see _run_procs).
-
-    Failed jobs are re-queued after their backoff delay rather than
-    resubmitted instantly; the harvest loop keeps draining other
-    futures while a retry waits out its delay.
-    """
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        tracked: dict = {}  # future -> (job, attempt, t_submit)
-        deferred: list = []  # (ready_t, job, attempt) awaiting backoff
-
-        def submit(job: SweepJob, attempt: int) -> None:
-            try:
-                fut = pool.submit(run_one_job, payload(job))
-            except Exception as exc:  # pool already broken/shut down
-                fail(job, attempt, 0.0, str(exc), type(exc).__name__)
-                return
-            tracked[fut] = (job, attempt, time.time())
-
-        for job in todo:
-            submit(job, 0)
-
-        while tracked or deferred:
-            now = time.time()
-            for item in [d for d in deferred if d[0] <= now]:
-                deferred.remove(item)
-                submit(item[1], item[2])
-            if not tracked:
-                if deferred:
-                    naps = max(0.0, min(d[0] for d in deferred) - time.time())
-                    time.sleep(min(naps, _POLL_S))
-                continue
-            done, _pending = wait(
-                list(tracked),
-                timeout=_POLL_S if deferred else None,
-                return_when=FIRST_COMPLETED,
-            )
-            now = time.time()
-            for fut in done:
-                job, attempt, t_submit = tracked.pop(fut)
-                try:
-                    _key, _summary, meta = fut.result()
-                except Exception as exc:
-                    if attempt < retries:
-                        delay = policy.delay_s(attempt + 1, token=job.job_id)
-                        say(
-                            f"[sweep] retrying {job.job_id} in "
-                            f"{delay:.2f}s: {exc}"
-                        )
-                        deferred.append((now + delay, job, attempt + 1))
-                    else:
-                        fail(job, attempt, now - t_submit, str(exc), type(exc).__name__)
-                else:
-                    record(_done_result(job, meta, attempt))
 
 
 def _proc_entry(conn, job_payload) -> None:
@@ -643,20 +587,16 @@ def _proc_entry(conn, job_payload) -> None:
     conn.close()
 
 
-def _run_procs(
-    todo, payload, workers, timeout_s, retries, policy, record, fail, say
-) -> None:
-    """Per-job supervised processes: timeouts *kill* the worker.
+def _run_procs(todo, payload, workers, timeout_s, record, retry_or_fail, say) -> None:
+    """Per-job supervised processes: one dead worker fails only its job.
 
-    The old pool path could only ``Future.cancel()`` a timed-out job —
-    a worker already running was abandoned and kept its pool slot until
-    it finished (possibly never).  Here every job is its own
-    ``multiprocessing.Process``: on expiry the supervisor SIGKILLs it,
-    reclaims the slot immediately, and retries under the backoff
-    policy.  A worker that dies *without* reporting a result (OOM
-    killer, crash) is detected by exit-code and handled the same way —
-    one dead worker never poisons the rest of the sweep (the executor
-    path would raise BrokenProcessPool for every in-flight future).
+    Every job is its own ``multiprocessing.Process``, at most
+    ``workers`` at a time.  A worker that dies *without* reporting a
+    result (OOM killer, SIGKILL) is detected by its exit code; one past
+    ``timeout_s`` (if set) is SIGKILLed and its slot reclaimed at once.
+    Either way the job is retried under the backoff policy, and every
+    other job runs on untouched — unlike a shared executor, where one
+    dead worker breaks every in-flight job and every later retry.
     """
     ctx = multiprocessing.get_context()
     queue: list = [(job, 0, 0.0) for job in todo]  # (job, attempt, ready_t)
@@ -669,13 +609,10 @@ def _run_procs(
             proc.kill()
         proc.join(timeout=5.0)
 
-    def retry_or_fail(job, attempt, wall_s, error, error_type) -> None:
-        if attempt < retries:
-            delay = policy.delay_s(attempt + 1, token=job.job_id)
-            say(f"[sweep] retrying {job.job_id} in {delay:.2f}s: {error}")
+    def settle(job, attempt, t_start, error, error_type) -> None:
+        delay = retry_or_fail(job, attempt, time.time() - t_start, error, error_type)
+        if delay is not None:
             queue.append((job, attempt + 1, time.time() + delay))
-        else:
-            fail(job, attempt, wall_s, error, error_type)
 
     while queue or running:
         now = time.time()
@@ -709,28 +646,27 @@ def _run_procs(
                     record(_done_result(job, meta, attempt))
                 else:
                     error, error_type = value
-                    retry_or_fail(job, attempt, time.time() - t_start,
-                                  error, error_type)
+                    settle(job, attempt, t_start, error, error_type)
             elif not proc.is_alive():
                 exitcode = proc.exitcode
                 finish(proc)
                 progressed = True
-                retry_or_fail(
-                    job, attempt, time.time() - t_start,
+                settle(
+                    job, attempt, t_start,
                     f"worker died without reporting (exit code {exitcode})",
                     "WorkerCrashed",
                 )
-            elif time.time() - t_start > timeout_s:
+            elif timeout_s is not None and time.time() - t_start > timeout_s:
                 proc.kill()  # actually terminate — never abandon the job
                 finish(proc)
                 progressed = True
                 say(f"[sweep] killed {job.job_id} after {timeout_s:.0f}s")
-                retry_or_fail(
-                    job, attempt, time.time() - t_start,
+                settle(
+                    job, attempt, t_start,
                     f"timeout after {timeout_s:.0f}s", "TimeoutError",
                 )
         if not progressed:
-            time.sleep(min(_POLL_S, 0.05))
+            time.sleep(_POLL_S)
 
 
 # ----------------------------------------------------------------------

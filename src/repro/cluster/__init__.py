@@ -12,7 +12,7 @@ Layout:
 * :mod:`repro.cluster.chaos` — env-armed chaos points + corruption
   helpers (stdlib-only; safe to import from anywhere).
 * :mod:`repro.cluster.retry` — the seeded :class:`RetryPolicy` shared
-  with the local pool.
+  with local sweeps.
 * :mod:`repro.cluster.lease` — atomic claim/renew/steal lease files.
 * :mod:`repro.cluster.store` — the per-job record/outcome/failure store
   and manifest compaction.

@@ -6,7 +6,7 @@ deterministic crash re-fired as fast as the pool could spin), and the
 cluster needed per-attempt spacing anyway.  Both now share one
 :class:`RetryPolicy` value that lives in ``run_sweep``'s signature and
 in the cluster run manifest, so a grid behaves identically whether it
-is drained by the local pool or by a fleet of lease-based workers.
+is drained locally or by a fleet of lease-based workers.
 
 The jitter is **seeded**, not sampled: the delay for ``(seed, token,
 attempt)`` is a pure function, so reruns of a sweep back off on the

@@ -20,10 +20,10 @@ consistency probes* attached to controller instances:
   the watchdog ceiling.
 * ``scorer-differential`` — at every transaction-scheduler pick, the
   incrementally maintained BASJF score of every complete warp-group
-  (:meth:`WarpSorter.score_incremental`) must equal the naive
-  walk-every-request reference (:meth:`WarpSorter.score_naive`); any
-  drift in the maintained per-bank chain state surfaces here at the
-  exact decision that would have used it.
+  (:meth:`WarpSorter.score`) must equal the naive walk-every-request
+  reference kept here (:func:`_score_naive`); any drift in the
+  maintained per-bank chain state surfaces here at the exact decision
+  that would have used it.
 
 **Differential oracles** — quantities fixed at *injection* (before any
 scheduling): instruction, load, and coalesced-request totals plus the
@@ -37,9 +37,7 @@ summary (``determinism``); attaching telemetry must not perturb results
 (``telemetry-perturbation``); checkpoint mid-run + restore ⇒ identical
 final stats (``checkpoint-restore``); scaling every timing by k scales
 time-valued metrics by exactly k and leaves dimensionless ones untouched
-(``timing-scale``); the vectorized front-end pool's coalesced lines and
-routes must equal the scalar coalescer + address decomposition per memory
-op (``frontend-differential`` — a pure stream comparison, no simulation).
+(``timing-scale``).
 """
 
 from __future__ import annotations
@@ -56,7 +54,8 @@ from repro.guardrails.checkpoint import load_checkpoint
 from repro.guardrails.config import GuardrailConfig
 from repro.guardrails.invariants import InvariantViolation
 from repro.dram.validate import ProtocolViolationError
-from repro.mc.warp_sorter import WarpSorter
+from repro.mc.command_queue import SCORE_HIT, SCORE_MISS, CommandQueues
+from repro.mc.warp_sorter import WarpGroupEntry, WarpSorter
 from repro.telemetry.hub import TelemetryHub
 from repro.workloads.trace import KernelTrace
 
@@ -74,7 +73,6 @@ __all__ = [
     "check_telemetry",
     "check_checkpoint",
     "check_timing_scale",
-    "check_frontend",
     "scale_timings",
     "run_oracle",
 ]
@@ -104,6 +102,35 @@ _GUARDRAILS = GuardrailConfig(invariants=True, audit=True, check_period_ns=500.0
 # ----------------------------------------------------------------------
 # inline consistency probes
 # ----------------------------------------------------------------------
+def _score_naive(entry: WarpGroupEntry, cq: CommandQueues) -> tuple[int, int]:
+    """Reference BASJF score: re-walk every request of the group.
+
+    The per-bank walk threads the predicted open row through the group's
+    own requests, so four same-row requests behind a foreign row cost
+    3+1+1+1, not 3+3+3+3.  Semantically identical to
+    :meth:`WarpSorter.score`; the scorer-differential probe holds them
+    to that.
+    """
+    worst = 0
+    hits = 0
+    for bank, reqs in entry.by_bank.items():
+        predicted = cq.last_sched_row[bank]
+        bank_score = cq.queue_score[bank]
+        for req in reqs:
+            if req.row == predicted:
+                bank_score += SCORE_HIT
+                hits += 1
+            else:
+                bank_score += SCORE_MISS
+            predicted = req.row
+        if bank_score > worst:
+            worst = bank_score
+    score = max(0, worst - entry.score_discount)
+    if entry.remote_score is not None and entry.remote_score < score:
+        score = max(0, entry.remote_score)
+    return score, hits
+
+
 def attach_consistency_probes(system: GPUSystem) -> None:
     """Wrap controller entry points with ground-truth contract checks.
 
@@ -161,8 +188,8 @@ def attach_consistency_probes(system: GPUSystem) -> None:
             def pick_with_room(now, _mc=mc, _orig=orig_pick):
                 cq = _mc.cq
                 for entry in _mc.sorter.complete_groups():
-                    fast = WarpSorter.score_incremental(entry, cq)
-                    slow = WarpSorter.score_naive(entry, cq)
+                    fast = WarpSorter.score(entry, cq)
+                    slow = _score_naive(entry, cq)
                     if fast != slow:
                         raise OracleFailure(
                             "scorer-differential",
@@ -448,63 +475,8 @@ def check_timing_scale(config: SimConfig, trace: KernelTrace, scheduler: str,
         )
 
 
-def check_frontend(config: SimConfig, trace: KernelTrace, scheduler: str,
-                   baseline: Optional[SimStats] = None) -> None:
-    """Vectorized front end == scalar coalescer + decomposition, per op.
-
-    Compares the :class:`~repro.gpu.frontend.FrontEndPool` built for this
-    (config, trace) against the scalar reference for *every* memory op:
-    same coalesced line list (order included — the interconnect relies on
-    first-appearance order) and same (channel, bank, row, col) routes.
-    A pure stream comparison — no simulation runs, so it is also the
-    cheapest minimizer predicate of the metamorphic family.  Traces the
-    pool cannot represent fall back to the scalar path by construction
-    and pass trivially.  ``scheduler``/``baseline`` are accepted for the
-    metamorphic signature but unused: the front end is scheduler-blind.
-    """
-    from repro.gpu.address_map import AddressMap
-    from repro.gpu.coalescer import coalesce
-    from repro.gpu.frontend import FrontEndPool, FrontendUnsupported
-
-    amap = AddressMap(config.dram_org)
-    line_bytes = config.dram_org.line_bytes
-    for sm_id, bucket in enumerate(trace.by_sm(config.gpu.num_sms)):
-        try:
-            pool = FrontEndPool(bucket, line_bytes, amap)
-        except FrontendUnsupported:
-            continue  # scalar fallback applies; nothing to compare
-        for pos, wt in enumerate(bucket):
-            for seg_idx, seg in enumerate(wt.segments):
-                entry = pool.op(pos, seg_idx)
-                if seg.mem is None:
-                    if entry is not None:
-                        raise OracleFailure(
-                            "frontend-differential",
-                            f"sm {sm_id} warp {wt.warp_id} segment {seg_idx} "
-                            f"has no memory op but the pool holds one",
-                        )
-                    continue
-                op_id, lines, routes = entry
-                expect_lines = coalesce(seg.mem.lane_addrs, line_bytes)
-                if lines != expect_lines:
-                    raise OracleFailure(
-                        "frontend-differential",
-                        f"sm {sm_id} warp {wt.warp_id} segment {seg_idx} "
-                        f"(op {op_id}): pool coalesced to {lines} but the "
-                        f"scalar coalescer produced {expect_lines}",
-                    )
-                expect_routes = [amap.decompose(line) for line in expect_lines]
-                if routes != expect_routes:
-                    raise OracleFailure(
-                        "frontend-differential",
-                        f"sm {sm_id} warp {wt.warp_id} segment {seg_idx} "
-                        f"(op {op_id}): pool routes {routes} != scalar "
-                        f"decomposition {expect_routes}",
-                    )
-
-
 _METAMORPHIC = (check_determinism, check_telemetry, check_checkpoint,
-                check_timing_scale, check_frontend)
+                check_timing_scale)
 
 #: Stable catalogue (oracle name -> short description) for docs/CLI.
 ORACLES = {
@@ -519,7 +491,6 @@ ORACLES = {
     "telemetry-perturbation": "telemetry on/off does not change results",
     "checkpoint-restore": "checkpoint + restore reproduces the uninterrupted run",
     "timing-scale": "scaling timings by k scales time metrics by k",
-    "frontend-differential": "vectorized front-end pool == scalar coalesce + decompose",
 }
 
 
@@ -530,7 +501,7 @@ def check_case(config: SimConfig, trace: KernelTrace, schedulers: list[str],
                case_index: int = 0) -> None:
     """Run every oracle family on one case; raises the first failure.
 
-    The five metamorphic oracles rotate over ``case_index`` (one per
+    The four metamorphic oracles rotate over ``case_index`` (one per
     case, on a rotating designated scheduler) to keep per-case cost at
     roughly ``len(schedulers) + 2`` simulations.
     """
@@ -572,8 +543,6 @@ def run_oracle(oracle: str, config: SimConfig, trace: KernelTrace,
             check_checkpoint(config, trace, schedulers[0])
         elif oracle == "timing-scale":
             check_timing_scale(config, trace, schedulers[0])
-        elif oracle == "frontend-differential":
-            check_frontend(config, trace, schedulers[0])
         else:
             raise ValueError(f"unknown oracle {oracle!r}; known: {sorted(ORACLES)}")
     except OracleFailure as failure:

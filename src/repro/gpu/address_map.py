@@ -21,8 +21,6 @@ strictly improves the row locality available to *all* schedulers equally).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.config import DRAMOrgConfig
 from repro.core.request import MemoryRequest
 
@@ -69,30 +67,6 @@ class AddressMap:
             (self.org.interleave_bytes // self.org.line_bytes) - 1
         )
         col = col_block * (self.org.interleave_bytes // self.org.line_bytes) + line_in_block
-        return channel, bank, row, col
-
-    def decompose_many(
-        self, addrs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`decompose`: four int64 arrays for an array of
-        byte addresses.  Used by the front-end pool to route every
-        coalesced line of a kernel in one pass at construction time."""
-        addrs = np.asarray(addrs, dtype=np.int64)
-        org = self.org
-        block = addrs >> self.block_shift
-        low = (block & 0x7) ^ ((block >> 3) & 0x7)
-        key = (block & ~0x7) | low
-        channel = key % org.num_channels
-        local = key // org.num_channels
-        col_block = local & (self.blocks_per_row - 1)
-        seg = local // self.blocks_per_row
-        bank_raw = seg & self.bank_mask
-        upper = seg >> (org.banks_per_channel.bit_length() - 1)
-        bank = (bank_raw ^ (upper & self.bank_mask)) & self.bank_mask
-        row = upper % org.rows_per_bank
-        lines_per_block = org.interleave_bytes // org.line_bytes
-        line_in_block = (addrs >> self.line_shift) & (lines_per_block - 1)
-        col = col_block * lines_per_block + line_in_block
         return channel, bank, row, col
 
     def compose(

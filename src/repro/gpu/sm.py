@@ -24,7 +24,6 @@ from repro.core.request import LoadTransaction, MemoryRequest
 from repro.core.stats import LoadRecord, SimStats
 from repro.gpu.cache import MSHR, Cache
 from repro.gpu.coalescer import CoalescerStats, coalesce
-from repro.gpu.frontend import OP_ISSUED, FrontEndPool
 from repro.gpu.warp import WarpState, WarpStatus
 from repro.workloads.trace import MemOp, Segment, WarpTrace
 
@@ -45,7 +44,6 @@ class SMCore:
         on_warp_done: Callable[[WarpState], None],
         sim_stats: SimStats,
         coal_stats: CoalescerStats,
-        frontend: Optional[FrontEndPool] = None,
         send_requests: Optional[Callable[[list], None]] = None,
     ) -> None:
         self.engine = engine
@@ -70,13 +68,8 @@ class SMCore:
         self.on_warp_done = on_warp_done
         self.sim_stats = sim_stats
         self.coal_stats = coal_stats
-        #: Pre-coalesced SoA op pool; None selects the scalar front end
-        #: (REPRO_SCALAR_FRONTEND=1 or a directly constructed SMCore).
-        self.frontend = frontend
 
-        self.pending: deque[WarpState] = deque(
-            WarpState(t, pos) for pos, t in enumerate(warps)
-        )
+        self.pending: deque[WarpState] = deque(WarpState(t) for t in warps)
         self.resident_count = 0
         self.issue_free = 0  # issue-server availability (ps)
         self.warps_finished = 0
@@ -110,15 +103,14 @@ class SMCore:
 
     def _segment_done(self, w: WarpState, seg: Segment) -> None:
         self.sim_stats.warp_instructions += seg.instructions
-        pc = w.pc  # segment index, the front-end pool's second key
         w.advance()
         if seg.mem is None:
             self._run(w)
         elif seg.mem.is_write:
-            self._issue_store(w, seg.mem, pc)
+            self._issue_store(w, seg.mem)
             self._run(w)  # stores are fire-and-forget
         else:
-            self._issue_load(w, seg.mem, pc)
+            self._issue_load(w, seg.mem)
 
     def _finish(self, w: WarpState) -> None:
         w.status = WarpStatus.DONE
@@ -131,17 +123,9 @@ class SMCore:
     # ------------------------------------------------------------------
     # memory instructions
     # ------------------------------------------------------------------
-    def _issue_load(self, w: WarpState, mem: MemOp, pc: int) -> None:
+    def _issue_load(self, w: WarpState, mem: MemOp) -> None:
         now = self.engine.now
-        fe = self.frontend
-        if fe is None or w.pos < 0:
-            lines = coalesce(mem.lane_addrs, self.line_bytes, self.coal_stats)
-            routes = None
-        else:
-            op_id, lines, routes = fe.op(w.pos, pc)
-            fe.state[op_id] = OP_ISSUED
-            if lines:
-                self.coal_stats.record(len(lines))
+        lines = coalesce(mem.lane_addrs, self.line_bytes, self.coal_stats)
         if not lines:  # fully masked-off load
             self._run(w)
             return
@@ -193,8 +177,6 @@ class SMCore:
             )
             req.transaction = txn
             req.t_issue = now
-            if routes is not None:
-                req.channel, req.bank, req.row, req.col = routes[i]
             if self.l1 is not None:
                 primary = self.l1_mshr.allocate(line, (txn, req))
                 if not primary:
@@ -203,27 +185,19 @@ class SMCore:
             self.send_request(req)
         txn.finish_dispatch()
 
-    def _issue_store(self, w: WarpState, mem: MemOp, pc: int) -> None:
-        fe = self.frontend
-        if fe is None or w.pos < 0:
-            lines = coalesce(mem.lane_addrs, self.line_bytes)
-            routes = None
-        else:
-            op_id, lines, routes = fe.op(w.pos, pc)
-            fe.state[op_id] = OP_ISSUED
+    def _issue_store(self, w: WarpState, mem: MemOp) -> None:
+        lines = coalesce(mem.lane_addrs, self.line_bytes)
         if not lines:
             return
         if self.l1 is not None:
             self.l1.lookup_many(lines)  # write-through: touch, never dirty
         now = self.engine.now
         reqs = []
-        for i, line in enumerate(lines):
+        for line in lines:
             req = MemoryRequest(
                 addr=line, is_write=True, sm_id=self.sm_id, warp_id=w.warp_id
             )
             req.t_issue = now
-            if routes is not None:
-                req.channel, req.bank, req.row, req.col = routes[i]
             reqs.append(req)
         # Stores schedule nothing SM-side between sends, so the whole op
         # can be injected as one batch without perturbing event order.

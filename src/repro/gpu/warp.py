@@ -19,13 +19,10 @@ class WarpStatus(Enum):
 class WarpState:
     """A warp's execution cursor (SIMT: all 32 lanes move together)."""
 
-    __slots__ = ("trace", "pc", "status", "loads_completed", "t_finished", "pos")
+    __slots__ = ("trace", "pc", "status", "loads_completed", "t_finished")
 
-    def __init__(self, trace: WarpTrace, pos: int = -1) -> None:
+    def __init__(self, trace: WarpTrace) -> None:
         self.trace = trace
-        #: Index of this warp within its SM's warp list — the front-end
-        #: pool's first key (see :class:`repro.gpu.frontend.FrontEndPool`).
-        self.pos = pos
         self.pc = 0
         self.status = WarpStatus.PENDING
         self.loads_completed = 0

@@ -27,14 +27,12 @@ predecessor.  Those internal terms only change when a request joins or
 leaves the group, so evaluating a group's score is O(banks touched) —
 one comparison of the first row against the bank's ``last_sched_row``
 plus the bank's live ``queue_score`` — instead of a walk over every
-request.  The original walk survives as :meth:`WarpSorter.score_naive`
-(selected globally by ``REPRO_NAIVE_SCORER=1``) and is the reference
-half of the fuzzer's scorer-differential oracle.
+request.  The original walk lives on in :mod:`repro.fuzz.oracles` as the
+reference half of the fuzzer's scorer-differential oracle.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional
 
 from repro.core.request import MemoryRequest
@@ -244,7 +242,7 @@ class WarpSorter:
 
     # -- scoring (§IV-B) ----------------------------------------------------------
     @staticmethod
-    def score_incremental(entry: WarpGroupEntry, cq: CommandQueues) -> tuple[int, int]:
+    def score(entry: WarpGroupEntry, cq: CommandQueues) -> tuple[int, int]:
         """(group score, row hits) from the maintained per-bank stats.
 
         O(banks touched): only the head request's hit/miss depends on
@@ -271,41 +269,3 @@ class WarpSorter:
             # completion score, so the laggard group jumps the queue.
             score = max(0, entry.remote_score)
         return score, hits
-
-    @staticmethod
-    def score_naive(entry: WarpGroupEntry, cq: CommandQueues) -> tuple[int, int]:
-        """Reference implementation: re-walk every request of the group.
-
-        The per-bank walk threads the predicted open row through the
-        group's own requests, so four same-row requests behind a foreign
-        row cost 3+1+1+1, not 3+3+3+3.  Semantically identical to
-        :meth:`score_incremental` (the fuzzer's scorer-differential
-        oracle holds them to that); selected as ``WarpSorter.score`` by
-        setting ``REPRO_NAIVE_SCORER=1`` in the environment.
-        """
-        worst = 0
-        hits = 0
-        for bank, reqs in entry.by_bank.items():
-            predicted = cq.last_sched_row[bank]
-            bank_score = cq.queue_score[bank]
-            for req in reqs:
-                if req.row == predicted:
-                    bank_score += SCORE_HIT
-                    hits += 1
-                else:
-                    bank_score += SCORE_MISS
-                predicted = req.row
-            if bank_score > worst:
-                worst = bank_score
-        score = max(0, worst - entry.score_discount)
-        if entry.remote_score is not None and entry.remote_score < score:
-            score = max(0, entry.remote_score)
-        return score, hits
-
-    #: Active scorer.  The naive walk is an escape hatch for debugging
-    #: suspected incremental-state corruption (and the fuzzer's oracle).
-    score = staticmethod(
-        score_naive.__func__
-        if os.environ.get("REPRO_NAIVE_SCORER") == "1"
-        else score_incremental.__func__
-    )

@@ -172,7 +172,7 @@ def run_scenario(
     scenario's tables would silently hold zeros otherwise).
 
     ``cluster_dir`` drains the grid through the distributed backend
-    (docs/distributed.md) instead of the local pool; results, caching,
+    (docs/distributed.md) instead of local workers; results, caching,
     and the collected metrics are identical either way.
     """
     os.makedirs(cache_dir, exist_ok=True)

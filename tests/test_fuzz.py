@@ -406,69 +406,6 @@ def test_fuzzer_catches_incremental_scorer_drift(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# regression: vectorized front end dropping part of a coalesced op
-# ---------------------------------------------------------------------------
-import repro.gpu.frontend as gpu_frontend
-
-_real_coalesce_many = gpu_frontend.coalesce_many
-
-
-def _broken_coalesce_many(lane_addrs, line_bytes):
-    """Corrupted mask reduction: the last line of every divergent op is lost."""
-    lines, offsets = _real_coalesce_many(lane_addrs, line_bytes)
-    out_lines: list[int] = []
-    new_offsets = [0]
-    for i in range(len(offsets) - 1):
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
-        if hi - lo > 1:
-            hi -= 1
-        out_lines.extend(lines[lo:hi].tolist())
-        new_offsets.append(len(out_lines))
-    return (
-        np.asarray(out_lines, dtype=np.int64),
-        np.asarray(new_offsets, dtype=np.int64),
-    )
-
-
-def test_fuzzer_catches_broken_mask_reduction(tmp_path, monkeypatch):
-    """The frontend-differential oracle pins the vectorized coalescer.
-
-    A pool built from the broken reduction is *internally* consistent —
-    every simulation sees the same (wrong) request set, so determinism,
-    checkpoint/restore, telemetry and the guarded invariants all still
-    hold.  Only the scalar-reference comparison can see the loss, which
-    is exactly why it is in the catalogue.
-    """
-    monkeypatch.setattr(gpu_frontend, "coalesce_many", _broken_coalesce_many)
-    # Five iterations: the metamorphic rotation reaches
-    # frontend-differential on case index 4.
-    report = run_campaign(
-        seed=0, iterations=5, schedulers=["wg"],
-        artifact_dir=str(tmp_path), do_minimize=True,
-    )
-    assert not report.clean
-    failure = report.failures[0]
-    assert failure.oracle == "frontend-differential"
-    assert failure.artifact_path and os.path.exists(failure.artifact_path)
-    assert failure.minimized_warps is not None
-
-    artifact = load_artifact(failure.artifact_path)
-    assert artifact["minimized"]
-    config = config_from_dict(artifact["config"])
-    trace = trace_from_json(artifact["trace"])
-    replayed = run_oracle(
-        artifact["oracle"], config, trace, artifact["schedulers"]
-    )
-    assert replayed is not None and replayed.oracle == "frontend-differential"
-
-    # The healthy reduction passes the same minimized case.
-    monkeypatch.undo()
-    assert run_oracle(
-        artifact["oracle"], config, trace, artifact["schedulers"]
-    ) is None
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 def test_cli_fuzz_requires_a_bound(capsys):

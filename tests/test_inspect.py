@@ -76,24 +76,16 @@ def test_run_one_job_roundtrip(tmp_path):
     assert not meta2["simulated"]
 
 
-def test_prefetch_parallel_fills_cache(tmp_path):
-    from repro.analysis.runner import ExperimentRunner, prefetch_parallel
+def test_parallel_sweep_fills_runner_cache(tmp_path):
+    from repro.analysis.runner import ExperimentRunner
+    from repro.analysis.sweep import run_sweep
     from repro.workloads.suite import Scale
 
     r = ExperimentRunner(scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path))
-    n = prefetch_parallel(r, ["sad"], ["gmc", "wg"], workers=2)
-    assert n == 2
+    report = run_sweep(r, ["sad"], ["gmc", "wg"], workers=2)
+    assert report.n_done == 2 and report.n_failed == 0
     files = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
     assert len(files) == 2 + 1  # two results + the sweep manifest
     # The runner now serves results without simulating.
     assert r.mean("sad", "gmc")["ipc"] > 0
     assert r.last_outcome == "disk"
-
-
-def test_prefetch_requires_cache_dir():
-    from repro.analysis.runner import ExperimentRunner, prefetch_parallel
-    from repro.workloads.suite import Scale
-
-    r = ExperimentRunner(scale=Scale.TINY, seeds=(1,))
-    with pytest.raises(ValueError):
-        prefetch_parallel(r, ["sad"], ["gmc"])

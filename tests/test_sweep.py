@@ -340,10 +340,25 @@ def test_crashed_worker_is_retried_once_chaos_passes(tmp_path, monkeypatch):
     assert res.retries == 1  # the kill cost exactly one attempt
 
 
+def test_killed_worker_without_timeout_spares_the_other_jobs(tmp_path, monkeypatch):
+    """Regression: the default multi-worker sweep (no ``timeout_s``) used
+    a shared process pool, where one SIGKILLed worker broke every
+    in-flight job and every retry.  Each job now has its own process, so
+    the kill costs only its own job one attempt."""
+    monkeypatch.setenv("REPRO_CHAOS_MARK_DIR", str(tmp_path / "marks"))
+    monkeypatch.setenv("REPRO_CHAOS", "job-start=kill!once")
+    report = run_sweep(
+        tiny_runner(tmp_path / "cache"), ["sad"], ["gmc", "wg"],
+        workers=2, retries=1,
+    )
+    assert report.n_done == 2 and report.n_failed == 0
+    assert sorted(r.retries for r in report.results) == [0, 1]
+
+
 def test_retry_policy_paces_local_retries(tmp_path, monkeypatch):
     """Satellite: the seeded backoff policy is honored by both local
-    dispatch paths (inline and pool), with the deterministic delay
-    visible in the progress log."""
+    dispatch paths (inline and per-job processes), with the deterministic
+    delay visible in the progress log."""
     from repro.cluster.retry import RetryPolicy
 
     policy = RetryPolicy(base_s=0.4, jitter=0.0)  # exact, no jitter
