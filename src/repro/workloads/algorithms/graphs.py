@@ -62,6 +62,11 @@ def bfs_trace(
     Multiple sources (benchmark-harness style) make the frontier dense
     quickly, so the emitted warps reflect the steady-state levels rather
     than the trivial first hops.
+
+    Each level is expanded at once, in the kernel's (block, edge step,
+    lane) order, and the walk ends at the warp budget: ``dist`` and the
+    next frontier are local, so blocks past the budget are unobservable
+    (docs/performance.md, "Trace generation").
     """
     rng = np.random.default_rng(seed)
     row_ptr, col = random_csr(n_vertices, avg_degree, rng, locality=0.7)
@@ -75,8 +80,11 @@ def bfs_trace(
     # Rodinia's vertex-centric kernel: one thread per vertex, every level;
     # threads whose vertex is not in the frontier mask off.  Warps over
     # consecutive vertex ids -> coalesced frontier/row_ptr reads; the MAI
-    # comes from the col_idx walks and dist[neighbor] gathers.
-    in_frontier = np.zeros(n_vertices, dtype=bool)
+    # comes from the col_idx walks and dist[neighbor] gathers.  Per-thread
+    # arrays pad the last block with threads that have no edges.
+    n_blocks = -(-n_vertices // 32)
+    degree = np.pad(np.diff(row_ptr), (0, n_blocks * 32 - n_vertices))
+    in_frontier = np.zeros(n_blocks * 32, dtype=bool)
     sources = rng.integers(0, n_vertices, size=n_sources)
     in_frontier[sources] = True
     dist = np.full(n_vertices, -1, dtype=np.int64)
@@ -84,55 +92,55 @@ def bfs_trace(
     warps_emitted = 0
     level = 0
     while in_frontier.any() and warps_emitted < max_frontier_warps:
-        next_frontier = np.zeros(n_vertices, dtype=bool)
-        lanes_per_block = np.add.reduceat(in_frontier, np.arange(0, n_vertices, 32))
-        active_blocks = np.flatnonzero(lanes_per_block)
+        lanes_per_block = in_frontier.reshape(n_blocks, 32).sum(axis=1)
+        blocks = np.flatnonzero(lanes_per_block)
         # Spend the warp budget on steady-state levels: while the frontier
         # is still thin (a lane or two per warp), expand it without
         # emitting trace warps — real benchmark harnesses skip the trivial
         # warm-up hops the same way.
-        emit = bool(len(active_blocks)) and lanes_per_block[active_blocks].mean() >= 3.0
-        for blk in active_blocks:
-            vs = np.arange(blk * 32, min(blk * 32 + 32, n_vertices))
-            mask = in_frontier[vs]
-            wb = None
-            if emit and warps_emitted < max_frontier_warps:
-                wb = tb.new_warp()
-                warps_emitted += 1
-                # frontier flags + row_ptr: consecutive ids, coalesced
-                wb.compute(6).load_stream(a_frontier, int(vs[0]))
-                wb.compute(2).load_stream(a_rowptr, int(vs[0]))
-            deg = np.where(mask, row_ptr[vs + 1] - row_ptr[vs], 0)
-            steps = _edge_steps(deg, max_edge_steps)
-            for k in range(steps):
-                active = deg > k
-                if not active.any():
-                    break
-                eidx = np.minimum(row_ptr[vs] + k, len(col) - 1)
-                nbr = col[eidx]
-                if wb is not None:
-                    # col_idx[e]: active lanes walk their adjacency runs
-                    wb.compute(2).load_gather(
-                        a_col, [int(e) if a else None for e, a in zip(eidx, active)]
-                    )
-                    # dist[neighbor]: the data-dependent gather (highest MAI)
-                    wb.compute(1).load_gather(
-                        a_dist, [int(x) if a else None for x, a in zip(nbr, active)]
-                    )
-                discovered = []
-                for x, a in zip(nbr, active):
-                    if a and dist[x] < 0:
-                        dist[x] = level + 1
-                        next_frontier[x] = True
-                        discovered.append(int(x))
-                    else:
-                        discovered.append(None)
-                if wb is not None and any(d is not None for d in discovered):
-                    wb.store_gather(a_dist, discovered)
-            if wb is not None:
-                wb.compute(4)
-        in_frontier = next_frontier
+        emit = lanes_per_block[blocks].mean() >= 3.0
+        if emit:
+            blocks = blocks[: max_frontier_warps - warps_emitted]
+        vs = blocks[:, None] * 32 + np.arange(32)
+        deg = np.where(in_frontier[vs], degree[vs], 0)
+        # walks[block, k, lane]: the lane reads its k-th edge at step k.
+        walks = deg[:, None, :] > np.arange(_edge_steps(deg, max_edge_steps))[:, None]
+        cand = np.flatnonzero(walks)  # (block, step, lane) order
+        row, k, lane = np.unravel_index(cand, walks.shape)
+        eidx = row_ptr[vs[row, lane]] + k
+        nbr = col[eidx]
+        # First candidate per unvisited neighbor, in the kernel's order.
+        fresh = np.flatnonzero(dist[nbr] < 0)
+        _, first = np.unique(nbr[fresh], return_index=True)
+        found = fresh[first]
+        dist[nbr[found]] = level + 1
+        in_frontier = np.zeros_like(in_frontier)
+        in_frontier[nbr[found]] = True
         level += 1
+        if not emit:
+            continue
+        # (edge, neighbor, discovered) lanes per (block, step); None masks.
+        lanes = np.full((3, *walks.shape), None, dtype=object)
+        flat = lanes.reshape(3, -1)
+        flat[0, cand] = eidx
+        flat[1, cand] = nbr
+        flat[2, cand[found]] = nbr[found]
+        steps = walks.any(axis=2).sum(axis=1).tolist()
+        for i, blk in enumerate(blocks.tolist()):
+            edges, targets, discovered = lanes[:, i].tolist()
+            wb = tb.new_warp()
+            # frontier flags + row_ptr: consecutive ids, coalesced
+            wb.compute(6).load_stream(a_frontier, blk * 32)
+            wb.compute(2).load_stream(a_rowptr, blk * 32)
+            for step in range(steps[i]):
+                # col_idx[e]: active lanes walk their adjacency runs
+                wb.compute(2).load_gather(a_col, edges[step])
+                # dist[neighbor]: the data-dependent gather (highest MAI)
+                wb.compute(1).load_gather(a_dist, targets[step])
+                if any(d is not None for d in discovered[step]):
+                    wb.store_gather(a_dist, discovered[step])
+            wb.compute(4)
+        warps_emitted += len(blocks)
     return tb.build()
 
 

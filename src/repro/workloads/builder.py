@@ -72,13 +72,16 @@ class WarpBuilder:
     def _lanes_from_elems(
         self, base: int, elem_idx: Sequence[Optional[int]], elem_bytes: int
     ) -> list[Optional[int]]:
-        lanes: list[Optional[int]] = []
-        for i in range(self.warp_size):
-            if i < len(elem_idx) and elem_idx[i] is not None:
-                lanes.append(base + int(elem_idx[i]) * elem_bytes)
-            else:
-                lanes.append(None)
-        return lanes
+        """Lane byte addresses from Python-int indices; ``None`` = masked."""
+        lanes = [
+            None if e is None else base + e * elem_bytes
+            for e in elem_idx[: self.warp_size]
+        ]
+        return lanes + [None] * (self.warp_size - len(lanes))
+
+    def _stream_lanes(self, base: int, first_elem: int, elem_bytes: int) -> range:
+        start = base + first_elem * elem_bytes
+        return range(start, start + self.warp_size * elem_bytes, elem_bytes)
 
     def load_gather(
         self,
@@ -92,8 +95,7 @@ class WarpBuilder:
     def load_stream(
         self, base: int, first_elem: int, elem_bytes: int = ELEM_BYTES
     ) -> "WarpBuilder":
-        idx = [first_elem + i for i in range(self.warp_size)]
-        return self.load_gather(base, idx, elem_bytes)
+        return self.load_addresses(self._stream_lanes(base, first_elem, elem_bytes))
 
     def store_gather(
         self,
@@ -107,8 +109,7 @@ class WarpBuilder:
     def store_stream(
         self, base: int, first_elem: int, elem_bytes: int = ELEM_BYTES
     ) -> "WarpBuilder":
-        idx = [first_elem + i for i in range(self.warp_size)]
-        return self.store_gather(base, idx, elem_bytes)
+        return self.store_addresses(self._stream_lanes(base, first_elem, elem_bytes))
 
     def load_addresses(self, lane_addrs: Sequence[Optional[int]]) -> "WarpBuilder":
         """Raw byte-address variant (synthetic generator)."""

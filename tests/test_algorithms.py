@@ -158,13 +158,6 @@ def test_suite_builders_cover_all_benchmarks():
     assert len(REGULAR_SUITE) == 6
 
 
-def test_build_benchmark_cache_roundtrip(tmp_path):
-    a = build_benchmark("sad", CFG, Scale.TINY, seed=1, cache_dir=str(tmp_path))
-    b = build_benchmark("sad", CFG, Scale.TINY, seed=1, cache_dir=str(tmp_path))
-    assert a.total_memory_ops() == b.total_memory_ops()
-    assert (tmp_path / "sad-TINY-s1.npz").exists()
-
-
 def test_build_benchmark_unknown_name():
     with pytest.raises(ValueError):
         build_benchmark("nope", CFG, Scale.TINY)
