@@ -7,7 +7,8 @@ gate pins that claim against committed fingerprints taken on the code
 before the speed-ups: for every registered benchmark at TINY, plus the
 repository benchmark's algorithmic cells at their own scales, the trace's
 JSON form must hash to the committed SHA-256 and hold the committed warp
-count.
+count.  The module also keeps the scalar bfs loop that the vectorized
+generator replaced, as the reference of a property test on small graphs.
 
 The fixture (``tests/fixtures/trace_identity.json``) must only be
 regenerated when a generator's output changes intentionally::
@@ -188,15 +189,19 @@ def scalar_bfs_trace(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n_vertices=st.integers(33, 1500).filter(lambda n: n % 32),
+    n_vertices=st.integers(1, 1500).filter(lambda n: n % 32),
     avg_degree=st.floats(1.0, 6.0),
     seed=st.integers(0, 2**16),
     max_edge_steps=st.integers(1, 6),
     max_frontier_warps=st.integers(1, 40),
     n_sources=st.integers(1, 8),
 )
-@example(1000, 5.0, 1, 6, 20, 2)
-@example(45, 1.0, 3, 1, 1, 1)
+# The budget runs out inside a level.
+@example(n_vertices=1000, avg_degree=5.0, seed=1, max_edge_steps=6,
+         max_frontier_warps=20, n_sources=2)
+# Several emitting levels that each reach the short tail block.
+@example(n_vertices=45, avg_degree=4.0, seed=0, max_edge_steps=3,
+         max_frontier_warps=40, n_sources=3)
 def test_bfs_matches_scalar_reference(
     n_vertices, avg_degree, seed, max_edge_steps, max_frontier_warps, n_sources
 ):
