@@ -321,7 +321,8 @@ class JobStore:
         """
         directory = self._failure_dir(job_id)
         os.makedirs(directory, exist_ok=True)
-        seq = len(os.listdir(directory)) + 1
+        # In-flight publishers' temp files are not records; counting them skips numbers.
+        seq = sum(not name.startswith(".") for name in os.listdir(directory)) + 1
         while True:
             path = os.path.join(directory, f"{seq:04d}.json")
             if _publish_exclusive(path, {**doc, "seq": seq}):

@@ -330,6 +330,18 @@ def test_store_concurrent_failure_records_all_land(tmp_path):
     assert sorted(f["seq"] for f in fails) == list(range(1, 21))
 
 
+def test_failure_numbering_skips_inflight_temp_files(tmp_path):
+    """An in-flight publisher's temp file is not a record: counting it
+    would number the next record past a free slot and leave a gap."""
+    store = make_store(tmp_path)
+    job = store.job_ids()[0]
+    directory = store._failure_dir(job)
+    os.makedirs(directory)
+    open(os.path.join(directory, ".tmp-inflight.json"), "w").close()
+    assert store.record_failure(job, {"owner": "w0"}) == 1
+    assert [f["seq"] for f in store.failures(job)] == [1]
+
+
 def test_compact_manifest_folds_outcomes_and_quarantine(tmp_path):
     store = make_store(tmp_path)
     done, poisoned = store.job_ids()
