@@ -15,7 +15,11 @@ protocol rests on two POSIX atomicities:
   compare-and-take: exactly one reclaimer moves the stale file aside
   (the loser gets ``ENOENT`` and falls back to the normal claim race),
   and a heartbeat renewal that lands concurrently simply re-creates the
-  file, making the thief's subsequent link fail.
+  file, making the thief's subsequent link fail.  Rename takes whatever
+  file is in place, though: a thief whose stale read predates another
+  thief's fresh claim would move that claim aside.  So the thief checks
+  that the file it took is the one it judged stale, and otherwise links
+  it back and loses.
 
 **Renewal** rewrites the document via temp + ``os.replace`` and verifies
 ownership first; a worker whose lease was stolen (it stalled past the
@@ -140,10 +144,18 @@ class Lease:
                 os.rename(self.path, grave)
             except OSError:
                 return False  # someone else stole (or the owner renewed)
+            judged = Lease(grave, self.expiry_s).read() == info
+            if not judged:  # a newer claim or renewal: give it back
+                try:
+                    os.link(grave, self.path)
+                except OSError:
+                    pass
             try:
                 os.unlink(grave)
             except OSError:
                 pass
+            if not judged:
+                return False
         tmp = self._write_tmp(self._document(owner, attempt, time.time()))
         chaos_point("lease-tmp")  # crash window: doc written, not yet linked
         try:

@@ -3,7 +3,7 @@
 Three families of checks, all deterministic:
 
 **Guarded-run oracles** (``invariants``) — every case runs under PR 3's
-:class:`InvariantMonitor` + :class:`StreamingAuditor`, plus two *inline
+:class:`InvariantMonitor` + :class:`StreamingAuditor`, plus *inline
 consistency probes* attached to controller instances:
 
 * ``forwarding-consistency`` — a read is answered from the write buffer
@@ -24,6 +24,11 @@ consistency probes* attached to controller instances:
   reference kept here (:func:`_score_naive`); any drift in the
   maintained per-bank chain state surfaces here at the exact decision
   that would have used it.
+* ``pick-differential`` — at the same picks, the fast min-scan over the
+  groups that touch no full bank (:meth:`WGController._pick_with_room`)
+  must return the same (group, score) as the reference kept here
+  (:func:`_pick_reference`): rank every complete group, then take the
+  first whose touched queues all have ``len < depth``.
 
 **Differential oracles** — quantities fixed at *injection* (before any
 scheduling): instruction, load, and coalesced-request totals plus the
@@ -45,6 +50,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import tempfile
+from operator import itemgetter
 from typing import Callable, Optional
 
 from repro.core.config import SimConfig
@@ -131,6 +137,31 @@ def _score_naive(entry: WarpGroupEntry, cq: CommandQueues) -> tuple[int, int]:
     return score, hits
 
 
+def _ranked_groups(mc, now: int) -> list[tuple[tuple, WarpGroupEntry, int]]:
+    """(rank key, entry, score) of every complete group, best first."""
+    ranked = []
+    for e in mc.sorter.complete_groups():
+        score, hits = _score_naive(e, mc.cq)
+        ranked.append((mc._rank_key(e, score, hits, now), e, score))
+    ranked.sort(key=itemgetter(0))
+    return ranked
+
+
+def _pick_reference(mc, now: int) -> Optional[tuple[WarpGroupEntry, int]]:
+    """Reference pick: the first ranked group with room in every queue
+    it touches, read from the queue lengths (not ``CommandQueues.full``).
+    """
+    queues, depth = mc.cq.queues, mc.cq.depth
+    for _, entry, score in _ranked_groups(mc, now):
+        if all(len(queues[bank]) < depth for bank in entry.by_bank):
+            return entry, score
+    return None
+
+
+def _show_pick(pick: Optional[tuple[WarpGroupEntry, int]]) -> str:
+    return "no group" if pick is None else f"group {pick[0].key} (score {pick[1]})"
+
+
 def attach_consistency_probes(system: GPUSystem) -> None:
     """Wrap controller entry points with ground-truth contract checks.
 
@@ -199,7 +230,18 @@ def attach_consistency_probes(system: GPUSystem) -> None:
                             f"(stats {entry.bank_stats})",
                             scheduler,
                         )
-                return _orig(now)
+                slow = _pick_reference(_mc, now)
+                fast = _orig(now)
+                if fast != slow:
+                    raise OracleFailure(
+                        "pick-differential",
+                        f"channel {_mc.channel_id}: the fast pick took "
+                        f"{_show_pick(fast)} but the ranked reference takes "
+                        f"{_show_pick(slow)} (queue lengths "
+                        f"{[len(q) for q in cq.queues]}, depth {cq.depth})",
+                        scheduler,
+                    )
+                return fast
 
             mc._pick_with_room = pick_with_room
 
@@ -485,6 +527,7 @@ ORACLES = {
     "merb-gate-contract": "one MERB gate call inserts at most space-1 commands",
     "load-latency-bounds": "per-load latency within [tCAS floor, watchdog ceiling]",
     "scorer-differential": "incremental BASJF score == naive walk at every pick",
+    "pick-differential": "fast WG pick == first ranked group with room at every pick",
     "differential-totals": "injection-time totals identical across schedulers",
     "trace-equivalence": "wg == wg-m bit-for-bit on a single channel",
     "determinism": "same seed, same summary",
@@ -526,7 +569,7 @@ def run_oracle(oracle: str, config: SimConfig, trace: KernelTrace,
     try:
         if oracle in ("invariants", "forwarding-consistency",
                       "merb-gate-contract", "load-latency-bounds",
-                      "scorer-differential"):
+                      "scorer-differential", "pick-differential"):
             for scheduler in schedulers:
                 run_guarded(config, trace, scheduler)
         elif oracle == "differential-totals":

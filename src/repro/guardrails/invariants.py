@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.request import MemoryRequest
+from repro.mc.row_sorter import RowSorter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.system import GPUSystem
@@ -143,6 +144,27 @@ class InvariantMonitor:
                             f"queue holds {len(q)} entries "
                             f"(depth {cq.depth} + group slack {slack})",
                         )
+                # The maintained sets the transaction schedulers skip by.
+                full = {b for b, q in enumerate(cq.queues) if len(q) >= cq.depth}
+                if cq.full != full:
+                    raise InvariantViolation(
+                        "occupancy",
+                        now_ps,
+                        f"channel {mc.channel_id}: full-bank set "
+                        f"{sorted(cq.full)} but banks {sorted(full)} hold "
+                        f">= {cq.depth} commands",
+                    )
+            sorter = getattr(mc, "sorter", None)
+            if isinstance(sorter, RowSorter):
+                pending = {b for b, rows in enumerate(sorter.banks) if rows}
+                if sorter.pending != pending:
+                    raise InvariantViolation(
+                        "occupancy",
+                        now_ps,
+                        f"channel {mc.channel_id}: pending-bank set "
+                        f"{sorted(sorter.pending)} but banks {sorted(pending)} "
+                        f"hold sorted requests",
+                    )
 
     def _check_warp_groups(self, system: "GPUSystem", now_ps: int) -> None:
         """No controller may hold a group for a warp that already retired."""

@@ -279,15 +279,14 @@ class MemoryController:
     def _schedule_writes(self, now: int) -> None:
         """FR-FCFS write drain: prefer row hits, then oldest, per bank."""
         cq = self.cq
-        queues = cq.queues
-        depth = cq.depth
+        full = cq.full
         predicted_hit = cq.predicted_hit
         while self.draining and self.write_queue:
             # Pick the best write across banks with queue space.
             best = None
             best_key = None
             for w in self.write_queue:
-                if len(queues[w.bank]) >= depth:
+                if w.bank in full:
                     continue
                 key = (0 if predicted_hit(w.bank, w.row) else 1, w.t_mc_arrival, w.req_id)
                 if best_key is None or key < best_key:

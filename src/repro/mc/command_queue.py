@@ -13,7 +13,9 @@ The queues also maintain the bookkeeping the warp-aware policies need:
   the "queuing latency score" of §IV-B;
 * ``hits_since_row_change`` — planning-time analog of the per-bank 5-bit
   MERB counter of §IV-D (row-hit requests scheduled since the last
-  scheduled row change).
+  scheduled row change);
+* ``full``             — the banks whose queue holds ``depth`` or more
+  entries, the banks a transaction scheduler must skip.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ class CommandQueues:
         self.queue_score = [0] * n
         self.last_sched_row: list[Optional[int]] = [None] * n
         self.hits_since_row_change = [0] * n
+        #: Banks with ``len(queue) >= depth``, exact under the WG-family
+        #: whole-group overshoot (maintained by insert/pop).
+        self.full: set[int] = set()
         # O(1) occupancy aggregates (maintained by insert/pop).
         self._total = 0
         self._reads = 0
@@ -100,6 +105,8 @@ class CommandQueues:
         if not q:
             self._busy += 1
         q.append(entry)
+        if len(q) >= self.depth:
+            self.full.add(bank)
         self._total += 1
         if not req.is_write:
             self._reads += 1
@@ -120,6 +127,8 @@ class CommandQueues:
         """Remove the head entry after its column command issued."""
         q = self.queues[bank]
         entry = q.popleft()
+        if len(q) < self.depth:
+            self.full.discard(bank)
         if not q:
             self._busy -= 1
         self._total -= 1

@@ -31,5 +31,5 @@ class FCFSController(MemoryController):
         return not self._fifo
 
     def _schedule_reads(self, now: int) -> None:
-        while self._fifo and self.cq.space(self._fifo[0].bank) > 0:
+        while self._fifo and self._fifo[0].bank not in self.cq.full:
             self.cq.insert(self._fifo.popleft(), now)

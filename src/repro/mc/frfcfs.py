@@ -8,43 +8,17 @@ starvation guard beyond FCFS fallback and no streak limit.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.request import MemoryRequest
-from repro.mc.base import MemoryController
-from repro.mc.row_sorter import RowSorter
+from repro.mc.row_sorter import RowSorterController
 
 __all__ = ["FRFCFSController"]
 
 
-class FRFCFSController(MemoryController):
+class FRFCFSController(RowSorterController):
     name = "frfcfs"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.sorter = RowSorter(self.org.banks_per_channel)
-
-    def _accept_read(self, req: MemoryRequest) -> None:
-        self.sorter.add(req)
-
-    def _sorter_empty(self) -> bool:
-        return self.sorter.empty()
-
-    def _schedule_reads(self, now: int) -> None:
-        for bank in range(self.org.banks_per_channel):
-            while self.cq.space(bank) > 0:
-                req = self._next_for_bank(bank)
-                if req is None:
-                    break
-                self.cq.insert(req, now)
-
-    def _next_for_bank(self, bank: int) -> Optional[MemoryRequest]:
-        rows = self.sorter.rows_for(bank)
-        if not rows:
-            return None
+    def _next_for_bank(self, bank: int, now: int) -> MemoryRequest:
         last = self.cq.last_sched_row[bank]
-        if last is not None and last in rows:
+        if last is not None and self.sorter.has_row(bank, last):
             return self.sorter.pop(bank, last)
-        oldest = self.sorter.oldest_in_bank(bank)
-        assert oldest is not None
-        return self.sorter.pop(bank, oldest.row)
+        return self.sorter.pop(bank, self.sorter.oldest_in_bank(bank).row)

@@ -18,42 +18,22 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.request import MemoryRequest
-from repro.mc.base import MemoryController
-from repro.mc.row_sorter import RowSorter
+from repro.mc.row_sorter import RowSorterController
 
 __all__ = ["GMCController"]
 
 
-class GMCController(MemoryController):
+class GMCController(RowSorterController):
     name = "gmc"
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.sorter = RowSorter(self.org.banks_per_channel)
         self._stream_row: list[Optional[int]] = [None] * self.org.banks_per_channel
         self._streak = [0] * self.org.banks_per_channel
 
-    # -- base hooks -----------------------------------------------------------
-    def _accept_read(self, req: MemoryRequest) -> None:
-        self.sorter.add(req)
-
-    def _sorter_empty(self) -> bool:
-        return self.sorter.empty()
-
-    def _schedule_reads(self, now: int) -> None:
-        for bank in range(self.org.banks_per_channel):
-            while self.cq.space(bank) > 0:
-                req = self._next_for_bank(bank, now)
-                if req is None:
-                    break
-                self.cq.insert(req, now)
-
     # -- stream selection --------------------------------------------------------
-    def _next_for_bank(self, bank: int, now: int) -> Optional[MemoryRequest]:
+    def _next_for_bank(self, bank: int, now: int) -> MemoryRequest:
         rows = self.sorter.rows_for(bank)
-        if not rows:
-            return None
-
         stream_row = self._stream_row[bank]
         stream_live = stream_row is not None and stream_row in rows
         # The oldest request *outside* the current stream: the starvation

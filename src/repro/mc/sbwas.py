@@ -20,19 +20,17 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.request import MemoryRequest
-from repro.mc.base import MemoryController
 from repro.mc.command_queue import QueuedRequest
-from repro.mc.row_sorter import RowSorter
+from repro.mc.row_sorter import RowSorterController
 
 __all__ = ["SBWASController"]
 
 
-class SBWASController(MemoryController):
+class SBWASController(RowSorterController):
     name = "sbwas"
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.sorter = RowSorter(self.org.banks_per_channel)
         self._remaining: dict[tuple[int, int], int] = {}
         self._writes_in_sorter = 0
         k = round(4 * self.mc.sbwas_alpha)
@@ -51,9 +49,6 @@ class SBWASController(MemoryController):
         self._writes_in_sorter += 1
         self._kick()
 
-    def _sorter_empty(self) -> bool:
-        return self.sorter.empty()
-
     def _read_side_idle(self) -> bool:
         # No write-queue batching: the drain FSM must never trigger.
         return False
@@ -69,27 +64,8 @@ class SBWASController(MemoryController):
         return super().pending_work() + self._writes_in_sorter
 
     # -- per-bank potential-function choice ------------------------------------
-    def _schedule_reads(self, now: int) -> None:
-        for bank in range(self.org.banks_per_channel):
-            while self.cq.space(bank) > 0:
-                req = self._next_for_bank(bank)
-                if req is None:
-                    break
-                self.sorter.remove(req)
-                if not req.is_write:
-                    key = req.warp
-                    left = self._remaining.get(key, 0) - 1
-                    if left <= 0:
-                        self._remaining.pop(key, None)
-                    else:
-                        self._remaining[key] = left
-                self.cq.insert(req, now)
-
-    def _next_for_bank(self, bank: int) -> Optional[MemoryRequest]:
+    def _next_for_bank(self, bank: int, now: int) -> MemoryRequest:
         rows = self.sorter.rows_for(bank)
-        if not rows:
-            return None
-
         # Candidate (a): head of the *read* stream hitting the scheduled-open
         # row.  Writes are interleaved in plain arrival order (the paper
         # notes this difference from the drain-batching baseline erodes
@@ -118,12 +94,20 @@ class SBWASController(MemoryController):
 
         if (
             short is not None
-            and short_left is not None
             and short_left[0] <= self.short_warp_threshold
             and short is not hit
         ):
-            return short
-        if hit is not None:
-            return hit
-        oldest = self.sorter.oldest_in_bank(bank)
-        return oldest
+            req = short
+        elif hit is not None:
+            req = hit
+        else:
+            req = self.sorter.oldest_in_bank(bank)
+        self.sorter.remove(req)
+        if not req.is_write:
+            key = req.warp
+            left = self._remaining.get(key, 0) - 1
+            if left <= 0:
+                self._remaining.pop(key, None)
+            else:
+                self._remaining[key] = left
+        return req

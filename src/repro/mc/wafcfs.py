@@ -59,7 +59,7 @@ class WAFCFSController(MemoryController):
                 heapq.heappop(self._order)
                 self._queued.discard(key)
                 continue
-            if not all(self.cq.space(b) > 0 for b in entry.by_bank):
+            if not self.cq.full.isdisjoint(entry.by_bank):
                 return
             # Strict arrival order inside the group: no row-locality sort.
             for req in sorted(

@@ -24,7 +24,6 @@ Two hygiene rules keep SJF safe in a real controller:
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Optional
 
 from repro.core.request import MemoryRequest
@@ -78,23 +77,6 @@ class WGController(MemoryController):
         overage = 0 if now - entry.arrival_ps > self.age_threshold_ps else 1
         return (overage, score, -hits, entry.arrival_ps, entry.key)
 
-    def _ranked_groups(self, now: int) -> list[tuple[tuple, WarpGroupEntry, int]]:
-        """(rank key, entry, score) of every complete group, best first.
-
-        One scorer evaluation per group: score and hit count come out of
-        the same pass.  Diagnostic view — the hot path
-        (:meth:`_pick_with_room`) selects the minimum directly instead
-        of sorting.
-        """
-        score_fn = WarpSorter.score
-        cq = self.cq
-        ranked = []
-        for e in self.sorter.complete_groups():
-            score, hits = score_fn(e, cq)
-            ranked.append((self._rank_key(e, score, hits, now), e, score))
-        ranked.sort(key=itemgetter(0))
-        return ranked
-
     def _pick_with_room(self, now: int) -> Optional[tuple[WarpGroupEntry, int]]:
         """Best-ranked complete group whose command queues have room.
 
@@ -102,8 +84,11 @@ class WGController(MemoryController):
         must not keep other banks' work waiting in the sorter.  The
         "first with room in rank order" of the paper's arbiter is
         computed as a single min-scan — identical choice (rank keys end
-        in the unique group key, so there are no ties), no sort.  Room
-        is only probed when a group actually beats the best-so-far.
+        in the unique group key, so there are no ties), no sort.  A
+        group touching a bank in ``cq.full`` is dropped before it is
+        scored: scoring and ranking are pure, so it could only have
+        lost.  The reference sort-then-first-with-room pick lives in
+        :mod:`repro.fuzz.oracles` (the ``pick-differential`` probe).
         """
         if not self.sorter.n_complete:
             return None
@@ -112,20 +97,21 @@ class WGController(MemoryController):
             return None
         score_fn = WarpSorter.score
         cq = self.cq
-        queues = cq.queues
-        depth = cq.depth
+        full = cq.full
         rank_key = self._rank_key  # polymorphic: WG-W/WG-Share override it
         default_rank = self._rank_is_default
         age_threshold = self.age_threshold_ps
         best_key = None
         best: Optional[WarpGroupEntry] = None
         best_score = 0
-        # complete_groups() and _room_for() inlined: this min-scan runs
-        # per pump over every resident group, and the per-group property/
-        # generator/method dispatch dominates the comparison itself.
+        # complete_groups() inlined: this min-scan runs per pump over every
+        # resident group, and the per-group property/generator dispatch
+        # dominates the comparison itself.
         for e in self.sorter.groups.values():
             if e.n_requests == 0 or e.expected is None or e.received < e.expected:
                 continue  # not schedulable: empty or incomplete
+            if not full.isdisjoint(e.by_bank):
+                continue  # a touched bank queue has no room
             score, hits = score_fn(e, cq)
             if default_rank:
                 # Inline copy of _rank_key's (overage, score) prefix: a
@@ -142,26 +128,13 @@ class WGController(MemoryController):
             else:
                 key = rank_key(e, score, hits, now)
             if best_key is None or key < best_key:
-                for bank in e.by_bank:  # room in every touched bank queue
-                    if len(queues[bank]) >= depth:
-                        break
-                else:
-                    best_key = key
-                    best = e
-                    best_score = score
+                best_key = key
+                best = e
+                best_score = score
         if best is None:
             self._pick_none = state
             return None
         return best, best_score
-
-    def _room_for(self, entry: WarpGroupEntry) -> bool:
-        """Require nominal space in every bank queue the group touches."""
-        queues = self.cq.queues
-        depth = self.cq.depth
-        for bank in entry.by_bank:
-            if len(queues[bank]) >= depth:
-                return False
-        return True
 
     def _pressure_fallback(self, now: int) -> None:
         """Escape hatch for the full-queue / no-complete-group deadlock."""
@@ -176,7 +149,7 @@ class WGController(MemoryController):
                     continue
                 if best is None or entry.arrival_ps < best.arrival_ps:
                     best = entry
-            if best is None or not self._room_for(best):
+            if best is None or not self.cq.full.isdisjoint(best.by_bank):
                 # Like _pick_with_room's cache: this outcome only moves
                 # when membership or queue occupancy does.
                 self._fallback_noop = (self.sorter.version, self.cq.version)

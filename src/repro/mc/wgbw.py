@@ -46,8 +46,8 @@ class WGBwController(WGMController):
 
         Fillers are capped at the bank queue's remaining space (minus one
         slot reserved for the row-miss request the caller is about to
-        insert): ``_room_for`` only guaranteed a single free slot, so an
-        uncapped gate could push the queue past ``command_queue_depth``.
+        insert): the group's pick only guaranteed the bank is not full, so
+        an uncapped gate could push the queue past ``command_queue_depth``.
         """
         room = self.cq.space(bank) - 1
         if room <= 0:

@@ -208,6 +208,24 @@ def test_concurrent_steal_of_expired_lease_has_one_winner(tmp_path):
     assert Lease(lease.path, 10.0).read().owner == winners[0]
 
 
+def test_slow_thief_gives_back_the_fresh_lease_it_renamed(tmp_path, monkeypatch):
+    """A thief that judged the *old* lease stale, but whose rename lands
+    after another thief's fresh claim, must restore that claim and lose."""
+    lease = lease_at(tmp_path, expiry_s=5.0)
+    assert lease.try_claim("dead")
+    doc = json.load(open(lease.path))
+    doc["heartbeat"] = doc["claimed"] = time.time() - 60.0
+    with open(lease.path, "w") as fh:
+        json.dump(doc, fh)
+    slow = Lease(lease.path, expiry_s=5.0)
+    stale_view = slow.read()
+    assert Lease(lease.path, expiry_s=5.0).try_claim("fast", attempt=2)
+    monkeypatch.setattr(slow, "read", lambda: stale_view)
+    assert not slow.try_claim("slow", attempt=2)
+    assert Lease(lease.path, 10.0).read().owner == "fast"
+    assert sorted(os.listdir(os.path.dirname(lease.path))) == ["job.lease"]
+
+
 # ----------------------------------------------------------------------
 # job store
 # ----------------------------------------------------------------------

@@ -60,6 +60,33 @@ def test_space_and_occupancy():
     assert cq.total_occupancy() == 3
 
 
+def test_full_set_holds_through_overshoot_until_below_depth():
+    cq = fresh(depth=2)
+    cq.insert(make_request(bank=1, row=1), 0)
+    assert cq.full == set()
+    cq.insert(make_request(bank=1, row=1), 0)
+    assert cq.full == {1}
+    cq.insert(make_request(bank=1, row=1), 0)  # WG-family group overshoot
+    cq.insert(make_request(bank=1, row=1), 0)
+    assert cq.full == {1}
+    cq.pop(1)
+    cq.pop(1)  # back at depth: still full
+    assert cq.full == {1}
+    cq.pop(1)  # depth - 1: room again
+    assert cq.full == set()
+    cq.pop(1)
+    assert cq.full == set()
+
+
+def test_full_set_is_per_bank():
+    cq = fresh(depth=1)
+    cq.insert(make_request(bank=0, row=1), 0)
+    cq.insert(make_request(bank=5, row=2, is_write=True), 0)
+    assert cq.full == {0, 5}
+    cq.pop(5)
+    assert cq.full == {0}
+
+
 def test_busy_banks_and_pending_reads():
     cq = fresh()
     cq.insert(make_request(bank=0, row=1), 0)

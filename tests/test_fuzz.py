@@ -15,6 +15,7 @@ import os
 import pytest
 
 import repro.mc.base as mc_base
+import repro.mc.wg as mc_wg
 import repro.mc.wgbw as mc_wgbw
 from repro.__main__ import main
 from repro.analysis.runner import config_hash
@@ -35,7 +36,7 @@ from repro.fuzz.artifact import (
     trace_to_json,
 )
 from repro.fuzz.oracles import ORACLES
-from repro.mc.warp_sorter import WarpGroupEntry
+from repro.mc.warp_sorter import WarpGroupEntry, WarpSorter
 from repro.mc.wgbw import ORPHAN_LIMIT
 from repro.workloads.mutate import (
     MUTATORS,
@@ -239,7 +240,8 @@ def test_artifact_rejects_wrong_format(tmp_path):
 def test_oracle_catalogue_is_documented():
     assert set(ORACLES) >= {
         "invariants", "forwarding-consistency", "merb-gate-contract",
-        "load-latency-bounds", "scorer-differential", "differential-totals",
+        "load-latency-bounds", "scorer-differential", "pick-differential",
+        "differential-totals",
         "trace-equivalence", "determinism", "telemetry-perturbation",
         "checkpoint-restore", "timing-scale",
     }
@@ -399,6 +401,46 @@ def test_fuzzer_catches_incremental_scorer_drift(tmp_path, monkeypatch):
     assert replayed is not None and replayed.oracle == "scorer-differential"
 
     # The healthy maintenance passes the same case.
+    monkeypatch.undo()
+    assert run_oracle(
+        artifact["oracle"], config, trace, artifact["schedulers"]
+    ) is None
+
+
+# ---------------------------------------------------------------------------
+# regression: the WG pick choosing a group whose bank queue is full
+# ---------------------------------------------------------------------------
+def _roomless_pick(self, now):
+    """Broken pick: the best-ranked complete group, room or not."""
+    best = None
+    for e in self.sorter.complete_groups():
+        score, hits = WarpSorter.score(e, self.cq)
+        key = self._rank_key(e, score, hits, now)
+        if best is None or key < best[0]:
+            best = (key, e, score)
+    return None if best is None else best[1:]
+
+
+def test_fuzzer_catches_a_pick_that_ignores_room(tmp_path, monkeypatch):
+    monkeypatch.setattr(mc_wg.WGController, "_pick_with_room", _roomless_pick)
+    report = run_campaign(
+        seed=0, iterations=3, schedulers=["wg"],
+        artifact_dir=str(tmp_path), do_minimize=False,
+    )
+    assert not report.clean
+    failure = report.failures[0]
+    assert failure.oracle == "pick-differential"
+    assert failure.artifact_path and os.path.exists(failure.artifact_path)
+
+    artifact = load_artifact(failure.artifact_path)
+    config = config_from_dict(artifact["config"])
+    trace = trace_from_json(artifact["trace"])
+    replayed = run_oracle(
+        artifact["oracle"], config, trace, artifact["schedulers"]
+    )
+    assert replayed is not None and replayed.oracle == "pick-differential"
+
+    # The room-aware pick passes the same case.
     monkeypatch.undo()
     assert run_oracle(
         artifact["oracle"], config, trace, artifact["schedulers"]

@@ -215,6 +215,26 @@ def test_fault_is_caught_by_invariant(spec, law):
     assert exc_info.value.time_ps >= spec.at_ps
 
 
+@pytest.mark.parametrize(
+    "scheduler, desync",
+    [
+        ("wg", lambda mc: mc.cq.full.add(3)),
+        ("gmc", lambda mc: mc.cq.full.add(0)),
+        ("gmc", lambda mc: mc.sorter.pending.add(5)),
+    ],
+    ids=["wg-full", "gmc-full", "gmc-pending"],
+)
+def test_desynced_room_sets_are_occupancy_violations(scheduler, desync):
+    cfg = cfg_for(scheduler)
+    system = GPUSystem(cfg, trace_for(cfg), guardrails=GuardrailConfig(invariants=True))
+    system.monitor.check(system, 0)  # consistent as constructed
+    desync(system.mcs[0])
+    with pytest.raises(InvariantViolation) as exc_info:
+        system.monitor.check(system, 0)
+    assert exc_info.value.law == "occupancy"
+    assert "channel 0" in exc_info.value.detail
+
+
 def test_illegal_command_caught_by_streaming_audit():
     with pytest.raises(ProtocolViolationError) as exc_info:
         run_with_faults(

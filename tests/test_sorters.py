@@ -48,6 +48,50 @@ def test_row_sorter_remove_mid_fifo():
     assert len(rs) == 0
 
 
+def test_row_sorter_pending_tracks_add_and_pop():
+    rs = RowSorter(4)
+    assert rs.pending == set()
+    a, b = make_request(bank=2, row=1), make_request(bank=2, row=4)
+    c = make_request(bank=3, row=1)
+    for r in (a, b, c):
+        rs.add(r)
+    assert rs.pending == {2, 3}
+    rs.pop(2, 1)
+    assert rs.pending == {2, 3}  # row 4 still waits on bank 2
+    rs.pop(2, 4)
+    assert rs.pending == {3}
+    rs.pop(3, 1)
+    assert rs.pending == set()
+
+
+def test_row_sorter_pending_tracks_mid_fifo_remove():
+    rs = RowSorter(4)
+    a, b, c = (make_request(bank=1, row=3) for _ in range(3))
+    for r in (a, b, c):
+        rs.add(r)
+    rs.remove(b)
+    rs.remove(c)
+    assert rs.pending == {1}
+    rs.remove(a)
+    assert rs.pending == set()
+
+
+def test_sbwas_writes_join_and_leave_the_pending_banks(harness):
+    h = harness("sbwas")
+    mc = h.mc
+    w = h.write(bank=2, row=7)
+    r = h.read(bank=2, row=7, warp_id=1)
+    assert mc.sorter.pending == {2}
+    assert mc._remaining == {r.warp: 1}  # writes are not counted
+    # Each pick takes its request out of the sorter and off the warp's
+    # remaining count; the bank leaves the set with its last request.
+    first = mc._next_for_bank(2, 0)
+    assert first is r and mc._remaining == {}
+    assert mc.sorter.pending == {2}
+    assert mc._next_for_bank(2, 0) is w
+    assert mc.sorter.pending == set()
+
+
 # -- WarpSorter ---------------------------------------------------------------
 def _txn_req(warp_id: int, bank: int = 0, row: int = 0):
     """A request that looks transaction-backed (not auto-complete)."""

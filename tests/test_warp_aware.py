@@ -149,7 +149,7 @@ def test_orphan_control_rescues_stranded_hits():
 def test_merb_gate_respects_command_queue_depth():
     """Regression: the MERB gate must not push a bank's command queue past
     ``command_queue_depth``.  Pre-fix it inserted fillers until the MERB
-    threshold (up to 31 hit-bursts) was met, even though ``_room_for``
+    threshold (up to 31 hit-bursts) was met, even though the group's pick
     only guaranteed one free slot."""
     h = MCHarness("wg-bw")
     mc = h.mc
