@@ -131,7 +131,7 @@ def _score_naive(entry: WarpGroupEntry, cq: CommandQueues) -> tuple[int, int]:
             predicted = req.row
         if bank_score > worst:
             worst = bank_score
-    score = max(0, worst - entry.score_discount)
+    score = worst
     if entry.remote_score is not None and entry.remote_score < score:
         score = max(0, entry.remote_score)
     return score, hits

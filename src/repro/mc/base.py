@@ -101,8 +101,9 @@ class MemoryController:
         self._drain_reason = ""
 
         # Command-scheduler round-robin pointers.
+        self._num_bank_groups = self.org.num_bank_groups  # a property: read once
         self._group_ptr = 0
-        self._bank_ptr = [0] * self.org.num_bank_groups
+        self._bank_ptr = [0] * self._num_bank_groups
         # Visit orders are pure functions of the pointers, which cycle
         # through at most num_bank_groups * banks_per_group**num_bank_groups
         # states — memoize them instead of rebuilding the list every scan.
@@ -308,7 +309,7 @@ class MemoryController:
         key = (self._group_ptr, tuple(self._bank_ptr))
         order = self._order_cache.get(key)
         if order is None:
-            ng = self.org.num_bank_groups
+            ng = self._num_bank_groups
             bpg = self.org.banks_per_group
             order = []
             for step in range(bpg):
@@ -324,7 +325,7 @@ class MemoryController:
         self._do_issue(bank, head, kind, now)
         # Advance the round-robin pointers past this bank.
         g = bank // self.org.banks_per_group
-        self._group_ptr = (g + 1) % self.org.num_bank_groups
+        self._group_ptr = (g + 1) % self._num_bank_groups
         self._bank_ptr[g] = (bank % self.org.banks_per_group + 1) % self.org.banks_per_group
         if not self.cq.empty() or not self._sorter_empty() or self.write_queue:
             return now + self.t.tck_ps

@@ -18,7 +18,8 @@ The bank-table scoring of §IV-B is implemented by :meth:`WarpSorter.score`:
   command queue;
 * the group's score is the maximum over its banks, i.e. the estimated
   drain time of its slowest bank;
-* WG-M coordination messages subtract a one-time discount (§IV-C).
+* under WG-M, a coordination message from a peer controller clamps the
+  score to the peer's completion score (``remote_score``, §IV-C).
 
 Scoring is *incrementally maintained* (docs/performance.md): each entry
 keeps, per bank, the row of its first pending request plus the summed
@@ -53,7 +54,6 @@ class WarpGroupEntry:
         "expected",
         "arrival_ps",
         "completed_ps",
-        "score_discount",
         "remote_score",
     )
 
@@ -72,7 +72,6 @@ class WarpGroupEntry:
         self.expected: Optional[int] = None  # announced group size
         self.arrival_ps = arrival_ps
         self.completed_ps = -1  # instant the group became schedulable
-        self.score_discount = 0  # accumulated WG-M priority boost
         self.remote_score: Optional[int] = None  # best peer completion score
 
     @property
@@ -262,7 +261,7 @@ class WarpSorter:
                 hits += chain_hits
             if bank_score > worst:
                 worst = bank_score
-        score = max(0, worst - entry.score_discount)
+        score = worst
         if entry.remote_score is not None and entry.remote_score < score:
             # §IV-C: a peer already started servicing this warp; the local
             # score is lowered by (LC - RC), i.e. clamped to the remote

@@ -39,30 +39,36 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 __all__ = ["Probe", "TelemetryHub", "NULL_PROBE"]
 
 
-class Probe:
-    """A named event source; falsy (and free) until someone subscribes."""
+class Probe(list):
+    """A named event source; falsy (and free) until someone subscribes.
 
-    __slots__ = ("name", "_subs")
+    The probe *is* its list of subscribers, so ``if probe:`` is a list's
+    C-level truthiness test: no Python-level ``__bool__`` call.
+    """
+
+    __slots__ = ("name",)
+    # Compare and hash by identity, as a plain object does, not by the
+    # subscriber list.
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
 
     def __init__(self, name: str) -> None:
+        super().__init__()
         self.name = name
-        self._subs: list[Callable[..., None]] = []
-
-    def __bool__(self) -> bool:
-        return bool(self._subs)
 
     def subscribe(self, fn: Callable[..., None]) -> None:
-        self._subs.append(fn)
+        self.append(fn)
 
     def unsubscribe(self, fn: Callable[..., None]) -> None:
-        self._subs.remove(fn)
+        self.remove(fn)
 
     def emit(self, *args) -> None:
-        for fn in self._subs:
+        for fn in self:
             fn(*args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Probe({self.name!r}, subscribers={len(self._subs)})"
+        return f"Probe({self.name!r}, subscribers={len(self)})"
 
 
 #: Shared sentinel for components built without a hub: always falsy, so

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SimConfig
-from repro.workloads.builder import Layout, TraceBuilder
+from repro.workloads.builder import Layout, TraceBuilder, draw_prefix
 from repro.workloads.trace import KernelTrace
 
 __all__ = ["spmv_trace", "cfd_trace", "kmeans_trace"]
@@ -29,7 +29,15 @@ def spmv_trace(
     max_nnz_steps: int = 8,
     max_warps: int = 1300,
 ) -> KernelTrace:
-    """CSR SpMV, scalar-row kernel (Parboil spmv)."""
+    """CSR SpMV, scalar-row kernel (Parboil spmv).
+
+    The warps read rows below ``rows_used`` and, per row, at most
+    ``max_nnz_steps`` entries from its start, so every entry they index
+    (masked lanes included) lies below ``used``.  Only those ``cols`` are
+    built: each full-size draw keeps its prefix and skips its tail
+    (:func:`draw_prefix`), so ``row_ptr``, the layout and every address
+    stay those of the whole matrix (docs/performance.md, "Trace memory").
+    """
     rng = np.random.default_rng(seed)
     nnz_per_row = np.clip(
         rng.lognormal(np.log(avg_nnz), 0.5, size=n_rows), 1, 6 * avg_nnz
@@ -37,11 +45,18 @@ def spmv_trace(
     row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(nnz_per_row, out=row_ptr[1:])
     nnz = int(row_ptr[-1])
+    rows_used = min(n_rows, 32 * max_warps)
+    used = min(nnz, int(row_ptr[rows_used]) + max_nnz_steps)
+    # Every row holds a nonzero, so the first ``used`` entries lie in the
+    # first ``rows_used + max_nnz_steps`` rows.
+    src_rows = min(n_rows, rows_used + max_nnz_steps)
     # Banded-random sparsity: mostly near the diagonal, some far entries.
-    src = np.repeat(np.arange(n_rows), nnz_per_row)
-    near = (src + rng.integers(-64, 65, size=nnz)) % n_rows
-    far = rng.integers(0, n_rows, size=nnz)
-    cols = np.where(rng.random(nnz) < 0.7, near, far)
+    src = np.repeat(np.arange(src_rows), nnz_per_row[:src_rows])[:used]
+    offsets = draw_prefix(lambda n: rng.integers(-64, 65, size=n), nnz, used)
+    near = (src + offsets) % n_rows
+    far = draw_prefix(lambda n: rng.integers(0, n_rows, size=n), nnz, used)
+    # Nothing draws after this one, so its tail is never drawn.
+    cols = np.where(rng.random(used) < 0.7, near, far)
 
     lay = Layout()
     a_rowptr = lay.alloc("row_ptr", n_rows + 1)

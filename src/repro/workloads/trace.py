@@ -58,10 +58,14 @@ class TraceFormatError(ValueError):
 
 @dataclass(slots=True)
 class MemOp:
-    """One vector memory instruction."""
+    """One vector memory instruction.
+
+    ``lane_addrs`` is a list, or a ``range`` for a unit-stride stream
+    (``WarpBuilder.load_stream``); copy it into a list before editing it.
+    """
 
     is_write: bool
-    lane_addrs: list[Optional[int]]
+    lane_addrs: Sequence[Optional[int]]
 
     def active_lanes(self) -> int:
         return sum(1 for a in self.lane_addrs if a is not None)
@@ -235,7 +239,7 @@ class KernelTrace:
                     segments.append([s.compute_cycles])
                 else:
                     segments.append(
-                        [s.compute_cycles, int(s.mem.is_write), s.mem.lane_addrs]
+                        [s.compute_cycles, int(s.mem.is_write), list(s.mem.lane_addrs)]
                     )
             warps.append(
                 {"sm": w.sm_id, "warp": w.warp_id, "segments": segments}

@@ -195,18 +195,6 @@ def test_score_includes_queue_backlog_and_max_over_banks():
     assert score == 2 * SCORE_MISS + SCORE_MISS  # max over banks = bank 0
 
 
-def test_score_discount_applies_and_floors_at_zero():
-    cq = CommandQueues(ORG, 8)
-    ws = WarpSorter()
-    ws.add(_txn_req(1, bank=0, row=5), 0)
-    e = ws.get((0, 1))
-    base, _ = WarpSorter.score(e, cq)
-    e.score_discount = base - 1
-    assert WarpSorter.score(e, cq)[0] == 1
-    e.score_discount = base + 100
-    assert WarpSorter.score(e, cq)[0] == 0
-
-
 def test_remote_score_clamps_ranking():
     """§IV-C: a peer's completion score caps the local score."""
     cq = CommandQueues(ORG, 8)

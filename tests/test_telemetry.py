@@ -42,6 +42,20 @@ def test_probe_is_falsy_until_subscribed():
     assert not p
 
 
+def test_probe_pickles_and_compares_by_identity():
+    """A probe rides in checkpoint snapshots, so it pickles with its name
+    and subscribers; like a plain object it hashes and compares by
+    identity, not by its (list) contents."""
+    import pickle
+
+    p = Probe("x")
+    p.subscribe(print)
+    clone = pickle.loads(pickle.dumps(p))
+    assert clone.name == "x" and list(clone) == [print]
+    a, b = Probe("a"), Probe("a")
+    assert a != b and len({a, b}) == 2
+
+
 def test_null_probe_is_inert():
     assert not NULL_PROBE
     NULL_PROBE.emit("anything")  # must be a no-op, not an error

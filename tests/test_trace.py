@@ -10,6 +10,7 @@ from repro.workloads.trace import (
     Segment,
     TraceFormatError,
     WarpTrace,
+    load_trace_file,
 )
 
 
@@ -159,9 +160,25 @@ def test_warp_builder_stream_and_compute():
     assert trace.segments[0].compute_cycles == 5
     assert not trace.segments[0].mem.is_write
     assert trace.segments[1].mem.is_write
-    # A stream covers consecutive 4B elements.
+    # A stream covers consecutive 4B elements (kept as a range).
     lanes = trace.segments[0].mem.lane_addrs
-    assert lanes == [4 * i for i in range(32)]
+    assert list(lanes) == [4 * i for i in range(32)]
+
+
+def test_stream_lanes_persist_as_lists(tmp_path):
+    """Range lanes serialize to the plain lane lists of the JSON and npz
+    formats, and load back as lists."""
+    wb = WarpBuilder(0, 0)
+    wb.compute(1).load_stream(256, 3).store_stream(8192, 0, elem_bytes=8)
+    t = KernelTrace("streams", [wb.finish()])
+    expected = [list(s.mem.lane_addrs) for s in t.warps[0].segments]
+    assert expected[0] == [256 + 4 * (3 + i) for i in range(32)]
+    assert t.to_json_dict()["warps"][0]["segments"][0][2] == expected[0]
+    t.save_json(str(tmp_path / "s.json"))
+    t.save(str(tmp_path / "s.npz"))
+    for path in ("s.json", "s.npz"):
+        loaded = load_trace_file(str(tmp_path / path))
+        assert [s.mem.lane_addrs for s in loaded.warps[0].segments] == expected
 
 
 def test_warp_builder_gather_masks_missing_lanes():
