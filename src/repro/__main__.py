@@ -352,7 +352,6 @@ def _sweep_from_spec(args) -> int:
             retries=args.retries,
             resume=args.resume,
             progress=lambda msg: print(msg, file=sys.stderr),
-            cluster_dir=args.cluster_dir,
         )
     except RuntimeError as exc:  # failed jobs, already itemized
         print(f"repro sweep: error: {exc}", file=sys.stderr)
@@ -394,7 +393,6 @@ def cmd_sweep(args) -> int:
         retries=args.retries,
         resume=args.resume,
         progress=lambda msg: print(msg, file=sys.stderr),
-        cluster_dir=args.cluster_dir,
     )
     if args.bench_out:
         report.write_bench(args.bench_out)
@@ -492,7 +490,6 @@ def cmd_scenario(args) -> int:
             resume=args.resume,
             scale=args.scale,
             progress=lambda msg: print(msg, file=sys.stderr),
-            cluster_dir=args.cluster_dir,
         )
     except RuntimeError as exc:
         print(f"repro scenario: error: {exc}", file=sys.stderr)
@@ -502,12 +499,6 @@ def cmd_scenario(args) -> int:
         result.write(args.out)
         print(f"[scenario] results -> {args.out}", file=sys.stderr)
     return 0
-
-
-def cmd_cluster(args) -> int:
-    from repro.cluster import cli as cluster_cli
-
-    return cluster_cli.run(args)
 
 
 def cmd_reproduce(args) -> int:
@@ -993,10 +984,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sw.add_argument("--bench-out", default="BENCH_sweep.json", metavar="PATH",
                       help="machine-readable throughput report "
                            "(default BENCH_sweep.json; '' to skip)")
-    p_sw.add_argument("--cluster-dir", default=None, metavar="DIR",
-                      help="drain through the fault-tolerant distributed "
-                           "backend rooted at DIR (docs/distributed.md); "
-                           "omitted = one local process per job")
     p_sw.set_defaults(fn=cmd_sweep)
 
     p_sc = sub.add_parser(
@@ -1016,9 +1003,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="override the spec's scale (e.g. tiny for CI)")
     sc_run.add_argument("--out", default=None, metavar="PATH",
                         help="write the full result document as JSON")
-    sc_run.add_argument("--cluster-dir", default=None, metavar="DIR",
-                        help="drain through the distributed backend rooted "
-                             "at DIR (docs/distributed.md)")
     sc_list = sc_sub.add_parser("list", help="tabulate a spec directory")
     sc_list.add_argument("dir", nargs="?", default="scenarios",
                          help="spec directory (default scenarios/)")
@@ -1029,70 +1013,6 @@ def main(argv: list[str] | None = None) -> int:
     sc_val.add_argument("paths", nargs="+", metavar="PATH",
                         help="spec files or directories of specs")
     p_sc.set_defaults(fn=cmd_scenario)
-
-    p_cl = sub.add_parser(
-        "cluster",
-        help="fault-tolerant distributed sweep backend "
-             "(lease-based workers; docs/distributed.md)",
-    )
-    cl_sub = p_cl.add_subparsers(dest="action", required=True)
-    cl_init = cl_sub.add_parser(
-        "init", help="expand a grid or spec into a run directory"
-    )
-    cl_init.add_argument("dir", metavar="DIR", help="run directory to create")
-    cl_init.add_argument("--spec", default=None, metavar="FILE",
-                         help="take the grid from a scenario spec")
-    cl_init.add_argument("--benchmarks", nargs="+", metavar="BENCH",
-                         default=None, choices=sorted(benchmark_names()))
-    cl_init.add_argument("--schedulers", nargs="+", metavar="SCHED",
-                         default=None, choices=sorted(SCHEDULERS))
-    cl_init.add_argument("--scale", default=None,
-                         choices=[s.name.lower() for s in Scale])
-    cl_init.add_argument("--seeds", type=int, nargs="+", default=None)
-    cl_init.add_argument("--kind", default=None,
-                         choices=["synthetic", "algorithmic"])
-    cl_init.add_argument("--perfect", action="store_true")
-    cl_init.add_argument("--cache-dir", default=".repro-results")
-    cl_init.add_argument("--retries", type=int, default=None,
-                         help="attempts after the first failure "
-                              "(default: the spec's, else 1)")
-    cl_init.add_argument("--heartbeat", type=float, default=2.0, metavar="S",
-                         help="lease renewal period (default 2s)")
-    cl_init.add_argument("--lease-expiry", type=float, default=10.0,
-                         metavar="S",
-                         help="heartbeat age after which any worker may "
-                              "reclaim a job (default 10s)")
-    cl_init.add_argument("--quarantine-owners", type=int, default=3,
-                         metavar="N",
-                         help="distinct failing workers before a job is "
-                              "quarantined as poison (default 3)")
-    cl_init.add_argument("--backoff-seed", type=int, default=0,
-                         help="seed for the deterministic retry jitter")
-    cl_worker = cl_sub.add_parser(
-        "worker", help="run one agent until the sweep is terminal"
-    )
-    cl_worker.add_argument("dir", metavar="DIR")
-    cl_worker.add_argument("--worker-id", default=None,
-                           help="stable identity (default host-pid)")
-    cl_worker.add_argument("--max-jobs", type=int, default=None,
-                           help="stop after claiming this many jobs")
-    cl_worker.add_argument("--no-wait", action="store_true",
-                           help="exit when nothing is claimable instead of "
-                                "polling until the sweep is terminal")
-    cl_worker.add_argument("--stats-out", default=None, metavar="PATH",
-                           help="also write the stats JSON to a file")
-    cl_drain = cl_sub.add_parser(
-        "drain", help="spawn N local workers, wait, compact the manifest"
-    )
-    cl_drain.add_argument("dir", metavar="DIR")
-    cl_drain.add_argument("--workers", type=int, default=2,
-                          help="worker processes to spawn (default 2)")
-    cl_status = cl_sub.add_parser(
-        "status", help="per-job states derived from the store"
-    )
-    cl_status.add_argument("dir", metavar="DIR")
-    cl_status.add_argument("--json", action="store_true")
-    p_cl.set_defaults(fn=cmd_cluster)
 
     p_rep = sub.add_parser("reproduce", help="regenerate the paper's evaluation")
     p_rep.add_argument("--scale", default="quick",

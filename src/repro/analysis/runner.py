@@ -43,6 +43,7 @@ from typing import Optional
 from repro.core.atomic import atomic_write_json
 from repro.core.config import SimConfig
 from repro.gpu.system import GPUSystem, simulate
+from repro.guardrails.chaos import chaos_point
 from repro.guardrails.checkpoint import CheckpointError, load_checkpoint
 from repro.guardrails.config import GuardrailConfig
 from repro.guardrails.faults import FaultSpec
@@ -79,9 +80,9 @@ def config_hash(config: SimConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
-# atomic_write_json moved to repro.core.atomic (every store shares it
-# now — results, history, cluster); re-exported here because this module
-# is its historical home and external callers import it from here.
+# atomic_write_json lives in repro.core.atomic (the result cache and the
+# history store share it); re-exported here because this module is its
+# historical home and external callers import it from here.
 
 
 def _file_fingerprint(path: str) -> str:
@@ -106,11 +107,9 @@ def run_one_job(job: tuple) -> tuple:
     checkpoint_period_ns = job[8] if len(job) > 8 else 0.0
     trace_paths = job[9] if len(job) > 9 else None
     # Chaos window at job entry (inert unless REPRO_CHAOS arms it): lets
-    # the fault tests hang or SIGKILL a worker at a defined protocol
-    # step — the timeout supervisor and the cluster's lease reclaim are
-    # both proven against exactly this point.
-    from repro.cluster.chaos import chaos_point
-
+    # the fault tests hang or SIGKILL a worker at a defined step — the
+    # sweep's timeout supervisor and crash retry are proven against
+    # exactly this point.
     chaos_point("job-start")
     _maybe_inject_crash(cache_dir, bench, scheduler, seed)
     runner = ExperimentRunner(

@@ -35,8 +35,8 @@ BENCH_SCHEMA = 1
 SWEEP_SCHEMA = 1
 FUZZ_SCHEMA = 1
 ACCURACY_SCHEMA = 1
-# v2: envelope gained "worker" (producing cluster worker id, "" local)
-# and "attempt" (retry ordinal) — v1 lines read back with the defaults.
+# v2: envelope gained "worker" (producing worker id, "" when none) and
+# "attempt" (retry ordinal) — v1 lines read back with the defaults.
 HISTORY_SCHEMA = 2
 
 #: Payload kind -> (schema constant, keys every payload of that kind has).

@@ -30,15 +30,9 @@ supervised process per job and makes the sweep safe to run at scale:
   reporting (OOM-killed, SIGKILL) is detected by its exit code; both
   are retried like any other failure (:func:`_run_procs`);
 * **seeded retry backoff** — retries wait out an exponential,
-  deterministically-jittered delay (:class:`repro.cluster.RetryPolicy`)
-  instead of re-firing instantly; the same policy type drives the
-  distributed backend, so local and cluster drains of one grid back off
-  identically;
-* **distributed drain** — ``cluster_dir=...`` switches dispatch to the
-  lease-based shared-filesystem backend (:mod:`repro.cluster`): the
-  grid is enqueued as per-job records, ``workers - 1`` independent
-  agent processes plus this orchestrator claim and drain them, and the
-  manifest is compacted from per-job outcomes.
+  deterministically-jittered delay (:func:`_backoff_s`) instead of
+  re-firing instantly, so a deterministic crash cannot spin and
+  concurrent failers decorrelate.
 
 The returned :class:`SweepReport` carries per-job wall-clock and
 events/sec and serializes to the machine-readable ``BENCH_sweep.json``
@@ -50,23 +44,19 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import subprocess
-import sys
+import random
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.runner import ExperimentRunner, atomic_write_json, run_one_job
 from repro.analysis.schema import SWEEP_SCHEMA
-from repro.cluster.retry import RetryPolicy
 
 __all__ = [
     "JobResult",
     "MANIFEST_NAME",
     "SweepJob",
     "SweepReport",
-    "cluster_job_records",
-    "cluster_run_meta",
     "load_manifest",
     "run_sweep",
 ]
@@ -74,6 +64,27 @@ __all__ = [
 MANIFEST_NAME = "sweep-manifest.json"
 _MANIFEST_SCHEMA = 1
 _POLL_S = 0.05  # supervisor tick while no running job has reported
+
+_BACKOFF_BASE_S = 0.25
+_BACKOFF_MULTIPLIER = 2.0
+_BACKOFF_CAP_S = 30.0
+_BACKOFF_JITTER = 0.5
+
+
+def _backoff_s(attempt: int, job_id: str) -> float:
+    """Seconds to wait before retry number ``attempt`` (1-based) of a job.
+
+    The jitter is seeded, not sampled: the same ``(job_id, attempt)``
+    always waits the same time, so reruns of a sweep back off on the
+    same schedule, while distinct jobs still decorrelate.  The jitter
+    only shaves: the delay lands in ``[raw * (1 - jitter), raw]``.
+    """
+    raw = min(
+        _BACKOFF_CAP_S, _BACKOFF_BASE_S * _BACKOFF_MULTIPLIER ** (attempt - 1)
+    )
+    # The "0|" prefix keeps the draws of the former seed-0 default policy.
+    draw = random.Random(f"0|{job_id}|{attempt}").random()
+    return raw * (1.0 - _BACKOFF_JITTER * draw)
 
 
 @dataclass(frozen=True)
@@ -110,7 +121,6 @@ class JobResult:
     error: str = ""
     error_type: str = ""  # exception class name on failure
     checkpoint: str = ""  # last snapshot of a failed job (resume point)
-    worker: str = ""  # cluster worker id that produced this result
 
     @property
     def events_per_sec(self) -> float:
@@ -133,7 +143,6 @@ class JobResult:
             "error": self.error,
             "error_type": self.error_type,
             "checkpoint": self.checkpoint,
-            "worker": self.worker,
         }
 
 
@@ -253,13 +262,13 @@ class SweepReport:
 # ----------------------------------------------------------------------
 # manifest
 # ----------------------------------------------------------------------
-def _manifest_path(cache_dir: str, name: str = MANIFEST_NAME) -> str:
-    return os.path.join(cache_dir, name)
+def _manifest_path(cache_dir: str) -> str:
+    return os.path.join(cache_dir, MANIFEST_NAME)
 
 
-def load_manifest(cache_dir: str, name: str = MANIFEST_NAME) -> dict:
+def load_manifest(cache_dir: str) -> dict:
     """{job_id: entry} from the sweep manifest (empty if absent/corrupt)."""
-    path = _manifest_path(cache_dir, name)
+    path = _manifest_path(cache_dir)
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -270,9 +279,9 @@ def load_manifest(cache_dir: str, name: str = MANIFEST_NAME) -> dict:
     return doc.get("jobs", {})
 
 
-def _save_manifest(cache_dir: str, jobs: dict, name: str = MANIFEST_NAME) -> None:
+def _save_manifest(cache_dir: str, jobs: dict) -> None:
     atomic_write_json(
-        _manifest_path(cache_dir, name),
+        _manifest_path(cache_dir),
         {"schema_version": _MANIFEST_SCHEMA, "jobs": jobs},
     )
 
@@ -341,12 +350,9 @@ def run_sweep(
     retries: int = 1,
     resume: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    manifest_name: str = MANIFEST_NAME,
     history: bool = True,
     scenario_name: str = "",
     scenario_hash: str = "",
-    retry_policy: Optional[RetryPolicy] = None,
-    cluster_dir: Optional[str] = None,
 ) -> SweepReport:
     """Run the (benchmark x scheduler x seed) grid; returns a report.
 
@@ -357,18 +363,9 @@ def run_sweep(
     Jobs communicate exclusively through the runner's ``cache_dir``,
     which is required.
 
-    ``retry_policy`` spaces retry attempts (seeded exponential backoff,
-    docs/distributed.md); the default policy retries quickly enough for
-    tests while still decorrelating concurrent failers.
-
-    ``cluster_dir`` switches to the fault-tolerant distributed backend:
-    the grid is enqueued into a lease-based job store at that path and
-    drained by ``workers - 1`` spawned agent processes plus this one
-    (any number of additional ``repro cluster worker`` processes — on
-    this host or any host sharing the filesystem — may join or leave at
-    will).  The report, manifest, caching, and history behavior are
-    identical to a local run; ``timeout_s`` is superseded by lease
-    expiry there.
+    Retry attempts are spaced by a seeded exponential backoff
+    (:func:`_backoff_s`), quick enough for tests while still
+    decorrelating concurrent failers.
 
     The finished report is appended to the run-history store by default
     (docs/observability.md); ``history=False`` or ``REPRO_HISTORY=0``
@@ -398,12 +395,12 @@ def run_sweep(
 
     say = progress if progress is not None else (lambda _msg: None)
 
-    manifest = load_manifest(runner.cache_dir, manifest_name)
+    manifest = load_manifest(runner.cache_dir)
     manifest, n_pruned, n_marked, changed = _reconcile_manifest(
         runner.cache_dir, manifest, seen
     )
     if changed:
-        _save_manifest(runner.cache_dir, manifest, manifest_name)
+        _save_manifest(runner.cache_dir, manifest)
     if n_pruned or n_marked:
         say(
             f"[sweep] manifest: {n_pruned} orphaned row(s) pruned, "
@@ -450,9 +447,8 @@ def run_sweep(
             "error": res.error,
             "error_type": res.error_type,
             "checkpoint": res.checkpoint,
-            "worker": res.worker,
         }
-        _save_manifest(runner.cache_dir, manifest, manifest_name)
+        _save_manifest(runner.cache_dir, manifest)
         finished = len(results)
         elapsed = time.time() - t0
         live = finished - len([r for r in results if r.status == "skipped"])
@@ -477,8 +473,6 @@ def run_sweep(
             runner.trace_paths or None,
         )
 
-    policy = retry_policy if retry_policy is not None else RetryPolicy()
-
     def retry_or_fail(
         job: SweepJob, attempt: int, wall_s: float, error: str, error_type: str
     ) -> Optional[float]:
@@ -491,7 +485,7 @@ def run_sweep(
         it died instead of from zero.
         """
         if attempt < retries:
-            delay = policy.delay_s(attempt + 1, token=job.job_id)
+            delay = _backoff_s(attempt + 1, job.job_id)
             say(f"[sweep] retrying {job.job_id} in {delay:.2f}s: {error}")
             return delay
         ckpt = runner.checkpoint_path(job.bench, job.scheduler, job.seed, job.perfect)
@@ -508,12 +502,7 @@ def run_sweep(
         )
         return None
 
-    if todo and cluster_dir is not None:
-        _run_cluster(
-            cluster_dir, runner, todo, workers, retries, policy,
-            record, say, manifest_name,
-        )
-    elif todo and workers <= 0:
+    if todo and workers <= 0:
         _run_inline(todo, payload, record, retry_or_fail)
     elif todo:
         _run_procs(todo, payload, workers, timeout_s, record, retry_or_fail, say)
@@ -667,155 +656,3 @@ def _run_procs(todo, payload, workers, timeout_s, record, retry_or_fail, say) ->
                 )
         if not progressed:
             time.sleep(_POLL_S)
-
-
-# ----------------------------------------------------------------------
-# distributed (cluster) dispatch
-# ----------------------------------------------------------------------
-def cluster_job_records(jobs: Sequence[SweepJob]) -> list[dict]:
-    """Per-job store records for a grid (what workers need to run one)."""
-    return [
-        {
-            "id": job.job_id,
-            "kind": job.kind,
-            "bench": job.bench,
-            "scheduler": job.scheduler,
-            "scale": job.scale,
-            "seed": job.seed,
-            "perfect": job.perfect,
-            "config_hash": job.config_hash,
-        }
-        for job in jobs
-    ]
-
-
-def cluster_run_meta(
-    runner: ExperimentRunner,
-    *,
-    retries: int = 1,
-    policy: Optional[RetryPolicy] = None,
-    manifest_name: str = MANIFEST_NAME,
-    heartbeat_s: float = 2.0,
-    lease_expiry_s: float = 10.0,
-    quarantine_owners: int = 3,
-) -> dict:
-    """The immutable ``run.json`` document for a cluster run.
-
-    Carries everything a bare worker process needs to reconstruct the
-    exact simulation (the config as data, cache dir, checkpoint period,
-    traces) plus the fleet's shared knobs (lease timings, retry budget
-    and backoff policy, quarantine bound).
-    """
-    return {
-        "config": asdict(runner.config),
-        "config_hash": runner.config_hash,
-        "cache_dir": os.path.abspath(runner.cache_dir),
-        "kind": runner.kind,
-        "scale": runner.scale.name,
-        "checkpoint_period_ns": runner.checkpoint_period_ns,
-        "trace_paths": runner.trace_paths or None,
-        "manifest_name": manifest_name,
-        "retries": retries,
-        "policy": (policy or RetryPolicy()).to_dict(),
-        "heartbeat_s": heartbeat_s,
-        "lease_expiry_s": lease_expiry_s,
-        "quarantine_owners": quarantine_owners,
-    }
-
-
-def _agent_env() -> dict:
-    """Env for spawned agents: make sure they can import this repro."""
-    env = dict(os.environ)
-    pkg_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        pkg_root + (os.pathsep + existing if existing else "")
-    )
-    return env
-
-
-def _run_cluster(
-    cluster_dir, runner, todo, workers, retries, policy, record, say,
-    manifest_name,
-) -> None:
-    """Drain the grid through the lease-based distributed backend.
-
-    The orchestrator enqueues per-job records, spawns ``workers - 1``
-    agent subprocesses (``repro cluster worker``), and participates in
-    the drain itself — so ``workers=N`` costs N processes either way,
-    and ``workers<=1`` degrades to a single-process drain that still
-    exercises the full store protocol.  Outcomes are harvested into the
-    ordinary record() path, so the manifest, report, and history are
-    exactly what a local run produces.
-    """
-    from repro.cluster.store import JobStore
-    from repro.cluster.worker import ClusterWorker, default_worker_id
-
-    store = JobStore.create(
-        cluster_dir,
-        cluster_run_meta(
-            runner, retries=retries, policy=policy,
-            manifest_name=manifest_name,
-        ),
-    )
-    n_new = store.ensure_jobs(cluster_job_records(todo))
-    say(
-        f"[cluster] {n_new} job(s) enqueued into {store.root} "
-        f"({len(todo) - n_new} already present)"
-    )
-
-    agents: list = []
-    for i in range(max(0, workers - 1)):
-        agents.append(
-            subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "cluster", "worker",
-                    store.root, "--worker-id",
-                    f"agent{i}-{default_worker_id()}",
-                ],
-                env=_agent_env(),
-                stdout=subprocess.DEVNULL,
-            )
-        )
-    if agents:
-        say(f"[cluster] spawned {len(agents)} agent process(es)")
-
-    me = ClusterWorker(
-        store, worker_id=f"orch-{default_worker_id()}", progress=say
-    )
-    try:
-        me.drain()  # returns when every job is done/failed/quarantined
-    finally:
-        for proc in agents:
-            try:
-                proc.wait(timeout=2.0 * store.lease_expiry_s)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=10.0)
-
-    for job in todo:
-        outcome = store.outcome(job.job_id)
-        if outcome is None:
-            quarantine = store.quarantined(job.job_id) or {}
-            record(JobResult(
-                job,
-                "failed",
-                retries=int(quarantine.get("failures", 0)),
-                error=str(quarantine.get("error", "no outcome recorded")),
-                error_type="Quarantined" if quarantine else "NoOutcome",
-                worker="",
-            ))
-            continue
-        record(JobResult(
-            job,
-            str(outcome.get("status", "done")),
-            simulated=bool(outcome.get("simulated", False)),
-            wall_s=float(outcome.get("wall_s", 0.0)),
-            sim_events=float(outcome.get("sim_events", 0.0)),
-            sim_wall_s=float(outcome.get("sim_wall_s", 0.0)),
-            retries=int(outcome.get("retries", 0)),
-            error=str(outcome.get("error", "")),
-            error_type=str(outcome.get("error_type", "")),
-            checkpoint=str(outcome.get("checkpoint", "")),
-            worker=str(outcome.get("worker", "")),
-        ))

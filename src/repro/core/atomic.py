@@ -1,8 +1,8 @@
 """Crash-safe filesystem primitives shared by every store in the repo.
 
-Three writers live on shared directories — the content-hash result
-cache, the cluster job store (:mod:`repro.cluster`), and the run-history
-JSONL store — and all of them assume these two primitives:
+Two writers live on shared directories — the content-hash result cache
+(with its sweep manifest) and the run-history JSONL store — and both
+assume these two primitives:
 
 * :func:`atomic_write_json` — temp file + ``os.replace``: readers never
   observe a partial document, concurrent writers of one path race
@@ -11,10 +11,10 @@ JSONL store — and all of them assume these two primitives:
   line: concurrent appenders interleave whole lines, never bytes, and a
   crash can at worst truncate the final line (which readers skip).
 
-Both call :func:`repro.cluster.chaos.chaos_point` at their
-crash-windows, so the chaos harness can SIGKILL a process *between* the
-temp-file write and the rename and the test suite can prove the
-invariants above actually hold under mid-write death.
+Both call :func:`repro.guardrails.chaos.chaos_point` at their
+crash-windows, so a test can SIGKILL a process *between* the temp-file
+write and the rename and prove the invariants above actually hold under
+mid-write death (``tests/test_atomic.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import os
 import tempfile
 
-from repro.cluster.chaos import chaos_point
+from repro.guardrails.chaos import chaos_point
 
 __all__ = ["atomic_append_line", "atomic_write_json"]
 
@@ -57,9 +57,8 @@ def atomic_append_line(path: str, line: str) -> None:
     """Append one line with a single ``O_APPEND`` write.
 
     POSIX guarantees the kernel serializes ``O_APPEND`` writes, so
-    concurrent appenders (sweep workers on a shared filesystem, parallel
-    history producers) produce whole interleaved lines — never spliced
-    bytes.  The caller's ``line`` must not itself contain newlines.
+    concurrent appenders (parallel history producers) produce whole
+    interleaved lines — never spliced bytes.  The caller's ``line`` must not itself contain newlines.
     """
     if "\n" in line:
         raise ValueError("atomic_append_line takes a single line")

@@ -23,6 +23,10 @@ sequence numbers and statistics are identical either way:
   DRAM timing state, hard crash) at chosen instants, which is how the
   test suite proves each guardrail actually fires.
 
+One level up, :mod:`repro.guardrails.chaos` kills or stalls whole
+processes at named points (``REPRO_CHAOS``), which is how the sweep
+supervisor and the atomic store writes are proven crash-safe.
+
 See ``docs/robustness.md`` for the user-facing guide and
 ``python -m repro run --help`` for the CLI knobs
 (``--audit``, ``--invariants``, ``--checkpoint-period``,

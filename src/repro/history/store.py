@@ -13,9 +13,9 @@ Design rules:
 * **Append-only.**  Records are never rewritten; each append is one
   ``os.write`` of one complete line on an ``O_APPEND`` descriptor
   (:func:`repro.core.atomic.atomic_append_line`), so concurrent
-  producers — including a fleet of distributed sweep workers — can
-  never interleave bytes or garble each other's lines, and a crash can
-  at worst truncate the final line — which readers skip.
+  producers can never interleave bytes or garble each other's lines,
+  and a crash can at worst truncate the final line — which readers
+  skip.
 * **Forward-compatible reads.**  A record whose envelope schema version
   is newer than this code understands, or whose line does not parse, is
   skipped with a :class:`warnings.warn` — never a crash.  Old stores
@@ -115,7 +115,7 @@ class HistoryRecord:
     calibration_ops_per_sec: float
     payload: dict
     schema_version: int = HISTORY_SCHEMA
-    #: Producing worker identity (distributed sweeps; "" = local run).
+    #: Producing worker identity, as the producer passes it ("" = none).
     worker: str = ""
     #: Attempt number that produced the payload (0 = first try).
     attempt: int = 0
@@ -195,7 +195,7 @@ class HistoryStore:
         config_hash: str = "",
         calibration_ops_per_sec: Optional[float] = None,
         strict: bool = True,
-        worker: Optional[str] = None,
+        worker: str = "",
         attempt: int = 0,
     ) -> HistoryRecord:
         """Append one record; returns the stored envelope.
@@ -205,9 +205,7 @@ class HistoryStore:
         .provenance_problems`); ``strict=False`` appends anyway so a
         forensic record of a malformed producer still lands somewhere.
 
-        ``worker`` defaults to ``REPRO_WORKER_ID`` (set by cluster
-        workers), so records written from inside a distributed drain
-        carry their producer without the producer knowing about it.
+        ``worker`` and ``attempt`` are stamped into the envelope as given.
         """
         problems = provenance_problems(kind, payload)
         if problems and strict:
@@ -236,10 +234,7 @@ class HistoryStore:
             python=".".join(map(str, sys.version_info[:3])),
             calibration_ops_per_sec=calibration,
             payload=payload,
-            worker=(
-                worker if worker is not None
-                else os.environ.get("REPRO_WORKER_ID", "")
-            ),
+            worker=worker,
             attempt=attempt,
             problems=problems,
         )

@@ -161,7 +161,6 @@ def run_scenario(
     scale: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
     history: bool = True,
-    cluster_dir: Optional[str] = None,
 ) -> ScenarioResult:
     """Run the scenario's full grid and collect its kept metrics.
 
@@ -170,10 +169,6 @@ def run_scenario(
     resolves to a config some earlier run (spec'd or hand-coded) already
     swept is served bit-identically from cache.  Failed jobs raise (the
     scenario's tables would silently hold zeros otherwise).
-
-    ``cluster_dir`` drains the grid through the distributed backend
-    (docs/distributed.md) instead of local workers; results, caching,
-    and the collected metrics are identical either way.
     """
     os.makedirs(cache_dir, exist_ok=True)
     runner = build_runner(spec, cache_dir=cache_dir, scale=scale)
@@ -191,7 +186,6 @@ def run_scenario(
         history=history,
         scenario_name=spec.name,
         scenario_hash=spec_hash,
-        cluster_dir=cluster_dir,
     )
     report.raise_on_failure()
     metrics = _collect_metrics(spec, runner)

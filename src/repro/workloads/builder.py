@@ -31,7 +31,6 @@ __all__ = [
     "Layout",
     "TraceBuilder",
     "WarpBuilder",
-    "chunk_lanes",
     "draw_chunks",
     "draw_prefix",
     "ELEM_BYTES",
@@ -199,8 +198,3 @@ class TraceBuilder:
     @property
     def num_warps(self) -> int:
         return len(self._warps)
-
-
-def chunk_lanes(values: np.ndarray, warp_size: int = 32) -> list[np.ndarray]:
-    """Split a flat element-index array into per-warp lane groups."""
-    return [values[i : i + warp_size] for i in range(0, len(values), warp_size)]

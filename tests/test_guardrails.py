@@ -27,6 +27,7 @@ from repro.guardrails import (
     peek_checkpoint,
     save_checkpoint,
 )
+from repro.guardrails.checkpoint import CHECKPOINT_FORMAT
 from repro.telemetry import TelemetryHub
 from repro.workloads.profiles import IRREGULAR_PROFILES
 from repro.workloads.synthetic import synthetic_trace
@@ -163,6 +164,33 @@ def test_checkpoint_rejects_version_and_format_mismatch(tmp_path):
 
     with pytest.raises(CheckpointError, match="no checkpoint"):
         load_checkpoint(str(tmp_path / "missing.ckpt"))
+
+
+def test_corrupt_checkpoints_surface_as_checkpoint_error(tmp_path):
+    """Every flavor of damaged snapshot raises ``CheckpointError`` —
+    never a raw pickle exception the sweep would misclassify."""
+    cases = {
+        "garbage.ckpt": b"\x93NUMPY\x01\x00 this is not a pickle",
+        "empty.ckpt": b"",
+        "truncated.ckpt": pickle.dumps({
+            "format": CHECKPOINT_FORMAT, "version": 1,
+            "config_hash": "x", "next_req_id": 1,
+            "system": list(range(10000)),
+        })[:80],
+        "not-a-dict.ckpt": pickle.dumps([1, 2, 3]),
+        "wrong-format.ckpt": pickle.dumps({"format": "other", "version": 1}),
+        "wrong-version.ckpt": pickle.dumps(
+            {"format": CHECKPOINT_FORMAT, "version": 999}),
+        "missing-keys.ckpt": pickle.dumps(
+            {"format": CHECKPOINT_FORMAT, "version": 1}),
+    }
+    for name, blob in cases.items():
+        path = tmp_path / name
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError):
+            peek_checkpoint(str(path))
+    with pytest.raises(CheckpointError, match="no checkpoint"):
+        peek_checkpoint(str(tmp_path / "never-written.ckpt"))
 
 
 def test_checkpoint_rejects_attached_telemetry(tmp_path):

@@ -23,7 +23,7 @@ from repro.history.store import (
 
 #: Every key a stored envelope line must carry, exactly — the on-disk
 #: contract old dashboards rely on.  Extending it is a schema bump
-#: (v2 added "worker" and "attempt" for distributed sweeps).
+#: (v2 added "worker" and "attempt").
 ENVELOPE_KEYS = {
     "schema_version", "id", "kind", "created_utc", "git_sha",
     "config_hash", "host", "python", "worker", "attempt",
@@ -98,21 +98,15 @@ def test_envelope_calibration_measured_for_other_kinds(store):
     assert record.calibration_ops_per_sec > 0
 
 
-def test_envelope_worker_stamp(store, monkeypatch):
-    monkeypatch.delenv("REPRO_WORKER_ID", raising=False)
+def test_envelope_worker_stamp(store):
     local = store.append("bench", bench_payload())
     assert (local.worker, local.attempt) == ("", 0)
-    monkeypatch.setenv("REPRO_WORKER_ID", "host-1234")
-    ambient = store.append("bench", bench_payload())
-    assert ambient.worker == "host-1234"
     explicit = store.append(
         "bench", bench_payload(), worker="other", attempt=2
     )
     assert (explicit.worker, explicit.attempt) == ("other", 2)
     got = store.records("bench")
-    assert [(r.worker, r.attempt) for r in got] == [
-        ("", 0), ("host-1234", 0), ("other", 2),
-    ]
+    assert [(r.worker, r.attempt) for r in got] == [("", 0), ("other", 2)]
 
 
 def test_schema_v1_lines_read_with_defaults(store):
@@ -173,7 +167,7 @@ def test_missing_directory_reads_empty(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# concurrent writers (the distributed-sweep case)
+# concurrent writers
 # ----------------------------------------------------------------------
 def _torture_writer(root: str, writer: int, n: int) -> None:
     store = HistoryStore(root)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads.builder import ELEM_BYTES, Layout, TraceBuilder, WarpBuilder, chunk_lanes
+from repro.workloads.builder import ELEM_BYTES, Layout, TraceBuilder, WarpBuilder
 from repro.workloads.trace import (
     KernelTrace,
     MemOp,
@@ -206,11 +206,6 @@ def test_trace_builder_round_robin_sm_assignment():
     assert [w.sm_id for w in k.warps] == [0, 1, 2, 0, 1, 2, 0]
     # Per-SM warp ids are dense.
     assert [w.warp_id for w in k.warps] == [0, 0, 0, 1, 1, 1, 2]
-
-
-def test_chunk_lanes():
-    chunks = chunk_lanes(np.arange(70))
-    assert [len(c) for c in chunks] == [32, 32, 6]
 
 
 # ---------------------------------------------------------------------------
