@@ -59,10 +59,10 @@ def scale() -> Scale:
 def pytest_sessionfinish(session, exitstatus):
     """Append a figure-harness session record to the run history.
 
-    Each full run of the per-figure benchmark suite is one data point in
-    the dashboard's trajectory: which scale it asserted the paper's
-    shapes at, and whether everything held.  Skipped when the history is
-    disabled (``REPRO_HISTORY=0``) or the session collected nothing.
+    Each full run of the per-figure benchmark suite is one record in the
+    run history: which scale it asserted the paper's shapes at, and
+    whether everything held.  Skipped when the history is disabled
+    (``REPRO_HISTORY=0``) or the session collected nothing.
     """
     if not getattr(session, "testscollected", 0):
         return

@@ -24,17 +24,13 @@ Subcommands:
 * ``fuzz``        — differential/metamorphic fuzzing campaign over random
   configs and workloads, with failure minimization and replayable repro
   artifacts (``--replay``) — see docs/robustness.md;
-* ``bench``       — core hot-path throughput benchmark (events/sec and
-  wall time per scheduler, single channel), written as
-  ``BENCH_core.json`` and optionally gated against a committed baseline
-  (``--baseline``/``--check``) — see docs/performance.md;
 * ``accuracy``    — export the EXPERIMENTS.md paper-vs-measured table as
   ``results/accuracy.json`` for the dashboard and external tooling;
 * ``history``     — inspect the append-only run-history store
   (``list``/``show``/``diff``) — see docs/observability.md;
 * ``dashboard``   — render the self-contained static HTML dashboard
-  (perf trajectory, scheduler comparison, paper accuracy, fuzz stats)
-  from the run history;
+  (``bench/run.py`` results, paper accuracy, scenario runs, fuzz stats)
+  from benchmark result files and the run history;
 * ``list``        — available benchmarks and schedulers.
 """
 
@@ -604,94 +600,6 @@ def cmd_fuzz(args) -> int:
     return 0 if report.clean else 1
 
 
-def cmd_bench(args) -> int:
-    from repro.analysis.bench import (
-        compare_reports,
-        default_jobs,
-        load_report,
-        run_bench,
-    )
-
-    log = lambda msg: print(f"[bench] {msg}", file=sys.stderr)  # noqa: E731
-    # Build the grid first: the baseline preflight below checks it cell
-    # by cell, so both must exist before any measurement starts.
-    try:
-        jobs = default_jobs(
-            quick=args.quick,
-            schedulers=args.schedulers,
-            scales=args.scales,
-            bench=args.benchmark,
-            seed=args.seed if args.seed is not None else 1,
-            repeats=args.repeats,
-        )
-    except KeyError as exc:
-        print(f"repro bench: error: unknown scale {exc}", file=sys.stderr)
-        return 2
-    # Preflight the baseline BEFORE measuring: a missing or malformed
-    # reference should fail in milliseconds with a fix, not after the
-    # full grid has burned minutes of CPU.
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = load_report(args.baseline)
-        except FileNotFoundError:
-            print(
-                f"repro bench: error: baseline {args.baseline!r} does not "
-                "exist.\n  Regenerate it from the reference checkout with\n"
-                "    python -m repro bench --out "
-                f"{args.baseline}\n"
-                "  and commit the result (see docs/performance.md).",
-                file=sys.stderr,
-            )
-            return 2
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(
-                f"repro bench: error: baseline {args.baseline!r} is not a "
-                f"usable core bench report: {exc}\n  Regenerate it with "
-                f"`python -m repro bench --out {args.baseline}` and commit "
-                "the result (see docs/performance.md).",
-                file=sys.stderr,
-            )
-            return 2
-        if args.check:
-            # A gate run must be able to gate every cell it measures:
-            # name the exact missing grid cells, not just the file, so
-            # the fix (re-measure the reference with the same flags) is
-            # obvious before minutes of CPU burn.
-            have = {j["id"] for j in baseline.get("jobs", ())}
-            missing = [j.job_id for j in jobs if j.job_id not in have]
-            if missing:
-                print(
-                    f"repro bench: error: baseline {args.baseline!r} has no "
-                    f"entry for {len(missing)} of {len(jobs)} grid cells:\n"
-                    + "".join(f"    {jid}\n" for jid in missing)
-                    + "  Regenerate it from the reference checkout with the "
-                    "same grid flags\n    python -m repro bench --out "
-                    f"{args.baseline}\n  and commit the result "
-                    "(see docs/performance.md).",
-                    file=sys.stderr,
-                )
-                return 2
-    report = run_bench(jobs, progress=log)
-    print(report.format())
-    if args.out:
-        report.write(args.out)
-        log(f"report -> {args.out}")
-    if baseline is None:
-        return 0
-    lines, regressions = compare_reports(
-        report.to_dict(), baseline, tolerance=args.tolerance
-    )
-    for line in lines:
-        log(line)
-    if regressions:
-        for msg in regressions:
-            print(f"[bench] REGRESSION: {msg}", file=sys.stderr)
-        return 1 if args.check else 0
-    log(f"no regression beyond {args.tolerance:.0%} against {args.baseline}")
-    return 0
-
-
 def cmd_list(_args) -> int:
     from repro.dram.timing import DRAM_PRESETS
     from repro.workloads.suite import IRREGULAR_SUITE, MODERN_SUITE, REGULAR_SUITE
@@ -730,7 +638,7 @@ def _history_store(args):
     if not os.path.isdir(store.root):
         print(
             f"repro history: note: {store.root} does not exist yet — "
-            "bench/sweep/fuzz runs create it (REPRO_HISTORY_DIR overrides)",
+            "sweep/fuzz/accuracy runs create it (REPRO_HISTORY_DIR overrides)",
             file=sys.stderr,
         )
     return store
@@ -738,11 +646,6 @@ def _history_store(args):
 
 def _history_summary(record) -> str:
     p = record.payload if isinstance(record.payload, dict) else {}
-    if record.kind == "bench":
-        return (
-            f"{p.get('jobs_total', '?')} jobs, "
-            f"{float(p.get('events_per_sec') or 0) / 1000.0:.0f}k events/s"
-        )
     if record.kind == "sweep":
         return (
             f"{p.get('jobs_total', '?')} jobs "
@@ -812,15 +715,6 @@ def cmd_history(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if old.kind == new.kind == "bench":
-        from repro.analysis.bench import compare_reports
-
-        lines, regressions = compare_reports(new.payload, old.payload)
-        for line in lines:
-            print(line)
-        for msg in regressions:
-            print(f"REGRESSION: {msg}")
-        return 1 if regressions else 0
     if old.kind != new.kind:
         print(
             f"repro history: error: cannot diff {old.kind!r} against "
@@ -828,7 +722,7 @@ def cmd_history(args) -> int:
             file=sys.stderr,
         )
         return 2
-    # Generic kinds: shallow scalar payload diff.
+    # Shallow scalar payload diff.
     keys = sorted(set(old.payload) | set(new.payload))
     for key in keys:
         a, b = old.payload.get(key), new.payload.get(key)
@@ -849,14 +743,15 @@ def cmd_dashboard(args) -> int:
         "REPRO_HISTORY_DIR", DEFAULT_HISTORY_DIR
     )
     build = build_dashboard(
-        history_dir, args.out, accuracy_path=args.accuracy
+        history_dir, args.out, accuracy_path=args.accuracy,
+        bench_paths=args.bench,
     )
     print(build.summary(), file=sys.stderr)
     if args.check and not build.ok:
         print(
             "repro dashboard: error: build is hollow (see PROBLEM lines); "
-            "run `python -m repro bench` / `python -m repro accuracy` to "
-            "populate the history",
+            "run `python3 bench/run.py` / `python -m repro accuracy` to "
+            "produce its inputs",
             file=sys.stderr,
         )
         return 1
@@ -1052,38 +947,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="suppress per-case progress on stderr")
     p_fz.set_defaults(fn=cmd_fuzz)
 
-    p_b = sub.add_parser(
-        "bench",
-        help="core hot-path throughput benchmark (docs/performance.md)",
-    )
-    p_b.add_argument("--quick", action="store_true",
-                     help="CI profile: paper schedulers, TINY scale, 2 repeats")
-    p_b.add_argument("--benchmark", default="bfs",
-                     choices=sorted(benchmark_names()),
-                     help="workload to measure (default bfs)")
-    p_b.add_argument("--schedulers", nargs="+", metavar="SCHED", default=None,
-                     choices=sorted(SCHEDULERS),
-                     help="schedulers to measure (default: --quick set or all)")
-    p_b.add_argument("--scales", nargs="+", metavar="SCALE", default=None,
-                     choices=[s.name.lower() for s in Scale],
-                     help="scales to measure (default: tiny+quick, or tiny "
-                          "with --quick)")
-    p_b.add_argument("--seed", type=int, default=None,
-                     help="trace RNG seed (default 1)")
-    p_b.add_argument("--repeats", type=int, default=None,
-                     help="runs per job; best wall time is reported")
-    p_b.add_argument("--out", default="BENCH_core.json", metavar="PATH",
-                     help="machine-readable report (default BENCH_core.json; "
-                          "'' to skip)")
-    p_b.add_argument("--baseline", default=None, metavar="PATH",
-                     help="compare against a committed BENCH_core report")
-    p_b.add_argument("--check", action="store_true",
-                     help="exit 1 when normalized events/sec regresses more "
-                          "than --tolerance below the baseline")
-    p_b.add_argument("--tolerance", type=float, default=0.15,
-                     help="allowed fractional regression (default 0.15)")
-    p_b.set_defaults(fn=cmd_bench)
-
     p_acc = sub.add_parser(
         "accuracy",
         help="export EXPERIMENTS.md paper-vs-measured numbers as JSON",
@@ -1101,22 +964,25 @@ def main(argv: list[str] | None = None) -> int:
     h_sub = p_h.add_subparsers(dest="action", required=True)
     h_list = h_sub.add_parser("list", help="tabulate stored records")
     h_list.add_argument("--kind", default=None,
-                        help="only one record kind (bench, sweep, fuzz, ...)")
+                        help="only one record kind (sweep, fuzz, accuracy, ...)")
     h_list.add_argument("--limit", type=int, default=None, metavar="N",
                         help="newest N records only")
     h_show = h_sub.add_parser("show", help="print one record as JSON")
     h_show.add_argument("record_id", metavar="RECORD",
-                        help="record id, e.g. bench-0003")
+                        help="record id, e.g. sweep-0003")
     h_diff = h_sub.add_parser(
-        "diff", help="compare two records (bench: normalized throughput)"
+        "diff", help="compare two records' scalar payload keys"
     )
     h_diff.add_argument("record_a", metavar="OLD")
     h_diff.add_argument("record_b", metavar="NEW")
     p_h.set_defaults(fn=cmd_history)
 
+    from repro.dashboard import DEFAULT_BENCH_RESULTS
+
     p_d = sub.add_parser(
         "dashboard",
-        help="build the static HTML dashboard from the run history",
+        help="build the static HTML dashboard from benchmark results "
+             "and the run history",
     )
     p_d.add_argument("--out", default="dashboard", metavar="DIR",
                      help="output directory (default dashboard/)")
@@ -1125,8 +991,13 @@ def main(argv: list[str] | None = None) -> int:
                           "$REPRO_HISTORY_DIR)")
     p_d.add_argument("--accuracy", default=None, metavar="PATH",
                      help="accuracy export (default <history>/../accuracy.json)")
+    p_d.add_argument("--bench", nargs="+", default=list(DEFAULT_BENCH_RESULTS),
+                     metavar="PATH",
+                     help="bench/run.py result files, plotted in this order "
+                          f"(default {DEFAULT_BENCH_RESULTS[0]})")
     p_d.add_argument("--check", action="store_true",
-                     help="exit 1 when a required figure has no data")
+                     help="exit 1 when an input is unreadable or a "
+                          "required figure has no data")
     p_d.add_argument("--open", action="store_true",
                      help="open the built page in a browser")
     p_d.set_defaults(fn=cmd_dashboard)

@@ -46,7 +46,6 @@ from repro.gpu.system import GPUSystem, simulate
 from repro.guardrails.chaos import chaos_point
 from repro.guardrails.checkpoint import CheckpointError, load_checkpoint
 from repro.guardrails.config import GuardrailConfig
-from repro.guardrails.faults import FaultSpec
 from repro.idealized import perfect_coalescing
 from repro.workloads.profiles import ALL_PROFILES, IRREGULAR_BENCHMARKS, REGULAR_BENCHMARKS
 from repro.workloads.suite import Scale, build_benchmark
@@ -111,7 +110,6 @@ def run_one_job(job: tuple) -> tuple:
     # sweep's timeout supervisor and crash retry are proven against
     # exactly this point.
     chaos_point("job-start")
-    _maybe_inject_crash(cache_dir, bench, scheduler, seed)
     runner = ExperimentRunner(
         config=config,
         scale=Scale[scale_name],
@@ -131,46 +129,6 @@ def run_one_job(job: tuple) -> tuple:
         "sim_wall_s": summary.get("sim_wall_s", 0.0),
     }
     return (bench, scheduler, seed, perfect), summary, meta
-
-
-def _maybe_inject_crash(cache_dir, bench: str, scheduler: str, seed: int) -> None:
-    """Test hook: ``REPRO_SWEEP_CRASH=bench:scheduler:seed`` makes the
-    matching job raise exactly once (a marker file in the cache dir keeps
-    the retry alive).  Used to exercise the harness's failure path."""
-    target = os.environ.get("REPRO_SWEEP_CRASH")
-    if not target or cache_dir is None:
-        return
-    if target != f"{bench}:{scheduler}:{seed}":
-        return
-    marker = os.path.join(cache_dir, f".crashed-{bench}-{scheduler}-{seed}")
-    try:
-        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return  # already crashed once; let the retry succeed
-    os.close(fd)
-    raise RuntimeError(f"injected crash for {bench}/{scheduler}/{seed}")
-
-
-def _crash_mid_run_faults(
-    cache_dir, bench: str, scheduler: str, seed: int
-) -> tuple[FaultSpec, ...]:
-    """Test hook: ``REPRO_SWEEP_CRASH_AT=bench:scheduler:seed:at_ns`` makes
-    the matching job die *mid-simulation* exactly once, after any
-    checkpoints written before ``at_ns`` — so the retry proves the
-    resume-from-checkpoint path.  A marker file keeps the retry alive."""
-    target = os.environ.get("REPRO_SWEEP_CRASH_AT")
-    if not target or cache_dir is None:
-        return ()
-    ident, _, at_ns = target.rpartition(":")
-    if ident != f"{bench}:{scheduler}:{seed}":
-        return ()
-    marker = os.path.join(cache_dir, f".crashed-at-{bench}-{scheduler}-{seed}")
-    try:
-        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return ()  # already crashed once; the retry runs fault-free
-    os.close(fd)
-    return (FaultSpec("crash", at_ns=float(at_ns)),)
 
 
 class ExperimentRunner:
@@ -363,7 +321,6 @@ class ExperimentRunner:
         guardrails = GuardrailConfig(
             checkpoint_period_ns=self.checkpoint_period_ns,
             checkpoint_path=ckpt,
-            faults=_crash_mid_run_faults(self.cache_dir, bench, scheduler, seed),
         )
         if os.path.exists(ckpt):
             try:
@@ -373,11 +330,9 @@ class ExperimentRunner:
             except CheckpointError:
                 pass  # stale/foreign snapshot: fall through to a fresh run
             else:
-                # Adopt the *current* guardrail settings: a crash fault
-                # from the attempt that wrote this snapshot must not
-                # re-fire on the resume.
+                # Adopt the *current* guardrail settings: the snapshot
+                # carries those of the attempt that wrote it.
                 system.guardrails = guardrails
-                system.injector = None
                 return system.resume(), True
         trace = self.trace(bench, seed, perfect)
         system = GPUSystem(sched_config, trace, guardrails=guardrails)

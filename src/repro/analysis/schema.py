@@ -10,7 +10,6 @@ to the corresponding document shape; additive keys do not need a bump.
 constant                      document
 ============================  ===========================================
 ``METRICS_SCHEMA``            ``SimStats.write_metrics`` bundle
-``BENCH_SCHEMA``              ``BENCH_core.json`` (``repro bench``)
 ``SWEEP_SCHEMA``              ``BENCH_sweep.json`` / sweep manifest
 ``FUZZ_SCHEMA``               fuzz campaign report (``FuzzReport.to_dict``)
 ``ACCURACY_SCHEMA``           ``results/accuracy.json`` paper-vs-measured
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 __all__ = [
     "ACCURACY_SCHEMA",
-    "BENCH_SCHEMA",
     "FUZZ_SCHEMA",
     "HISTORY_SCHEMA",
     "METRICS_SCHEMA",
@@ -31,7 +29,6 @@ __all__ = [
 ]
 
 METRICS_SCHEMA = 1
-BENCH_SCHEMA = 1
 SWEEP_SCHEMA = 1
 FUZZ_SCHEMA = 1
 ACCURACY_SCHEMA = 1
@@ -43,7 +40,6 @@ HISTORY_SCHEMA = 2
 #: The key sets are deliberately minimal: they pin provenance (what
 #: produced this document), not the full shape.
 _PAYLOAD_CONTRACTS: dict[str, tuple[int, tuple[str, ...]]] = {
-    "bench": (BENCH_SCHEMA, ("jobs", "calibration_ops_per_sec")),
     "sweep": (SWEEP_SCHEMA, ("jobs", "config_hash")),
     "fuzz": (FUZZ_SCHEMA, ("campaign_seed", "cases_run")),
     "accuracy": (ACCURACY_SCHEMA, ("entries",)),

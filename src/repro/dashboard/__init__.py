@@ -6,6 +6,7 @@ the simulator, and the emitted ``index.html`` is a single portable file.
 """
 
 from repro.dashboard.build import (
+    DEFAULT_BENCH_RESULTS,
     REQUIRED_FIGURES,
     DashboardBuild,
     build_dashboard,
@@ -13,6 +14,7 @@ from repro.dashboard.build import (
 from repro.dashboard.svg import Figure
 
 __all__ = [
+    "DEFAULT_BENCH_RESULTS",
     "DashboardBuild",
     "Figure",
     "REQUIRED_FIGURES",

@@ -1,12 +1,14 @@
-"""Dashboard assembly: history store + accuracy export -> static HTML.
+"""Dashboard assembly: benchmark results + history store + accuracy
+export -> static HTML.
 
-:func:`build_dashboard` loads the run history, renders every figure
-recipe, and writes one self-contained ``index.html`` — inline CSS and
-SVG, zero JavaScript, zero network fetches — so the artifact can be
-opened from a CI tarball or a local checkout identically.  The returned
-:class:`DashboardBuild` lists which figures rendered and which came up
-empty, and ``problems`` names every *required* figure without data, so
-``repro dashboard --check`` and the CI job can fail on a hollow build
+:func:`build_dashboard` loads ``bench/run.py`` result files, the run
+history and the accuracy export, renders every figure recipe, and writes
+one self-contained ``index.html`` — inline CSS and SVG, zero JavaScript,
+zero network fetches — so the artifact can be opened from a CI tarball
+or a local checkout identically.  The returned :class:`DashboardBuild`
+lists which figures rendered and which came up empty, and ``problems``
+names every unreadable input and every *required* figure without data,
+so ``repro dashboard --check`` and the CI job can fail on a hollow build
 instead of shipping a blank page.
 """
 
@@ -22,19 +24,26 @@ from typing import Optional, Sequence
 
 from repro.dashboard.figures import (
     accuracy_figure,
+    benchmark_figure,
     fuzz_figure,
     scenario_matrix_figure,
-    scheduler_matrix_figure,
-    trajectory_figure,
 )
 from repro.dashboard.svg import STYLE, Figure, stat_tiles
 from repro.history.store import HistoryStore, git_sha
 
-__all__ = ["DashboardBuild", "REQUIRED_FIGURES", "build_dashboard"]
+__all__ = [
+    "DEFAULT_BENCH_RESULTS",
+    "DashboardBuild",
+    "REQUIRED_FIGURES",
+    "build_dashboard",
+]
 
-#: Figures ``--check`` refuses to ship empty (the fuzz view may be
-#: legitimately empty on a fresh checkout; the core three may not).
-REQUIRED_FIGURES = ("trajectory", "schedulers", "accuracy")
+#: Figures ``--check`` refuses to ship empty (the fuzz and scenario views
+#: may be legitimately empty on a fresh checkout; these two may not).
+REQUIRED_FIGURES = ("benchmark", "accuracy")
+
+#: Where ``python3 bench/run.py`` writes its result by default.
+DEFAULT_BENCH_RESULTS = (os.path.join("bench", "out", "result.json"),)
 
 _TITLE = "DRAM latency divergence — experiment dashboard"
 
@@ -78,17 +87,43 @@ def _load_accuracy(path: str) -> tuple[Optional[dict], Optional[str]]:
     return doc, None
 
 
+def _load_bench_results(
+    paths: Sequence[str],
+) -> tuple[list[tuple[str, dict]], list[str]]:
+    """(``(path, result)`` pairs, problems): every named file must be a
+    readable ``bench/run.py`` result; a missing one is a problem too."""
+    results, problems = [], []
+    for path in paths:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            problems.append(f"benchmark result {path} unreadable: {exc}")
+            continue
+        if not (isinstance(doc, dict) and isinstance(doc.get("workloads"), dict)):
+            problems.append(
+                f"benchmark result {path} is not a bench/run.py result "
+                "(no 'workloads' object)"
+            )
+            continue
+        results.append((path, doc))
+    return results, problems
+
+
 def build_dashboard(
     history_dir: str,
     out_dir: str,
     accuracy_path: Optional[str] = None,
+    bench_paths: Sequence[str] = DEFAULT_BENCH_RESULTS,
     require: Sequence[str] = REQUIRED_FIGURES,
 ) -> DashboardBuild:
     """Render the dashboard into ``out_dir/index.html``.
 
     ``accuracy_path`` defaults to ``results/accuracy.json`` next to the
-    history directory's parent (the conventional layout).  ``require``
-    lists figure ids that must have data for the build to count as ok.
+    history directory's parent (the conventional layout).
+    ``bench_paths`` are ``bench/run.py`` result files, plotted in the
+    given order.  ``require`` lists figure ids that must have data for
+    the build to count as ok.
     """
     store = HistoryStore(history_dir)
     if accuracy_path is None:
@@ -97,20 +132,19 @@ def build_dashboard(
             "accuracy.json",
         )
     accuracy, acc_problem = _load_accuracy(accuracy_path)
+    bench_results, bench_problems = _load_bench_results(bench_paths)
 
     # The whole build runs under one warning trap: skipped-line warnings
     # from any read (including the hero tiles') land on the page instead
     # of the caller's stderr, and are never raised twice.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        bench = store.records("bench")
         fuzz = store.records("fuzz")
         sweeps = store.records("sweep")
         skipped = sorted({str(w.message) for w in caught})
 
         figures = [
-            trajectory_figure(bench),
-            scheduler_matrix_figure(bench[-1] if bench else None),
+            benchmark_figure(bench_results),
             accuracy_figure(accuracy),
             # Not in REQUIRED_FIGURES: a history without scenario-stamped
             # sweeps is normal (scenarios are opt-in).
@@ -122,6 +156,7 @@ def build_dashboard(
             index_path=os.path.join(out_dir, "index.html")
         )
         build.figures = figures
+        build.problems.extend(bench_problems)
         if acc_problem:
             build.problems.append(acc_problem)
         for fig in figures:
@@ -148,14 +183,6 @@ def _hero_tiles(
     store: HistoryStore, accuracy: Optional[dict]
 ) -> str:
     tiles = []
-    bench = store.latest("bench")
-    if bench and isinstance(bench.payload, dict):
-        eps = float(bench.payload.get("events_per_sec") or 0.0)
-        tiles.append({
-            "label": "core throughput (latest bench)",
-            "value": f"{eps / 1000.0:.0f}k ev/s",
-            "note": f"{bench.record_id} · git {bench.git_sha[:7]}",
-        })
     n_records = sum(len(store.records(k)) for k in store.kinds())
     tiles.append({
         "label": "history records",
@@ -221,8 +248,9 @@ def _render_page(
     parts.append(
         "<footer>Static build — no scripts, no network. "
         "Regenerate with <code>python -m repro dashboard</code>; "
-        "ingest runs via <code>python -m repro bench</code> / "
-        "<code>sweep</code> / <code>fuzz</code>.</footer>"
+        "benchmark with <code>python3 bench/run.py</code>; "
+        "ingest runs via <code>python -m repro sweep</code> / "
+        "<code>fuzz</code> / <code>accuracy</code>.</footer>"
     )
     parts.append("</main></body></html>")
     return "\n".join(parts)

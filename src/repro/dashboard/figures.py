@@ -1,14 +1,16 @@
-"""Figure recipes: history records + accuracy export -> dashboard views.
+"""Figure recipes: benchmark results, history records and the accuracy
+export -> dashboard views.
 
 Each recipe is a pure function from already-loaded data to a
 :class:`repro.dashboard.svg.Figure`; it never touches the filesystem, so
-the test suite can drive every recipe from a tiny fixture history.  A
-recipe with nothing to show returns an *empty* figure carrying the
-reason (the build layer decides which empty figures fail ``--check``).
+the test suite can drive every recipe from tiny fixtures.  A recipe with
+nothing to show returns an *empty* figure carrying the reason (the build
+layer decides which empty figures fail ``--check``).
 """
 
 from __future__ import annotations
 
+import os
 from typing import Optional, Sequence
 
 from repro.dashboard.svg import (
@@ -22,223 +24,100 @@ from repro.dashboard.svg import (
 
 __all__ = [
     "accuracy_figure",
+    "benchmark_figure",
     "fuzz_figure",
     "scenario_matrix_figure",
-    "scheduler_matrix_figure",
-    "trajectory_figure",
 ]
-
-#: Preferred trajectory series order (the paper's presentation set first).
-_SCHED_ORDER = ("gmc", "wg", "wg-m", "wg-bw", "wg-w")
 
 
 def _short_sha(sha: str) -> str:
     return sha[:7] if sha and sha != "unknown" else "-"
 
 
-def _sched_throughput(
-    payload: dict, scheduler: str, scale: Optional[str]
-) -> Optional[float]:
-    """Mean events/sec for one scheduler (one scale, or all) in a report."""
-    vals = [
-        float(j.get("events_per_sec") or 0.0)
-        for j in payload.get("jobs", ())
-        if j.get("scheduler") == scheduler
-        and (scale is None or j.get("scale") == scale)
-        and j.get("events_per_sec")
-    ]
-    return sum(vals) / len(vals) if vals else None
-
-
-def _record_calibration(record) -> float:
-    payload_cal = 0.0
-    if isinstance(record.payload, dict):
-        payload_cal = float(
-            record.payload.get("calibration_ops_per_sec") or 0.0
-        )
-    return payload_cal or record.calibration_ops_per_sec or 0.0
-
-
 # ----------------------------------------------------------------------
-# 1. perf trajectory
+# 1. repository benchmark (bench/run.py results)
 # ----------------------------------------------------------------------
-def trajectory_figure(bench_records: Sequence) -> Figure:
-    """Normalized core throughput per scheduler across bench runs.
+def benchmark_figure(results: Sequence[tuple[str, dict]]) -> Figure:
+    """``simulate_s`` median per workload across ``bench/run.py`` results.
 
-    One x position per history record (oldest -> newest); y is
-    ``events_per_sec / calibration_ops_per_sec * 1000`` — events
-    simulated per thousand calibration ops, so runs from machines of
-    different speed sit on one comparable axis.
+    ``results`` is a sequence of ``(path, result document)`` pairs in the
+    order to plot them, so several files (one per commit, oldest first)
+    form a trajectory.  Times are in the benchmark's reference seconds,
+    which are normalized by a calibration loop run in the same process,
+    so results from different hosts sit on one axis.  The table lists
+    every end-to-end median of every (file, workload).
     """
     fig = Figure(
-        figure_id="trajectory",
-        title="Performance trajectory",
+        figure_id="benchmark",
+        title="Repository benchmark",
         subtitle=(
-            "Core bench throughput per scheduler, normalized by the "
-            "host calibration loop (events per 1k calibration ops; "
-            "higher is faster)"
+            "bench/run.py: simulate_s median per workload and result file, "
+            "in reference seconds (lower is faster)"
         ),
     )
-    records = [
-        r for r in bench_records
-        if isinstance(r.payload, dict) and r.payload.get("jobs")
-    ]
-    if not records:
+    labels = [os.path.splitext(os.path.basename(path))[0] for path, _ in results]
+    workloads: list[str] = []
+    units: dict[str, str] = {}  # end-to-end metric -> unit, first-seen order
+    for _, doc in results:
+        for name, w in doc["workloads"].items():
+            if "end_to_end" not in w:
+                continue
+            if name not in workloads:
+                workloads.append(name)
+            for metric, stat in w["end_to_end"].items():
+                units.setdefault(metric, stat.get("unit", ""))
+    if not workloads:
         fig.empty = True
         fig.empty_reason = (
-            "no bench records in the history — run `python -m repro bench`"
+            "no bench/run.py result with end-to-end metrics — run "
+            "`python3 bench/run.py`"
         )
         return fig
 
-    # Fixed series assignment: presentation set first, then whatever
-    # else the records measured, folded past the palette's 8 slots.
-    present: list[str] = []
-    for r in records:
-        for j in r.payload.get("jobs", ()):
-            s = j.get("scheduler")
-            if s and s not in present:
-                present.append(s)
-    ordered = [s for s in _SCHED_ORDER if s in present] + sorted(
-        s for s in present if s not in _SCHED_ORDER
-    )
-    folded = ordered[len(CATEGORICAL_SLOTS):]
-    schedulers = ordered[: len(CATEGORICAL_SLOTS)]
-    # Compare at the scale every record has (TINY is always measured).
-    scale = "TINY" if any(
-        j.get("scale") == "TINY"
-        for r in records for j in r.payload.get("jobs", ())
-    ) else None
-
-    x_labels, series, tooltips = [], {s: [] for s in schedulers}, {
-        s: [] for s in schedulers
-    }
-    for r in records:
-        x_labels.append(f"#{r.record_id.rpartition('-')[2]}")
-        cal = _record_calibration(r)
-        for s in schedulers:
-            eps = _sched_throughput(r.payload, s, scale)
-            norm = (eps / cal * 1000.0) if (eps and cal > 0) else None
-            series[s].append(round(norm, 2) if norm is not None else None)
-            tooltips[s].append(
-                f"{s} · {r.record_id} ({_short_sha(r.git_sha)}, "
-                f"{r.created_utc}): "
-                + (
-                    f"{norm:.1f} events/1k cal-ops "
-                    f"({eps / 1000.0:.1f}k events/s raw)"
-                    if norm is not None
-                    else "not measured"
+    plotted = workloads[: len(CATEGORICAL_SLOTS)]
+    series: dict[str, list[Optional[float]]] = {w: [] for w in plotted}
+    tooltips: dict[str, list[str]] = {w: [] for w in plotted}
+    rows = []
+    for label, (_, doc) in zip(labels, results):
+        for w in workloads:
+            e2e = doc["workloads"].get(w, {}).get("end_to_end")
+            sim = e2e.get("simulate_s") if e2e else None
+            if w in series:
+                series[w].append(round(sim["median"], 4) if sim else None)
+                tooltips[w].append(
+                    f"{w} · {label}: "
+                    + (
+                        f"{sim['median']:.3f} s [{sim['q1']:.3f}, "
+                        f"{sim['q3']:.3f}], n {sim['n']}"
+                        if sim else "not measured"
+                    )
                 )
-            )
+            if e2e:
+                rows.append([label, w] + [
+                    f"{e2e[m]['median']:.4g}" if m in e2e else "-" for m in units
+                ])
 
     fig.svg = line_chart_svg(
-        series, x_labels,
-        y_label="events / 1k calibration ops",
-        tooltips=tooltips,
+        series, labels, y_label="simulate_s (reference s)", tooltips=tooltips
     )
     if len(series) >= 2:
         fig.legend_html = legend_html(list(series))
-    rows = []
-    for i, r in enumerate(records):
-        rows.append(
-            [r.record_id, r.created_utc, _short_sha(r.git_sha),
-             f"{_record_calibration(r) / 1e6:.1f}M"]
-            + [
-                "-" if series[s][i] is None else f"{series[s][i]:.1f}"
-                for s in schedulers
-            ]
-        )
     fig.table_html = data_table(
-        ["record", "created (UTC)", "git", "calibration"] + list(schedulers),
-        rows,
+        ["result", "workload"] + [f"{m} ({u})" for m, u in units.items()], rows
     )
-    notes = [f"comparison scale: {scale or 'all scales pooled'}"]
+    notes = ["medians over each run's untraced repeats (bench/README.md)"]
+    folded = workloads[len(CATEGORICAL_SLOTS):]
     if folded:
         notes.append(
             "not plotted (palette holds 8 series): " + ", ".join(folded)
-            + " — see the scheduler comparison below"
+            + " — see the table"
         )
     fig.note = "; ".join(notes)
     return fig
 
 
 # ----------------------------------------------------------------------
-# 2. scheduler comparison matrix
-# ----------------------------------------------------------------------
-def scheduler_matrix_figure(bench_record) -> Figure:
-    """Latest bench report as a scheduler x scale throughput matrix."""
-    fig = Figure(
-        figure_id="schedulers",
-        title="Scheduler comparison",
-        subtitle=(
-            "Raw core-bench throughput per scheduler from the latest "
-            "bench record (thousand events/s; best-of-repeats)"
-        ),
-    )
-    payload = bench_record.payload if bench_record else None
-    if not (isinstance(payload, dict) and payload.get("jobs")):
-        fig.empty = True
-        fig.empty_reason = (
-            "no bench records in the history — run `python -m repro bench`"
-        )
-        return fig
-
-    scales = sorted(
-        {j.get("scale") for j in payload["jobs"] if j.get("scale")},
-        key=lambda s: ("TINY", "SMALL", "QUICK", "PAPER").index(s)
-        if s in ("TINY", "SMALL", "QUICK", "PAPER") else 99,
-    )
-    schedulers = sorted(
-        {j.get("scheduler") for j in payload["jobs"] if j.get("scheduler")},
-        key=lambda s: -(
-            _sched_throughput(payload, s, scales[0]) or 0.0
-        ),
-    )
-    series: dict[str, list[Optional[float]]] = {}
-    tooltips: dict[str, list[str]] = {}
-    for scale in scales:
-        vals, tips = [], []
-        for s in schedulers:
-            eps = _sched_throughput(payload, s, scale)
-            vals.append(round(eps / 1000.0, 1) if eps else None)
-            wall = [
-                j.get("sim_wall_s") for j in payload["jobs"]
-                if j.get("scheduler") == s and j.get("scale") == scale
-            ]
-            tips.append(
-                f"{s} @ {scale}: "
-                + (
-                    f"{eps / 1000.0:.1f}k events/s "
-                    f"(best {wall[0]}s)" if eps else "not measured"
-                )
-            )
-        series[scale] = vals
-        tooltips[scale] = tips
-
-    fig.svg = grouped_hbar_svg(
-        schedulers, series, value_label="k events/s", tooltips=tooltips
-    )
-    if len(series) >= 2:
-        fig.legend_html = legend_html(list(series))
-    fig.table_html = data_table(
-        ["scheduler"] + [f"{sc} (k events/s)" for sc in scales],
-        [
-            [s] + [
-                "-" if series[sc][i] is None else series[sc][i]
-                for sc in scales
-            ]
-            for i, s in enumerate(schedulers)
-        ],
-    )
-    fig.note = (
-        f"record {bench_record.record_id} "
-        f"({_short_sha(bench_record.git_sha)}, {bench_record.created_utc}); "
-        "sorted by first-scale throughput"
-    )
-    return fig
-
-
-# ----------------------------------------------------------------------
-# 3. paper-vs-measured accuracy
+# 2. paper-vs-measured accuracy
 # ----------------------------------------------------------------------
 def accuracy_figure(accuracy: Optional[dict]) -> Figure:
     """Paper value vs this repo's measured value per EXPERIMENTS.md entry.
@@ -313,7 +192,7 @@ def accuracy_figure(accuracy: Optional[dict]) -> Figure:
 
 
 # ----------------------------------------------------------------------
-# 4. fuzz / guardrail campaigns
+# 3. fuzz / guardrail campaigns
 # ----------------------------------------------------------------------
 def fuzz_figure(fuzz_records: Sequence) -> Figure:
     """Differential-fuzz campaign sizes and outcomes over time."""
@@ -378,7 +257,7 @@ def fuzz_figure(fuzz_records: Sequence) -> Figure:
 
 
 # ----------------------------------------------------------------------
-# 5. scenario comparison matrix
+# 4. scenario comparison matrix
 # ----------------------------------------------------------------------
 def scenario_matrix_figure(sweep_records: Sequence) -> Figure:
     """Sweep runs grouped by scenario: one row per declarative spec.

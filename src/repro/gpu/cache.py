@@ -51,31 +51,6 @@ class Cache:
         self.misses += 1
         return False
 
-    def lookup_many(self, lines: list) -> list[bool]:
-        """Probe a batch of lines; one hit flag per line, in order.
-
-        Semantically identical to calling :meth:`lookup` per line (same
-        LRU updates in the same order, same hit/miss totals) with the
-        per-call attribute and method dispatch hoisted out of the loop —
-        the SM front end probes every line of a coalesced op at once.
-        """
-        sets = self._sets
-        num_sets = self.num_sets
-        line_bytes = self.cfg.line_bytes
-        flags = []
-        hits = 0
-        for line in lines:
-            s = sets[(line // line_bytes) % num_sets]
-            if line in s:
-                s.move_to_end(line)
-                hits += 1
-                flags.append(True)
-            else:
-                flags.append(False)
-        self.hits += hits
-        self.misses += len(flags) - hits
-        return flags
-
     def fill(self, line: int, dirty: bool = False) -> Optional[int]:
         """Insert a line; returns the evicted dirty line's address or None."""
         s = self._set_of(line)

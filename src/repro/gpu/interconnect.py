@@ -59,32 +59,6 @@ class Crossbar:
         self.messages_forward += 1
         return self._send(self._to_partition_free, part, fn, args, payload)
 
-    def to_partition_many(self, items) -> None:
-        """Batched :meth:`to_partition` for full-payload request streams.
-
-        ``items`` is a sequence of ``(partition, fn, request)`` triples;
-        port occupancy and delivery scheduling are identical to issuing
-        the sends one by one in the same order (per-source FIFO order is
-        therefore preserved), with the engine/port lookups hoisted out of
-        the loop.  Used by the SM front end to inject a coalesced op's
-        requests as one batch.
-        """
-        free = self._to_partition_free
-        engine = self.engine
-        now = engine.now
-        schedule_at = engine.schedule_at
-        latency = self.latency_ps
-        transfer = self.transfer_ps
-        count = 0
-        for part, fn, req in items:
-            port_free = free[part]
-            start = port_free if port_free > now else now
-            done = start + transfer
-            free[part] = done
-            schedule_at(done + latency, fn, req)
-            count += 1
-        self.messages_forward += count
-
     def to_sm(self, sm_id: int, fn: Callable[..., None], *args, payload: bool = True) -> int:
         """Send a data reply back to an SM."""
         self.messages_return += 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
@@ -44,7 +44,6 @@ class SMCore:
         on_warp_done: Callable[[WarpState], None],
         sim_stats: SimStats,
         coal_stats: CoalescerStats,
-        send_requests: Optional[Callable[[list], None]] = None,
     ) -> None:
         self.engine = engine
         self.sm_id = sm_id
@@ -63,7 +62,6 @@ class SMCore:
             self.tlb = None
         self.line_bytes = config.dram_org.line_bytes
         self.send_request = send_request
-        self.send_requests = send_requests or self._send_each
         self.group_complete_cb = group_complete_cb
         self.on_warp_done = on_warp_done
         self.sim_stats = sim_stats
@@ -162,13 +160,10 @@ class SMCore:
             wreq.transaction = txn
             wreq.t_issue = now
             self.send_request(wreq)
-        # Loads stay per-request on the send side: L1-hit returns are
-        # scheduled interleaved with miss sends, and the engine breaks
-        # time ties by schedule order, so batching the sends would reorder
-        # events.  Only the L1 probes are batched.
-        l1_hits = self.l1.lookup_many(lines) if self.l1 is not None else None
-        for i, line in enumerate(lines):
-            if l1_hits is not None and l1_hits[i]:
+        # L1-hit returns are scheduled interleaved with miss sends, and the
+        # engine breaks time ties by schedule order.
+        for line in lines:
+            if self.l1 is not None and self.l1.lookup(line):
                 self.sim_stats.l1_hits += 1
                 self.engine.schedule(self.l1_hit_ps, self._l1_hit_return, txn)
                 continue
@@ -189,23 +184,14 @@ class SMCore:
         lines = coalesce(mem.lane_addrs, self.line_bytes)
         if not lines:
             return
-        if self.l1 is not None:
-            self.l1.lookup_many(lines)  # write-through: touch, never dirty
         now = self.engine.now
-        reqs = []
         for line in lines:
+            if self.l1 is not None:
+                self.l1.lookup(line)  # write-through: touch, never dirty
             req = MemoryRequest(
                 addr=line, is_write=True, sm_id=self.sm_id, warp_id=w.warp_id
             )
             req.t_issue = now
-            reqs.append(req)
-        # Stores schedule nothing SM-side between sends, so the whole op
-        # can be injected as one batch without perturbing event order.
-        self.send_requests(reqs)
-
-    def _send_each(self, reqs: list) -> None:
-        """Fallback batched send for directly constructed SMCores."""
-        for req in reqs:
             self.send_request(req)
 
     def _l1_hit_return(self, txn: LoadTransaction) -> None:

@@ -24,6 +24,7 @@ from repro.gpu.interconnect import Crossbar
 from repro.gpu.partition import MemoryPartition
 from repro.gpu.sm import SMCore
 from repro.gpu.warp import WarpState
+from repro.guardrails.chaos import chaos_point
 from repro.guardrails.checkpoint import save_checkpoint
 from repro.guardrails.config import GuardrailConfig
 from repro.guardrails.faults import FaultInjector
@@ -140,7 +141,6 @@ class GPUSystem:
                 on_warp_done=self._warp_done,
                 sim_stats=self.stats,
                 coal_stats=self.coal_stats,
-                send_requests=self._send_requests,
             )
             for sm_id in range(config.gpu.num_sms)
         ]
@@ -167,25 +167,6 @@ class GPUSystem:
             req.transaction.note_dispatched(req.channel)
         part = self.partitions[req.channel]
         self.xbar.to_partition(req.channel, part.receive, req)
-
-    def _send_requests(self, reqs: list[MemoryRequest]) -> None:
-        """Batched :meth:`_send_request` for a whole coalesced store op."""
-        route = self.amap.route
-        tracer = self._tracer
-        monitor = self.monitor
-        partitions = self.partitions
-        now = self.engine.now
-        items = []
-        for req in reqs:
-            route(req)
-            if tracer is not None:
-                tracer.on_dispatch(req)
-            if monitor is not None:
-                monitor.note_inject(req, now)
-            if req.transaction is not None:
-                req.transaction.note_dispatched(req.channel)
-            items.append((req.channel, partitions[req.channel].receive, req))
-        self.xbar.to_partition_many(items)
 
     def _reply(self, req: MemoryRequest) -> None:
         if self.monitor is not None:
@@ -306,6 +287,7 @@ class GPUSystem:
                 next_check = now + check_ps
             if next_ckpt is not None and now >= next_ckpt:
                 save_checkpoint(self, g.checkpoint_path)
+                chaos_point("checkpoint-saved")
                 next_ckpt = (now // ckpt_ps + 1) * ckpt_ps
 
 

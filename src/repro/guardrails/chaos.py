@@ -1,25 +1,35 @@
-"""Process-level chaos points: kill or stall a process at a named step.
+"""Process-level chaos points: kill, stall or fail a process at a named step.
 
 :class:`~repro.guardrails.faults.FaultInjector` breaks the *simulator*
 on purpose so the guardrails can be watched catching each fault class.
 This module does the same one level up, to *processes*: named
-crash-windows compiled into the production code paths let a test kill
-or hang a sweep worker or a store writer at an exact step, and then
+crash-windows compiled into the production code paths let a test kill,
+hang or fail a sweep job or a store writer at an exact step, and then
 watch the recovery.
 
-Points: ``job-start`` (a sweep job's entry, :func:`repro.analysis
-.runner.run_one_job`), ``atomic-write`` (temp file written, not yet
-renamed into place) and ``append-line`` (history line about to be
-written), the last two in :mod:`repro.core.atomic`.  They are inert
-unless the ``REPRO_CHAOS`` environment variable arms them with
-comma-separated ``point=action`` pairs::
+Points:
+
+* ``job-start`` — a sweep job's entry (:func:`repro.analysis.runner
+  .run_one_job`);
+* ``checkpoint-saved`` — a periodic checkpoint of a guarded run has just
+  landed on disk (:meth:`repro.gpu.system.GPUSystem._drive`);
+* ``atomic-write`` — temp file written, not yet renamed into place, and
+  ``append-line`` — history line about to be written, both in
+  :mod:`repro.core.atomic`.
+
+They are inert unless the ``REPRO_CHAOS`` environment variable arms them
+with comma-separated ``point=action`` pairs::
 
     REPRO_CHAOS="job-start=kill"               # SIGKILL at the point
     REPRO_CHAOS="job-start=stall:60"           # sleep 60 s at the point
+    REPRO_CHAOS="checkpoint-saved=raise"       # raise ChaosError there
     REPRO_CHAOS="atomic-write=kill!once"       # fire on first hit only
 
 ``kill`` sends SIGKILL to this process, so no cleanup handler runs,
-exactly like the OOM killer.  ``stall:<seconds>`` sleeps.
+exactly like the OOM killer.  ``stall:<seconds>`` sleeps.  ``raise``
+raises :class:`ChaosError` in the calling process, so it also fails a
+job that runs inline (``workers=0``), where ``kill`` would take down the
+sweep itself.
 
 ``!once`` needs ``REPRO_CHAOS_MARK_DIR`` (a shared directory): the
 first process to reach the point claims a marker file with
@@ -35,10 +45,14 @@ import os
 import signal
 import time
 
-__all__ = ["CHAOS_ENV", "MARK_DIR_ENV", "chaos_point"]
+__all__ = ["CHAOS_ENV", "MARK_DIR_ENV", "ChaosError", "chaos_point"]
 
 CHAOS_ENV = "REPRO_CHAOS"
 MARK_DIR_ENV = "REPRO_CHAOS_MARK_DIR"
+
+
+class ChaosError(RuntimeError):
+    """The failure a ``raise`` chaos action injects."""
 
 
 def _parse(spec: str) -> dict[str, str]:
@@ -92,3 +106,5 @@ def chaos_point(point: str) -> None:
         time.sleep(60)  # unreachable; parks the caller until the signal lands
     elif action.startswith("stall:"):
         time.sleep(float(action.split(":", 1)[1]))
+    elif action == "raise":
+        raise ChaosError(f"chaos: injected failure at {point}")

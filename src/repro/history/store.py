@@ -1,8 +1,8 @@
 """Append-only, schema-versioned run-history store.
 
-Every measurement the repo produces — a ``repro bench`` report, a sweep
-throughput report, a fuzz campaign, a paper-accuracy export — appends one
-JSON line to ``results/history/<kind>.jsonl``.  A record is an envelope
+Every measurement the repo produces — a sweep throughput report, a fuzz
+campaign, a paper-accuracy export — appends one JSON line to
+``results/history/<kind>.jsonl``.  A record is an envelope
 (schema version, kind, sequence id, UTC timestamp, git SHA, config hash,
 host + interpreter, calibration score) around the producer's own
 machine-readable payload, so the dashboard can plot trajectories across
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 #: Kinds with first-class dashboard views, in display order.
-KNOWN_KINDS = ("bench", "sweep", "fuzz", "accuracy", "benchmarks")
+KNOWN_KINDS = ("sweep", "fuzz", "accuracy", "benchmarks")
 
 
 class HistoryError(Exception):
@@ -78,12 +78,11 @@ def git_sha(cwd: Optional[str] = None) -> str:
 
 
 def _calibration_quick() -> float:
-    """A ~10 ms interpreter-speed stamp (ops/sec) for non-bench records.
+    """A ~10 ms interpreter-speed stamp (ops/sec) for every record.
 
-    Same workload shape as :func:`repro.analysis.bench.calibrate` but a
-    single short round: good enough to normalize trajectories taken on
-    machines of very different speed, cheap enough to run on every
-    append.
+    A single short round of dict and integer operations: good enough to
+    normalize trajectories taken on machines of very different speed,
+    cheap enough to run on every append.
     """
     from time import perf_counter
 
@@ -193,7 +192,6 @@ class HistoryStore:
         payload: dict,
         *,
         config_hash: str = "",
-        calibration_ops_per_sec: Optional[float] = None,
         strict: bool = True,
         worker: str = "",
         attempt: int = 0,
@@ -213,15 +211,6 @@ class HistoryStore:
         path = self.path(kind)
         os.makedirs(self.root, exist_ok=True)
         n = self._count_lines(path)
-        calibration = (
-            calibration_ops_per_sec
-            if calibration_ops_per_sec is not None
-            # Bench payloads already carry the full calibration loop's
-            # score; reuse it instead of re-measuring.
-            else float(payload.get("calibration_ops_per_sec", 0.0) or 0.0)
-            if isinstance(payload, dict)
-            else 0.0
-        ) or _calibration_quick()
         record = HistoryRecord(
             record_id=f"{kind}-{n + 1:04d}",
             kind=kind,
@@ -232,7 +221,7 @@ class HistoryStore:
             config_hash=config_hash,
             host=platform.node() or "unknown",
             python=".".join(map(str, sys.version_info[:3])),
-            calibration_ops_per_sec=calibration,
+            calibration_ops_per_sec=_calibration_quick(),
             payload=payload,
             worker=worker,
             attempt=attempt,

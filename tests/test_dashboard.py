@@ -1,11 +1,13 @@
-"""Dashboard: every figure recipe renders from a tiny fixture history,
-the build is self-contained, and the CLI gates on hollow builds."""
+"""Dashboard: every figure recipe renders from small fixtures (the
+benchmark view from two committed ``bench/run.py`` results), the build
+is self-contained, and the CLI gates on hollow builds."""
 
 from __future__ import annotations
 
 import json
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +16,8 @@ from repro.analysis.experiments import accuracy_doc
 from repro.dashboard import REQUIRED_FIGURES, build_dashboard
 from repro.dashboard.figures import (
     accuracy_figure,
+    benchmark_figure,
     fuzz_figure,
-    scheduler_matrix_figure,
-    trajectory_figure,
 )
 from repro.dashboard.svg import (
     CATEGORICAL_SLOTS,
@@ -28,26 +29,19 @@ from repro.dashboard.svg import (
 )
 from repro.history.store import HistoryStore
 
+#: Two real ``bench/run.py`` results of one commit (read-only here).
+BENCH_RESULTS = [
+    str(Path(__file__).resolve().parent.parent / "bench" / "results"
+        / f"same-commit-{arm}.json")
+    for arm in ("a", "b")
+]
+
 
 # ----------------------------------------------------------------------
-# fixture history
+# fixtures
 # ----------------------------------------------------------------------
-def _bench_payload(base_eps: float) -> dict:
-    jobs = []
-    for sched, mult in (("gmc", 1.0), ("wg", 0.8), ("wg-w", 0.7)):
-        for scale in ("TINY", "SMALL"):
-            eps = base_eps * mult * (1.0 if scale == "TINY" else 0.9)
-            jobs.append({
-                "id": f"core/bfs/{sched}/{scale.lower()}/s1",
-                "scheduler": sched, "scale": scale, "sim_events": 10_000,
-                "sim_wall_s": round(10_000 / eps, 4),
-                "events_per_sec": round(eps, 1),
-            })
-    return {
-        "schema_version": 1, "kind": "core",
-        "calibration_ops_per_sec": 8.0e6,
-        "events_per_sec": base_eps, "jobs_total": len(jobs), "jobs": jobs,
-    }
+def _bench_results() -> list[tuple[str, dict]]:
+    return [(path, json.loads(Path(path).read_text())) for path in BENCH_RESULTS]
 
 
 def _fuzz_payload(clean: bool) -> dict:
@@ -68,8 +62,6 @@ def _fuzz_payload(clean: bool) -> dict:
 def store(tmp_path, monkeypatch) -> HistoryStore:
     monkeypatch.setenv("REPRO_GIT_SHA", "feedc0de1234567")
     s = HistoryStore(str(tmp_path / "history"))
-    for eps in (40_000.0, 60_000.0, 90_000.0):
-        s.append("bench", _bench_payload(eps))
     s.append("fuzz", _fuzz_payload(clean=True))
     s.append("fuzz", _fuzz_payload(clean=False))
     return s
@@ -83,52 +75,55 @@ def _assert_valid_svg(svg: str) -> ET.Element:
 # ----------------------------------------------------------------------
 # figure recipes
 # ----------------------------------------------------------------------
-def test_trajectory_figure_renders(store):
-    fig = trajectory_figure(store.records("bench"))
+def test_benchmark_figure_renders():
+    results = _bench_results()
+    workloads = list(results[0][1]["workloads"])
+    assert len(workloads) == 5
+    fig = benchmark_figure(results)
     assert not fig.empty
     _assert_valid_svg(fig.svg)
-    # one marker per (record, scheduler): 3 records x 3 schedulers
-    assert fig.svg.count("<circle") == 9
-    # normalized value: 40k eps / 8M cal * 1000 = 5.0 for gmc@TINY
-    assert "5" in fig.svg
-    assert fig.legend_html and "gmc" in fig.legend_html
-    assert fig.table_html.count("<tr>") == 1 + 3  # header + one per record
-    assert "TINY" in fig.note
+    # one point per (file, workload), files in the given order on x
+    assert fig.svg.count("<circle") == len(results) * len(workloads)
+    assert fig.svg.index("same-commit-a") < fig.svg.index("same-commit-b")
+    for path, doc in results:
+        label = Path(path).stem
+        for w in workloads:
+            sim = doc["workloads"][w]["end_to_end"]["simulate_s"]["median"]
+            assert f"{w} · {label}: {sim:.3f} s" in fig.svg
+    assert all(w in fig.legend_html for w in workloads)
+    assert "simulate_s" in fig.svg
 
 
-def test_trajectory_folds_series_past_palette(store):
-    payload = _bench_payload(50_000.0)
-    extra = [
-        dict(payload["jobs"][0], id=f"core/bfs/x{i}/tiny/s1", scheduler=f"x{i}")
-        for i in range(10)
-    ]
-    payload["jobs"].extend(extra)
-    store.append("bench", payload)
-    fig = trajectory_figure(store.records("bench"))
+def test_benchmark_table_lists_end_to_end_medians():
+    results = _bench_results()
+    fig = benchmark_figure(results)
+    # header + one row per (file, workload)
+    assert fig.table_html.count("<tr>") == 1 + 2 * 5
+    for metric in ("wall_s (s)", "setup_s (s)", "simulate_s (s)", "peak_rss_mb (MB)"):
+        assert metric in fig.table_html
+    e2e = results[1][1]["workloads"]["stream-gmc"]["end_to_end"]
+    for metric in ("wall_s", "setup_s", "simulate_s", "peak_rss_mb"):
+        assert f"{e2e[metric]['median']:.4g}" in fig.table_html
+
+
+def test_benchmark_figure_empty():
+    failed_run = ("r.json", {"workloads": {"nw-wgw": {"failed": 3}}})
+    for results in ([], [failed_run]):
+        fig = benchmark_figure(results)
+        assert fig.empty and "bench/run.py" in fig.empty_reason
+
+
+def test_benchmark_figure_folds_workloads_past_palette():
+    path, doc = _bench_results()[0]
+    one = doc["workloads"]["bfs-wg"]
+    n = len(CATEGORICAL_SLOTS) + 2
+    wide = {"workloads": {f"w{i}": one for i in range(n)}}
+    fig = benchmark_figure([(path, wide)])
     assert not fig.empty
-    assert "not plotted" in fig.note
-    # never more series than palette slots
-    assert fig.legend_html.count("swatch") <= len(CATEGORICAL_SLOTS)
-
-
-def test_trajectory_empty(store):
-    fig = trajectory_figure([])
-    assert fig.empty and "repro bench" in fig.empty_reason
-
-
-def test_scheduler_matrix_renders(store):
-    fig = scheduler_matrix_figure(store.latest("bench"))
-    assert not fig.empty
-    _assert_valid_svg(fig.svg)
-    assert fig.legend_html and "TINY" in fig.legend_html
-    assert "gmc" in fig.svg and "wg-w" in fig.svg
-    assert "k events/s" in fig.svg
-    assert fig.note.startswith("record bench-0003")
-
-
-def test_scheduler_matrix_empty():
-    fig = scheduler_matrix_figure(None)
-    assert fig.empty
+    assert "not plotted" in fig.note and "w8, w9" in fig.note
+    # never more series than palette slots; the table keeps them all
+    assert fig.svg.count("<circle") == len(CATEGORICAL_SLOTS)
+    assert fig.table_html.count("<tr>") == 1 + n
 
 
 def test_accuracy_figure_renders_real_export():
@@ -171,7 +166,9 @@ def test_build_dashboard_self_contained(store, tmp_path):
     acc = tmp_path / "accuracy.json"
     acc.write_text(json.dumps(accuracy_doc()))
     out = tmp_path / "dash"
-    build = build_dashboard(store.root, str(out), accuracy_path=str(acc))
+    build = build_dashboard(
+        store.root, str(out), accuracy_path=str(acc), bench_paths=BENCH_RESULTS
+    )
     assert build.ok, build.problems
     html = (out / "index.html").read_text()
     # one portable file: no scripts, no network fetches, inline SVG only
@@ -179,8 +176,8 @@ def test_build_dashboard_self_contained(store, tmp_path):
     assert "http://" not in html and "https://" not in html.replace(
         "https://ui.perfetto.dev", ""
     )
-    assert html.count("<svg") == 4
-    for figure_id in ("trajectory", "schedulers", "accuracy", "fuzz"):
+    assert html.count("<svg") == 3
+    for figure_id in ("benchmark", "accuracy", "fuzz"):
         assert f'id="{figure_id}"' in html
     # dark mode ships as its own validated steps, not an automatic flip
     assert "prefers-color-scheme: dark" in html
@@ -191,21 +188,29 @@ def test_build_dashboard_self_contained(store, tmp_path):
 
 
 def test_build_dashboard_hollow_store_fails_check(tmp_path):
+    missing = str(tmp_path / "no-result.json")
     build = build_dashboard(
-        str(tmp_path / "nohistory"), str(tmp_path / "dash")
+        str(tmp_path / "nohistory"), str(tmp_path / "dash"),
+        bench_paths=[missing],
     )
     assert not build.ok
-    flagged = {p.split("'")[1] for p in build.problems if "'" in p}
-    assert flagged == set(REQUIRED_FIGURES)
+    flagged = {
+        p.split("'")[1] for p in build.problems
+        if p.startswith("required figure")
+    }
+    assert flagged == set(REQUIRED_FIGURES) == {"benchmark", "accuracy"}
+    assert any(missing in p and "unreadable" in p for p in build.problems)
     # the page is still written (with empty-state reasons) for debugging
     assert (tmp_path / "dash" / "index.html").exists()
     assert "EMPTY" in build.summary()
 
 
 def test_build_dashboard_surfaces_skipped_lines(store, tmp_path):
-    with open(store.path("bench"), "a") as fh:
+    with open(store.path("fuzz"), "a") as fh:
         fh.write("not json at all\n")
-    build = build_dashboard(store.root, str(tmp_path / "dash"))
+    build_dashboard(
+        store.root, str(tmp_path / "dash"), bench_paths=BENCH_RESULTS
+    )
     html = (tmp_path / "dash" / "index.html").read_text()
     assert "Skipped history lines" in html
     assert "unparsable" in html
@@ -215,9 +220,13 @@ def test_build_dashboard_bad_accuracy_is_a_problem(store, tmp_path):
     acc = tmp_path / "accuracy.json"
     acc.write_text("{broken")
     build = build_dashboard(
-        store.root, str(tmp_path / "dash"), accuracy_path=str(acc)
+        store.root, str(tmp_path / "dash"), accuracy_path=str(acc),
+        bench_paths=BENCH_RESULTS,
     )
-    assert any("unreadable" in p for p in build.problems)
+    assert any(
+        p.startswith("accuracy export") and "unreadable" in p
+        for p in build.problems
+    )
 
 
 # ----------------------------------------------------------------------
@@ -281,53 +290,55 @@ def test_fmt_num():
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def test_cli_dashboard_check_gates(store, tmp_path, capsys):
+def test_cli_dashboard_check_gates(tmp_path, capsys):
     acc = tmp_path / "accuracy.json"
     acc.write_text(json.dumps(accuracy_doc()))
     out = str(tmp_path / "dash")
-    assert main([
-        "dashboard", "--out", out, "--history-dir", store.root,
-        "--accuracy", str(acc), "--check",
-    ]) == 0
+    # A bench/run.py result plus an accuracy export is enough: the
+    # history may be empty.
+    args = ["dashboard", "--out", out, "--check",
+            "--history-dir", str(tmp_path / "empty-history"),
+            "--accuracy", str(acc)]
+    assert main(args + ["--bench", BENCH_RESULTS[0]]) == 0
     err = capsys.readouterr().err
-    assert re.search(r"trajectory\s+ok", err)
+    assert re.search(r"benchmark\s+ok", err)
+    assert re.search(r"accuracy\s+ok", err)
 
-    empty = str(tmp_path / "empty-history")
-    assert main([
-        "dashboard", "--out", out, "--history-dir", empty, "--check",
-    ]) == 1
-    assert "hollow" in capsys.readouterr().err
+    missing = str(tmp_path / "result.json")
+    assert main(args + ["--bench", missing]) == 1
+    err = capsys.readouterr().err
+    assert "hollow" in err and missing in err
 
 
 def test_cli_history_list_show_diff(store, capsys):
+    store.append("sweep", _sweep_payload("ci-tiny", "bbbbbbbbbbbb"))
     assert main(["history", "--dir", store.root, "list"]) == 0
     out = capsys.readouterr().out
-    assert "bench-0003" in out and "fuzz-0002" in out
+    assert "sweep-0001" in out and "fuzz-0002" in out
 
     assert main(["history", "--dir", store.root, "list",
                  "--kind", "fuzz", "--limit", "1"]) == 0
     out = capsys.readouterr().out
-    assert "fuzz-0002" in out and "bench" not in out
+    assert "fuzz-0002" in out and "fuzz-0001" not in out and "sweep" not in out
 
-    assert main(["history", "--dir", store.root, "show", "bench-0002"]) == 0
+    assert main(["history", "--dir", store.root, "show", "fuzz-0002"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["id"] == "bench-0002"
+    assert doc["id"] == "fuzz-0002"
 
-    # faster new record vs older baseline: no regression, exit 0
+    # Same-kind diff: changed scalars by value, structured keys by name.
     assert main(["history", "--dir", store.root,
-                 "diff", "bench-0001", "bench-0003"]) == 0
-    assert "2.25x baseline" in capsys.readouterr().out
-    # slower new record: regression, exit 1
-    assert main(["history", "--dir", store.root,
-                 "diff", "bench-0003", "bench-0001"]) == 1
-    assert "REGRESSION" in capsys.readouterr().out
+                 "diff", "fuzz-0001", "fuzz-0002"]) == 0
+    out = capsys.readouterr().out
+    assert "clean: True -> False" in out
+    assert "failures: differs" in out
 
 
 def test_cli_history_errors(store, capsys):
+    store.append("sweep", _sweep_payload("ci-tiny", "bbbbbbbbbbbb"))
     assert main(["history", "--dir", store.root, "show", "nope-0001"]) == 2
     assert "no record" in capsys.readouterr().err
     assert main(["history", "--dir", store.root,
-                 "diff", "bench-0001", "fuzz-0001"]) == 2
+                 "diff", "sweep-0001", "fuzz-0001"]) == 2
     assert "cannot diff" in capsys.readouterr().err
 
 

@@ -8,9 +8,9 @@ import os
 import pytest
 
 from repro.analysis.schema import (
-    BENCH_SCHEMA,
     FUZZ_SCHEMA,
     HISTORY_SCHEMA,
+    SWEEP_SCHEMA,
     provenance_problems,
 )
 from repro.history import default_store, enabled, record_run
@@ -31,15 +31,14 @@ ENVELOPE_KEYS = {
 }
 
 
-def bench_payload(eps: float = 50_000.0) -> dict:
+def sweep_payload(eps: float = 50_000.0) -> dict:
     return {
-        "schema_version": BENCH_SCHEMA,
-        "kind": "core",
-        "calibration_ops_per_sec": 8.0e6,
+        "schema_version": SWEEP_SCHEMA,
+        "config_hash": "de61331da800",
         "events_per_sec": eps,
         "jobs": [
-            {"id": "core/bfs/gmc/tiny/s1", "scheduler": "gmc",
-             "scale": "TINY", "events_per_sec": eps},
+            {"bench": "sad", "scheduler": "gmc", "status": "done",
+             "events_per_sec": eps},
         ],
     }
 
@@ -64,31 +63,29 @@ def store(tmp_path) -> HistoryStore:
 # append / read round trip
 # ----------------------------------------------------------------------
 def test_append_roundtrip_and_sequence_ids(store):
-    r1 = store.append("bench", bench_payload(10.0))
-    r2 = store.append("bench", bench_payload(20.0))
-    assert (r1.record_id, r2.record_id) == ("bench-0001", "bench-0002")
-    got = store.records("bench")
-    assert [r.record_id for r in got] == ["bench-0001", "bench-0002"]
-    assert got[0].payload == bench_payload(10.0)
+    r1 = store.append("sweep", sweep_payload(10.0))
+    r2 = store.append("sweep", sweep_payload(20.0))
+    assert (r1.record_id, r2.record_id) == ("sweep-0001", "sweep-0002")
+    got = store.records("sweep")
+    assert [r.record_id for r in got] == ["sweep-0001", "sweep-0002"]
+    assert got[0].payload == sweep_payload(10.0)
     assert got[0].problems == []
-    assert store.latest("bench").record_id == "bench-0002"
-    assert store.get("bench-0001").payload["events_per_sec"] == 10.0
-    assert store.get("bench-9999") is None
+    assert store.latest("sweep").record_id == "sweep-0002"
+    assert store.get("sweep-0001").payload["events_per_sec"] == 10.0
+    assert store.get("sweep-9999") is None
 
 
 def test_envelope_golden_schema(store):
-    store.append("bench", bench_payload())
-    line = open(store.path("bench")).read().strip()
+    store.append("sweep", sweep_payload())
+    line = open(store.path("sweep")).read().strip()
     doc = json.loads(line)
     assert set(doc) == ENVELOPE_KEYS
     assert doc["schema_version"] == HISTORY_SCHEMA
-    assert doc["kind"] == "bench"
-    assert doc["id"] == "bench-0001"
+    assert doc["kind"] == "sweep"
+    assert doc["id"] == "sweep-0001"
     # created_utc is ISO-8601 Zulu to the second
     assert len(doc["created_utc"]) == 20 and doc["created_utc"].endswith("Z")
     assert doc["calibration_ops_per_sec"] > 0
-    # bench payloads donate their calibration score instead of re-measuring
-    assert doc["calibration_ops_per_sec"] == pytest.approx(8.0e6)
     roundtrip = HistoryRecord.from_dict(doc)
     assert roundtrip.to_dict() == doc
 
@@ -99,24 +96,24 @@ def test_envelope_calibration_measured_for_other_kinds(store):
 
 
 def test_envelope_worker_stamp(store):
-    local = store.append("bench", bench_payload())
+    local = store.append("sweep", sweep_payload())
     assert (local.worker, local.attempt) == ("", 0)
     explicit = store.append(
-        "bench", bench_payload(), worker="other", attempt=2
+        "sweep", sweep_payload(), worker="other", attempt=2
     )
     assert (explicit.worker, explicit.attempt) == ("other", 2)
-    got = store.records("bench")
+    got = store.records("sweep")
     assert [(r.worker, r.attempt) for r in got] == [("", 0), ("other", 2)]
 
 
 def test_schema_v1_lines_read_with_defaults(store):
     # A store written before the v2 bump has no worker/attempt keys.
-    doc = store.append("bench", bench_payload()).to_dict()
+    doc = store.append("sweep", sweep_payload()).to_dict()
     del doc["worker"], doc["attempt"]
     doc["schema_version"] = 1
-    with open(store.path("bench"), "w") as fh:
+    with open(store.path("sweep"), "w") as fh:
         fh.write(json.dumps(doc) + "\n")
-    (record,) = store.records("bench")
+    (record,) = store.records("sweep")
     assert (record.worker, record.attempt) == ("", 0)
     assert record.schema_version == 1
 
@@ -124,8 +121,8 @@ def test_schema_v1_lines_read_with_defaults(store):
 def test_kinds_ordering_known_first(store):
     store.append("zcustom", {"anything": 1})
     store.append("fuzz", fuzz_payload())
-    store.append("bench", bench_payload())
-    assert store.kinds() == ["bench", "fuzz", "zcustom"]
+    store.append("sweep", sweep_payload())
+    assert store.kinds() == ["sweep", "fuzz", "zcustom"]
     merged = store.records()
     assert len(merged) == 3
 
@@ -140,14 +137,14 @@ def test_invalid_kind_rejected(store):
 # forward compatibility: bad lines are skipped with warnings, not crashes
 # ----------------------------------------------------------------------
 def test_unknown_schema_version_skipped_with_warning(store):
-    store.append("bench", bench_payload())
-    future = store.append("bench", bench_payload()).to_dict()
+    store.append("sweep", sweep_payload())
+    future = store.append("sweep", sweep_payload()).to_dict()
     future["schema_version"] = HISTORY_SCHEMA + 1
-    with open(store.path("bench"), "a") as fh:
+    with open(store.path("sweep"), "a") as fh:
         fh.write(json.dumps(future) + "\n")
     with pytest.warns(UserWarning, match="unknown history schema_version"):
-        records = store.records("bench")
-    assert [r.record_id for r in records] == ["bench-0001", "bench-0002"]
+        records = store.records("sweep")
+    assert [r.record_id for r in records] == ["sweep-0001", "sweep-0002"]
 
 
 def test_unparsable_line_skipped_with_warning(store):
@@ -163,7 +160,7 @@ def test_missing_directory_reads_empty(tmp_path):
     store = HistoryStore(str(tmp_path / "never-created"))
     assert store.records() == []
     assert store.kinds() == []
-    assert store.latest("bench") is None
+    assert store.latest("sweep") is None
 
 
 # ----------------------------------------------------------------------
@@ -216,20 +213,20 @@ def test_parallel_appends_never_garble_lines(tmp_path):
 # ----------------------------------------------------------------------
 def test_contract_violation_rejected_strict(store):
     with pytest.raises(HistoryError, match="schema_version"):
-        store.append("bench", {"schema_version": 999})
+        store.append("sweep", {"schema_version": 999})
 
 
 def test_contract_violation_kept_when_not_strict(store):
-    record = store.append("bench", {"schema_version": 999}, strict=False)
+    record = store.append("sweep", {"schema_version": 999}, strict=False)
     assert record.problems
     # and the problems are recomputed at read time
-    (read,) = store.records("bench")
+    (read,) = store.records("sweep")
     assert read.problems
 
 
 def test_provenance_problems_shapes():
-    assert provenance_problems("bench", bench_payload()) == []
-    assert provenance_problems("bench", "not a dict")
+    assert provenance_problems("sweep", sweep_payload()) == []
+    assert provenance_problems("sweep", "not a dict")
     assert provenance_problems("fuzz", {"schema_version": FUZZ_SCHEMA})
     # unregistered kinds only require a dict payload
     assert provenance_problems("custom", {"x": 1}) == []
@@ -242,7 +239,7 @@ def test_record_run_disabled_by_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_HISTORY", "0")
     monkeypatch.setenv("REPRO_HISTORY_DIR", str(tmp_path / "h"))
     assert not enabled()
-    assert record_run("bench", bench_payload()) is None
+    assert record_run("sweep", sweep_payload()) is None
     assert not (tmp_path / "h").exists()
 
 
@@ -268,7 +265,7 @@ def test_record_run_warns_on_contract_violation(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_HISTORY", "1")
     monkeypatch.setenv("REPRO_HISTORY_DIR", str(tmp_path / "h"))
     with pytest.warns(UserWarning, match="ingestion .* failed"):
-        assert record_run("bench", {"schema_version": 999}) is None
+        assert record_run("sweep", {"schema_version": 999}) is None
 
 
 def test_git_sha_env_override(monkeypatch):

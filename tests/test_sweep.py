@@ -10,8 +10,9 @@ import time
 import pytest
 
 import repro
-from repro.analysis.runner import ExperimentRunner
+from repro.analysis import runner as runner_module
 from repro.analysis import sweep
+from repro.analysis.runner import ExperimentRunner
 from repro.analysis.sweep import MANIFEST_NAME, _backoff_s, load_manifest, run_sweep
 from repro.workloads.suite import Scale
 
@@ -73,31 +74,37 @@ def test_without_resume_manifest_is_ignored_but_cache_still_hits(tmp_path):
 
 
 def test_injected_crash_fails_only_that_job_and_is_retried(tmp_path, monkeypatch):
-    """A worker crash fails only its job; one retry lets the sweep finish."""
-    monkeypatch.setenv("REPRO_SWEEP_CRASH", "sad:wg:1")
-    r = tiny_runner(tmp_path)
-    report = run_sweep(r, ["sad"], ["gmc", "wg"], workers=2, retries=1)
+    """A job that raises fails only itself; one retry lets the sweep finish."""
+    monkeypatch.setenv("REPRO_CHAOS_MARK_DIR", str(tmp_path / "marks"))
+    monkeypatch.setenv("REPRO_CHAOS", "job-start=raise!once")
+    cache = tmp_path / "cache"
+    report = run_sweep(
+        tiny_runner(cache), ["sad"], ["gmc", "wg"], workers=2, retries=1
+    )
     assert report.n_failed == 0 and report.n_done == 2
-    crashed = [x for x in report.results if x.job.scheduler == "wg"]
-    assert crashed[0].retries == 1  # resubmitted exactly once
-    # All cache entries are intact (no partial JSON from the crashed worker).
-    manifest = load_manifest(str(tmp_path))
+    # Only the first job to start raised, and only it was resubmitted.
+    assert sorted(r.retries for r in report.results) == [0, 1]
+    # All cache entries are intact (no partial JSON from the failed attempt).
+    manifest = load_manifest(str(cache))
     assert all(e["status"] == "done" for e in manifest.values())
 
 
 def test_injected_crash_without_retry_budget_is_isolated(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_SWEEP_CRASH", "sad:wg:1")
-    r = tiny_runner(tmp_path)
-    report = run_sweep(r, ["sad"], ["gmc", "wg"], workers=2, retries=0)
-    assert report.n_failed == 1  # only the crashed job
+    monkeypatch.setenv("REPRO_CHAOS_MARK_DIR", str(tmp_path / "marks"))
+    monkeypatch.setenv("REPRO_CHAOS", "job-start=raise!once")
+    cache = tmp_path / "cache"
+    report = run_sweep(
+        tiny_runner(cache), ["sad"], ["gmc", "wg"], workers=2, retries=0
+    )
+    assert report.n_failed == 1  # only the job that raised
     assert report.n_done == 1  # the rest of the sweep completed
-    assert "injected crash" in report.failed[0].error
+    assert "chaos: injected failure at job-start" in report.failed[0].error
     with pytest.raises(RuntimeError):
         report.raise_on_failure()
-    # The failed job is NOT marked done: a resume retries it (and the
-    # crash marker makes the second attempt succeed).
+    # The failed job is NOT marked done: a resume retries it (the !once
+    # marker is claimed, so the second attempt runs clean).
     resumed = run_sweep(
-        tiny_runner(tmp_path), ["sad"], ["gmc", "wg"], workers=0,
+        tiny_runner(cache), ["sad"], ["gmc", "wg"], workers=0,
         retries=0, resume=True,
     )
     assert resumed.n_failed == 0
@@ -173,22 +180,41 @@ def cache_entries(path) -> dict[str, dict]:
     }
 
 
+def spy_checkpoint_loads(monkeypatch) -> list[str]:
+    """Record the path of every snapshot an inline job resumes from."""
+    loads = []
+    real = runner_module.load_checkpoint
+
+    def load(path, *args, **kwargs):
+        system = real(path, *args, **kwargs)
+        loads.append(path)
+        return system
+
+    monkeypatch.setattr(runner_module, "load_checkpoint", load)
+    return loads
+
+
 def test_mid_run_crash_retry_resumes_from_checkpoint(tmp_path, monkeypatch):
-    """A job that dies mid-simulation is retried from its last periodic
-    snapshot, and the resumed result is identical to an uninterrupted run."""
+    """A job that dies mid-simulation, right after a periodic snapshot
+    landed, is retried from that snapshot, and the resumed result is
+    identical to an uninterrupted run."""
     work = tmp_path / "work"
     ref = tmp_path / "ref"
     work.mkdir(), ref.mkdir()
-    monkeypatch.setenv("REPRO_SWEEP_CRASH_AT", "sad:wg:1:1500")
+    monkeypatch.setenv("REPRO_CHAOS_MARK_DIR", str(tmp_path / "marks"))
+    monkeypatch.setenv("REPRO_CHAOS", "checkpoint-saved=raise!once")
+    loads = spy_checkpoint_loads(monkeypatch)
     report = run_sweep(ckpt_runner(work), ["sad"], ["wg"], workers=0, retries=1)
     assert report.n_failed == 0 and report.n_done == 1
     (res,) = report.results
-    assert res.retries == 1  # first attempt crashed at 1500 ns
-    # The checkpoint is consumed (deleted) once the job lands.
+    assert res.retries == 1  # the first attempt failed after its first snapshot
     r = ckpt_runner(work)
-    assert not os.path.exists(r.checkpoint_path("sad", "wg", 1, False))
+    ckpt = r.checkpoint_path("sad", "wg", 1, False)
+    assert loads == [ckpt]  # the retry resumed from it, not from zero
+    # The checkpoint is consumed (deleted) once the job lands.
+    assert not os.path.exists(ckpt)
     # An uninterrupted reference sweep produces the exact same cache entry.
-    monkeypatch.delenv("REPRO_SWEEP_CRASH_AT")
+    monkeypatch.delenv("REPRO_CHAOS")
     run_sweep(ckpt_runner(ref), ["sad"], ["wg"], workers=0)
     assert cache_entries(work) == cache_entries(ref)
 
@@ -196,33 +222,36 @@ def test_mid_run_crash_retry_resumes_from_checkpoint(tmp_path, monkeypatch):
 def test_exhausted_retries_record_error_type_and_checkpoint(tmp_path, monkeypatch):
     """When retries run out, the manifest records what broke and where the
     last snapshot lives — and a later resume finishes from that snapshot."""
-    monkeypatch.setenv("REPRO_SWEEP_CRASH_AT", "sad:wg:1:1500")
-    report = run_sweep(ckpt_runner(tmp_path), ["sad"], ["wg"], workers=0, retries=0)
+    monkeypatch.setenv("REPRO_CHAOS_MARK_DIR", str(tmp_path / "marks"))
+    monkeypatch.setenv("REPRO_CHAOS", "checkpoint-saved=raise!once")
+    cache = tmp_path / "cache"
+    report = run_sweep(ckpt_runner(cache), ["sad"], ["wg"], workers=0, retries=0)
     assert report.n_failed == 1
-    entry = next(iter(load_manifest(str(tmp_path)).values()))
+    entry = next(iter(load_manifest(str(cache)).values()))
     assert entry["status"] == "failed"
-    assert entry["error_type"] == "FaultInjectionError"
+    assert entry["error_type"] == "ChaosError"
     assert entry["checkpoint"] and os.path.exists(entry["checkpoint"])
     # Resume: the snapshot finishes the job without restarting from zero.
-    monkeypatch.delenv("REPRO_SWEEP_CRASH_AT")
+    loads = spy_checkpoint_loads(monkeypatch)
     second = run_sweep(
-        ckpt_runner(tmp_path), ["sad"], ["wg"], workers=0, resume=True
+        ckpt_runner(cache), ["sad"], ["wg"], workers=0, resume=True
     )
     assert second.n_failed == 0 and second.n_done == 1
-    entry = next(iter(load_manifest(str(tmp_path)).values()))
+    assert loads == [entry["checkpoint"]]
+    entry = next(iter(load_manifest(str(cache)).values()))
     assert entry["status"] == "done" and entry["error_type"] == ""
 
 
 def test_pre_run_crash_records_error_type_without_checkpoint(tmp_path, monkeypatch):
     """A crash before the simulation starts has no snapshot to point at."""
-    monkeypatch.setenv("REPRO_SWEEP_CRASH", "sad:wg:1")
-    report = run_sweep(
-        tiny_runner(tmp_path), ["sad"], ["wg"], workers=0, retries=0
-    )
+    monkeypatch.setenv("REPRO_CHAOS_MARK_DIR", str(tmp_path / "marks"))
+    monkeypatch.setenv("REPRO_CHAOS", "job-start=raise!once")
+    cache = tmp_path / "cache"
+    report = run_sweep(ckpt_runner(cache), ["sad"], ["wg"], workers=0, retries=0)
     assert report.n_failed == 1
-    entry = next(iter(load_manifest(str(tmp_path)).values()))
+    entry = next(iter(load_manifest(str(cache)).values()))
     assert entry["status"] == "failed"
-    assert entry["error_type"] == "RuntimeError"
+    assert entry["error_type"] == "ChaosError"
     assert entry["checkpoint"] == ""
 
 
@@ -421,7 +450,8 @@ def test_retry_policy_paces_local_retries(tmp_path, monkeypatch):
     for workers in (0, 2):
         cache = tmp_path / f"w{workers}"
         cache.mkdir()
-        monkeypatch.setenv("REPRO_SWEEP_CRASH", "sad:gmc:1")
+        monkeypatch.setenv("REPRO_CHAOS_MARK_DIR", str(tmp_path / f"marks{workers}"))
+        monkeypatch.setenv("REPRO_CHAOS", "job-start=raise!once")
         lines = []
         t0 = time.time()
         report = run_sweep(
