@@ -3,7 +3,9 @@
 Figures 8-12 all derive from the same (benchmark x scheduler) sweep, so
 experiments share one :class:`ExperimentRunner`: each simulation runs once
 per (workload kind, benchmark, scheduler, scale, seed) and its summary
-dict is cached in memory and optionally as JSON on disk.
+dict is cached in memory and optionally as JSON on disk.  Each
+(benchmark, seed) trace is built once and shared by every scheduler that
+simulates it.
 
 Disk-cache keying
 -----------------
@@ -97,19 +99,13 @@ def run_one_job(job: tuple) -> tuple:
     """Worker entry point for parallel sweeps (must be module-level for
     pickling).  ``job`` = (config, scale_name, kind, bench, scheduler,
     seed, perfect, cache_dir[, checkpoint_period_ns[, trace_paths]]);
-    returns
-    ((bench, scheduler, seed, perfect), summary, meta) where ``meta``
-    records whether the job actually simulated (and whether it resumed
-    from a checkpoint) plus its wall time and engine event count.
+    returns ((bench, scheduler, seed, perfect), summary, meta) with
+    ``summary`` and ``meta`` as :meth:`ExperimentRunner.run_job` returns
+    them.
     """
     config, scale_name, kind, bench, scheduler, seed, perfect, cache_dir = job[:8]
     checkpoint_period_ns = job[8] if len(job) > 8 else 0.0
     trace_paths = job[9] if len(job) > 9 else None
-    # Chaos window at job entry (inert unless REPRO_CHAOS arms it): lets
-    # the fault tests hang or SIGKILL a worker at a defined step — the
-    # sweep's timeout supervisor and crash retry are proven against
-    # exactly this point.
-    chaos_point("job-start")
     runner = ExperimentRunner(
         config=config,
         scale=Scale[scale_name],
@@ -119,15 +115,7 @@ def run_one_job(job: tuple) -> tuple:
         checkpoint_period_ns=checkpoint_period_ns,
         trace_paths=trace_paths,
     )
-    t0 = time.time()
-    summary = runner.run(bench, scheduler, seed, perfect)
-    meta = {
-        "simulated": runner.last_outcome in ("simulated", "resumed"),
-        "resumed": runner.last_outcome == "resumed",
-        "wall_s": time.time() - t0,
-        "sim_events": summary.get("sim_events", 0.0),
-        "sim_wall_s": summary.get("sim_wall_s", 0.0),
-    }
+    summary, meta = runner.run_job(bench, scheduler, seed, perfect)
     return (bench, scheduler, seed, perfect), summary, meta
 
 
@@ -181,9 +169,18 @@ class ExperimentRunner:
     # workload construction
     # ------------------------------------------------------------------
     def trace(self, bench: str, seed: int, perfect: bool = False) -> KernelTrace:
+        """The memoized trace of (bench, seed).
+
+        Simulation only reads a trace, so every scheduler of one
+        (bench, seed) shares it.  ``perfect=True`` derives the idealized
+        trace from the memoized base: :func:`perfect_coalescing` builds
+        new objects and never mutates its input.
+        """
         key = (bench, seed, perfect)
         if key not in self._traces:
-            if self.kind == "synthetic":
+            if perfect:
+                t = perfect_coalescing(self.trace(bench, seed))
+            elif self.kind == "synthetic":
                 try:
                     profile = ALL_PROFILES[bench]
                 except KeyError:
@@ -205,10 +202,13 @@ class ExperimentRunner:
                 t = load_trace_file(path)
             else:
                 t = build_benchmark(bench, self.config, self.scale, seed=seed)
-            if perfect:
-                t = perfect_coalescing(t)
             self._traces[key] = t
         return self._traces[key]
+
+    def release_traces(self, bench: str, seed: int) -> None:
+        """Drop the memoized traces of (bench, seed), base and idealized."""
+        self._traces.pop((bench, seed, False), None)
+        self._traces.pop((bench, seed, True), None)
 
     # ------------------------------------------------------------------
     # simulation with caching
@@ -289,6 +289,9 @@ class ExperimentRunner:
         result["wgw_promotions"] = float(
             sum(c.wgw_promotions for c in stats.channels)
         )
+        result["fallback_reads"] = float(
+            sum(c.fallback_reads for c in stats.channels)
+        )
         # Host-side cost of producing this entry (the sweep harness reports
         # events/sec per job from these).
         result["sim_events"] = float(stats.events_processed)
@@ -301,6 +304,36 @@ class ExperimentRunner:
         if ckpt and self.checkpoint_period_ns > 0 and os.path.exists(ckpt):
             os.unlink(ckpt)  # run finished; the snapshot served its purpose
         return result
+
+    def run_job(
+        self, bench: str, scheduler: str, seed: int, perfect: bool = False
+    ) -> tuple[dict[str, float], dict]:
+        """One sweep job: :meth:`run` plus what the sweep records.
+
+        Returns ``(summary, meta)``; ``meta`` records whether the job
+        actually simulated (and whether it resumed from a checkpoint)
+        plus its wall time and engine event count.  A sweep reports a job
+        done only with its cache entry on disk, so a memo hit whose file
+        has since been deleted writes it again.
+        """
+        # Chaos window at job entry (inert unless REPRO_CHAOS arms it): lets
+        # the fault tests hang, fail or SIGKILL a job at a defined step —
+        # the sweep's timeout supervisor and crash retry are proven against
+        # exactly this point.
+        chaos_point("job-start")
+        t0 = time.time()
+        summary = self.run(bench, scheduler, seed, perfect)
+        path = self._cache_path(bench, scheduler, seed, perfect)
+        if self.last_outcome == "memo" and path and not os.path.exists(path):
+            atomic_write_json(path, summary)
+        meta = {
+            "simulated": self.last_outcome in ("simulated", "resumed"),
+            "resumed": self.last_outcome == "resumed",
+            "wall_s": time.time() - t0,
+            "sim_events": summary.get("sim_events", 0.0),
+            "sim_wall_s": summary.get("sim_wall_s", 0.0),
+        }
+        return summary, meta
 
     def _simulate(
         self, bench: str, scheduler: str, seed: int, perfect: bool

@@ -1,7 +1,8 @@
 """Robust parallel sweep harness over :class:`ExperimentRunner`.
 
 ``run_sweep`` executes a (benchmark x scheduler x seed) grid with one
-supervised process per job and makes the sweep safe to run at scale:
+supervised process per job, or inline through the caller's runner
+(``workers <= 0``), and makes the sweep safe to run at scale:
 
 * **harvest on completion** — results are collected as workers finish,
   with a live progress/ETA line per completion;
@@ -359,9 +360,12 @@ def run_sweep(
     ``workers >= 1`` runs up to that many jobs at once, each in its own
     supervised process; ``timeout_s=None`` means no deadline.
     ``workers <= 0`` executes inline (no processes, no timeout) — same
-    retry/manifest semantics, useful under pytest and for debugging.
-    Jobs communicate exclusively through the runner's ``cache_dir``,
-    which is required.
+    retry/manifest semantics — through ``runner`` itself: its trace memo
+    builds each (benchmark, seed) trace once for all schedulers, and its
+    result memo then answers ``runner.run`` for every finished job.
+    Worker processes build their own runner per job and communicate
+    only through the runner's ``cache_dir``, which is required either
+    way: a job is done once its cache entry is on disk.
 
     Retry attempts are spaced by a seeded exponential backoff
     (:func:`_backoff_s`), quick enough for tests while still
@@ -503,7 +507,7 @@ def run_sweep(
         return None
 
     if todo and workers <= 0:
-        _run_inline(todo, payload, record, retry_or_fail)
+        _run_inline(runner, todo, record, retry_or_fail)
     elif todo:
         _run_procs(todo, payload, workers, timeout_s, record, retry_or_fail, say)
 
@@ -541,14 +545,23 @@ def _done_result(job: SweepJob, meta: dict, attempt: int) -> JobResult:
     )
 
 
-def _run_inline(todo, payload, record, retry_or_fail) -> None:
-    """Run each job in this process, one after another (no timeout)."""
-    for job in todo:
+def _run_inline(runner, todo, record, retry_or_fail) -> None:
+    """Run each job in this process through ``runner`` (no timeout).
+
+    Every job shares the runner's trace memo, so all schedulers of one
+    (benchmark, seed) simulate one trace built once.  The traces of a
+    (benchmark, seed) are released right after the last job that reads
+    them: the memo holds only what the remaining jobs need.
+    """
+    last = {(job.bench, job.seed): i for i, job in enumerate(todo)}
+    for i, job in enumerate(todo):
         attempt = 0
         while True:
             t_start = time.time()
             try:
-                _key, _summary, meta = run_one_job(payload(job))
+                _summary, meta = runner.run_job(
+                    job.bench, job.scheduler, job.seed, job.perfect
+                )
             except Exception as exc:
                 delay = retry_or_fail(
                     job, attempt, time.time() - t_start, str(exc), type(exc).__name__
@@ -560,6 +573,8 @@ def _run_inline(todo, payload, record, retry_or_fail) -> None:
                 continue
             record(_done_result(job, meta, attempt))
             break
+        if last[job.bench, job.seed] == i:
+            runner.release_traces(job.bench, job.seed)
 
 
 def _proc_entry(conn, job_payload) -> None:

@@ -133,6 +133,9 @@ class ChannelStats:
     merb_deferrals: int = 0
     orphan_rescues: int = 0
     wgw_promotions: int = 0
+    # Pending reads of the incomplete groups the WG family's read-queue
+    # pressure fallback inserted, bypassing the BASJF pick.
+    fallback_reads: int = 0
     read_latency: Histogram = field(default_factory=Histogram)
     queue_depth: Histogram = field(default_factory=Histogram)
     # Latency breakdown (ns): time waiting for the transaction scheduler

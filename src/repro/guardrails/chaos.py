@@ -9,8 +9,8 @@ watch the recovery.
 
 Points:
 
-* ``job-start`` — a sweep job's entry (:func:`repro.analysis.runner
-  .run_one_job`);
+* ``job-start`` — a sweep job's entry (:meth:`repro.analysis.runner
+  .ExperimentRunner.run_job`, run inline or in a worker process);
 * ``checkpoint-saved`` — a periodic checkpoint of a guarded run has just
   landed on disk (:meth:`repro.gpu.system.GPUSystem._drive`);
 * ``atomic-write`` — temp file written, not yet renamed into place, and

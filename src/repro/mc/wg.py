@@ -154,6 +154,7 @@ class WGController(MemoryController):
                 # when membership or queue occupancy does.
                 self._fallback_noop = (self.sorter.version, self.cq.version)
                 return
+            self.stats.fallback_reads += best.n_requests
             self._insert_group(best, now)
 
     def _on_group_selected(self, entry: WarpGroupEntry, score: int, now: int) -> None:

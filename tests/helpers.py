@@ -60,3 +60,18 @@ class MCHarness:
 
     def order_delivered(self) -> list[int]:
         return [r.req_id for r in self.delivered]
+
+
+def count_trace_builds(monkeypatch) -> list[tuple[str, int]]:
+    """Record (benchmark, seed) for every synthetic trace the runner builds."""
+    from repro.analysis import runner as runner_module
+
+    calls: list[tuple[str, int]] = []
+    real = runner_module.synthetic_trace
+
+    def build(profile, *args, **kwargs):
+        calls.append((profile.name, kwargs["seed"]))
+        return real(profile, *args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "synthetic_trace", build)
+    return calls

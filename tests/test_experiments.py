@@ -13,7 +13,12 @@ from repro.analysis.experiments import (
 from repro.analysis.report import bar, format_table, geomean, rows_to_csv
 from repro.analysis.runner import ExperimentRunner
 from repro.core.config import SimConfig
+from repro.idealized import perfect_coalescing
+from repro.workloads.profiles import ALL_PROFILES
 from repro.workloads.suite import Scale
+from repro.workloads.synthetic import synthetic_trace
+
+from helpers import count_trace_builds
 
 
 def tiny_runner(**kw) -> ExperimentRunner:
@@ -72,6 +77,24 @@ def test_runner_extras_present():
     s = r.run("sad", "gmc", seed=1)
     for key in ("unit_group_frac", "activates", "reads", "writes", "ipc"):
         assert key in s
+    assert s["fallback_reads"] == 0.0  # only the WG family has the fallback
+
+
+def test_perfect_trace_derives_from_the_memoized_base(monkeypatch):
+    """The idealized trace reuses the base build and leaves it intact;
+    releasing a (benchmark, seed) drops both."""
+    builds = count_trace_builds(monkeypatch)
+    r = tiny_runner()
+    base = r.trace("sad", 1)
+    perfect = r.trace("sad", 1, perfect=True)
+    assert builds == [("sad", 1)]
+    fresh = synthetic_trace(
+        ALL_PROFILES["sad"], r.config, seed=1, scale=r.scale.factor
+    )
+    assert base == fresh
+    assert perfect == perfect_coalescing(fresh)
+    r.release_traces("sad", 1)
+    assert r._traces == {}
 
 
 def test_speedup_is_relative():

@@ -16,6 +16,8 @@ from repro.analysis.runner import ExperimentRunner
 from repro.analysis.sweep import MANIFEST_NAME, _backoff_s, load_manifest, run_sweep
 from repro.workloads.suite import Scale
 
+from helpers import count_trace_builds
+
 
 def tiny_runner(tmp_path, seeds=(1,)) -> ExperimentRunner:
     return ExperimentRunner(scale=Scale.TINY, seeds=seeds, cache_dir=str(tmp_path))
@@ -155,6 +157,58 @@ def test_progress_reports_counts_and_eta(tmp_path):
     assert any("2/2" in ln for ln in lines)
     assert "eta" in lines[0]
     assert "jobs done" in lines[-1]  # final summary line
+
+
+# ---------------------------------------------------------------------------
+# inline sweeps share the sweep's runner
+# ---------------------------------------------------------------------------
+def test_inline_sweep_builds_each_trace_once(tmp_path, monkeypatch):
+    """Every scheduler of one (benchmark, seed) simulates one trace: the
+    2 x 2 x 2 grid builds 4 traces, not one per job."""
+    builds = count_trace_builds(monkeypatch)
+    report = run_sweep(
+        tiny_runner(tmp_path, seeds=(1, 2)), ["sad", "bfs"], ["gmc", "wg"],
+        workers=0,
+    )
+    assert report.n_done == 8 and report.n_simulated == 8
+    assert sorted(builds) == [("bfs", 1), ("bfs", 2), ("sad", 1), ("sad", 2)]
+
+
+def test_inline_sweep_releases_traces_after_their_last_job(tmp_path, monkeypatch):
+    """The trace memo holds only (benchmark, seed)s that a job still to
+    run reads, and nothing once the sweep returns."""
+    r = tiny_runner(tmp_path, seeds=(1, 2))
+    started, held = [], []
+    real = r.run_job
+
+    def run_job(bench, scheduler, seed, perfect):
+        started.append((bench, seed))
+        held.append({(b, s) for b, s, _p in r._traces})
+        return real(bench, scheduler, seed, perfect)
+
+    monkeypatch.setattr(r, "run_job", run_job)
+    run_sweep(r, ["sad", "bfs"], ["gmc", "wg"], workers=0)
+    assert len(started) == 8
+    for i, memo in enumerate(held):
+        assert memo <= set(started[i:]), (i, memo)
+    assert held[4] == set()  # sad's traces went with its last job
+    assert r._traces == {}
+
+
+def test_memo_hit_rewrites_a_deleted_cache_entry(tmp_path):
+    """A job reported done has its cache entry on disk, even when the
+    reused runner serves the job from its result memo."""
+    r = tiny_runner(tmp_path)
+    run_sweep(r, ["sad"], ["gmc", "wg"], workers=0)
+    victim = tmp_path / r.cache_name("sad", "gmc", 1)
+    published = victim.read_text()
+    victim.unlink()
+    report = run_sweep(r, ["sad"], ["gmc", "wg"], workers=0, resume=True)
+    assert report.n_failed == 0 and report.n_simulated == 0
+    assert report.n_skipped == 1 and report.n_done == 1
+    for res in report.results:
+        assert (tmp_path / r.cache_name("sad", res.job.scheduler, 1)).exists()
+    assert victim.read_text() == published
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +498,12 @@ def test_backoff_jitter_decorrelates_jobs():
 def test_retry_policy_paces_local_retries(tmp_path, monkeypatch):
     """The seeded backoff is honored by both local dispatch paths
     (inline and per-job processes), with the deterministic delay visible
-    in the progress log."""
+    in the progress log.  Inline, the retried job and the next scheduler
+    still share one trace build, and the cache entries equal those of an
+    uninterrupted sweep."""
     monkeypatch.setattr(sweep, "_BACKOFF_BASE_S", 0.4)
     monkeypatch.setattr(sweep, "_BACKOFF_JITTER", 0.0)  # exact delay
+    builds = count_trace_builds(monkeypatch)
     for workers in (0, 2):
         cache = tmp_path / f"w{workers}"
         cache.mkdir()
@@ -455,13 +512,18 @@ def test_retry_policy_paces_local_retries(tmp_path, monkeypatch):
         lines = []
         t0 = time.time()
         report = run_sweep(
-            tiny_runner(cache), ["sad"], ["gmc"],
+            tiny_runner(cache), ["sad"], ["gmc", "wg"],
             workers=workers, retries=1,
             progress=lines.append,
         )
         elapsed = time.time() - t0
-        assert report.n_failed == 0 and report.n_done == 1
-        (res,) = report.results
-        assert res.retries == 1
+        assert report.n_failed == 0 and report.n_done == 2
+        assert sorted(r.retries for r in report.results) == [0, 1]
         assert elapsed >= 0.4  # the delay was actually slept, not skipped
         assert any("retrying" in ln and "0.40s" in ln for ln in lines)
+        if workers == 0:
+            assert builds == [("sad", 1)]
+    monkeypatch.delenv("REPRO_CHAOS")
+    ref = tmp_path / "ref"
+    run_sweep(tiny_runner(ref), ["sad"], ["gmc", "wg"], workers=0)
+    assert cache_entries(tmp_path / "w0") == cache_entries(ref)

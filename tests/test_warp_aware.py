@@ -268,6 +268,23 @@ def test_pressure_fallback_services_incomplete_groups(harness):
     assert reqs[0].t_scheduled <= reqs[-1].t_scheduled
 
 
+def test_pressure_fallback_counts_the_reads_it_inserts(harness):
+    """``fallback_reads`` counts every pending read of each group the
+    fallback inserts; GMC, which has no fallback, reports 0 on the same
+    read-queue pressure."""
+    cfg = dataclasses.replace(
+        SimConfig(), mc=dataclasses.replace(SimConfig().mc, read_queue_entries=4)
+    )
+    for scheduler, expected in (("wg", 6), ("gmc", 0)):
+        h = harness(scheduler, cfg)
+        for i in range(6):
+            incomplete_singleton(h, warp_id=i, bank=i % 4, row=i)
+        assert h.stats.read_queue_full_events > 0  # backpressure reached
+        h.run(max_events=400_000)
+        assert len(h.delivered) == 6
+        assert h.stats.fallback_reads == expected, scheduler
+
+
 def test_no_fallback_below_queue_pressure(harness):
     """Incomplete groups wait for their stragglers while the read queue
     has room: the fallback must NOT fire."""
