@@ -11,50 +11,19 @@ Run:
     python examples/reproduce_paper.py --only fig8 fig11    # subset
     python examples/reproduce_paper.py --kind algorithmic   # real-algorithm traces
     python examples/reproduce_paper.py --workers 8          # parallel prefetch
-                                                            # (resumable: rerun
-                                                            # after an interrupt)
+                                                            # (rerun after an
+                                                            # interrupt: cached
+                                                            # runs are reused)
 """
 
 import argparse
 import os
+import sys
 import time
 
-import sys
-
-from repro.analysis import run_all
-from repro.analysis.sweep import run_sweep
-from repro.workloads.profiles import ALL_PROFILES
-from repro.analysis.experiments import (
-    fig2_coalescing,
-    fig3_divergence,
-    fig4_opportunity,
-    fig8_ipc,
-    fig9_latency,
-    fig10_divergence,
-    fig11_bandwidth,
-    fig12_writes,
-    sec6a_regular,
-    sec6b_power,
-    sec6c_comparison,
-    table1_merb,
-)
+from repro.analysis.experiments import DRIVERS, prefetch
 from repro.analysis.runner import ExperimentRunner
 from repro.workloads.suite import Scale
-
-DRIVERS = {
-    "fig2": fig2_coalescing,
-    "fig3": fig3_divergence,
-    "fig4": fig4_opportunity,
-    "table1": lambda r: table1_merb(r.config),
-    "fig8": fig8_ipc,
-    "fig9": fig9_latency,
-    "fig10": fig10_divergence,
-    "fig11": fig11_bandwidth,
-    "fig12": fig12_writes,
-    "sec6a": sec6a_regular,
-    "sec6b": sec6b_power,
-    "sec6c": sec6c_comparison,
-}
 
 
 def main() -> None:
@@ -71,39 +40,23 @@ def main() -> None:
     ap.add_argument("--out", help="also write each table to this directory")
     ap.add_argument("--workers", type=int, default=0,
                     help="prefetch the sweep with N worker processes first "
-                         "(interrupted runs resume from the sweep manifest)")
+                         "(a rerun reuses every run already cached)")
     args = ap.parse_args()
 
     scale = Scale[args.scale.upper()]
     t0 = time.time()
+    runner = ExperimentRunner(
+        scale=scale, seeds=tuple(args.seeds), kind=args.kind,
+        cache_dir=args.cache_dir, verbose=True,
+    )
     if args.workers > 0:
-        # One resumable parallel sweep over the combinations the figure
-        # drivers consume; the drivers below then run from the cache.
-        prefetch = ExperimentRunner(
-            scale=scale, seeds=tuple(args.seeds), kind=args.kind,
-            cache_dir=args.cache_dir,
+        # Parallel sweeps over every run the drivers read; the drivers
+        # below then run from the cache.
+        prefetch(
+            runner, workers=args.workers,
+            progress=lambda msg: print(msg, file=sys.stderr),
         )
-        say = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
-        run_sweep(
-            prefetch, sorted(ALL_PROFILES),
-            ("gmc", "wg", "wg-m", "wg-bw", "wg-w", "wafcfs", "zero-div"),
-            workers=args.workers, resume=True, progress=say,
-        ).raise_on_failure()
-        run_sweep(
-            prefetch, sorted(ALL_PROFILES), ("gmc",), perfect=True,
-            workers=args.workers, resume=True, progress=say,
-        ).raise_on_failure()
-    if args.only:
-        runner = ExperimentRunner(
-            scale=scale, seeds=tuple(args.seeds), kind=args.kind,
-            cache_dir=args.cache_dir, verbose=True,
-        )
-        results = {name: DRIVERS[name](runner) for name in args.only}
-    else:
-        results = run_all(
-            scale=scale, seeds=tuple(args.seeds), kind=args.kind,
-            cache_dir=args.cache_dir, verbose=True,
-        )
+    results = {name: DRIVERS[name](runner) for name in args.only or DRIVERS}
 
     for rid, res in results.items():
         print()

@@ -14,7 +14,8 @@ Subcommands:
 * ``compare BENCH`` — all schedulers on one benchmark;
 * ``sweep``       — fill the result cache with a parallel
   (benchmark x scheduler x seed) sweep: worker processes, retries, live
-  progress, resumable manifest, machine-readable throughput report;
+  progress, machine-readable throughput report; jobs already in the
+  cache are not rerun, so rerunning a killed sweep finishes it;
   ``--spec FILE`` runs a declarative scenario spec instead of grid
   flags (docs/scenarios.md);
 * ``scenario``    — work with the declarative scenario library
@@ -53,6 +54,7 @@ from repro import (
     synthetic_trace,
 )
 from repro.analysis import format_table, run_all
+from repro.analysis.experiments import prefetch
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.sweep import run_sweep
 from repro.core.overrides import (
@@ -305,8 +307,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-#: Schedulers the paper's evaluation sweeps (plus §VI-C's WAFCFS and the
-#: Fig. 4 zero-divergence bound); SBWAS runs per-alpha with its own config.
+#: Default schedulers of ``repro sweep``: GMC and the WG family.
 SWEEP_SCHEDULERS = ("gmc", "wg", "wg-m", "wg-bw", "wg-w")
 
 
@@ -346,7 +347,6 @@ def _sweep_from_spec(args) -> int:
             workers=args.workers,
             timeout_s=args.timeout,
             retries=args.retries,
-            resume=args.resume,
             progress=lambda msg: print(msg, file=sys.stderr),
         )
     except RuntimeError as exc:  # failed jobs, already itemized
@@ -387,7 +387,6 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
         timeout_s=args.timeout,
         retries=args.retries,
-        resume=args.resume,
         progress=lambda msg: print(msg, file=sys.stderr),
     )
     if args.bench_out:
@@ -483,7 +482,6 @@ def cmd_scenario(args) -> int:
             spec,
             cache_dir=args.cache_dir,
             workers=args.workers,
-            resume=args.resume,
             scale=args.scale,
             progress=lambda msg: print(msg, file=sys.stderr),
         )
@@ -498,29 +496,17 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.workers > 0:
-        # Warm the cache with one parallel sweep over the combinations the
-        # figure drivers consume; the drivers then run from cache.
-        runner = ExperimentRunner(
-            scale=Scale[args.scale.upper()], seeds=tuple(args.seeds),
-            kind=args.kind, cache_dir=args.cache_dir,
-        )
-        benches = _benches_for_kind(args.kind)
-        run_sweep(
-            runner, benches, (*SWEEP_SCHEDULERS, "wafcfs", "zero-div"),
-            workers=args.workers, resume=True,
-            progress=lambda msg: print(msg, file=sys.stderr),
-        ).raise_on_failure()
-        run_sweep(
-            runner, benches, ("gmc",), perfect=True,
-            workers=args.workers, resume=True,
-            progress=lambda msg: print(msg, file=sys.stderr),
-        ).raise_on_failure()
-    results = run_all(
+    runner = ExperimentRunner(
         scale=Scale[args.scale.upper()], seeds=tuple(args.seeds),
         kind=args.kind, cache_dir=args.cache_dir, verbose=True,
     )
-    for res in results.values():
+    if args.workers > 0:
+        # Fill the cache with parallel sweeps; the drivers then read it.
+        prefetch(
+            runner, workers=args.workers,
+            progress=lambda msg: print(msg, file=sys.stderr),
+        )
+    for res in run_all(runner).values():
         print()
         print(res)
     return 0
@@ -868,8 +854,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sw.add_argument("--cache-dir", default=".repro-results")
     p_sw.add_argument("--workers", type=int, default=4,
                       help="worker processes (0 = run inline)")
-    p_sw.add_argument("--resume", action="store_true",
-                      help="skip jobs the sweep manifest already marks done")
     p_sw.add_argument("--timeout", type=float, default=None, metavar="S",
                       help="per-job timeout in seconds (default: none)")
     p_sw.add_argument("--retries", type=int, default=1,
@@ -891,8 +875,6 @@ def main(argv: list[str] | None = None) -> int:
     sc_run.add_argument("--cache-dir", default=".repro-results")
     sc_run.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: the spec's; 0 = inline)")
-    sc_run.add_argument("--resume", action="store_true",
-                        help="skip jobs the sweep manifest already marks done")
     sc_run.add_argument("--scale", default=None,
                         choices=[s.name.lower() for s in Scale],
                         help="override the spec's scale (e.g. tiny for CI)")

@@ -19,7 +19,7 @@ from repro.analysis.experiments import (
 from repro.analysis.plotting import chart_result, hbar_chart, sparkline
 from repro.analysis.report import bar, format_table, geomean, rows_to_csv
 from repro.analysis.runner import ExperimentRunner, atomic_write_json, config_hash
-from repro.analysis.sweep import SweepJob, SweepReport, load_manifest, run_sweep
+from repro.analysis.sweep import SweepJob, SweepReport, run_sweep
 
 __all__ = [
     "ExperimentResult",
@@ -31,7 +31,6 @@ __all__ = [
     "chart_result",
     "config_hash",
     "hbar_chart",
-    "load_manifest",
     "run_sweep",
     "sparkline",
     "fig10_divergence",

@@ -4,7 +4,9 @@ Each ``figN_*``/``secN_*`` function regenerates one table or figure of the
 paper's evaluation from an :class:`ExperimentRunner` sweep and returns an
 :class:`ExperimentResult` whose ``table`` is ready to print and whose
 ``headline`` dict carries the numbers EXPERIMENTS.md records against the
-paper's.  ``run_all`` produces the complete evaluation in one call.
+paper's.  ``run_all`` produces the complete evaluation in one call, and
+``prefetch`` fills a runner's cache with every run the drivers read,
+through parallel sweeps.
 
 Paper targets (for orientation; see EXPERIMENTS.md for measured values):
 
@@ -28,17 +30,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.analysis.report import format_table, geomean
 from repro.analysis.runner import ExperimentRunner
+from repro.analysis.sweep import run_sweep
 from repro.core.config import SimConfig
 from repro.dram.power import estimate_channel_power
 from repro.mc.merb import merb_table, single_bank_utilization
-from repro.workloads.suite import Scale
 
 __all__ = [
     "ACCURACY_ENTRIES",
+    "DRIVERS",
     "ExperimentResult",
     "accuracy_doc",
     "write_accuracy",
@@ -54,6 +57,7 @@ __all__ = [
     "sec6a_regular",
     "sec6b_power",
     "sec6c_comparison",
+    "prefetch",
     "run_all",
 ]
 
@@ -418,34 +422,52 @@ def sec6c_comparison(
     )
 
 
-def run_all(
-    config: Optional[SimConfig] = None,
-    scale: Scale = Scale.QUICK,
-    seeds: tuple[int, ...] = (1, 2),
-    kind: str = "synthetic",
-    cache_dir: Optional[str] = None,
-    verbose: bool = False,
-) -> dict[str, ExperimentResult]:
+#: Experiment id -> driver, in the paper's order.
+DRIVERS: dict[str, Callable[[ExperimentRunner], ExperimentResult]] = {
+    "fig2": fig2_coalescing,
+    "fig3": fig3_divergence,
+    "fig4": fig4_opportunity,
+    "table1": lambda runner: table1_merb(runner.config),
+    "fig8": fig8_ipc,
+    "fig9": fig9_latency,
+    "fig10": fig10_divergence,
+    "fig11": fig11_bandwidth,
+    "fig12": fig12_writes,
+    "sec6a": sec6a_regular,
+    "sec6b": sec6b_power,
+    "sec6c": sec6c_comparison,
+}
+
+
+def run_all(runner: ExperimentRunner) -> dict[str, ExperimentResult]:
     """Regenerate every table and figure; returns {experiment id: result}."""
-    runner = ExperimentRunner(
-        config=config, scale=scale, seeds=seeds, kind=kind,
-        cache_dir=cache_dir, verbose=verbose,
-    )
-    results = {
-        "fig2": fig2_coalescing(runner),
-        "fig3": fig3_divergence(runner),
-        "fig4": fig4_opportunity(runner),
-        "table1": table1_merb(runner.config),
-        "fig8": fig8_ipc(runner),
-        "fig9": fig9_latency(runner),
-        "fig10": fig10_divergence(runner),
-        "fig11": fig11_bandwidth(runner),
-        "fig12": fig12_writes(runner),
-        "sec6a": sec6a_regular(runner),
-        "sec6b": sec6b_power(runner),
-        "sec6c": sec6c_comparison(runner),
-    }
-    return results
+    return {rid: driver(runner) for rid, driver in DRIVERS.items()}
+
+
+def prefetch(
+    runner: ExperimentRunner,
+    *,
+    workers: int = 0,
+    progress: Optional[Callable[[str], None]] = None,
+) -> None:
+    """Fill ``runner``'s cache with every run the drivers read from it.
+
+    Three sweeps: the irregular suite under GMC, the WG family, WAFCFS
+    (§VI-C) and the zero-divergence bound (Fig. 4); its perfect-coalescing
+    GMC runs (Fig. 4); and the regular suite under GMC and WG-W (§VI-A).
+    SBWAS runs per alpha under configs of its own, so
+    :func:`sec6c_comparison` still simulates those.  A failed job raises.
+    """
+    irregular = runner.irregular_benchmarks()
+    for benches, schedulers, perfect in (
+        (irregular, ("gmc", *PAPER_SCHEDULERS, "wafcfs", "zero-div"), False),
+        (irregular, ("gmc",), True),
+        (runner.regular_benchmarks(), ("gmc", "wg-w"), False),
+    ):
+        run_sweep(
+            runner, benches, schedulers, perfect=perfect,
+            workers=workers, progress=progress,
+        ).raise_on_failure()
 
 
 # ----------------------------------------------------------------------

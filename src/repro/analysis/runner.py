@@ -30,7 +30,9 @@ Workload kinds:
   trace invalidates its entries like any config change would).
 
 The parallel sweep harness built on top of this runner (worker dispatch,
-retries, resume manifest, progress) lives in :mod:`repro.analysis.sweep`.
+retries, progress) lives in :mod:`repro.analysis.sweep`; a sweep job is
+done once its cache entry is on disk, so the cache is the sweep's only
+record of finished work.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ __all__ = [
     "ExperimentRunner",
     "atomic_write_json",
     "config_hash",
-    "run_one_job",
 ]
 
 # Folded into the hash input so a change to the *cache layout* (not the
@@ -93,30 +94,6 @@ def _file_fingerprint(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()[:12]
-
-
-def run_one_job(job: tuple) -> tuple:
-    """Worker entry point for parallel sweeps (must be module-level for
-    pickling).  ``job`` = (config, scale_name, kind, bench, scheduler,
-    seed, perfect, cache_dir[, checkpoint_period_ns[, trace_paths]]);
-    returns ((bench, scheduler, seed, perfect), summary, meta) with
-    ``summary`` and ``meta`` as :meth:`ExperimentRunner.run_job` returns
-    them.
-    """
-    config, scale_name, kind, bench, scheduler, seed, perfect, cache_dir = job[:8]
-    checkpoint_period_ns = job[8] if len(job) > 8 else 0.0
-    trace_paths = job[9] if len(job) > 9 else None
-    runner = ExperimentRunner(
-        config=config,
-        scale=Scale[scale_name],
-        seeds=(seed,),
-        kind=kind,
-        cache_dir=cache_dir,
-        checkpoint_period_ns=checkpoint_period_ns,
-        trace_paths=trace_paths,
-    )
-    summary, meta = runner.run_job(bench, scheduler, seed, perfect)
-    return (bench, scheduler, seed, perfect), summary, meta
 
 
 class ExperimentRunner:
@@ -226,9 +203,10 @@ class ExperimentRunner:
             f"-s{seed}-p{int(perfect)}-{self.config_hash}.json"
         )
 
-    def _cache_path(
-        self, bench: str, scheduler: str, seed: int, perfect: bool
+    def cache_path(
+        self, bench: str, scheduler: str, seed: int, perfect: bool = False
     ) -> Optional[str]:
+        """Cache file for one run (None without a ``cache_dir``)."""
         if self.cache_dir is None:
             return None
         return os.path.join(
@@ -244,10 +222,8 @@ class ExperimentRunner:
         resume; it is deleted once the run completes and its summary is
         safely in the cache.
         """
-        if self.cache_dir is None:
-            return None
-        name = self.cache_name(bench, scheduler, seed, perfect)
-        return os.path.join(self.cache_dir, name[: -len(".json")] + ".ckpt")
+        path = self.cache_path(bench, scheduler, seed, perfect)
+        return None if path is None else path[: -len(".json")] + ".ckpt"
 
     def run(
         self, bench: str, scheduler: str, seed: int, perfect: bool = False
@@ -256,7 +232,7 @@ class ExperimentRunner:
         if key in self._results:
             self.last_outcome = "memo"
             return self._results[key]
-        path = self._cache_path(bench, scheduler, seed, perfect)
+        path = self.cache_path(bench, scheduler, seed, perfect)
         if path and os.path.exists(path):
             with open(path) as fh:
                 result = json.load(fh)
@@ -310,11 +286,13 @@ class ExperimentRunner:
     ) -> tuple[dict[str, float], dict]:
         """One sweep job: :meth:`run` plus what the sweep records.
 
-        Returns ``(summary, meta)``; ``meta`` records whether the job
-        actually simulated (and whether it resumed from a checkpoint)
-        plus its wall time and engine event count.  A sweep reports a job
-        done only with its cache entry on disk, so a memo hit whose file
-        has since been deleted writes it again.
+        The sweep runs every job through this method, inline and in
+        worker processes alike (:mod:`repro.analysis.sweep`).  Returns
+        ``(summary, meta)``; ``meta`` records whether the job actually
+        simulated (and whether it resumed from a checkpoint) plus its
+        wall time and engine event count.  A sweep reports a job done only
+        with its cache entry on disk, so a memo hit whose file has since
+        been deleted writes it again.
         """
         # Chaos window at job entry (inert unless REPRO_CHAOS arms it): lets
         # the fault tests hang, fail or SIGKILL a job at a defined step —
@@ -323,7 +301,7 @@ class ExperimentRunner:
         chaos_point("job-start")
         t0 = time.time()
         summary = self.run(bench, scheduler, seed, perfect)
-        path = self._cache_path(bench, scheduler, seed, perfect)
+        path = self.cache_path(bench, scheduler, seed, perfect)
         if self.last_outcome == "memo" and path and not os.path.exists(path):
             atomic_write_json(path, summary)
         meta = {

@@ -4,19 +4,16 @@
 supervised process per job, or inline through the caller's runner
 (``workers <= 0``), and makes the sweep safe to run at scale:
 
+* **the cache is the only state** — a job is done once its
+  content-addressed cache entry is on disk.  Every sweep reads each
+  job's entry up front and dispatches only the jobs without one, so
+  rerunning the same command finishes an interrupted sweep with zero
+  re-simulation;
 * **harvest on completion** — results are collected as workers finish,
   with a live progress/ETA line per completion;
 * **bounded retry** — a worker exception or death fails only that job,
   which is resubmitted up to ``retries`` times before being recorded as
   failed (the rest of the sweep always completes);
-* **resume manifest** — every completion is appended to a manifest JSON
-  in the cache directory; ``resume=True`` skips jobs the manifest marks
-  done (whose cache entry still exists), so an interrupted sweep picks
-  up exactly where it died with zero re-simulation.  Rows for jobs that
-  are no longer in the grid (the grid was edited, the config changed)
-  are reconciled on every sweep: still cache-backed rows are marked
-  ``stale`` (they become live again if the grid returns), dead rows are
-  pruned — orphans cannot accumulate across grid edits;
 * **atomic cache writes** — workers publish results via temp-file +
   rename (see :func:`repro.analysis.runner.atomic_write_json`), so
   concurrent workers and readers never see partial JSON;
@@ -24,8 +21,8 @@ supervised process per job, or inline through the caller's runner
   set, each job writes periodic engine snapshots
   (:mod:`repro.guardrails.checkpoint`); a crashed or timed-out job's
   retry resumes from its last snapshot instead of re-simulating from
-  zero, and a job that fails even its retries records the exception
-  type and the snapshot path in the manifest for the next sweep;
+  zero.  A job that fails even its retries reports the exception type
+  and the snapshot path, and a rerun finishes it from that snapshot;
 * **real timeout enforcement** — a job running past ``timeout_s`` has
   its process **killed**, not abandoned, and a worker that dies without
   reporting (OOM-killed, SIGKILL) is detected by its exit code; both
@@ -42,7 +39,6 @@ events/sec and serializes to the machine-readable ``BENCH_sweep.json``
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import random
@@ -50,20 +46,16 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.analysis.runner import ExperimentRunner, atomic_write_json, run_one_job
+from repro.analysis.runner import ExperimentRunner, atomic_write_json
 from repro.analysis.schema import SWEEP_SCHEMA
 
 __all__ = [
     "JobResult",
-    "MANIFEST_NAME",
     "SweepJob",
     "SweepReport",
-    "load_manifest",
     "run_sweep",
 ]
 
-MANIFEST_NAME = "sweep-manifest.json"
-_MANIFEST_SCHEMA = 1
 _POLL_S = 0.05  # supervisor tick while no running job has reported
 
 _BACKOFF_BASE_S = 0.25
@@ -113,8 +105,8 @@ class JobResult:
     """Outcome of one sweep job."""
 
     job: SweepJob
-    status: str  # "done" | "failed" | "skipped"
-    simulated: bool = False  # False: served from cache (or skipped)
+    status: str  # "done" | "failed"
+    simulated: bool = False  # False: served from cache
     wall_s: float = 0.0  # worker wall-clock for this job
     sim_events: float = 0.0  # engine events of the producing simulation
     sim_wall_s: float = 0.0  # wall-clock of the producing simulation
@@ -185,10 +177,6 @@ class SweepReport:
         return self._count("failed")
 
     @property
-    def n_skipped(self) -> int:
-        return self._count("skipped")
-
-    @property
     def n_simulated(self) -> int:
         return sum(1 for r in self.results if r.simulated)
 
@@ -231,7 +219,6 @@ class SweepReport:
             "jobs_total": len(self.results),
             "jobs_done": self.n_done,
             "jobs_failed": self.n_failed,
-            "jobs_skipped": self.n_skipped,
             "jobs_simulated": self.n_simulated,
             "jobs_cached": self.n_cached,
             "events_total": self.events_total,
@@ -249,8 +236,6 @@ class SweepReport:
             f"{self.n_simulated} simulated",
             f"{self.n_cached} cache hits",
         ]
-        if self.n_skipped:
-            parts.append(f"{self.n_skipped} resumed (skipped)")
         if self.n_failed:
             parts.append(f"{self.n_failed} FAILED")
         rate = self.events_per_sec
@@ -258,83 +243,6 @@ class SweepReport:
             f"[sweep] {', '.join(parts)} in {self.wall_s:.1f}s"
             + (f" ({rate / 1000.0:.0f}k events/s)" if rate else "")
         )
-
-
-# ----------------------------------------------------------------------
-# manifest
-# ----------------------------------------------------------------------
-def _manifest_path(cache_dir: str) -> str:
-    return os.path.join(cache_dir, MANIFEST_NAME)
-
-
-def load_manifest(cache_dir: str) -> dict:
-    """{job_id: entry} from the sweep manifest (empty if absent/corrupt)."""
-    path = _manifest_path(cache_dir)
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {}
-    if doc.get("schema_version") != _MANIFEST_SCHEMA:
-        return {}
-    return doc.get("jobs", {})
-
-
-def _save_manifest(cache_dir: str, jobs: dict) -> None:
-    atomic_write_json(
-        _manifest_path(cache_dir),
-        {"schema_version": _MANIFEST_SCHEMA, "jobs": jobs},
-    )
-
-
-def _cache_file_for(cache_dir: str, job_id: str) -> Optional[str]:
-    """Cache path a manifest row's summary lives at, derived from its id.
-
-    Returns None when the path cannot be derived (malformed id, or a
-    ``trace``-kind row whose cache name carries a content fingerprint the
-    id does not) — callers must then keep the row rather than prune it.
-    """
-    parts = job_id.split("/")
-    if len(parts) != 7 or parts[0] == "trace":
-        return None
-    return os.path.join(cache_dir, "-".join(parts) + ".json")
-
-
-def _reconcile_manifest(
-    cache_dir: str, manifest: dict, grid_ids: set[str]
-) -> tuple[dict, int, int, bool]:
-    """Drop or stale-mark manifest rows that are not in the current grid.
-
-    A row whose job is no longer swept but whose cache entry survives is
-    marked ``stale: true`` (it turns live again the moment its job
-    reappears); a row whose cache entry is gone too is pruned outright.
-    Rows in the grid get any old ``stale`` mark cleared.  Returns
-    ``(manifest, n_pruned, n_marked_stale, changed)``.
-    """
-    out: dict = {}
-    n_pruned = n_marked = 0
-    changed = False
-    for job_id, entry in manifest.items():
-        if not isinstance(entry, dict):
-            changed = True  # malformed row: prune
-            n_pruned += 1
-            continue
-        if job_id in grid_ids:
-            if entry.pop("stale", None):
-                changed = True
-            out[job_id] = entry
-            continue
-        cache_file = _cache_file_for(cache_dir, job_id)
-        if cache_file is None or os.path.exists(cache_file):
-            if not entry.get("stale"):
-                entry = {**entry, "stale": True}
-                n_marked += 1
-                changed = True
-            out[job_id] = entry
-        else:
-            n_pruned += 1
-            changed = True
-    return out, n_pruned, n_marked, changed
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +257,6 @@ def run_sweep(
     workers: int = 4,
     timeout_s: Optional[float] = None,
     retries: int = 1,
-    resume: bool = False,
     progress: Optional[Callable[[str], None]] = None,
     history: bool = True,
     scenario_name: str = "",
@@ -357,15 +264,17 @@ def run_sweep(
 ) -> SweepReport:
     """Run the (benchmark x scheduler x seed) grid; returns a report.
 
-    ``workers >= 1`` runs up to that many jobs at once, each in its own
-    supervised process; ``timeout_s=None`` means no deadline.
-    ``workers <= 0`` executes inline (no processes, no timeout) — same
-    retry/manifest semantics — through ``runner`` itself: its trace memo
-    builds each (benchmark, seed) trace once for all schedulers, and its
-    result memo then answers ``runner.run`` for every finished job.
-    Worker processes build their own runner per job and communicate
-    only through the runner's ``cache_dir``, which is required either
-    way: a job is done once its cache entry is on disk.
+    A job whose cache entry is already on disk is reported done from
+    that entry and never dispatched; only the others run.  ``workers >=
+    1`` runs up to that many of them at once, each in its own supervised
+    process; ``timeout_s=None`` means no deadline.  ``workers <= 0``
+    executes inline (no processes, no timeout) with the same retry
+    semantics.  Both paths run each job through ``runner.run_job``.
+    Inline, the runner's trace memo builds each (benchmark, seed) trace
+    once for all schedulers, and its result memo then answers
+    ``runner.run`` for every finished job.  A worker process gets its own
+    copy of the runner and hands its result back through the runner's
+    ``cache_dir``, which is required either way.
 
     Retry attempts are spaced by a seeded exponential backoff
     (:func:`_backoff_s`), quick enough for tests while still
@@ -399,36 +308,17 @@ def run_sweep(
 
     say = progress if progress is not None else (lambda _msg: None)
 
-    manifest = load_manifest(runner.cache_dir)
-    manifest, n_pruned, n_marked, changed = _reconcile_manifest(
-        runner.cache_dir, manifest, seen
-    )
-    if changed:
-        _save_manifest(runner.cache_dir, manifest)
-    if n_pruned or n_marked:
-        say(
-            f"[sweep] manifest: {n_pruned} orphaned row(s) pruned, "
-            f"{n_marked} marked stale (grid changed since last sweep)"
-        )
-    results: list[JobResult] = []
+    t0 = time.time()
+    cached: list[JobResult] = []
     todo: list[SweepJob] = []
     for job in jobs:
-        entry = manifest.get(job.job_id)
-        cache_file = os.path.join(
-            runner.cache_dir,
-            runner.cache_name(job.bench, job.scheduler, job.seed, job.perfect),
-        )
-        if (
-            resume
-            and entry is not None
-            and entry.get("status") == "done"
-            and os.path.exists(cache_file)
-        ):
-            results.append(
+        run = (job.bench, job.scheduler, job.seed, job.perfect)
+        if os.path.exists(runner.cache_path(*run)):
+            entry = runner.run(*run)
+            cached.append(
                 JobResult(
                     job,
-                    "skipped",
-                    simulated=False,
+                    "done",
                     sim_events=entry.get("sim_events", 0.0),
                     sim_wall_s=entry.get("sim_wall_s", 0.0),
                 )
@@ -436,45 +326,17 @@ def run_sweep(
         else:
             todo.append(job)
 
-    t0 = time.time()
-    total = len(jobs)
+    dispatched: list[JobResult] = []
 
     def record(res: JobResult) -> None:
-        results.append(res)
-        manifest[res.job.job_id] = {
-            "status": res.status,
-            "simulated": res.simulated,
-            "wall_s": round(res.wall_s, 4),
-            "sim_events": res.sim_events,
-            "sim_wall_s": round(res.sim_wall_s, 4),
-            "retries": res.retries,
-            "error": res.error,
-            "error_type": res.error_type,
-            "checkpoint": res.checkpoint,
-        }
-        _save_manifest(runner.cache_dir, manifest)
-        finished = len(results)
+        dispatched.append(res)
+        finished = len(dispatched)
         elapsed = time.time() - t0
-        live = finished - len([r for r in results if r.status == "skipped"])
-        eta = (elapsed / live) * (total - finished) if live else 0.0
-        n_failed = sum(1 for r in results if r.status == "failed")
+        eta = (elapsed / finished) * (len(todo) - finished)
+        n_failed = sum(1 for r in dispatched if r.status == "failed")
         say(
-            f"[sweep] {finished}/{total} "
+            f"[sweep] {finished}/{len(todo)} "
             f"({n_failed} failed) | {elapsed:.0f}s elapsed, eta {eta:.0f}s"
-        )
-
-    def payload(job: SweepJob) -> tuple:
-        return (
-            runner.config,
-            job.scale,
-            runner.kind,
-            job.bench,
-            job.scheduler,
-            job.seed,
-            job.perfect,
-            runner.cache_dir,
-            runner.checkpoint_period_ns,
-            runner.trace_paths or None,
         )
 
     def retry_or_fail(
@@ -483,10 +345,9 @@ def run_sweep(
         """Backoff seconds before ``job``'s next attempt, or None once its
         retries are exhausted.
 
-        An exhausted job is recorded as failed.  Its manifest entry names
-        the exception type and — when the job was checkpointing — its last
-        snapshot, so a later sweep (or a human) can resume it from where
-        it died instead of from zero.
+        An exhausted job is recorded as failed, naming the exception type
+        and — when the job was checkpointing — its last snapshot, which a
+        rerun of the sweep resumes from instead of starting over.
         """
         if attempt < retries:
             delay = _backoff_s(attempt + 1, job.job_id)
@@ -509,10 +370,10 @@ def run_sweep(
     if todo and workers <= 0:
         _run_inline(runner, todo, record, retry_or_fail)
     elif todo:
-        _run_procs(todo, payload, workers, timeout_s, record, retry_or_fail, say)
+        _run_procs(runner, todo, workers, timeout_s, record, retry_or_fail, say)
 
     report = SweepReport(
-        results,
+        cached + dispatched,
         scale=runner.scale.name,
         kind=runner.kind,
         config_hash=runner.config_hash,
@@ -577,30 +438,35 @@ def _run_inline(runner, todo, record, retry_or_fail) -> None:
             runner.release_traces(job.bench, job.seed)
 
 
-def _proc_entry(conn, job_payload) -> None:
-    """Child entry for _run_procs: report (ok, value) through the pipe."""
+def _proc_entry(conn, runner: ExperimentRunner, job: SweepJob) -> None:
+    """Child entry for _run_procs: the inline job body, reported as
+    ``("ok", meta)`` or ``("err", (message, type name))`` through the pipe."""
     try:
-        key_summary_meta = run_one_job(job_payload)
+        _summary, meta = runner.run_job(
+            job.bench, job.scheduler, job.seed, job.perfect
+        )
     except BaseException as exc:  # noqa: BLE001 - marshalled to the parent
         try:
             conn.send(("err", (str(exc), type(exc).__name__)))
         finally:
             conn.close()
         return
-    conn.send(("ok", key_summary_meta))
+    conn.send(("ok", meta))
     conn.close()
 
 
-def _run_procs(todo, payload, workers, timeout_s, record, retry_or_fail, say) -> None:
+def _run_procs(runner, todo, workers, timeout_s, record, retry_or_fail, say) -> None:
     """Per-job supervised processes: one dead worker fails only its job.
 
     Every job is its own ``multiprocessing.Process``, at most
-    ``workers`` at a time.  A worker that dies *without* reporting a
-    result (OOM killer, SIGKILL) is detected by its exit code; one past
-    ``timeout_s`` (if set) is SIGKILLed and its slot reclaimed at once.
-    Either way the job is retried under the backoff policy, and every
-    other job runs on untouched — unlike a shared executor, where one
-    dead worker breaks every in-flight job and every later retry.
+    ``workers`` at a time, running ``runner.run_job`` on its copy of
+    ``runner`` (:func:`_proc_entry`).  A worker that dies *without*
+    reporting a result (OOM killer, SIGKILL) is detected by its exit
+    code; one past ``timeout_s`` (if set) is SIGKILLed and its slot
+    reclaimed at once.  Either way the job is retried under the backoff
+    policy, and every other job runs on untouched — unlike a shared
+    executor, where one dead worker breaks every in-flight job and every
+    later retry.
     """
     ctx = multiprocessing.get_context()
     queue: list = [(job, 0, 0.0) for job in todo]  # (job, attempt, ready_t)
@@ -626,7 +492,7 @@ def _run_procs(todo, payload, workers, timeout_s, record, retry_or_fail, say) ->
             queue.remove(item)
             job, attempt, _ready = item
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_proc_entry, args=(send, payload(job)))
+            proc = ctx.Process(target=_proc_entry, args=(send, runner, job))
             proc.daemon = True
             proc.start()
             send.close()  # child's end; parent sees EOF if the child dies
@@ -646,8 +512,7 @@ def _run_procs(todo, payload, workers, timeout_s, record, retry_or_fail, say) ->
                 progressed = True
                 status, value = message
                 if status == "ok":
-                    _key, _summary, meta = value
-                    record(_done_result(job, meta, attempt))
+                    record(_done_result(job, value, attempt))
                 else:
                     error, error_type = value
                     settle(job, attempt, t_start, error, error_type)

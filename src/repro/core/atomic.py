@@ -1,7 +1,8 @@
 """Crash-safe filesystem primitives shared by every store in the repo.
 
 Two writers live on shared directories — the content-hash result cache
-(with its sweep manifest) and the run-history JSONL store — and both
+(a sweep's only record of finished jobs) and the run-history JSONL
+store — and both
 assume these two primitives:
 
 * :func:`atomic_write_json` — temp file + ``os.replace``: readers never

@@ -308,6 +308,7 @@ def scenario_matrix_figure(sweep_records: Sequence) -> Figure:
         done = int(p.get("jobs_done") or 0)
         total = int(p.get("jobs_total") or 0)
         failed = int(p.get("jobs_failed") or 0)
+        # Records older than the removal of `--resume` count its hits apart.
         cached = int(p.get("jobs_cached") or 0) + int(p.get("jobs_skipped") or 0)
         eps = float(p.get("events_per_sec") or 0.0)
         labels.append(name)

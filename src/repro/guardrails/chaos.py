@@ -10,7 +10,9 @@ watch the recovery.
 Points:
 
 * ``job-start`` — a sweep job's entry (:meth:`repro.analysis.runner
-  .ExperimentRunner.run_job`, run inline or in a worker process);
+  .ExperimentRunner.run_job`, run inline or in a worker process); a job
+  whose cache entry is already on disk is never dispatched, so never
+  reaches it;
 * ``checkpoint-saved`` — a periodic checkpoint of a guarded run has just
   landed on disk (:meth:`repro.gpu.system.GPUSystem._drive`);
 * ``atomic-write`` — temp file written, not yet renamed into place, and

@@ -148,7 +148,7 @@ def _read_envelope(path: str) -> dict:
 
 
 def peek_checkpoint(path: str) -> dict:
-    """Envelope metadata (no system) — for manifests and diagnostics."""
+    """Envelope metadata (no system) — for diagnostics."""
     envelope = _read_envelope(path)
     return {k: v for k, v in envelope.items() if k != "system"}
 

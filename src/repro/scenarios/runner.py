@@ -157,7 +157,6 @@ def run_scenario(
     workers: Optional[int] = None,
     timeout_s: Optional[float] = None,
     retries: Optional[int] = None,
-    resume: bool = False,
     scale: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
     history: bool = True,
@@ -181,7 +180,6 @@ def run_scenario(
         workers=spec.workers if workers is None else workers,
         timeout_s=spec.timeout_s if timeout_s is None else timeout_s,
         retries=spec.retries if retries is None else retries,
-        resume=resume,
         progress=progress,
         history=history,
         scenario_name=spec.name,

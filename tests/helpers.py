@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
 from repro.core.request import MemoryRequest
@@ -75,3 +77,17 @@ def count_trace_builds(monkeypatch) -> list[tuple[str, int]]:
 
     monkeypatch.setattr(runner_module, "synthetic_trace", build)
     return calls
+
+
+def cache_entries(path) -> dict[str, dict]:
+    """A result cache's JSON entries keyed by file name, minus the
+    non-deterministic ``sim_wall_s``."""
+    return {
+        p.name: {
+            k: v
+            for k, v in json.loads(p.read_text()).items()
+            if k != "sim_wall_s"
+        }
+        for p in path.iterdir()
+        if p.suffix == ".json"
+    }

@@ -358,7 +358,7 @@ def _sweep_payload(name, spec_hash, *, done=4, cached=0, failed=0):
         "schema_version": 1, "kind": "synthetic", "scale": "TINY",
         "scenario_name": name, "scenario_hash": spec_hash,
         "jobs_total": done + failed, "jobs_done": done,
-        "jobs_failed": failed, "jobs_cached": cached, "jobs_skipped": 0,
+        "jobs_failed": failed, "jobs_cached": cached,
         "events_per_sec": 52_000.0,
         "config_hash": "de61331da800", "jobs": [],
     }

@@ -5,9 +5,11 @@ import dataclasses
 import pytest
 
 from repro.analysis.experiments import (
+    DRIVERS,
     fig2_coalescing,
     fig3_divergence,
     fig8_ipc,
+    prefetch,
     table1_merb,
 )
 from repro.analysis.report import bar, format_table, geomean, rows_to_csv
@@ -192,3 +194,29 @@ def test_fig8_normalized_to_gmc():
     assert "speedup_wg" in res.headline
     for row in res.rows[:-1]:
         assert row[1] > 0
+
+
+def test_prefetch_fills_exactly_the_runs_the_drivers_read(tmp_path, monkeypatch):
+    """After ``prefetch``, every driver but §VI-C (whose SBWAS runs use
+    per-alpha configs) reads all its runs from the cache, and the
+    prefetch ran nothing else."""
+
+    def patched_runner() -> ExperimentRunner:
+        r = tiny_runner(cache_dir=str(tmp_path))
+        monkeypatch.setattr(r, "irregular_benchmarks", lambda: ("sad",))
+        monkeypatch.setattr(r, "regular_benchmarks", lambda: ("streamcluster",))
+        return r
+
+    prefetch(patched_runner())
+    # sad: gmc, the WG family, wafcfs, zero-div and perfect gmc;
+    # streamcluster: gmc and wg-w.
+    assert len(list(tmp_path.iterdir())) == 8 + 2
+    r = patched_runner()
+
+    def no_simulation(*args):
+        raise AssertionError(f"simulated {args}")
+
+    monkeypatch.setattr(r, "_simulate", no_simulation)
+    for rid, driver in DRIVERS.items():
+        if rid != "sec6c":
+            assert driver(r).rows, rid

@@ -60,20 +60,20 @@ def test_signature_empty_trace():
 
 
 # -- parallel sweep -------------------------------------------------------------
-def test_run_one_job_roundtrip(tmp_path):
-    from repro.analysis.runner import run_one_job
+def test_run_job_roundtrip(tmp_path):
+    from repro.analysis.runner import ExperimentRunner
+    from repro.workloads.suite import Scale
 
-    key, summary, meta = run_one_job(
-        (SimConfig(), "TINY", "synthetic", "sad", "gmc", 1, False, str(tmp_path))
-    )
-    assert key == ("sad", "gmc", 1, False)
+    def fresh_runner():
+        return ExperimentRunner(scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path))
+
+    summary, meta = fresh_runner().run_job("sad", "gmc", 1, False)
     assert summary["ipc"] > 0
     assert meta["simulated"] and meta["sim_events"] > 0
-    # A second invocation is served from the disk cache.
-    _key, _summary, meta2 = run_one_job(
-        (SimConfig(), "TINY", "synthetic", "sad", "gmc", 1, False, str(tmp_path))
-    )
-    assert not meta2["simulated"]
+    # A second runner is served from the disk cache.
+    summary2, meta2 = fresh_runner().run_job("sad", "gmc", 1, False)
+    assert not meta2["simulated"] and summary2 == summary
+    assert meta2["sim_events"] == meta["sim_events"]
 
 
 def test_parallel_sweep_fills_runner_cache(tmp_path):
@@ -85,7 +85,7 @@ def test_parallel_sweep_fills_runner_cache(tmp_path):
     report = run_sweep(r, ["sad"], ["gmc", "wg"], workers=2)
     assert report.n_done == 2 and report.n_failed == 0
     files = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
-    assert len(files) == 2 + 1  # two results + the sweep manifest
+    assert len(files) == 2  # one result per job, no other sweep state
     # The runner now serves results without simulating.
     assert r.mean("sad", "gmc")["ipc"] > 0
     assert r.last_outcome == "disk"

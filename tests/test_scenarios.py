@@ -15,7 +15,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis.runner import ExperimentRunner, config_hash
-from repro.analysis.sweep import load_manifest, run_sweep
+from repro.analysis.sweep import run_sweep
 from repro.core.config import SimConfig
 from repro.scenarios import (
     KNOWN_METRICS,
@@ -27,6 +27,8 @@ from repro.scenarios import (
     validate_spec_file,
 )
 from repro.workloads.suite import Scale
+
+from helpers import cache_entries
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LIBRARY = os.path.join(REPO, "scenarios")
@@ -247,13 +249,7 @@ def test_run_scenario_reuses_hand_coded_sweep_cache(tmp_path):
         scale=Scale.TINY, seeds=(1,), cache_dir=str(cache)
     )
     run_sweep(runner, ["sad"], ["gmc", "wg"], workers=0)
-    from repro.analysis.sweep import MANIFEST_NAME
-
-    entries_before = {
-        p.name: p.read_bytes()
-        for p in cache.iterdir()
-        if p.suffix == ".json" and p.name != MANIFEST_NAME
-    }
+    entries_before = {p.name: p.read_bytes() for p in cache.iterdir()}
     spec = load_spec(write_spec(tmp_path, TINY_SPEC))
     result = run_scenario(
         spec, cache_dir=str(cache), workers=0, history=False
@@ -283,6 +279,9 @@ def test_run_scenario_stamps_history_record(tmp_path, monkeypatch):
 
 
 def test_trace_kind_scenario_runs_and_fingerprints_cache(tmp_path):
+    """A trace-kind spec replays its file under a fingerprinted cache
+    name, and a worker process, which gets the sweep's runner, publishes
+    the inline sweep's entry."""
     spec_dir = tmp_path / "specs"
     spec_dir.mkdir()
     from repro.workloads.trace import KernelTrace, MemOp, Segment, WarpTrace
@@ -317,6 +316,11 @@ def test_trace_kind_scenario_runs_and_fingerprints_cache(tmp_path):
     ]
     assert entry, "cache entry must embed the trace content fingerprint"
     assert result.metrics["ext"]["gmc"]["ipc"] > 0
+    procs = run_scenario(
+        spec, cache_dir=str(tmp_path / "procs"), workers=1, history=False
+    )
+    assert procs.report.n_simulated == 1
+    assert cache_entries(tmp_path / "procs") == cache_entries(tmp_path / "c")
 
 
 def test_run_scenario_scale_override(tmp_path):
@@ -357,14 +361,15 @@ def test_cli_scenario_run_and_sweep_spec_share_cache(tmp_path, capsys):
     assert doc["scenario"] == "t-tiny"
     assert doc["sweep"]["jobs_simulated"] == 2
     capsys.readouterr()
-    # Same spec through `sweep --spec` + --resume: everything is reused.
+    # Same spec through `sweep --spec`: everything is reused.
+    bench = tmp_path / "bench.json"
     rc = main([
         "sweep", "--spec", spec, "--cache-dir", str(tmp_path / "c"),
-        "--workers", "0", "--resume", "--bench-out", "",
+        "--workers", "0", "--bench-out", str(bench),
     ])
     assert rc == 0
-    manifest = load_manifest(str(tmp_path / "c"))
-    assert len(manifest) == 2
+    doc = json.loads(bench.read_text())
+    assert doc["jobs_simulated"] == 0 and doc["jobs_cached"] == 2
 
 
 def test_cli_sweep_spec_rejects_grid_flags(tmp_path, capsys):
