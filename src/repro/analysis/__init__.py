@@ -16,7 +16,6 @@ from repro.analysis.experiments import (
     sec6c_comparison,
     table1_merb,
 )
-from repro.analysis.plotting import chart_result, hbar_chart, sparkline
 from repro.analysis.report import bar, format_table, geomean, rows_to_csv
 from repro.analysis.runner import ExperimentRunner, atomic_write_json, config_hash
 from repro.analysis.sweep import SweepJob, SweepReport, run_sweep
@@ -28,11 +27,8 @@ __all__ = [
     "SweepReport",
     "atomic_write_json",
     "bar",
-    "chart_result",
     "config_hash",
-    "hbar_chart",
     "run_sweep",
-    "sparkline",
     "fig10_divergence",
     "fig11_bandwidth",
     "fig12_writes",

@@ -225,6 +225,26 @@ class ExperimentRunner:
         path = self.cache_path(bench, scheduler, seed, perfect)
         return None if path is None else path[: -len(".json")] + ".ckpt"
 
+    def read_cache(
+        self, bench: str, scheduler: str, seed: int, perfect: bool = False
+    ) -> Optional[dict[str, float]]:
+        """One run's disk cache entry, or None when it is missing,
+        unreadable or not a JSON object.
+
+        A damaged entry (say, truncated by a full disk or a hand edit) is
+        a miss like a missing one: the run simulates again and rewrites
+        it atomically.
+        """
+        path = self.cache_path(bench, scheduler, seed, perfect)
+        if path is None:
+            return None
+        try:
+            with open(path) as fh:
+                entry = json.load(fh)
+        except (OSError, ValueError):
+            return None
+        return entry if isinstance(entry, dict) else None
+
     def run(
         self, bench: str, scheduler: str, seed: int, perfect: bool = False
     ) -> dict[str, float]:
@@ -232,10 +252,8 @@ class ExperimentRunner:
         if key in self._results:
             self.last_outcome = "memo"
             return self._results[key]
-        path = self.cache_path(bench, scheduler, seed, perfect)
-        if path and os.path.exists(path):
-            with open(path) as fh:
-                result = json.load(fh)
+        result = self.read_cache(bench, scheduler, seed, perfect)
+        if result is not None:
             self._results[key] = result
             self.last_outcome = "disk"
             return result
@@ -274,6 +292,7 @@ class ExperimentRunner:
         result["sim_wall_s"] = stats.wall_seconds
         self._results[key] = result
         self.last_outcome = "resumed" if resumed else "simulated"
+        path = self.cache_path(bench, scheduler, seed, perfect)
         if path:
             atomic_write_json(path, result)
         ckpt = self.checkpoint_path(bench, scheduler, seed, perfect)
@@ -291,8 +310,8 @@ class ExperimentRunner:
         ``(summary, meta)``; ``meta`` records whether the job actually
         simulated (and whether it resumed from a checkpoint) plus its
         wall time and engine event count.  A sweep reports a job done only
-        with its cache entry on disk, so a memo hit whose file has since
-        been deleted writes it again.
+        with a readable cache entry on disk, so a memo hit whose file has
+        since been deleted or damaged writes it again.
         """
         # Chaos window at job entry (inert unless REPRO_CHAOS arms it): lets
         # the fault tests hang, fail or SIGKILL a job at a defined step —
@@ -302,7 +321,11 @@ class ExperimentRunner:
         t0 = time.time()
         summary = self.run(bench, scheduler, seed, perfect)
         path = self.cache_path(bench, scheduler, seed, perfect)
-        if self.last_outcome == "memo" and path and not os.path.exists(path):
+        if (
+            self.last_outcome == "memo"
+            and path
+            and self.read_cache(bench, scheduler, seed, perfect) is None
+        ):
             atomic_write_json(path, summary)
         meta = {
             "simulated": self.last_outcome in ("simulated", "resumed"),

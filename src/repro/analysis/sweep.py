@@ -6,9 +6,10 @@ supervised process per job, or inline through the caller's runner
 
 * **the cache is the only state** — a job is done once its
   content-addressed cache entry is on disk.  Every sweep reads each
-  job's entry up front and dispatches only the jobs without one, so
-  rerunning the same command finishes an interrupted sweep with zero
-  re-simulation;
+  job's entry up front and dispatches only the jobs without a readable
+  one, so rerunning the same command finishes an interrupted sweep with
+  zero re-simulation, and a damaged entry is simulated again instead of
+  aborting the sweep;
 * **harvest on completion** — results are collected as workers finish,
   with a live progress/ETA line per completion;
 * **bounded retry** — a worker exception or death fails only that job,
@@ -107,6 +108,7 @@ class JobResult:
     job: SweepJob
     status: str  # "done" | "failed"
     simulated: bool = False  # False: served from cache
+    resumed: bool = False  # simulated from a checkpoint, not from zero
     wall_s: float = 0.0  # worker wall-clock for this job
     sim_events: float = 0.0  # engine events of the producing simulation
     sim_wall_s: float = 0.0  # wall-clock of the producing simulation
@@ -128,6 +130,7 @@ class JobResult:
             "perfect": self.job.perfect,
             "status": self.status,
             "simulated": self.simulated,
+            "resumed": self.resumed,
             "wall_s": round(self.wall_s, 4),
             "sim_events": self.sim_events,
             "sim_wall_s": round(self.sim_wall_s, 4),
@@ -264,15 +267,16 @@ def run_sweep(
 ) -> SweepReport:
     """Run the (benchmark x scheduler x seed) grid; returns a report.
 
-    A job whose cache entry is already on disk is reported done from
-    that entry and never dispatched; only the others run.  ``workers >=
-    1`` runs up to that many of them at once, each in its own supervised
-    process; ``timeout_s=None`` means no deadline.  ``workers <= 0``
+    A job whose cache entry is already on disk and readable is reported
+    done from that entry and never dispatched; only the others run, a
+    damaged entry counting as missing.  ``workers >= 1`` runs up to
+    that many of them at once, each in its own supervised process;
+    ``timeout_s=None`` means no deadline.  ``workers <= 0``
     executes inline (no processes, no timeout) with the same retry
     semantics.  Both paths run each job through ``runner.run_job``.
     Inline, the runner's trace memo builds each (benchmark, seed) trace
     once for all schedulers, and its result memo then answers
-    ``runner.run`` for every finished job.  A worker process gets its own
+    ``runner.run`` for every job it ran.  A worker process gets its own
     copy of the runner and hands its result back through the runner's
     ``cache_dir``, which is required either way.
 
@@ -312,19 +316,18 @@ def run_sweep(
     cached: list[JobResult] = []
     todo: list[SweepJob] = []
     for job in jobs:
-        run = (job.bench, job.scheduler, job.seed, job.perfect)
-        if os.path.exists(runner.cache_path(*run)):
-            entry = runner.run(*run)
-            cached.append(
-                JobResult(
-                    job,
-                    "done",
-                    sim_events=entry.get("sim_events", 0.0),
-                    sim_wall_s=entry.get("sim_wall_s", 0.0),
-                )
-            )
-        else:
+        entry = runner.read_cache(job.bench, job.scheduler, job.seed, job.perfect)
+        if entry is None:
             todo.append(job)
+            continue
+        cached.append(
+            JobResult(
+                job,
+                "done",
+                sim_events=entry.get("sim_events", 0.0),
+                sim_wall_s=entry.get("sim_wall_s", 0.0),
+            )
+        )
 
     dispatched: list[JobResult] = []
 
@@ -399,6 +402,7 @@ def _done_result(job: SweepJob, meta: dict, attempt: int) -> JobResult:
         job,
         "done",
         simulated=meta["simulated"],
+        resumed=meta["resumed"],
         wall_s=meta["wall_s"],
         sim_events=meta["sim_events"],
         sim_wall_s=meta["sim_wall_s"],

@@ -20,7 +20,6 @@ __all__ = [
     "CacheConfig",
     "GPUConfig",
     "SimConfig",
-    "TimingLegality",
     "PS_PER_NS",
 ]
 
@@ -156,86 +155,6 @@ class DRAMTimingConfig:
     def row_hit_latency_ps(self) -> int:
         """tCAS: array latency of a row-buffer hit (~12 ns)."""
         return self.tcas_ps
-
-    @cached_property
-    def legality(self) -> "TimingLegality":
-        """Precomputed command-pair legality table (see TimingLegality)."""
-        return TimingLegality(self)
-
-
-class TimingLegality:
-    """Table-driven minimum command spacing for one GDDR5 channel.
-
-    ``pair_ps[prev][next]`` holds the channel-global minimum delta (in
-    picoseconds) between issuing ``prev`` and ``next``, as a
-    ``(different_bank_group, same_bank_group)`` tuple — so a command
-    scheduler's pairwise legality check is one table index plus a
-    ``max()`` against the per-bank state, instead of a chain of branchy
-    parameter comparisons.  Built once per :class:`DRAMTimingConfig`
-    (``timing.legality``), i.e. once per preset at config time.
-
-    The command-bus floor (tCK, one command per command clock) is folded
-    into every entry: ``max(tck, x)`` is bit-identical to tracking tCK
-    separately because the channel's ``next_cmd_free`` (= last command of
-    *any* kind + tCK) always dominates ``last_<prev>`` + tCK.  Folding it
-    makes each entry the *total* pairwise floor, so the table is also
-    queryable standalone (property tests compare it per preset against
-    the branchy formulas it replaced).
-
-    Data-bus interactions are command-to-*data* constraints and keep
-    their own scalars: a column command leads its data by
-    ``read_cmd_lead_ps`` (tCAS) or ``write_cmd_lead_ps`` (tWL), read
-    data must clear a ``rd_data_to_wr_cmd_ps`` turnaround bubble before
-    a WR command, and write data a ``wr_data_to_rd_cmd_ps`` (tWTR)
-    window before a RD command.  tFAW is a 4-deep sliding window, not a
-    pair constraint.
-    """
-
-    # Matrix indices.  These mirror repro.dram.commands.CommandKind's
-    # values (asserted by tests) but are duplicated as plain ints so the
-    # core config layer does not import the dram package.
-    ACT = 0
-    PRE = 1
-    RD = 2
-    WR = 3
-
-    __slots__ = (
-        "pair_ps",
-        "faw_window_ps",
-        "faw_depth",
-        "read_cmd_lead_ps",
-        "write_cmd_lead_ps",
-        "rd_data_to_wr_cmd_ps",
-        "wr_data_to_rd_cmd_ps",
-    )
-
-    def __init__(self, t: DRAMTimingConfig) -> None:
-        tck = t.tck_ps
-        free = (tck, tck)  # command bus only
-        act_act = (max(tck, t.trrd_ps),) * 2  # tRRD is group-blind
-        col_col = (max(tck, t.tccds_ps), max(tck, t.tccdl_ps))
-        col = (TimingLegality.RD, TimingLegality.WR)
-        self.pair_ps: tuple = tuple(
-            tuple(
-                act_act
-                if prev == TimingLegality.ACT and nxt == TimingLegality.ACT
-                else col_col
-                if prev in col and nxt in col
-                else free
-                for nxt in range(4)
-            )
-            for prev in range(4)
-        )
-        self.faw_window_ps = t.tfaw_ps
-        self.faw_depth = 4
-        self.read_cmd_lead_ps = t.tcas_ps
-        self.write_cmd_lead_ps = t.twl_ps
-        self.rd_data_to_wr_cmd_ps = t.trtrs_ps - t.twl_ps
-        self.wr_data_to_rd_cmd_ps = t.twtr_ps
-
-    def min_delta_ps(self, prev: int, nxt: int, same_group: bool) -> int:
-        """Minimum issue delta between two commands (one table lookup)."""
-        return self.pair_ps[prev][nxt][1 if same_group else 0]
 
 
 @dataclass(frozen=True)

@@ -5,30 +5,15 @@ picoseconds.  Components never poll: they schedule callbacks at the next
 instant their state can change, which keeps Python overhead proportional to
 the number of *events* (DRAM commands, request hops) rather than cycles.
 
-Ties in time are broken by insertion order, which makes runs fully
-deterministic for a given seed.
+Pending events live in one ``heapq`` of ``(time, seq, fn, args)``.  Ties
+in time are broken by the insertion counter ``seq``, which makes runs
+fully deterministic for a given seed.
 
 Callbacks are stored as ``(fn, args)`` pairs rather than closures so the
 pending-event queue is *serializable*: when every scheduled ``fn`` is a
 bound method of a model component (the convention throughout the
 simulator), the whole engine — queue included — pickles, which is what
 the checkpoint/restore machinery in :mod:`repro.guardrails` relies on.
-
-Two-tier event store (the hot-path optimization of docs/performance.md):
-
-* **near ring** — events within :data:`NEAR_HORIZON_PS` of ``now`` land in
-  per-instant buckets (a dict keyed by absolute time plus a tiny heap of
-  the active instants).  Same-instant and short-delay events — the
-  dominant case: command-to-command hops within one tCCD/tBURST window,
-  and the memory controllers' ``schedule_now`` pump kicks — cost one dict
-  append instead of an O(log n) ``heapq`` percolation through the whole
-  pending set.
-* **far heap** — everything beyond the horizon uses the classic
-  ``(time, seq, fn, args)`` heap.
-
-Both tiers order events by ``(time, seq)``; :meth:`Engine.step` merges
-them at pop time, so the observable event order is *identical* to the
-single-heap implementation (pinned by ``tests/test_bit_identity.py``).
 """
 
 from __future__ import annotations
@@ -37,14 +22,7 @@ import heapq
 from time import perf_counter
 from typing import Callable, Optional
 
-__all__ = ["Engine", "SimulationError", "NEAR_HORIZON_PS"]
-
-#: Near-ring window.  Sized to cover command-clock hops (tCK ~ 667 ps),
-#: column-to-column spacing (tCCDL ~ 2 ns) and burst chaining (tBURST
-#: ~ 1.3 ns) for any plausible GDDR5 timing config; data returns (tCAS
-#: ~ 12 ns) and crossbar hops (~15 ns) intentionally stay on the heap so
-#: the active-instant set in the ring remains tiny.
-NEAR_HORIZON_PS = 4096
+__all__ = ["Engine", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -63,31 +41,14 @@ class Engine:
         object with a ``note(fn, seconds)`` method).  When set, every
         callback is timed and attributed to its component; when ``None``
         (the default) the only cost is one identity check per event.
-        Both dispatch tiers (near ring and far heap) report through the
-        same hook, so attribution is dispatch-path independent.
     """
 
-    __slots__ = (
-        "now",
-        "_queue",
-        "_near",
-        "_near_times",
-        "_seq",
-        "_running",
-        "events_processed",
-        "profiler",
-    )
+    __slots__ = ("now", "_queue", "_seq", "events_processed", "profiler")
 
     def __init__(self) -> None:
         self.now: int = 0
-        # Far tier: heap of (time, seq, fn, args).
         self._queue: list[tuple[int, int, Callable[..., None], tuple]] = []
-        # Near tier: absolute time -> [(seq, fn, args), ...] in seq order,
-        # plus a heap of the bucket times (each pushed exactly once).
-        self._near: dict[int, list[tuple[int, Callable[..., None], tuple]]] = {}
-        self._near_times: list[int] = []
         self._seq: int = 0
-        self._running = False
         self.events_processed: int = 0
         self.profiler = None
 
@@ -105,83 +66,10 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        if time_ps - self.now <= NEAR_HORIZON_PS:
-            bucket = self._near.get(time_ps)
-            if bucket is None:
-                self._near[time_ps] = [(seq, fn, args)]
-                heapq.heappush(self._near_times, time_ps)
-            else:
-                bucket.append((seq, fn, args))
-        else:
-            heapq.heappush(self._queue, (time_ps, seq, fn, args))
-
-    def schedule_now(self, fn: Callable[..., None], *args) -> None:
-        """Fast path for ``schedule_at(self.now, ...)`` (pump kicks)."""
-        now = self.now
-        seq = self._seq
-        self._seq = seq + 1
-        bucket = self._near.get(now)
-        if bucket is None:
-            self._near[now] = [(seq, fn, args)]
-            heapq.heappush(self._near_times, now)
-        else:
-            bucket.append((seq, fn, args))
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the next pending event, or ``None`` if the queue is empty."""
-        nt = self._near_times
-        q = self._queue
-        if nt:
-            return min(nt[0], q[0][0]) if q else nt[0]
-        return q[0][0] if q else None
-
-    def _pop_near(self, time_ps: int):
-        bucket = self._near[time_ps]
-        entry = bucket.pop(0)
-        if not bucket:
-            del self._near[time_ps]
-            heapq.heappop(self._near_times)
-        return entry
-
-    def step(self) -> bool:
-        """Process one event.  Returns False when the queue is empty."""
-        nt = self._near_times
-        q = self._queue
-        if nt:
-            t_near = nt[0]
-            if q:
-                t_far = q[0][0]
-                # Same instant: the globally smaller seq wins, preserving
-                # the single-heap insertion-order tie-break exactly.
-                if t_far < t_near or (
-                    t_far == t_near and q[0][1] < self._near[t_near][0][0]
-                ):
-                    time_ps, _, fn, args = heapq.heappop(q)
-                else:
-                    time_ps = t_near
-                    _, fn, args = self._pop_near(t_near)
-            else:
-                time_ps = t_near
-                _, fn, args = self._pop_near(t_near)
-        elif q:
-            time_ps, _, fn, args = heapq.heappop(q)
-        else:
-            return False
-        self.now = time_ps
-        self.events_processed += 1
-        if self.profiler is None:
-            fn(*args)
-        else:
-            t0 = perf_counter()
-            fn(*args)
-            self.profiler.note(fn, perf_counter() - t0)
-        return True
+        heapq.heappush(self._queue, (time_ps, seq, fn, args))
 
     def run(
-        self,
-        until_ps: Optional[int] = None,
-        max_events: Optional[int] = None,
-        stop: Optional[Callable[[], bool]] = None,
+        self, until_ps: Optional[int] = None, max_events: Optional[int] = None
     ) -> None:
         """Drain the event queue.
 
@@ -197,109 +85,49 @@ class Engine:
             leaves it untouched.
         max_events:
             Safety valve against runaway simulations.
-        stop:
-            Optional predicate checked between events; ``True`` halts the
-            run at the last processed event (no jump to ``until_ps``).
         """
-        processed = 0
-        had_work = not self.empty()
-        reached_bound = False
-        self._running = True
-        # The dispatch loop below fuses peek_time() + step() — one tier
-        # inspection per event instead of two, no per-event method calls.
-        # Selection order and every tie-break are identical to step()'s
-        # (the bit-identity suite pins this); step() remains the
-        # single-event entry point for external drive loops.
-        near = self._near
-        near_times = self._near_times
-        far = self._queue
+        queue = self._queue
         heappop = heapq.heappop
-        try:
-            while True:
-                if near_times:
-                    t_next = near_times[0]
-                    from_far = False
-                    if far:
-                        t_far = far[0][0]
-                        # Same instant: the globally smaller seq wins,
-                        # preserving the single-heap insertion-order
-                        # tie-break exactly.
-                        if t_far < t_next or (
-                            t_far == t_next and far[0][1] < near[t_next][0][0]
-                        ):
-                            t_next = t_far
-                            from_far = True
-                elif far:
-                    t_next = far[0][0]
-                    from_far = True
-                else:
-                    reached_bound = had_work
-                    break
-                if until_ps is not None and t_next > until_ps:
-                    reached_bound = True
-                    break
-                if stop is not None and stop():
-                    break
-                if from_far:
-                    _, _, fn, args = heappop(far)
-                else:
-                    bucket = near[t_next]
-                    _, fn, args = bucket.pop(0)
-                    if not bucket:
-                        del near[t_next]
-                        heappop(near_times)
-                self.now = t_next
-                self.events_processed += 1
-                if self.profiler is None:
-                    fn(*args)
-                else:
-                    t0 = perf_counter()
-                    fn(*args)
-                    self.profiler.note(fn, perf_counter() - t0)
-                processed += 1
-                if max_events is not None and processed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} (possible livelock)"
-                    )
-        finally:
-            self._running = False
-        if reached_bound and until_ps is not None and until_ps > self.now:
+        had_work = bool(queue)
+        limit = None if max_events is None else self.events_processed + max_events
+        while queue:
+            if until_ps is not None and queue[0][0] > until_ps:
+                break
+            self.now, _, fn, args = heappop(queue)
+            self.events_processed += 1
+            if self.profiler is None:
+                fn(*args)
+            else:
+                t0 = perf_counter()
+                fn(*args)
+                self.profiler.note(fn, perf_counter() - t0)
+            if limit is not None and self.events_processed >= limit:
+                raise SimulationError(
+                    f"exceeded max_events={max_events} (possible livelock)"
+                )
+        if had_work and until_ps is not None and until_ps > self.now:
             self.now = until_ps
 
     def empty(self) -> bool:
-        return not self._queue and not self._near_times
+        return not self._queue
 
     # -- pending-event surgery (fault injection / introspection) ----------
     def iter_pending(self):
         """Yield every pending event as ``(time_ps, seq, fn, args)``.
 
-        Unordered; spans both tiers.  For tooling (the fault injector's
-        response targeting) — not a hot path.
+        Unordered.  For tooling (the fault injector's response
+        targeting) — not a hot path.
         """
         yield from self._queue
-        for t, bucket in self._near.items():
-            for seq, fn, args in bucket:
-                yield (t, seq, fn, args)
 
     def remove_event(self, time_ps: int, seq: int) -> bool:
         """Remove the pending event with this ``(time, seq)``; False if absent."""
-        bucket = self._near.get(time_ps)
-        if bucket is not None:
-            for i, (s, _fn, _args) in enumerate(bucket):
-                if s == seq:
-                    bucket.pop(i)
-                    if not bucket:
-                        del self._near[time_ps]
-                        self._near_times.remove(time_ps)
-                        heapq.heapify(self._near_times)
-                    return True
-        for entry in self._queue:
+        for i, entry in enumerate(self._queue):
             if entry[0] == time_ps and entry[1] == seq:
-                self._queue.remove(entry)
+                del self._queue[i]
                 heapq.heapify(self._queue)
                 return True
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        pending = len(self._queue) + sum(len(b) for b in self._near.values())
-        return f"Engine(now={self.now} ps, pending={pending})"
+        return f"Engine(now={self.now} ps, pending={len(self._queue)})"

@@ -118,9 +118,5 @@ class Bank:
         self.hits_since_act = min(self.hits_since_act + n_bursts, 31)
         return data_end
 
-    # -- queries ---------------------------------------------------------------
-    def is_open(self, row: int) -> bool:
-        return self.open_row == row
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Bank{self.index}(g{self.group}, row={self.open_row})"

@@ -35,21 +35,22 @@ class Channel:
         ]
         # Hot timing parameters, resolved once (the earliest-issue queries
         # run per candidate bank per pump wake — property indirection on
-        # the config object is measurable there).  Pairwise spacings come
-        # from the precomputed legality table rather than the raw
-        # parameters: each is the *total* floor between two commands with
-        # the tCK command-bus term already folded in (bit-identical — see
-        # TimingLegality's dominance argument), so every query is a
-        # max() over adds with no parameter branches left.
-        leg = timing.legality
-        self._tck = timing.tck_ps
-        self._act_act = leg.pair_ps[leg.ACT][leg.ACT][0]  # group-blind
-        self._ccd_diff, self._ccd_same = leg.pair_ps[leg.RD][leg.RD]
-        self._rd_lead = leg.read_cmd_lead_ps
-        self._wr_lead = leg.write_cmd_lead_ps
-        self._rd2wr = leg.rd_data_to_wr_cmd_ps
-        self._wr2rd = leg.wr_data_to_rd_cmd_ps
-        self._tfaw = leg.faw_window_ps
+        # the config object is measurable there).  Each pairwise spacing
+        # is the *total* floor between two commands with the tCK
+        # command-bus term folded in: that is bit-identical to tracking
+        # tCK separately, because ``next_cmd_free`` (last command of any
+        # kind + tCK) always dominates ``last_<kind>`` + tCK.  So every
+        # query is a max() over adds with no parameter branches left.
+        tck = timing.tck_ps
+        self._tck = tck
+        self._act_act = max(tck, timing.trrd_ps)  # tRRD is group-blind
+        self._ccd_diff = max(tck, timing.tccds_ps)
+        self._ccd_same = max(tck, timing.tccdl_ps)
+        self._rd_lead = timing.tcas_ps
+        self._wr_lead = timing.twl_ps
+        self._rd2wr = timing.trtrs_ps - timing.twl_ps
+        self._wr2rd = timing.twtr_ps
+        self._tfaw = timing.tfaw_ps
         self._twl = timing.twl_ps
         self._tcas = timing.tcas_ps
         self._tburst = timing.tburst_ps
@@ -177,21 +178,6 @@ class Channel:
             self.last_col_group,
         )
 
-    def earliest_for_request(
-        self, bank_idx: int, row: int, is_write: bool, now: int
-    ) -> int:
-        """Earliest instant the *first* command of a request could issue.
-
-        Used by schedulers for look-ahead; does not account for the serial
-        PRE/ACT/COL sequence a row-miss needs beyond its first command.
-        """
-        b = self.banks[bank_idx]
-        if b.open_row == row:
-            return self.earliest_col(bank_idx, is_write, now)
-        if b.open_row is None:
-            return self.earliest_act(bank_idx, now)
-        return self.earliest_pre(bank_idx, now)
-
     # ------------------------------------------------------------------
     # issue actions (caller must respect the earliest-issue times)
     # ------------------------------------------------------------------
@@ -260,21 +246,6 @@ class Channel:
                 data_end_ps=data_end,
             )
         return data_end
-
-    # ------------------------------------------------------------------
-    # convenience queries for schedulers
-    # ------------------------------------------------------------------
-    def open_row(self, bank_idx: int):
-        return self.banks[bank_idx].open_row
-
-    def is_row_hit(self, bank_idx: int, row: int) -> bool:
-        return self.banks[bank_idx].open_row == row
-
-    def hits_since_act(self, bank_idx: int) -> int:
-        return self.banks[bank_idx].hits_since_act
-
-    def total_activates(self) -> int:
-        return sum(b.acts for b in self.banks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         open_rows = {b.index: b.open_row for b in self.banks if b.open_row is not None}

@@ -216,10 +216,7 @@ class MemoryController:
         if self._armed is not None and self._armed <= t:
             return
         self._armed = t
-        if t == now:
-            self.engine.schedule_now(self._pump)
-        else:
-            self.engine.schedule_at(t, self._pump)
+        self.engine.schedule_at(t, self._pump)
 
     def _pump(self) -> None:
         now = self.engine.now

@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.engine import NEAR_HORIZON_PS, Engine, SimulationError
+from repro.core.engine import Engine, SimulationError
 
 
 def test_events_fire_in_time_order():
@@ -73,59 +73,12 @@ def test_max_events_guards_against_livelock():
         eng.run(max_events=100)
 
 
-def test_stop_predicate():
-    eng = Engine()
-    seen = []
-    for t in (1, 2, 3, 4):
-        eng.schedule_at(t, lambda t=t: seen.append(t))
-    eng.run(stop=lambda: len(seen) >= 2)
-    assert seen == [1, 2]
-
-
-def test_step_and_peek():
-    eng = Engine()
-    assert eng.peek_time() is None
-    assert not eng.step()
-    eng.schedule_at(42, lambda: None)
-    assert eng.peek_time() == 42
-    assert eng.step()
-    assert eng.now == 42
-    assert eng.empty()
-
-
 def test_events_processed_counter():
     eng = Engine()
     for t in range(10):
         eng.schedule_at(t, lambda: None)
     eng.run()
     assert eng.events_processed == 10
-
-
-def test_stop_predicate_halts_mid_queue_and_preserves_remainder():
-    eng = Engine()
-    seen = []
-    for t in (1, 2, 3, 4, 5):
-        eng.schedule_at(t, lambda t=t: seen.append(t))
-    eng.run(stop=lambda: len(seen) >= 3)
-    # The predicate halted the run with events still queued...
-    assert seen == [1, 2, 3]
-    assert not eng.empty()
-    assert eng.peek_time() == 4
-    assert eng.now == 3  # clock stays at the last processed event
-    # ...and the engine resumes cleanly from where it stopped.
-    eng.run()
-    assert seen == [1, 2, 3, 4, 5]
-    assert eng.empty()
-
-
-def test_stop_predicate_checked_before_first_event():
-    eng = Engine()
-    seen = []
-    eng.schedule_at(5, lambda: seen.append(5))
-    eng.run(stop=lambda: True)
-    assert seen == []
-    assert eng.now == 0
-    assert not eng.empty()
 
 
 def test_max_events_exact_boundary():
@@ -215,78 +168,63 @@ def test_until_ps_never_moves_clock_backward():
     assert eng.now == 150
 
 
-def test_stop_predicate_suppresses_until_ps_jump():
-    # A stop-predicate halt means "freeze where we are", not "pretend we
-    # reached the window boundary".
-    eng = Engine()
-    seen = []
-    for t in (1, 2, 3):
-        eng.schedule_at(t, lambda t=t: seen.append(t))
-    eng.run(until_ps=100, stop=lambda: len(seen) >= 2)
-    assert seen == [1, 2]
-    assert eng.now == 2
-
-
-def test_schedule_now_runs_this_instant_in_insertion_order():
+def test_schedule_at_now_runs_this_instant_in_insertion_order():
     eng = Engine()
     seen = []
     eng.schedule_at(10, lambda: seen.append("event"))
 
     def driver():
         seen.append("driver")
-        eng.schedule_now(lambda: seen.append("kick1"))
-        eng.schedule_at(eng.now, lambda: seen.append("slow-path"))
-        eng.schedule_now(lambda: seen.append("kick2"))
+        eng.schedule_at(eng.now, lambda: seen.append("kick1"))
+        eng.schedule(0, lambda: seen.append("zero-delay"))
+        eng.schedule_at(eng.now, lambda: seen.append("kick2"))
 
     eng.schedule_at(5, driver)
     eng.run()
-    # schedule_now and schedule_at(now) interleave by insertion order, and
-    # all fire before the strictly-later event.
-    assert seen == ["driver", "kick1", "slow-path", "kick2", "event"]
+    # Events scheduled for this instant fire in insertion order, and all
+    # before the strictly-later event.
+    assert seen == ["driver", "kick1", "zero-delay", "kick2", "event"]
     assert eng.now == 10
 
 
-def test_tie_ordering_across_near_ring_and_far_heap():
-    # Two events at the same instant, one routed to the far heap (beyond
-    # the horizon at scheduling time), one to the near ring (scheduled
-    # later, from closer in): insertion order must still win.
+def test_ties_break_by_insertion_order_across_scheduling_distances():
+    # Two events at the same instant, one scheduled from far away, one
+    # scheduled later from close by: insertion order still wins.
     eng = Engine()
-    t = NEAR_HORIZON_PS * 3
+    t = 12_000
     seen = []
-    eng.schedule_at(t, lambda: seen.append("far-first"))  # heap tier
+    eng.schedule_at(t, lambda: seen.append("far-first"))
     eng.schedule_at(
         t - 10, lambda: eng.schedule_at(t, lambda: seen.append("near-second"))
     )
     eng.run()
     assert seen == ["far-first", "near-second"]
 
-    # And the mirror image: the near-ring event inserted before the far
-    # event arrives at the same instant via the heap.
+    # And the mirror image: the event scheduled from close by is
+    # inserted before the one scheduled from far away.
     eng2 = Engine()
-    t2 = eng2.now + NEAR_HORIZON_PS * 6
+    t2 = 24_000
     seen2 = []
 
     def plant_near():
-        eng2.schedule_at(t2, lambda: seen2.append("near-first"))  # ring tier
-        eng2.schedule_at(t2 + NEAR_HORIZON_PS * 2,
-                         lambda: seen2.append("far-later"))
+        eng2.schedule_at(t2, lambda: seen2.append("near-first"))
+        eng2.schedule_at(t2 + 8_000, lambda: seen2.append("far-later"))
 
     eng2.schedule_at(t2 - 10, plant_near)
-    eng2.schedule_at(t2, lambda: seen2.append("far-second"))  # heap tier
+    eng2.schedule_at(t2, lambda: seen2.append("far-second"))
     eng2.run()
     assert seen2 == ["far-second", "near-first", "far-later"]
 
 
 @given(
     st.lists(
-        st.integers(min_value=0, max_value=3 * NEAR_HORIZON_PS),
+        st.integers(min_value=0, max_value=12_000),
         min_size=1,
         max_size=60,
     )
 )
-def test_property_two_tier_order_matches_single_heap_semantics(times):
-    # Times straddle the near/far horizon; firing order must equal a
-    # stable sort by time (ties by insertion), exactly like one big heap.
+def test_property_order_is_a_stable_sort_by_time(times):
+    # Firing order must equal a stable sort by time (ties by insertion).
     eng = Engine()
     fired = []
     for i, t in enumerate(times):
@@ -306,15 +244,15 @@ class _PickleProbe:
         self.calls += 1
 
 
-def test_engine_pickles_with_events_in_both_tiers():
+def test_engine_pickles_with_pending_events():
     eng = Engine()
     probe = _PickleProbe()
-    eng.schedule_at(10, probe.hit)  # near ring
-    eng.schedule_at(NEAR_HORIZON_PS * 4, probe.hit)  # far heap
+    eng.schedule_at(10, probe.hit)
+    eng.schedule_at(16_000, probe.hit)
     clone = pickle.loads(pickle.dumps(eng))
     clone.run()
     assert clone.events_processed == 2
-    assert clone.now == NEAR_HORIZON_PS * 4
+    assert clone.now == 16_000
     # The original engine is untouched and still runs its own copies.
     eng.run()
     assert probe.calls == 2
@@ -338,9 +276,9 @@ def test_profiler_hook_times_each_event():
 
 
 def test_profiler_attributes_both_dispatch_tiers():
-    # EngineProfiler.note must see near-ring and far-heap callbacks alike:
-    # component attribution is a property of the callback, not of which
-    # tier dispatched it.
+    # EngineProfiler.note must see every callback, whether it was
+    # scheduled far ahead or for the current instant: component
+    # attribution is a property of the callback alone.
     from repro.telemetry.profiler import EngineProfiler
 
     class Component:
@@ -348,18 +286,40 @@ def test_profiler_attributes_both_dispatch_tiers():
             self.eng = eng
 
         def tick(self):
-            # Re-arm via the schedule_now fast path (the MC pump idiom).
+            # Re-arm for this instant (the MC pump-kick idiom).
             if self.eng.events_processed < 3:
-                self.eng.schedule_now(self.tick)
+                self.eng.schedule_at(self.eng.now, self.tick)
 
     eng = Engine()
     eng.profiler = EngineProfiler()
     comp = Component(eng)
-    eng.schedule_at(NEAR_HORIZON_PS * 4, comp.tick)  # far-heap dispatch
+    eng.schedule_at(16_000, comp.tick)
     eng.run()
     rows = {name: calls for name, calls, _sec in eng.profiler.rows()}
     key = "test_profiler_attributes_both_dispatch_tiers"
-    assert rows == {key: 3}  # 1 far + 2 near, one component
+    assert rows == {key: 3}  # 1 scheduled ahead + 2 re-armed, one component
+
+
+def test_iter_pending_and_remove_event():
+    # The fault injector's only engine hooks: list pending events, then
+    # drop one by its (time, seq) identity.
+    eng = Engine()
+    seen = []
+    for t, name in ((30, "c"), (10, "a"), (20, "b"), (10, "a2")):
+        eng.schedule_at(t, seen.append, name)
+    pending = sorted(eng.iter_pending())
+    assert [(t, seq, args) for t, seq, _fn, args in pending] == [
+        (10, 1, ("a",)), (10, 3, ("a2",)), (20, 2, ("b",)), (30, 0, ("c",)),
+    ]
+    assert all(fn == seen.append for _t, _seq, fn, _args in pending)
+    assert eng.remove_event(20, 2)
+    assert not eng.remove_event(20, 2)  # already gone
+    assert not eng.remove_event(10, 2)  # time and seq must both match
+    assert len(list(eng.iter_pending())) == 3
+    eng.run()
+    assert seen == ["a", "a2", "c"]
+    assert eng.empty()
+    assert not eng.remove_event(30, 0)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=50))

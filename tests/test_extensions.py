@@ -1,4 +1,4 @@
-"""Tests for the optional extensions: refresh, TLB, WG-Share, plotting."""
+"""Tests for the optional extensions: refresh, TLB, WG-Share."""
 
 import dataclasses
 
@@ -150,41 +150,3 @@ def test_wgshare_bonus_computation():
         mc.sorter.add(o, 0)
     entry = mc.sorter.get((0, 1))
     assert mc._sharing_bonus(entry) == 2
-
-
-# -- plotting -----------------------------------------------------------------------
-def test_hbar_chart_renders():
-    from repro.analysis.plotting import hbar_chart
-
-    out = hbar_chart(
-        ["bfs", "cfd"], {"wg": [1.05, 1.10], "wg-w": [1.12, 1.15]},
-        width=20, baseline=1.0,
-    )
-    assert "bfs" in out and "wg-w" in out
-    assert "1.120" in out
-
-
-def test_hbar_chart_validates_lengths():
-    from repro.analysis.plotting import hbar_chart
-
-    with pytest.raises(ValueError):
-        hbar_chart(["a"], {"s": [1.0, 2.0]})
-    with pytest.raises(ValueError):
-        hbar_chart(["a"], {})
-
-
-def test_sparkline():
-    from repro.analysis.plotting import sparkline
-
-    assert sparkline([]) == ""
-    assert len(sparkline([1, 2, 3])) == 3
-    assert sparkline([5, 5, 5]) == "▁▁▁"
-
-
-def test_chart_result_from_experiment():
-    from repro.analysis.experiments import table1_merb
-    from repro.analysis.plotting import chart_result
-
-    out = chart_result(table1_merb())
-    assert "MERB" in out
-    assert "█" in out

@@ -27,7 +27,7 @@ from repro.guardrails import (
     peek_checkpoint,
     save_checkpoint,
 )
-from repro.guardrails.checkpoint import CHECKPOINT_FORMAT
+from repro.guardrails.checkpoint import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
 from repro.telemetry import TelemetryHub
 from repro.workloads.profiles import IRREGULAR_PROFILES
 from repro.workloads.synthetic import synthetic_trace
@@ -166,6 +166,19 @@ def test_checkpoint_rejects_version_and_format_mismatch(tmp_path):
         load_checkpoint(str(tmp_path / "missing.ckpt"))
 
 
+def test_checkpoint_refuses_version_1_snapshot(tmp_path):
+    """Version 1 snapshots pickled the engine's former two-store layout;
+    this build refuses them with an error naming both versions."""
+    ckpt = tmp_path / "v1.ckpt"
+    cfg = cfg_for("wg")
+    save_checkpoint(GPUSystem(cfg, trace_for(cfg)), str(ckpt))
+    envelope = pickle.loads(ckpt.read_bytes())
+    envelope["version"] = 1
+    ckpt.write_bytes(pickle.dumps(envelope))
+    with pytest.raises(CheckpointError, match="version 1, this build reads version 2"):
+        load_checkpoint(str(ckpt))
+
+
 def test_corrupt_checkpoints_surface_as_checkpoint_error(tmp_path):
     """Every flavor of damaged snapshot raises ``CheckpointError`` —
     never a raw pickle exception the sweep would misclassify."""
@@ -173,16 +186,17 @@ def test_corrupt_checkpoints_surface_as_checkpoint_error(tmp_path):
         "garbage.ckpt": b"\x93NUMPY\x01\x00 this is not a pickle",
         "empty.ckpt": b"",
         "truncated.ckpt": pickle.dumps({
-            "format": CHECKPOINT_FORMAT, "version": 1,
+            "format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
             "config_hash": "x", "next_req_id": 1,
             "system": list(range(10000)),
         })[:80],
         "not-a-dict.ckpt": pickle.dumps([1, 2, 3]),
-        "wrong-format.ckpt": pickle.dumps({"format": "other", "version": 1}),
+        "wrong-format.ckpt": pickle.dumps(
+            {"format": "other", "version": CHECKPOINT_VERSION}),
         "wrong-version.ckpt": pickle.dumps(
             {"format": CHECKPOINT_FORMAT, "version": 999}),
         "missing-keys.ckpt": pickle.dumps(
-            {"format": CHECKPOINT_FORMAT, "version": 1}),
+            {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION}),
     }
     for name, blob in cases.items():
         path = tmp_path / name

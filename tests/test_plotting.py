@@ -1,4 +1,4 @@
-"""Terminal rendering helpers: analysis/plotting.py and analysis/report.py."""
+"""Terminal rendering helpers: analysis/report.py."""
 
 from __future__ import annotations
 
@@ -7,97 +7,7 @@ import io
 
 import pytest
 
-from repro.analysis.experiments import ExperimentResult
-from repro.analysis.plotting import chart_result, hbar_chart, sparkline
 from repro.analysis.report import bar, format_table, geomean, rows_to_csv
-
-
-# ----------------------------------------------------------------------
-# hbar_chart
-# ----------------------------------------------------------------------
-def test_hbar_chart_basic_layout():
-    out = hbar_chart(
-        ["bfs", "spmv"],
-        {"gmc": [1.0, 2.0], "wg-w": [1.5, 0.5]},
-        width=10, fmt="{:.1f}",
-    )
-    lines = out.splitlines()
-    # two labels x two series + a blank spacer between groups
-    assert len([l for l in lines if l.strip()]) == 4
-    assert lines[0].startswith(" bfs  gmc ")
-    # label printed only on the first series row of each group
-    assert lines[1].lstrip().startswith("wg-w")
-    assert lines[0].rstrip().endswith("1.0")
-    # the longest value fills the full width
-    assert "█" * 10 in out
-
-
-def test_hbar_chart_baseline_marker():
-    out = hbar_chart(["a"], {"s": [0.5]}, width=10, baseline=1.0)
-    # baseline sits at the right edge, past the bar: plain | marker
-    assert "|" in out
-    out2 = hbar_chart(["a"], {"s": [1.0]}, width=10, baseline=0.5)
-    # baseline inside the filled bar renders the overstruck marker
-    assert "┃" in out2
-
-
-def test_hbar_chart_validates_input():
-    with pytest.raises(ValueError, match="at least one series"):
-        hbar_chart(["a"], {})
-    with pytest.raises(ValueError, match="2 values for 1 labels"):
-        hbar_chart(["a"], {"s": [1.0, 2.0]})
-
-
-def test_hbar_chart_all_zero_values():
-    out = hbar_chart(["a"], {"s": [0.0]}, width=10)
-    assert "█" not in out  # no bar, but no crash and the value prints
-    assert "0.000" in out
-
-
-# ----------------------------------------------------------------------
-# sparkline
-# ----------------------------------------------------------------------
-def test_sparkline_trend():
-    line = sparkline([1.0, 2.0, 3.0, 4.0])
-    assert len(line) == 4
-    assert line[0] == "▁" and line[-1] == "█"
-    assert line == "".join(sorted(line))
-
-
-def test_sparkline_flat_and_empty():
-    assert sparkline([]) == ""
-    assert sparkline([5.0, 5.0, 5.0]) == "▁▁▁"
-
-
-# ----------------------------------------------------------------------
-# chart_result
-# ----------------------------------------------------------------------
-def _result(rows) -> ExperimentResult:
-    return ExperimentResult(
-        "Fig. X - test", ["benchmark", "wg", "wg-w"], rows
-    )
-
-
-def test_chart_result_renders_numeric_columns():
-    out = chart_result(_result([["bfs", 1.0, 1.1], ["nw", 0.9, 1.2]]))
-    assert out.startswith("Fig. X - test")
-    assert "wg-w" in out and "bfs" in out
-
-
-def test_chart_result_falls_back_to_table():
-    # a non-numeric column (e.g. an alpha annotation) drops that series;
-    # with no numeric series left the table is returned instead
-    res = ExperimentResult("Fig. Y", ["benchmark", "note"], [["bfs", "n/a"]])
-    assert chart_result(res) == res.table
-
-
-def test_chart_result_mixed_columns():
-    res = ExperimentResult(
-        "Fig. Z", ["benchmark", "ipc", "note"],
-        [["bfs", 1.25, "ok"], ["nw", 0.75, "meh"]],
-    )
-    out = chart_result(res)
-    assert "ipc" in out and "note" not in out
 
 
 # ----------------------------------------------------------------------

@@ -213,6 +213,24 @@ def test_memo_hit_rewrites_a_deleted_cache_entry(tmp_path):
     assert victim.read_text() == published
 
 
+@pytest.mark.parametrize("workers", [0, 1])
+def test_unreadable_cache_entry_is_a_miss(tmp_path, workers):
+    """A truncated cache entry is simulated again and rewritten, like a
+    missing one, instead of aborting the sweep before any job runs."""
+    run_sweep(tiny_runner(tmp_path), ["sad"], ["gmc", "wg"], workers=0)
+    first = cache_entries(tmp_path)
+    victim = tmp_path / tiny_runner(tmp_path).cache_name("sad", "gmc", 1)
+    victim.write_text('{"ipc": 1.')
+    report = run_sweep(
+        tiny_runner(tmp_path), ["sad"], ["gmc", "wg"], workers=workers
+    )
+    assert report.n_failed == 0
+    assert report.n_simulated == 1 and report.n_cached == 1
+    (redone,) = [r for r in report.results if r.simulated]
+    assert redone.job.scheduler == "gmc"
+    assert cache_entries(tmp_path) == first
+
+
 # ---------------------------------------------------------------------------
 # checkpoint-backed resume (repro.guardrails integration)
 # ---------------------------------------------------------------------------
@@ -282,6 +300,7 @@ def test_exhausted_retries_record_error_type_and_checkpoint(tmp_path, monkeypatc
     assert loads == [failed.checkpoint]
     (res,) = second.results
     assert res.simulated and res.error_type == "" and res.checkpoint == ""
+    assert res.resumed and res.to_dict()["resumed"] is True
 
 
 def test_pre_run_crash_records_error_type_without_checkpoint(tmp_path, monkeypatch):
@@ -423,6 +442,7 @@ def test_worker_resumes_from_checkpoint_like_inline(tmp_path, monkeypatch):
     report = run_sweep(ckpt_runner(work), ["sad"], ["wg"], workers=1, retries=1)
     assert report.n_failed == 0
     assert [r.retries for r in report.results] == [1]
+    assert [r.resumed for r in report.results] == [True]
     monkeypatch.delenv("REPRO_CHAOS")
     run_sweep(ckpt_runner(ref), ["sad"], ["wg"], workers=0)
     assert cache_entries(work) == cache_entries(ref)

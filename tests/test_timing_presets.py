@@ -169,12 +169,9 @@ def test_preset_simulation_is_bit_deterministic(name):
 
 
 # ---------------------------------------------------------------------------
-# table-driven command legality (core.config.TimingLegality)
+# channel queries == branchy reference under randomized command streams
 # ---------------------------------------------------------------------------
 import random
-
-from repro.core.config import TimingLegality
-from repro.dram.commands import CommandKind
 
 _PRESET_TIMINGS = {
     "ddr3": DDR3_TIMING,
@@ -184,69 +181,8 @@ _PRESET_TIMINGS = {
 }
 
 
-def test_legality_indices_mirror_command_kinds():
-    """The matrix indices are duplicated from CommandKind (the config
-    layer must not import dram); this pin keeps them aligned."""
-    assert TimingLegality.ACT == int(CommandKind.ACT)
-    assert TimingLegality.PRE == int(CommandKind.PRE)
-    assert TimingLegality.RD == int(CommandKind.RD)
-    assert TimingLegality.WR == int(CommandKind.WR)
-
-
-def test_legality_is_built_once_per_config():
-    t = GDDR5_TIMING
-    assert t.legality is t.legality  # cached_property
-
-
-@pytest.mark.parametrize("name", sorted(_PRESET_TIMINGS))
-def test_legality_matrix_equals_branchy_check(name):
-    """Every pair entry equals the branchy parameter comparison the
-    command scheduler used to run inline, for every preset."""
-    t = _PRESET_TIMINGS[name]
-    leg = t.legality
-    tck = t.tck_ps
-    col = (TimingLegality.RD, TimingLegality.WR)
-    for prev in range(4):
-        for nxt in range(4):
-            if prev == TimingLegality.ACT and nxt == TimingLegality.ACT:
-                expect = (max(tck, t.trrd_ps), max(tck, t.trrd_ps))
-            elif prev in col and nxt in col:
-                expect = (max(tck, t.tccds_ps), max(tck, t.tccdl_ps))
-            else:
-                expect = (tck, tck)  # command bus only
-            assert leg.pair_ps[prev][nxt] == expect, (name, prev, nxt)
-            assert leg.min_delta_ps(prev, nxt, False) == expect[0]
-            assert leg.min_delta_ps(prev, nxt, True) == expect[1]
-
-
-@pytest.mark.parametrize("name", sorted(_PRESET_TIMINGS))
-def test_legality_data_bus_scalars(name):
-    t = _PRESET_TIMINGS[name]
-    leg = t.legality
-    assert leg.faw_window_ps == t.tfaw_ps
-    assert leg.faw_depth == 4
-    assert leg.read_cmd_lead_ps == t.tcas_ps
-    assert leg.write_cmd_lead_ps == t.twl_ps
-    assert leg.rd_data_to_wr_cmd_ps == t.trtrs_ps - t.twl_ps
-    assert leg.wr_data_to_rd_cmd_ps == t.twtr_ps
-
-
-@pytest.mark.parametrize("name", sorted(_PRESET_TIMINGS))
-def test_legality_every_entry_at_least_command_bus(name):
-    """Folding tCK into every entry is what lets the channel drop its
-    separate command-bus comparisons; an entry below tCK would be a bug."""
-    leg = _PRESET_TIMINGS[name].legality
-    for row in leg.pair_ps:
-        for diff, same in row:
-            assert diff >= leg.pair_ps[0][1][0]  # tck
-            assert same >= diff or same >= leg.pair_ps[0][1][0]
-
-
-# ---------------------------------------------------------------------------
-# channel queries == branchy reference under randomized command streams
-# ---------------------------------------------------------------------------
 def _ref_earliest_act(ch, bank_idx, now):
-    """Pre-table semantics: raw parameters, explicit branches + guards."""
+    """Raw parameters, explicit branches + sentinel guards."""
     t = ch.t
     b = ch.banks[bank_idx]
     e = max(now, b.earliest_act, ch.next_cmd_free)
@@ -301,9 +237,9 @@ def _assert_queries_match_reference(ch, now):
 @pytest.mark.parametrize("name", sorted(_PRESET_TIMINGS))
 def test_channel_queries_match_branchy_reference(name):
     """Drive each preset's channel with a randomized legal command stream
-    and check, at every step and for every bank, that the table-driven
-    earliest-issue queries and the hoisted scan_terms combination both
-    equal the branchy reference implementation they replaced."""
+    and check, at every step and for every bank, that the earliest-issue
+    queries (tCK folded into each spacing) and the hoisted scan_terms
+    combination both equal the branchy reference."""
     preset = get_preset(name)
     ch = Channel(preset.org, preset.timing)
     rng = random.Random(0xC0FFEE + hash(name) % 1000)
