@@ -8,16 +8,11 @@ Subcommands:
   ``--audit`` / ``--invariants`` for runtime guardrails;
   ``--checkpoint-period`` / ``--restore-from`` for snapshots — see
   docs/robustness.md);
-* ``trace BENCH`` — run with full telemetry (interval metrics, request
-  lifecycle trace, engine profile) and write a Chrome trace-event JSON
-  loadable in Perfetto;
 * ``compare BENCH`` — all schedulers on one benchmark;
 * ``sweep``       — fill the result cache with a parallel
   (benchmark x scheduler x seed) sweep: worker processes, retries, live
   progress, machine-readable throughput report; jobs already in the
   cache are not rerun, so rerunning a killed sweep finishes it;
-  ``--spec FILE`` runs a declarative scenario spec instead of grid
-  flags (docs/scenarios.md);
 * ``scenario``    — work with the declarative scenario library
   (``run``/``list``/``validate``) — see docs/scenarios.md and the
   committed ``scenarios/`` directory;
@@ -45,6 +40,7 @@ import sys
 import repro.idealized  # noqa: F401  (registers zero-div)
 from repro import (
     ALL_PROFILES,
+    PAPER_SCHEDULERS,
     SCHEDULERS,
     Scale,
     SimConfig,
@@ -98,11 +94,11 @@ def _benches_for_kind(kind: str) -> list[str]:
     return sorted(ALL_PROFILES) if kind == "synthetic" else sorted(benchmark_names())
 
 
-def _make_hub(args, force: bool = False) -> TelemetryHub | None:
+def _make_hub(args) -> TelemetryHub | None:
     """A hub matching the telemetry flags, or None when everything is off."""
-    want_trace = force or args.trace_out is not None
-    want_sample = force or args.metrics_out is not None or want_trace
-    want_profile = force or getattr(args, "profile", False)
+    want_trace = args.trace_out is not None
+    want_sample = args.metrics_out is not None or want_trace
+    want_profile = args.profile
     if not (want_trace or want_sample or want_profile):
         return None
     return TelemetryHub(
@@ -128,10 +124,10 @@ def _report_run(stats, hub: TelemetryHub | None) -> None:
 
 
 def _write_outputs(args, stats, hub: TelemetryHub | None) -> None:
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         stats.write_metrics(args.metrics_out)
         print(f"[repro] interval metrics -> {args.metrics_out}", file=sys.stderr)
-    if getattr(args, "trace_out", None) and hub is not None and hub.tracer is not None:
+    if args.trace_out and hub is not None and hub.tracer is not None:
         hub.tracer.write(args.trace_out, stats.intervals)
         print(
             f"[repro] chrome trace -> {args.trace_out} "
@@ -278,23 +274,12 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    if args.trace_out is None:
-        args.trace_out = "trace.json"
-    cfg = SimConfig(scheduler=args.scheduler)
-    hub = _make_hub(args, force=True)
-    stats = simulate(cfg, _trace(args, cfg), telemetry=hub)
-    _write_outputs(args, stats, hub)
-    _report_run(stats, hub)
-    return 0
-
-
 def cmd_compare(args) -> int:
     cfg = SimConfig()
     trace = _trace(args, cfg)
     rows = []
     base = None
-    for sched in ("gmc", "wg", "wg-m", "wg-bw", "wg-w"):
+    for sched in PAPER_SCHEDULERS:
         s = simulate(cfg.with_scheduler(sched), trace).summary()
         if base is None:
             base = s["ipc"]
@@ -307,64 +292,9 @@ def cmd_compare(args) -> int:
     return 0
 
 
-#: Default schedulers of ``repro sweep``: GMC and the WG family.
-SWEEP_SCHEDULERS = ("gmc", "wg", "wg-m", "wg-bw", "wg-w")
-
-
-def _sweep_from_spec(args) -> int:
-    """``sweep --spec FILE``: the grid comes from a scenario spec."""
-    from repro.scenarios import SpecError, load_spec, run_scenario
-
-    given = [
-        flag
-        for flag, value in (
-            ("--benchmarks", args.benchmarks),
-            ("--schedulers", args.schedulers),
-            ("--scale", args.scale),
-            ("--seeds", args.seeds),
-            ("--kind", args.kind),
-        )
-        if value is not None
-    ]
-    if args.perfect:
-        given.append("--perfect")
-    if given:
-        print(
-            f"repro sweep: error: --spec carries the whole grid; drop "
-            f"{', '.join(given)} (edit the spec instead)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        spec = load_spec(args.spec)
-    except SpecError as exc:
-        print(f"repro sweep: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        result = run_scenario(
-            spec,
-            cache_dir=args.cache_dir,
-            workers=args.workers,
-            timeout_s=args.timeout,
-            retries=args.retries,
-            progress=lambda msg: print(msg, file=sys.stderr),
-        )
-    except RuntimeError as exc:  # failed jobs, already itemized
-        print(f"repro sweep: error: {exc}", file=sys.stderr)
-        return 1
-    print(result.format())
-    if args.bench_out:
-        result.report.write_bench(args.bench_out)
-        print(f"[sweep] throughput report -> {args.bench_out}", file=sys.stderr)
-    return 0
-
-
 def cmd_sweep(args) -> int:
-    if args.spec is not None:
-        return _sweep_from_spec(args)
-    kind = args.kind or "synthetic"
-    benchmarks = args.benchmarks or _benches_for_kind(kind)
-    if kind == "synthetic":
+    benchmarks = args.benchmarks or _benches_for_kind(args.kind)
+    if args.kind == "synthetic":
         unprofiled = [b for b in benchmarks if b not in ALL_PROFILES]
         if unprofiled:
             print(
@@ -374,15 +304,15 @@ def cmd_sweep(args) -> int:
             )
             return 2
     runner = ExperimentRunner(
-        scale=Scale[(args.scale or "quick").upper()],
-        seeds=tuple(args.seeds or (1, 2)),
-        kind=kind,
+        scale=Scale[args.scale.upper()],
+        seeds=tuple(args.seeds),
+        kind=args.kind,
         cache_dir=args.cache_dir,
     )
     report = run_sweep(
         runner,
         benchmarks,
-        args.schedulers or list(SWEEP_SCHEDULERS),
+        args.schedulers,
         perfect=args.perfect,
         workers=args.workers,
         timeout_s=args.timeout,
@@ -514,7 +444,8 @@ def cmd_reproduce(args) -> int:
 
 def cmd_fuzz(args) -> int:
     from repro.fuzz import load_artifact, run_campaign, run_oracle
-    from repro.fuzz.artifact import ArtifactError, config_from_dict, trace_from_json
+    from repro.fuzz.artifact import ArtifactError, config_from_dict
+    from repro.workloads.trace import KernelTrace, TraceFormatError
 
     log = (lambda _msg: None) if args.quiet else (
         lambda msg: print(f"[fuzz] {msg}", file=sys.stderr)
@@ -535,7 +466,12 @@ def cmd_fuzz(args) -> int:
             print(f"repro fuzz: error: artifact config invalid: {exc}",
                   file=sys.stderr)
             return 2
-        trace = trace_from_json(artifact["trace"])
+        try:
+            trace = KernelTrace.from_json_dict(artifact["trace"], source=args.replay)
+        except TraceFormatError as exc:
+            print(f"repro fuzz: error: artifact trace invalid: {exc}",
+                  file=sys.stderr)
+            return 2
         log(
             f"replaying {args.replay}: oracle={artifact['oracle']} "
             f"schedulers={','.join(artifact['schedulers'])} "
@@ -772,21 +708,18 @@ def main(argv: list[str] | None = None) -> int:
             )
         return period
 
-    def telemetry_flags(p):
-        p.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write interval metrics (JSON, or CSV for .csv)")
-        p.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="write a Chrome trace-event JSON (Perfetto)")
-        p.add_argument("--metrics-period", type=positive_ns, default=100.0,
-                       metavar="NS", help="sampling period in ns (default 100)")
-
     p_run = sub.add_parser("run", help="simulate one benchmark")
     p_run.add_argument("benchmark", nargs="?", default=None,
                        choices=sorted(benchmark_names()))
     p_run.add_argument("--scheduler", default=None, choices=sorted(SCHEDULERS),
                        help="memory scheduler (default wg-w)")
     common(p_run)
-    telemetry_flags(p_run)
+    p_run.add_argument("--metrics-out", default=None, metavar="PATH",
+                       help="write interval metrics (JSON, or CSV for .csv)")
+    p_run.add_argument("--trace-out", default=None, metavar="PATH",
+                       help="write a Chrome trace-event JSON (Perfetto)")
+    p_run.add_argument("--metrics-period", type=positive_ns, default=100.0,
+                       metavar="NS", help="sampling period in ns (default 100)")
     p_run.add_argument("--set", action="append", metavar="FIELD=VALUE",
                        help="override a config field, e.g. "
                             "--set dram_timing.tras_ns=30 --set use_l1=false "
@@ -816,15 +749,6 @@ def main(argv: list[str] | None = None) -> int:
                             "starting a benchmark")
     p_run.set_defaults(fn=cmd_run)
 
-    p_tr = sub.add_parser(
-        "trace", help="run one benchmark with full telemetry enabled"
-    )
-    p_tr.add_argument("benchmark", choices=sorted(benchmark_names()))
-    p_tr.add_argument("--scheduler", default="wg-w", choices=sorted(SCHEDULERS))
-    common(p_tr)
-    telemetry_flags(p_tr)
-    p_tr.set_defaults(fn=cmd_trace)
-
     p_cmp = sub.add_parser("compare", help="all paper schedulers on a benchmark")
     p_cmp.add_argument("benchmark", choices=sorted(benchmark_names()))
     common(p_cmp)
@@ -833,23 +757,17 @@ def main(argv: list[str] | None = None) -> int:
     p_sw = sub.add_parser(
         "sweep", help="parallel (benchmark x scheduler x seed) cache-filling sweep"
     )
-    # Grid flags default to None so --spec can reject explicit ones; the
-    # effective defaults (kind-aware benchmark set, gmc + WG family,
-    # quick, seeds 1 2) resolve in cmd_sweep.
-    p_sw.add_argument("--spec", default=None, metavar="FILE",
-                      help="run a declarative scenario spec instead of "
-                           "grid flags (docs/scenarios.md)")
     p_sw.add_argument("--benchmarks", nargs="+", metavar="BENCH",
                       default=None, choices=sorted(benchmark_names()),
                       help="benchmarks to sweep (default: all with a "
                            "profile for the kind)")
     p_sw.add_argument("--schedulers", nargs="+", metavar="SCHED",
-                      default=None, choices=sorted(SCHEDULERS),
+                      default=list(PAPER_SCHEDULERS), choices=sorted(SCHEDULERS),
                       help="schedulers to sweep (default: gmc + WG family)")
-    p_sw.add_argument("--scale", default=None,
+    p_sw.add_argument("--scale", default="quick",
                       choices=[s.name.lower() for s in Scale])
-    p_sw.add_argument("--seeds", type=int, nargs="+", default=None)
-    p_sw.add_argument("--kind", default=None,
+    p_sw.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    p_sw.add_argument("--kind", default="synthetic",
                       choices=["synthetic", "algorithmic"])
     p_sw.add_argument("--cache-dir", default=".repro-results")
     p_sw.add_argument("--workers", type=int, default=4,

@@ -573,16 +573,12 @@ def accuracy_doc() -> dict:
     }
 
 
-def write_accuracy(
-    path: str = "results/accuracy.json", history: bool = True
-) -> dict:
+def write_accuracy(path: str = "results/accuracy.json") -> dict:
     """Write ``results/accuracy.json`` (and append a history record)."""
     from repro.analysis.runner import atomic_write_json
+    from repro.history import record_run
 
     doc = accuracy_doc()
     atomic_write_json(path, doc)
-    if history:
-        from repro.history import record_run
-
-        record_run("accuracy", doc)
+    record_run("accuracy", doc)
     return doc

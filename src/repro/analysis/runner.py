@@ -46,10 +46,8 @@ from typing import Optional
 
 from repro.core.atomic import atomic_write_json
 from repro.core.config import SimConfig
-from repro.gpu.system import GPUSystem, simulate
+from repro.gpu.system import simulate
 from repro.guardrails.chaos import chaos_point
-from repro.guardrails.checkpoint import CheckpointError, load_checkpoint
-from repro.guardrails.config import GuardrailConfig
 from repro.idealized import perfect_coalescing
 from repro.workloads.profiles import ALL_PROFILES, IRREGULAR_BENCHMARKS, REGULAR_BENCHMARKS
 from repro.workloads.suite import Scale, build_benchmark
@@ -107,7 +105,6 @@ class ExperimentRunner:
         kind: str = "synthetic",
         cache_dir: Optional[str] = None,
         verbose: bool = False,
-        checkpoint_period_ns: float = 0.0,
         trace_paths: Optional[dict[str, str]] = None,
     ) -> None:
         if kind not in ("synthetic", "algorithmic", "trace"):
@@ -120,15 +117,12 @@ class ExperimentRunner:
             )
         if kind != "trace" and trace_paths:
             raise ValueError("trace_paths only applies to kind='trace'")
-        if checkpoint_period_ns > 0 and cache_dir is None:
-            raise ValueError("checkpoint_period_ns requires a cache_dir")
         self.config = config or SimConfig()
         self.scale = scale
         self.seeds = seeds
         self.kind = kind
         self.cache_dir = cache_dir
         self.verbose = verbose
-        self.checkpoint_period_ns = checkpoint_period_ns
         self.trace_paths = dict(trace_paths) if trace_paths else {}
         # Content fingerprint per external trace, folded into cache names:
         # an edited trace file can never serve a stale cached summary.
@@ -137,7 +131,7 @@ class ExperimentRunner:
             for name, path in self.trace_paths.items()
         }
         self.config_hash = config_hash(self.config)
-        # "memo" | "disk" | "simulated" | "resumed" (last run())
+        # "memo" | "disk" | "simulated" (last run())
         self.last_outcome = ""
         self._traces: dict[tuple[str, int, bool], KernelTrace] = {}
         self._results: dict[tuple, dict[str, float]] = {}
@@ -213,18 +207,6 @@ class ExperimentRunner:
             self.cache_dir, self.cache_name(bench, scheduler, seed, perfect)
         )
 
-    def checkpoint_path(
-        self, bench: str, scheduler: str, seed: int, perfect: bool = False
-    ) -> Optional[str]:
-        """Checkpoint file for one run (same identity as its cache entry).
-
-        The snapshot outlives a crashed/timed-out job so its retry can
-        resume; it is deleted once the run completes and its summary is
-        safely in the cache.
-        """
-        path = self.cache_path(bench, scheduler, seed, perfect)
-        return None if path is None else path[: -len(".json")] + ".ckpt"
-
     def read_cache(
         self, bench: str, scheduler: str, seed: int, perfect: bool = False
     ) -> Optional[dict[str, float]]:
@@ -259,8 +241,9 @@ class ExperimentRunner:
             return result
         if self.verbose:
             print(f"  simulating {bench} / {scheduler} (seed {seed}) ...", flush=True)
-        t0 = time.time()
-        stats, resumed = self._simulate(bench, scheduler, seed, perfect)
+        stats = simulate(
+            self.config.with_scheduler(scheduler), self.trace(bench, seed, perfect)
+        )
         result = stats.summary()
         # Extras the figures need beyond the headline summary.
         recs = stats.dram_loads()
@@ -291,13 +274,10 @@ class ExperimentRunner:
         result["sim_events"] = float(stats.events_processed)
         result["sim_wall_s"] = stats.wall_seconds
         self._results[key] = result
-        self.last_outcome = "resumed" if resumed else "simulated"
+        self.last_outcome = "simulated"
         path = self.cache_path(bench, scheduler, seed, perfect)
         if path:
             atomic_write_json(path, result)
-        ckpt = self.checkpoint_path(bench, scheduler, seed, perfect)
-        if ckpt and self.checkpoint_period_ns > 0 and os.path.exists(ckpt):
-            os.unlink(ckpt)  # run finished; the snapshot served its purpose
         return result
 
     def run_job(
@@ -308,10 +288,10 @@ class ExperimentRunner:
         The sweep runs every job through this method, inline and in
         worker processes alike (:mod:`repro.analysis.sweep`).  Returns
         ``(summary, meta)``; ``meta`` records whether the job actually
-        simulated (and whether it resumed from a checkpoint) plus its
-        wall time and engine event count.  A sweep reports a job done only
-        with a readable cache entry on disk, so a memo hit whose file has
-        since been deleted or damaged writes it again.
+        simulated, plus its wall time and engine event count.  A sweep
+        reports a job done only with a readable cache entry on disk, so a
+        memo hit whose file has since been deleted or damaged writes it
+        again.
         """
         # Chaos window at job entry (inert unless REPRO_CHAOS arms it): lets
         # the fault tests hang, fail or SIGKILL a job at a defined step —
@@ -328,49 +308,12 @@ class ExperimentRunner:
         ):
             atomic_write_json(path, summary)
         meta = {
-            "simulated": self.last_outcome in ("simulated", "resumed"),
-            "resumed": self.last_outcome == "resumed",
+            "simulated": self.last_outcome == "simulated",
             "wall_s": time.time() - t0,
             "sim_events": summary.get("sim_events", 0.0),
             "sim_wall_s": summary.get("sim_wall_s", 0.0),
         }
         return summary, meta
-
-    def _simulate(
-        self, bench: str, scheduler: str, seed: int, perfect: bool
-    ):
-        """One simulation, checkpoint-aware.
-
-        With ``checkpoint_period_ns`` set, the run writes periodic
-        snapshots next to its cache entry, and — if a snapshot from a
-        crashed or timed-out earlier attempt exists and matches this
-        config — resumes from it instead of starting over.  Returns
-        ``(stats, resumed)``.
-        """
-        sched_config = self.config.with_scheduler(scheduler)
-        if self.checkpoint_period_ns <= 0:
-            trace = self.trace(bench, seed, perfect)
-            return simulate(sched_config, trace), False
-        ckpt = self.checkpoint_path(bench, scheduler, seed, perfect)
-        guardrails = GuardrailConfig(
-            checkpoint_period_ns=self.checkpoint_period_ns,
-            checkpoint_path=ckpt,
-        )
-        if os.path.exists(ckpt):
-            try:
-                system = load_checkpoint(
-                    ckpt, expected_config_hash=config_hash(sched_config)
-                )
-            except CheckpointError:
-                pass  # stale/foreign snapshot: fall through to a fresh run
-            else:
-                # Adopt the *current* guardrail settings: the snapshot
-                # carries those of the attempt that wrote it.
-                system.guardrails = guardrails
-                return system.resume(), True
-        trace = self.trace(bench, seed, perfect)
-        system = GPUSystem(sched_config, trace, guardrails=guardrails)
-        return system.run(), False
 
     def mean(self, bench: str, scheduler: str, perfect: bool = False) -> dict[str, float]:
         """Summary averaged over the runner's seeds."""

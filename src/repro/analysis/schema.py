@@ -32,8 +32,8 @@ METRICS_SCHEMA = 1
 SWEEP_SCHEMA = 1
 FUZZ_SCHEMA = 1
 ACCURACY_SCHEMA = 1
-# v2: envelope gained "worker" (producing worker id, "" when none) and
-# "attempt" (retry ordinal) — v1 lines read back with the defaults.
+# v2 envelopes carried "worker" and "attempt" stamps, which nothing writes
+# any more; readers ignore the two keys, and v1 and v2 lines both read.
 HISTORY_SCHEMA = 2
 
 #: Payload kind -> (schema constant, keys every payload of that kind has).

@@ -18,12 +18,6 @@ supervised process per job, or inline through the caller's runner
 * **atomic cache writes** — workers publish results via temp-file +
   rename (see :func:`repro.analysis.runner.atomic_write_json`), so
   concurrent workers and readers never see partial JSON;
-* **checkpoint resume** — when the runner has ``checkpoint_period_ns``
-  set, each job writes periodic engine snapshots
-  (:mod:`repro.guardrails.checkpoint`); a crashed or timed-out job's
-  retry resumes from its last snapshot instead of re-simulating from
-  zero.  A job that fails even its retries reports the exception type
-  and the snapshot path, and a rerun finishes it from that snapshot;
 * **real timeout enforcement** — a job running past ``timeout_s`` has
   its process **killed**, not abandoned, and a worker that dies without
   reporting (OOM-killed, SIGKILL) is detected by its exit code; both
@@ -108,14 +102,12 @@ class JobResult:
     job: SweepJob
     status: str  # "done" | "failed"
     simulated: bool = False  # False: served from cache
-    resumed: bool = False  # simulated from a checkpoint, not from zero
     wall_s: float = 0.0  # worker wall-clock for this job
     sim_events: float = 0.0  # engine events of the producing simulation
     sim_wall_s: float = 0.0  # wall-clock of the producing simulation
     retries: int = 0
     error: str = ""
     error_type: str = ""  # exception class name on failure
-    checkpoint: str = ""  # last snapshot of a failed job (resume point)
 
     @property
     def events_per_sec(self) -> float:
@@ -130,7 +122,6 @@ class JobResult:
             "perfect": self.job.perfect,
             "status": self.status,
             "simulated": self.simulated,
-            "resumed": self.resumed,
             "wall_s": round(self.wall_s, 4),
             "sim_events": self.sim_events,
             "sim_wall_s": round(self.sim_wall_s, 4),
@@ -138,7 +129,6 @@ class JobResult:
             "retries": self.retries,
             "error": self.error,
             "error_type": self.error_type,
-            "checkpoint": self.checkpoint,
         }
 
 
@@ -261,7 +251,6 @@ def run_sweep(
     timeout_s: Optional[float] = None,
     retries: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-    history: bool = True,
     scenario_name: str = "",
     scenario_hash: str = "",
 ) -> SweepReport:
@@ -284,9 +273,8 @@ def run_sweep(
     (:func:`_backoff_s`), quick enough for tests while still
     decorrelating concurrent failers.
 
-    The finished report is appended to the run-history store by default
-    (docs/observability.md); ``history=False`` or ``REPRO_HISTORY=0``
-    skips ingestion.
+    The finished report is appended to the run-history store
+    (docs/observability.md) unless ``REPRO_HISTORY=0``.
     """
     if runner.cache_dir is None:
         raise ValueError("a parallel sweep requires a cache_dir")
@@ -346,17 +334,13 @@ def run_sweep(
         job: SweepJob, attempt: int, wall_s: float, error: str, error_type: str
     ) -> Optional[float]:
         """Backoff seconds before ``job``'s next attempt, or None once its
-        retries are exhausted.
-
-        An exhausted job is recorded as failed, naming the exception type
-        and — when the job was checkpointing — its last snapshot, which a
-        rerun of the sweep resumes from instead of starting over.
+        retries are exhausted and the job is recorded as failed, naming
+        the exception type.  Every attempt simulates from zero.
         """
         if attempt < retries:
             delay = _backoff_s(attempt + 1, job.job_id)
             say(f"[sweep] retrying {job.job_id} in {delay:.2f}s: {error}")
             return delay
-        ckpt = runner.checkpoint_path(job.bench, job.scheduler, job.seed, job.perfect)
         record(
             JobResult(
                 job,
@@ -365,7 +349,6 @@ def run_sweep(
                 retries=attempt,
                 error=error,
                 error_type=error_type,
-                checkpoint=ckpt if ckpt and os.path.exists(ckpt) else "",
             )
         )
         return None
@@ -386,14 +369,11 @@ def run_sweep(
         scenario_hash=scenario_hash,
     )
     say(report.format())
-    if history:
-        from repro.history import record_run
+    from repro.history import record_run
 
-        record = record_run(
-            "sweep", report.to_dict(), config_hash=runner.config_hash
-        )
-        if record is not None:
-            say(f"[sweep] history record {record.record_id} appended")
+    stored = record_run("sweep", report.to_dict(), config_hash=runner.config_hash)
+    if stored is not None:
+        say(f"[sweep] history record {stored.record_id} appended")
     return report
 
 
@@ -402,7 +382,6 @@ def _done_result(job: SweepJob, meta: dict, attempt: int) -> JobResult:
         job,
         "done",
         simulated=meta["simulated"],
-        resumed=meta["resumed"],
         wall_s=meta["wall_s"],
         sim_events=meta["sim_events"],
         sim_wall_s=meta["sim_wall_s"],

@@ -200,8 +200,6 @@ class MCConfig:
     write_queue_entries: int = 64
     write_high_watermark: int = 32
     write_low_watermark: int = 16
-    row_sorter_entries: int = 128
-    warp_sorter_entries: int = 128
     command_queue_depth: int = 4  # per-bank
     age_threshold_ns: float = 1000.0  # GMC starvation guard
     max_row_hit_streak: int = 16  # GMC streak limit
@@ -302,8 +300,6 @@ class SimConfig:
         for name, value in (
             ("read_queue_entries", mc.read_queue_entries),
             ("write_queue_entries", mc.write_queue_entries),
-            ("row_sorter_entries", mc.row_sorter_entries),
-            ("warp_sorter_entries", mc.warp_sorter_entries),
             ("command_queue_depth", mc.command_queue_depth),
         ):
             if value <= 0:

@@ -7,9 +7,9 @@ the campaign seed / case index that generated it, the oracle name, and
 the failure detail observed when it was written.  No timestamps and no
 environment data — two artifacts for the same failure are byte-identical.
 
-Schema (``format: repro-fuzz-repro``, ``version: 1``)::
+Schema (``format: repro-fuzz-repro``, ``version: 2``)::
 
-    {"format": "repro-fuzz-repro", "version": 1,
+    {"format": "repro-fuzz-repro", "version": 2,
      "campaign_seed": 0, "case_index": 17,
      "oracle": "merb-gate-contract", "scheduler": "wg-bw",
      "schedulers": ["wg-bw"], "detail": "...",
@@ -17,7 +17,11 @@ Schema (``format: repro-fuzz-repro``, ``version: 1``)::
      "recipe": {...generator recipe...},
      "minimized": true, "minimize_evals": 121,
      "neutralized": ["mc.command_queue_depth"],
-     "original_warps": 48, "trace": {"name": ..., "warps": [...]}}
+     "original_warps": 48, "trace": {...KernelTrace.to_json_dict()...}}
+
+The trace is stored in the trace interchange format
+(:meth:`KernelTrace.to_json_dict`), and ``--replay`` reads it back with
+the same validating reader as any external trace.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.core.config import (
     MCConfig,
     SimConfig,
 )
-from repro.workloads.trace import KernelTrace, MemOp, Segment, WarpTrace
+from repro.workloads.trace import KernelTrace
 
 __all__ = [
     "ARTIFACT_FORMAT",
@@ -45,53 +49,16 @@ __all__ = [
     "save_artifact",
     "load_artifact",
     "config_from_dict",
-    "trace_to_json",
-    "trace_from_json",
 ]
 
 ARTIFACT_FORMAT = "repro-fuzz-repro"
-ARTIFACT_VERSION = 1
+# v2: the trace is KernelTrace.to_json_dict(), and MCConfig lost its two
+# sorter-size fields.
+ARTIFACT_VERSION = 2
 
 
 class ArtifactError(ValueError):
     """A repro artifact is malformed or from an incompatible version."""
-
-
-# ----------------------------------------------------------------------
-# trace <-> JSON
-# ----------------------------------------------------------------------
-def trace_to_json(trace: KernelTrace) -> dict:
-    warps = []
-    for w in trace.warps:
-        segments = []
-        for s in w.segments:
-            if s.mem is None:
-                segments.append([s.compute_cycles, None])
-            else:
-                segments.append([
-                    s.compute_cycles,
-                    [int(s.mem.is_write),
-                     [-1 if a is None else a for a in s.mem.lane_addrs]],
-                ])
-        warps.append([w.sm_id, w.warp_id, segments])
-    return {"name": trace.name, "warps": warps}
-
-
-def trace_from_json(data: dict) -> KernelTrace:
-    warps = []
-    for sm_id, warp_id, segments in data["warps"]:
-        segs = []
-        for compute, mem in segments:
-            memop = None
-            if mem is not None:
-                is_write, lanes = mem
-                memop = MemOp(
-                    is_write=bool(is_write),
-                    lane_addrs=[None if a < 0 else int(a) for a in lanes],
-                )
-            segs.append(Segment(compute_cycles=int(compute), mem=memop))
-        warps.append(WarpTrace(int(sm_id), int(warp_id), segs))
-    return KernelTrace(name=str(data["name"]), warps=warps)
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +118,7 @@ def build_artifact(
         "original_warps": (
             original_warps if original_warps is not None else len(trace.warps)
         ),
-        "trace": trace_to_json(trace),
+        "trace": trace.to_json_dict(),
     }
 
 

@@ -138,8 +138,6 @@ class CaseGenerator:
             write_queue_entries=wq,
             write_high_watermark=high,
             write_low_watermark=high // 2,
-            row_sorter_entries=int(rng.choice([16, 32, 64, 128])),
-            warp_sorter_entries=int(rng.choice([16, 32, 64, 128])),
             command_queue_depth=int(rng.choice([1, 2] if stress else [1, 2, 4, 8])),
             age_threshold_ns=float(rng.choice([200.0, 500.0, 1000.0, 2000.0])),
             max_row_hit_streak=int(rng.choice([4, 8, 16, 32])),

@@ -158,7 +158,6 @@ def run_campaign(
     artifact_dir: Optional[str] = "fuzz-artifacts",
     do_minimize: bool = True,
     log: Callable[[str], None] = lambda _msg: None,
-    history: bool = True,
 ) -> FuzzReport:
     """Run one fuzzing campaign; returns the report (never raises on bugs).
 
@@ -166,9 +165,9 @@ def run_campaign(
     campaign.  The budget check happens only *between* cases: case ``i``
     is always the same case regardless of machine speed.
 
-    The campaign report is appended to the run-history store by default
-    (docs/observability.md), so dashboard fuzz stats survive the CI run
-    that produced them; ``history=False`` or ``REPRO_HISTORY=0`` skips.
+    The campaign report is appended to the run-history store
+    (docs/observability.md) unless ``REPRO_HISTORY=0``, so dashboard
+    fuzz stats survive the CI run that produced them.
     """
     if iterations is None and time_budget_s is None:
         raise ValueError("bound the campaign with iterations or time_budget_s")
@@ -200,10 +199,9 @@ def run_campaign(
         report.cases_run += 1
         index += 1
     report.wall_seconds = time.monotonic() - t0
-    if history:
-        from repro.history import record_run
+    from repro.history import record_run
 
-        record = record_run("fuzz", report.to_dict())
-        if record is not None:
-            log(f"history record {record.record_id} appended")
+    record = record_run("fuzz", report.to_dict())
+    if record is not None:
+        log(f"history record {record.record_id} appended")
     return report

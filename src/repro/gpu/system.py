@@ -24,7 +24,6 @@ from repro.gpu.interconnect import Crossbar
 from repro.gpu.partition import MemoryPartition
 from repro.gpu.sm import SMCore
 from repro.gpu.warp import WarpState
-from repro.guardrails.chaos import chaos_point
 from repro.guardrails.checkpoint import save_checkpoint
 from repro.guardrails.config import GuardrailConfig
 from repro.guardrails.faults import FaultInjector
@@ -287,7 +286,6 @@ class GPUSystem:
                 next_check = now + check_ps
             if next_ckpt is not None and now >= next_ckpt:
                 save_checkpoint(self, g.checkpoint_path)
-                chaos_point("checkpoint-saved")
                 next_ckpt = (now // ckpt_ps + 1) * ckpt_ps
 
 

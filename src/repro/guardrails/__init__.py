@@ -15,8 +15,7 @@ sequence numbers and statistics are identical either way:
 * **checkpoint** — :func:`save_checkpoint` / :func:`load_checkpoint`
   serialize the whole :class:`~repro.gpu.system.GPUSystem` (event
   queue included) into versioned snapshots; a restored run finishes
-  bit-identical to an uninterrupted one.  ``repro.analysis.sweep`` uses
-  this to resume timed-out or crashed jobs.
+  bit-identical to an uninterrupted one (``run --restore-from``).
 * **faults** — :class:`FaultInjector` applies config-driven
   :class:`FaultSpec` perturbations (drop/delay/duplicate DRAM
   responses, wedge a controller, corrupt queue accounting, illegal

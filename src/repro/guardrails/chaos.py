@@ -13,8 +13,6 @@ Points:
   .ExperimentRunner.run_job`, run inline or in a worker process); a job
   whose cache entry is already on disk is never dispatched, so never
   reaches it;
-* ``checkpoint-saved`` — a periodic checkpoint of a guarded run has just
-  landed on disk (:meth:`repro.gpu.system.GPUSystem._drive`);
 * ``atomic-write`` — temp file written, not yet renamed into place, and
   ``append-line`` — history line about to be written, both in
   :mod:`repro.core.atomic`.
@@ -24,7 +22,7 @@ with comma-separated ``point=action`` pairs::
 
     REPRO_CHAOS="job-start=kill"               # SIGKILL at the point
     REPRO_CHAOS="job-start=stall:60"           # sleep 60 s at the point
-    REPRO_CHAOS="checkpoint-saved=raise"       # raise ChaosError there
+    REPRO_CHAOS="job-start=raise"              # raise ChaosError there
     REPRO_CHAOS="atomic-write=kill!once"       # fire on first hit only
 
 ``kill`` sends SIGKILL to this process, so no cleanup handler runs,

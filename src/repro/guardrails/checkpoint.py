@@ -1,34 +1,40 @@
 """Versioned, deterministic checkpoint/restore for whole simulations.
 
-A checkpoint is a pickle of the entire :class:`~repro.gpu.system.GPUSystem`
-— event queue, controller queues, bank/channel timing, warp scoreboards,
-statistics, histogram RNGs — wrapped in an envelope that makes restores
-refuse to lie:
+A checkpoint file is one JSON header line followed by a pickle of the
+entire :class:`~repro.gpu.system.GPUSystem` — event queue, controller
+queues, bank/channel timing, warp scoreboards, statistics, histogram
+RNGs.  The header makes restores refuse to lie:
 
-* a **format marker** and **version** (mismatched snapshots fail loudly
-  instead of deserializing garbage);
-* the **config hash** of the run that wrote it (a snapshot restored
-  under a different :class:`SimConfig` would silently simulate a hybrid
-  machine; we reject it);
+* a **format marker** and **version**, checked before a single byte of
+  the pickle is read, so a foreign file or a snapshot from another
+  build fails loudly, naming both versions, and none of its objects is
+  built;
 * the **request-id cursor** (request ids break scheduler sort-key ties,
   so a resumed process must continue the id sequence exactly where the
-  original left off to stay bit-identical).
+  original left off to stay bit-identical);
+* the scheduler, simulated time, events processed and warps done, which
+  :func:`peek_checkpoint` reports without unpickling anything.
+
+A snapshot carries the :class:`SimConfig` it was written under, and a
+restore always resumes that config.  The pickle is trusted input, as
+any pickle is: the header only keeps files that are not this build's
+snapshots from being unpickled.
 
 Restores are proven bit-identical by the regression tests in
 ``tests/test_guardrails.py``: checkpoint mid-run, reload in a fresh
 object graph, run both to completion, compare ``SimStats.summary()``.
 
 Writes are atomic (tempfile + ``os.replace``) so a crash mid-write
-never corrupts the last good snapshot — which is exactly when the sweep
-harness needs it.
+never corrupts the last good snapshot.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import tempfile
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.system import GPUSystem
@@ -43,23 +49,22 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+
+#: Keys every header carries besides ``format`` and ``version``.
+_HEADER_KEYS = (
+    "scheduler", "now_ps", "events_processed", "warps_done", "next_req_id",
+)
+#: Longest header line read before the file is refused as headerless.
+_HEADER_MAX_BYTES = 4096
 
 
 class CheckpointError(RuntimeError):
     """A snapshot could not be written, read, or trusted."""
 
 
-def _config_hash(config: Any) -> str:
-    # Imported lazily: analysis.runner imports the system module, which
-    # imports this package.
-    from repro.analysis.runner import config_hash
-
-    return config_hash(config)
-
-
 def save_checkpoint(system: "GPUSystem", path: str) -> dict:
-    """Snapshot ``system`` to ``path`` atomically; returns the envelope.
+    """Snapshot ``system`` to ``path`` atomically; returns the header.
 
     The system must be quiescent between events (the guardrails drive
     loop calls this between ``Engine.run`` segments) and must not hold
@@ -74,23 +79,22 @@ def save_checkpoint(system: "GPUSystem", path: str) -> dict:
         )
     from repro.core import request as request_mod
 
-    envelope = {
+    header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config_hash": _config_hash(system.config),
         "scheduler": system.config.scheduler,
         "now_ps": system.engine.now,
         "events_processed": system.engine.events_processed,
         "warps_done": system.warps_done,
         "next_req_id": request_mod._req_ids.next_id,
-        "system": system,
     }
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            pickle.dump(envelope, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            pickle.dump(system, fh, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -98,23 +102,65 @@ def save_checkpoint(system: "GPUSystem", path: str) -> dict:
         except OSError:
             pass
         raise
-    meta = {k: v for k, v in envelope.items() if k != "system"}
-    return meta
+    return header
 
 
-def _read_envelope(path: str) -> dict:
-    """Unpickle and sanity-check an envelope; corruption never escapes.
+def _read_header(fh, path: str) -> dict:
+    """Read and check the header line; leaves ``fh`` at the pickle."""
+    line = fh.readline(_HEADER_MAX_BYTES)
+    try:
+        header = json.loads(line) if line.endswith(b"\n") else None
+    except ValueError:
+        header = None
+    if not isinstance(header, dict):
+        raise CheckpointError(
+            f"{path} has no checkpoint header (not a {CHECKPOINT_FORMAT} "
+            f"snapshot, or one written before version {CHECKPOINT_VERSION})"
+        )
+    if header.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} snapshot")
+    version = header.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path} has checkpoint version {version}, "
+            f"this build reads version {CHECKPOINT_VERSION}"
+        )
+    for key in _HEADER_KEYS:
+        if key not in header:
+            raise CheckpointError(
+                f"{path}: header is missing {key!r} (doctored or "
+                "incompletely written snapshot)"
+            )
+    return header
 
-    Truncated pickles raise ``EOFError``, bit-flipped ones anything from
-    ``UnpicklingError`` through ``IndexError``/``MemoryError`` (the
-    pickle VM chokes mid-opcode) — a crashed worker's half-written or
-    vandalized snapshot must surface as :class:`CheckpointError` so the
-    sweep's resume path can fall back to a fresh run, not as a random
-    exception classified as a simulation failure.
-    """
+
+def peek_checkpoint(path: str) -> dict:
+    """The checked header of ``path``; unpickles nothing."""
     try:
         with open(path, "rb") as fh:
-            envelope = pickle.load(fh)
+            return _read_header(fh, path)
+    except FileNotFoundError:
+        raise CheckpointError(f"no checkpoint at {path}") from None
+    except OSError as exc:
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+
+
+def load_checkpoint(path: str) -> "GPUSystem":
+    """Rehydrate a system from ``path`` and restore global id state.
+
+    The header is checked before the pickle is read.  Corruption after
+    it never escapes as a raw exception: truncated pickles raise
+    ``EOFError``, bit-flipped ones anything from ``UnpicklingError``
+    through ``IndexError``/``MemoryError`` (the pickle VM chokes
+    mid-opcode), and all of them surface as :class:`CheckpointError`.
+    """
+    from repro.core import request as request_mod
+    from repro.gpu.system import GPUSystem
+
+    try:
+        with open(path, "rb") as fh:
+            header = _read_header(fh, path)
+            system = pickle.load(fh)
     except FileNotFoundError:
         raise CheckpointError(f"no checkpoint at {path}") from None
     except (
@@ -130,53 +176,12 @@ def _read_envelope(path: str) -> dict:
         OSError,
     ) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    if not isinstance(envelope, dict) or envelope.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} snapshot")
-    version = envelope.get("version")
-    if version != CHECKPOINT_VERSION:
+    if not isinstance(system, GPUSystem):
         raise CheckpointError(
-            f"{path} has checkpoint version {version}, "
-            f"this build reads version {CHECKPOINT_VERSION}"
+            f"{path}: payload is a {type(system).__name__}, not a GPUSystem"
         )
-    for key in ("config_hash", "next_req_id", "system"):
-        if key not in envelope:
-            raise CheckpointError(
-                f"{path}: envelope is missing {key!r} (doctored or "
-                "incompletely written snapshot)"
-            )
-    return envelope
-
-
-def peek_checkpoint(path: str) -> dict:
-    """Envelope metadata (no system) — for diagnostics."""
-    envelope = _read_envelope(path)
-    return {k: v for k, v in envelope.items() if k != "system"}
-
-
-def load_checkpoint(
-    path: str, expected_config_hash: Optional[str] = None
-) -> "GPUSystem":
-    """Rehydrate a system from ``path`` and restore global id state.
-
-    ``expected_config_hash`` (from :func:`repro.analysis.runner.config_hash`
-    of the config you are about to resume under) guards against resuming
-    a snapshot into a different experiment.
-    """
-    envelope = _read_envelope(path)
-    if (
-        expected_config_hash is not None
-        and envelope["config_hash"] != expected_config_hash
-    ):
-        raise CheckpointError(
-            f"{path} was written by config {envelope['config_hash']} "
-            f"(scheduler {envelope.get('scheduler', '?')}), "
-            f"refusing to resume under config {expected_config_hash}"
-        )
-    system = envelope["system"]
     # Resume the global request-id sequence exactly where the writer was:
     # ids break scheduler tie-breaks, so a fresh process must not hand
     # out ids below (or colliding with) the in-flight restored ones.
-    from repro.core import request as request_mod
-
-    request_mod._req_ids.next_id = envelope["next_req_id"]
+    request_mod._req_ids.next_id = header["next_req_id"]
     return system

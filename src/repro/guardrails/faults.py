@@ -25,8 +25,9 @@ kind                   effect / expected detector
 ``illegal_command``    zero a channel's timing horizons so its next
                        commands violate GDDR5 constraints — caught by
                        the streaming protocol audit (``--audit``)
-``crash``              raise :class:`FaultInjectionError` mid-run —
-                       exercises sweep retry/resume-from-checkpoint
+``crash``              raise :class:`FaultInjectionError` mid-run — a
+                       hard failure at a chosen instant, surfaced to the
+                       caller as the run's exception
 =====================  ==================================================
 
 Response faults operate on the controller->partition response events

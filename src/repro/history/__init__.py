@@ -56,24 +56,18 @@ def default_store() -> HistoryStore:
 
 
 def record_run(
-    kind: str,
-    payload: dict,
-    *,
-    config_hash: str = "",
-    store: Optional[HistoryStore] = None,
+    kind: str, payload: dict, *, config_hash: str = ""
 ) -> Optional[HistoryRecord]:
-    """Append one record from a producer; never raises.
+    """Append one record to :func:`default_store`; never raises.
 
     Returns the stored record, or ``None`` when ingestion is disabled or
     failed (an unwritable directory, a payload violating its contract —
     both reported as warnings).
     """
-    if store is None:
-        if not enabled():
-            return None
-        store = default_store()
+    if not enabled():
+        return None
     try:
-        return store.append(kind, payload, config_hash=config_hash)
+        return default_store().append(kind, payload, config_hash=config_hash)
     except Exception as exc:  # noqa: BLE001 - by contract: warn, don't raise
         warnings.warn(
             f"history ingestion of a {kind!r} record failed: {exc}",

@@ -114,10 +114,6 @@ class HistoryRecord:
     calibration_ops_per_sec: float
     payload: dict
     schema_version: int = HISTORY_SCHEMA
-    #: Producing worker identity, as the producer passes it ("" = none).
-    worker: str = ""
-    #: Attempt number that produced the payload (0 = first try).
-    attempt: int = 0
     #: Problems provenance validation found at read time (empty = clean).
     problems: list[str] = field(default_factory=list)
 
@@ -131,8 +127,6 @@ class HistoryRecord:
             "config_hash": self.config_hash,
             "host": self.host,
             "python": self.python,
-            "worker": self.worker,
-            "attempt": self.attempt,
             "calibration_ops_per_sec": round(self.calibration_ops_per_sec, 1),
             "payload": self.payload,
         }
@@ -147,10 +141,6 @@ class HistoryRecord:
             config_hash=str(doc.get("config_hash", "")),
             host=str(doc.get("host", "")),
             python=str(doc.get("python", "")),
-            # Schema-1 lines have neither key; the defaults make old
-            # stores read as local first-attempt records, which they are.
-            worker=str(doc.get("worker", "")),
-            attempt=int(doc.get("attempt", 0) or 0),
             calibration_ops_per_sec=float(
                 doc.get("calibration_ops_per_sec") or 0.0
             ),
@@ -192,21 +182,14 @@ class HistoryStore:
         payload: dict,
         *,
         config_hash: str = "",
-        strict: bool = True,
-        worker: str = "",
-        attempt: int = 0,
     ) -> HistoryRecord:
         """Append one record; returns the stored envelope.
 
-        ``strict=True`` rejects payloads that violate the kind's
-        provenance contract (:func:`repro.analysis.schema
-        .provenance_problems`); ``strict=False`` appends anyway so a
-        forensic record of a malformed producer still lands somewhere.
-
-        ``worker`` and ``attempt`` are stamped into the envelope as given.
+        Rejects a payload that violates the kind's provenance contract
+        (:func:`repro.analysis.schema.provenance_problems`).
         """
         problems = provenance_problems(kind, payload)
-        if problems and strict:
+        if problems:
             raise HistoryError("; ".join(problems))
         path = self.path(kind)
         os.makedirs(self.root, exist_ok=True)
@@ -223,9 +206,6 @@ class HistoryStore:
             python=".".join(map(str, sys.version_info[:3])),
             calibration_ops_per_sec=_calibration_quick(),
             payload=payload,
-            worker=worker,
-            attempt=attempt,
-            problems=problems,
         )
         atomic_append_line(
             path, json.dumps(record.to_dict(), separators=(",", ":"))

@@ -1,12 +1,11 @@
 """Execute a validated :class:`ScenarioSpec` through the sweep harness.
 
-``run_scenario`` is the one entry point both CLI surfaces share
-(``repro scenario run`` and ``repro sweep --spec``): it builds the
-resolved-config :class:`ExperimentRunner`, drives ``run_sweep`` with the
-scenario's name+hash stamped into the report (and so into the history
-store), then collects the spec's kept metrics into a per-benchmark ×
-per-scheduler table — including the optional figure recipe's normalized
-view.
+``run_scenario`` is the one spec runner (``repro scenario run``): it
+builds the resolved-config :class:`ExperimentRunner`, drives
+``run_sweep`` with the scenario's name+hash stamped into the report (and
+so into the history store), then collects the spec's kept metrics into
+a per-benchmark × per-scheduler table — including the optional figure
+recipe's normalized view.
 """
 
 from __future__ import annotations
@@ -155,11 +154,8 @@ def run_scenario(
     *,
     cache_dir: str = ".repro-results",
     workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    retries: Optional[int] = None,
     scale: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
-    history: bool = True,
 ) -> ScenarioResult:
     """Run the scenario's full grid and collect its kept metrics.
 
@@ -178,10 +174,9 @@ def run_scenario(
         list(spec.schedulers),
         perfect=spec.perfect,
         workers=spec.workers if workers is None else workers,
-        timeout_s=spec.timeout_s if timeout_s is None else timeout_s,
-        retries=spec.retries if retries is None else retries,
+        timeout_s=spec.timeout_s,
+        retries=spec.retries,
         progress=progress,
-        history=history,
         scenario_name=spec.name,
         scenario_hash=spec_hash,
     )

@@ -59,6 +59,7 @@ def test_run_exports_metrics_and_trace(tmp_path, capsys):
     assert bundle["schema_version"] == 1
     assert len(bundle["intervals"]) >= 2
     trace = json.loads(tpath.read_text())
+    assert trace["displayTimeUnit"] == "ns"
     assert any(e["ph"] == "X" for e in trace["traceEvents"])
 
 
@@ -76,14 +77,6 @@ def test_run_profile_report(capsys):
     assert main(["run", "sad", "--scale", "tiny", "--profile"]) == 0
     err = capsys.readouterr().err
     assert "component" in err and "SMCore" in err
-
-
-def test_trace_subcommand_defaults_output(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["trace", "sad", "--scale", "tiny"]) == 0
-    trace = json.loads((tmp_path / "trace.json").read_text())
-    assert trace["displayTimeUnit"] == "ns"
-    assert any(e["ph"] == "X" for e in trace["traceEvents"])
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,6 @@ def test_validate_rejects_tfaw_below_four_trrd():
 @pytest.mark.parametrize("field", [
     "read_queue_entries",
     "write_queue_entries",
-    "row_sorter_entries",
-    "warp_sorter_entries",
     "command_queue_depth",
 ])
 @pytest.mark.parametrize("bad", [0, -4])

@@ -13,6 +13,7 @@ from repro.analysis.experiments import (
     table1_merb,
 )
 from repro.analysis.report import bar, format_table, geomean, rows_to_csv
+from repro.analysis import runner as runner_module
 from repro.analysis.runner import ExperimentRunner
 from repro.core.config import SimConfig
 from repro.idealized import perfect_coalescing
@@ -216,7 +217,7 @@ def test_prefetch_fills_exactly_the_runs_the_drivers_read(tmp_path, monkeypatch)
     def no_simulation(*args):
         raise AssertionError(f"simulated {args}")
 
-    monkeypatch.setattr(r, "_simulate", no_simulation)
+    monkeypatch.setattr(runner_module, "simulate", no_simulation)
     for rid, driver in DRIVERS.items():
         if rid != "sec6c":
             assert driver(r).rows, rid

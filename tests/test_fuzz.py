@@ -32,8 +32,6 @@ from repro.fuzz.artifact import (
     ArtifactError,
     build_artifact,
     config_from_dict,
-    trace_from_json,
-    trace_to_json,
 )
 from repro.fuzz.oracles import ORACLES
 from repro.mc.warp_sorter import WarpGroupEntry, WarpSorter
@@ -59,7 +57,7 @@ def test_generator_is_deterministic():
     for i in (0, 1, 5):
         ca, cb = a.case(i), b.case(i)
         assert config_hash(ca.config) == config_hash(cb.config)
-        assert trace_to_json(ca.trace) == trace_to_json(cb.trace)
+        assert ca.trace.to_json_dict() == cb.trace.to_json_dict()
         assert ca.recipe == cb.recipe
 
 
@@ -138,10 +136,10 @@ def test_flip_address_bits_stays_nonnegative():
 
 def test_mutate_trace_does_not_modify_input():
     original = _toy_trace()
-    reference = trace_to_json(original)
+    reference = original.to_json_dict()
     rng = np.random.default_rng(9)
     mutate_trace(original, rng, sorted(MUTATORS))
-    assert trace_to_json(original) == reference
+    assert original.to_json_dict() == reference
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +210,8 @@ def test_artifact_roundtrip(tmp_path):
     assert loaded["config_hash"] == config_hash(case.config)
     rebuilt = config_from_dict(loaded["config"])
     assert config_hash(rebuilt) == config_hash(case.config)
-    assert trace_to_json(trace_from_json(loaded["trace"])) \
-        == trace_to_json(case.trace)
+    assert KernelTrace.from_json_dict(loaded["trace"]).to_json_dict() \
+        == case.trace.to_json_dict()
 
 
 def test_artifact_rejects_tampered_config(tmp_path):
@@ -295,7 +293,7 @@ def test_fuzzer_catches_overflow_forwarding_regression(tmp_path, monkeypatch):
     assert artifact["minimized"]
     assert artifact["original_warps"] >= failure.minimized_warps
     config = config_from_dict(artifact["config"])
-    trace = trace_from_json(artifact["trace"])
+    trace = KernelTrace.from_json_dict(artifact["trace"])
 
     # Deterministic replay: the minimized artifact trips the same oracle
     # every time while the bug is present ...
@@ -342,8 +340,10 @@ def test_fuzzer_catches_uncapped_merb_regression(tmp_path, monkeypatch):
     monkeypatch.setattr(
         mc_wgbw.WGBwController, "_merb_gate", _buggy_merb_gate
     )
+    # Case 0 of seed 0 has 8-deep command queues, which the uncapped gate
+    # does not overfill; case 1 has depth 1.
     report = run_campaign(
-        seed=0, iterations=1, schedulers=["wg-bw"],
+        seed=0, iterations=2, schedulers=["wg-bw"],
         artifact_dir=str(tmp_path), do_minimize=True,
     )
     assert not report.clean
@@ -353,7 +353,7 @@ def test_fuzzer_catches_uncapped_merb_regression(tmp_path, monkeypatch):
 
     artifact = load_artifact(failure.artifact_path)
     config = config_from_dict(artifact["config"])
-    trace = trace_from_json(artifact["trace"])
+    trace = KernelTrace.from_json_dict(artifact["trace"])
     replayed = run_oracle(
         artifact["oracle"], config, trace, artifact["schedulers"]
     )
@@ -394,7 +394,7 @@ def test_fuzzer_catches_incremental_scorer_drift(tmp_path, monkeypatch):
 
     artifact = load_artifact(failure.artifact_path)
     config = config_from_dict(artifact["config"])
-    trace = trace_from_json(artifact["trace"])
+    trace = KernelTrace.from_json_dict(artifact["trace"])
     replayed = run_oracle(
         artifact["oracle"], config, trace, artifact["schedulers"]
     )
@@ -434,7 +434,7 @@ def test_fuzzer_catches_a_pick_that_ignores_room(tmp_path, monkeypatch):
 
     artifact = load_artifact(failure.artifact_path)
     config = config_from_dict(artifact["config"])
-    trace = trace_from_json(artifact["trace"])
+    trace = KernelTrace.from_json_dict(artifact["trace"])
     replayed = run_oracle(
         artifact["oracle"], config, trace, artifact["schedulers"]
     )
@@ -479,3 +479,17 @@ def test_cli_fuzz_replay_fixed_build_exits_3(tmp_path, capsys):
     save_artifact(path, _artifact_for(case, oracle="determinism"))
     assert main(["fuzz", "--replay", path, "--quiet"]) == 3
     assert "did NOT reproduce" in capsys.readouterr().err
+
+
+def test_cli_fuzz_replay_rejects_fully_masked_memory_op(tmp_path, capsys):
+    """``--replay`` reads the artifact's trace with the validating
+    interchange reader: a memory op with every lane masked off is a
+    usage error (exit 2), not a silent "did NOT reproduce"."""
+    case = CaseGenerator(7).case(0)
+    first = next(s.mem for w in case.trace.warps for s in w.segments if s.mem)
+    first.lane_addrs = [None] * len(first.lane_addrs)
+    path = str(tmp_path / "masked.json")
+    save_artifact(path, _artifact_for(case, oracle="determinism"))
+    assert main(["fuzz", "--replay", path, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "every lane is masked off" in err and path in err

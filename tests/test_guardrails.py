@@ -3,11 +3,11 @@ invariant detection of every injected fault class, and bit-identical
 checkpoint/restore."""
 
 import dataclasses
+import json
 import pickle
 
 import pytest
 
-from repro.analysis.runner import config_hash
 from repro.core.config import SimConfig
 from repro.dram.commands import CommandKind
 from repro.dram.validate import (
@@ -126,35 +126,42 @@ def test_checkpoint_restore_is_bit_identical(tmp_path, scheduler):
 
     meta = peek_checkpoint(ckpt)  # the last periodic snapshot, mid-run
     assert meta["scheduler"] == scheduler
-    assert meta["config_hash"] == config_hash(cfg)
     assert 0 < meta["warps_done"] < PROFILE.warps
 
-    system = load_checkpoint(ckpt, expected_config_hash=config_hash(cfg))
+    system = load_checkpoint(ckpt)
+    assert system.config == cfg  # a restore resumes its own config
     resumed = system.resume()
     assert resumed.summary() == baseline(scheduler)
 
 
-def test_checkpoint_rejects_wrong_config_hash(tmp_path):
-    ckpt = str(tmp_path / "snap.ckpt")
-    cfg = cfg_for("wg")
-    save_checkpoint(GPUSystem(cfg, trace_for(cfg)), ckpt)
-    with pytest.raises(CheckpointError, match="config"):
-        load_checkpoint(ckpt, expected_config_hash="not-the-hash")
+def header_line(**changes) -> bytes:
+    """A checkpoint header line; ``changes`` edit or (with None) drop keys."""
+    header = {
+        "format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+        "scheduler": "wg", "now_ps": 1000, "events_processed": 10,
+        "warps_done": 1, "next_req_id": 7,
+    }
+    header.update(changes)
+    header = {k: v for k, v in header.items() if v is not None}
+    return json.dumps(header).encode() + b"\n"
+
+
+def snapshot_payload(ckpt) -> bytes:
+    """The pickle after the header line of a snapshot file."""
+    return ckpt.read_bytes().split(b"\n", 1)[1]
 
 
 def test_checkpoint_rejects_version_and_format_mismatch(tmp_path):
     ckpt = tmp_path / "snap.ckpt"
     cfg = cfg_for("wg")
     save_checkpoint(GPUSystem(cfg, trace_for(cfg)), str(ckpt))
-    envelope = pickle.loads(ckpt.read_bytes())
-    envelope["version"] = 999
-    ckpt.write_bytes(pickle.dumps(envelope))
+    ckpt.write_bytes(header_line(version=999) + snapshot_payload(ckpt))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(str(ckpt))
 
     not_ours = tmp_path / "other.ckpt"
     not_ours.write_bytes(pickle.dumps({"hello": "world"}))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="no checkpoint header"):
         load_checkpoint(str(not_ours))
 
     garbage = tmp_path / "garbage.ckpt"
@@ -172,37 +179,99 @@ def test_checkpoint_refuses_version_1_snapshot(tmp_path):
     ckpt = tmp_path / "v1.ckpt"
     cfg = cfg_for("wg")
     save_checkpoint(GPUSystem(cfg, trace_for(cfg)), str(ckpt))
-    envelope = pickle.loads(ckpt.read_bytes())
-    envelope["version"] = 1
-    ckpt.write_bytes(pickle.dumps(envelope))
-    with pytest.raises(CheckpointError, match="version 1, this build reads version 2"):
+    ckpt.write_bytes(header_line(version=1) + snapshot_payload(ckpt))
+    with pytest.raises(
+        CheckpointError,
+        match=f"version 1, this build reads version {CHECKPOINT_VERSION}",
+    ):
+        load_checkpoint(str(ckpt))
+
+
+def test_other_version_is_refused_before_its_payload_is_read(tmp_path):
+    """A snapshot of another build names both versions even when its
+    payload would not unpickle here (it names a class this build lacks)."""
+    payload = b"crepro.core.config\nTimingLegality\n."
+    with pytest.raises(AttributeError):
+        pickle.loads(payload)
+    ckpt = tmp_path / "old.ckpt"
+    ckpt.write_bytes(header_line(version=2) + payload)
+    for read in (peek_checkpoint, load_checkpoint):
+        with pytest.raises(
+            CheckpointError,
+            match=f"version 2, this build reads version {CHECKPOINT_VERSION}",
+        ):
+            read(str(ckpt))
+
+
+_SIDE_EFFECTS: list[str] = []
+
+
+def _record_side_effect(tag: str) -> str:
+    _SIDE_EFFECTS.append(tag)
+    return tag
+
+
+class _Foreign:
+    def __reduce__(self):
+        return (_record_side_effect, ("unpickled",))
+
+
+def test_foreign_pickle_is_refused_without_running_it(tmp_path):
+    """A file that is not a snapshot is refused at its header: none of
+    its objects is built, so its ``__reduce__`` never runs."""
+    foreign = tmp_path / "foreign.ckpt"
+    foreign.write_bytes(pickle.dumps(_Foreign()))
+    _SIDE_EFFECTS.clear()
+    for read in (peek_checkpoint, load_checkpoint):
+        with pytest.raises(CheckpointError) as refused:
+            read(str(foreign))
+        assert _SIDE_EFFECTS == [], read.__name__
+        assert "no checkpoint header" in str(refused.value)
+
+
+def test_peek_reads_only_the_header(tmp_path):
+    """``peek_checkpoint`` reports a valid header even when the payload
+    behind it is garbage; only ``load_checkpoint`` reads the payload."""
+    ckpt = tmp_path / "snap.ckpt"
+    ckpt.write_bytes(header_line() + b"\x93 not a pickle at all")
+    meta = peek_checkpoint(str(ckpt))
+    assert meta["scheduler"] == "wg" and meta["next_req_id"] == 7
+    with pytest.raises(CheckpointError, match="unreadable checkpoint"):
         load_checkpoint(str(ckpt))
 
 
 def test_corrupt_checkpoints_surface_as_checkpoint_error(tmp_path):
     """Every flavor of damaged snapshot raises ``CheckpointError`` —
-    never a raw pickle exception the sweep would misclassify."""
-    cases = {
+    never a raw pickle or JSON exception.  Header damage is caught by
+    both readers; payload damage only by ``load_checkpoint``."""
+    header_cases = {
         "garbage.ckpt": b"\x93NUMPY\x01\x00 this is not a pickle",
         "empty.ckpt": b"",
-        "truncated.ckpt": pickle.dumps({
+        "pre-header.ckpt": pickle.dumps({
             "format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
-            "config_hash": "x", "next_req_id": 1,
-            "system": list(range(10000)),
-        })[:80],
-        "not-a-dict.ckpt": pickle.dumps([1, 2, 3]),
-        "wrong-format.ckpt": pickle.dumps(
-            {"format": "other", "version": CHECKPOINT_VERSION}),
-        "wrong-version.ckpt": pickle.dumps(
-            {"format": CHECKPOINT_FORMAT, "version": 999}),
-        "missing-keys.ckpt": pickle.dumps(
-            {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION}),
+            "next_req_id": 1, "system": list(range(10000)),
+        }),
+        "truncated-header.ckpt": header_line()[:40],
+        "not-an-object.ckpt": b"[1, 2, 3]\n",
+        "wrong-format.ckpt": header_line(format="other"),
+        "wrong-version.ckpt": header_line(version=999),
+        "missing-keys.ckpt": header_line(next_req_id=None),
     }
-    for name, blob in cases.items():
+    payload_cases = {
+        "truncated.ckpt": header_line() + pickle.dumps(list(range(10000)))[:80],
+        "no-payload.ckpt": header_line(),
+        "not-a-system.ckpt": header_line() + pickle.dumps([1, 2, 3]),
+    }
+    for name, blob in {**header_cases, **payload_cases}.items():
         path = tmp_path / name
         path.write_bytes(blob)
         with pytest.raises(CheckpointError):
-            peek_checkpoint(str(path))
+            load_checkpoint(str(path))
+        if name in header_cases:
+            with pytest.raises(CheckpointError):
+                peek_checkpoint(str(path))
+        else:
+            assert peek_checkpoint(str(path))["version"] == CHECKPOINT_VERSION
     with pytest.raises(CheckpointError, match="no checkpoint"):
         peek_checkpoint(str(tmp_path / "never-written.ckpt"))
 

@@ -22,11 +22,12 @@ from repro.history.store import (
 )
 
 #: Every key a stored envelope line must carry, exactly — the on-disk
-#: contract old dashboards rely on.  Extending it is a schema bump
-#: (v2 added "worker" and "attempt").
+#: contract old dashboards rely on.  Extending it is a schema bump.  (v2
+#: added "worker" and "attempt"; nothing writes them any more, and lines
+#: that carry them still read.)
 ENVELOPE_KEYS = {
     "schema_version", "id", "kind", "created_utc", "git_sha",
-    "config_hash", "host", "python", "worker", "attempt",
+    "config_hash", "host", "python",
     "calibration_ops_per_sec", "payload",
 }
 
@@ -95,27 +96,21 @@ def test_envelope_calibration_measured_for_other_kinds(store):
     assert record.calibration_ops_per_sec > 0
 
 
-def test_envelope_worker_stamp(store):
-    local = store.append("sweep", sweep_payload())
-    assert (local.worker, local.attempt) == ("", 0)
-    explicit = store.append(
-        "sweep", sweep_payload(), worker="other", attempt=2
-    )
-    assert (explicit.worker, explicit.attempt) == ("other", 2)
-    got = store.records("sweep")
-    assert [(r.worker, r.attempt) for r in got] == [("", 0), ("other", 2)]
-
-
 def test_schema_v1_lines_read_with_defaults(store):
-    # A store written before the v2 bump has no worker/attempt keys.
-    doc = store.append("sweep", sweep_payload()).to_dict()
-    del doc["worker"], doc["attempt"]
-    doc["schema_version"] = 1
+    # A store written before the v2 bump has no worker/attempt keys, and
+    # one written by v2 code that stamped them carries both.
+    v1 = store.append("sweep", sweep_payload(10.0)).to_dict()
+    v1["schema_version"] = 1
+    stamped = store.append("sweep", sweep_payload(20.0)).to_dict()
+    stamped.update(worker="other", attempt=2)
     with open(store.path("sweep"), "w") as fh:
-        fh.write(json.dumps(doc) + "\n")
-    (record,) = store.records("sweep")
-    assert (record.worker, record.attempt) == ("", 0)
-    assert record.schema_version == 1
+        fh.write(json.dumps(v1) + "\n" + json.dumps(stamped) + "\n")
+    old, new = store.records("sweep")
+    assert (old.schema_version, new.schema_version) == (1, HISTORY_SCHEMA)
+    assert [old.record_id, new.record_id] == ["sweep-0001", "sweep-0002"]
+    assert old.payload == sweep_payload(10.0)
+    assert new.payload == sweep_payload(20.0)
+    assert old.problems == [] and new.problems == []
 
 
 def test_kinds_ordering_known_first(store):
@@ -168,18 +163,15 @@ def test_missing_directory_reads_empty(tmp_path):
 # ----------------------------------------------------------------------
 def _torture_writer(root: str, writer: int, n: int) -> None:
     store = HistoryStore(root)
-    payload = fuzz_payload()
     for i in range(n):
-        store.append(
-            "fuzz", payload, worker=f"w{writer}", attempt=i, strict=False
-        )
+        store.append("fuzz", {**fuzz_payload(), "writer": writer, "seq": i})
 
 
 def test_parallel_appends_never_garble_lines(tmp_path):
     """Satellite: O_APPEND single-write appends under real concurrency.
 
     Eight processes hammer one JSONL file; every line must parse, carry
-    the full envelope, and every (writer, attempt) pair must land —
+    the full envelope, and every (writer, seq) pair must land —
     nothing torn, spliced, or lost.
     """
     import multiprocessing
@@ -202,10 +194,8 @@ def test_parallel_appends_never_garble_lines(tmp_path):
     for line in lines:
         doc = json.loads(line)  # raises on any torn/spliced line
         assert set(doc) == ENVELOPE_KEYS
-        seen.add((doc["worker"], doc["attempt"]))
-    assert seen == {
-        (f"w{w}", i) for w in range(n_writers) for i in range(n_each)
-    }
+        seen.add((doc["payload"]["writer"], doc["payload"]["seq"]))
+    assert seen == {(w, i) for w in range(n_writers) for i in range(n_each)}
 
 
 # ----------------------------------------------------------------------
@@ -214,12 +204,13 @@ def test_parallel_appends_never_garble_lines(tmp_path):
 def test_contract_violation_rejected_strict(store):
     with pytest.raises(HistoryError, match="schema_version"):
         store.append("sweep", {"schema_version": 999})
-
-
-def test_contract_violation_kept_when_not_strict(store):
-    record = store.append("sweep", {"schema_version": 999}, strict=False)
-    assert record.problems
-    # and the problems are recomputed at read time
+    assert store.records("sweep") == []
+    # A violating line already on disk (older code, a hand edit) still
+    # reads, with its problems recomputed at read time.
+    doc = store.append("sweep", sweep_payload()).to_dict()
+    doc["payload"] = {"schema_version": 999}
+    with open(store.path("sweep"), "w") as fh:
+        fh.write(json.dumps(doc) + "\n")
     (read,) = store.records("sweep")
     assert read.problems
 

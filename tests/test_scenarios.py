@@ -4,7 +4,7 @@ Covers the whole tentpole path: YAML/JSON loading with file/line-accurate
 errors, preset + override resolution through the real config validators,
 the committed ``scenarios/`` library, sweep execution with scenario
 stamping into the history store, cache bit-identity with hand-coded
-sweeps, and the CLI surfaces (``repro scenario ...``, ``sweep --spec``).
+sweeps, and the CLI surface (``repro scenario ...``).
 """
 
 import json
@@ -251,9 +251,7 @@ def test_run_scenario_reuses_hand_coded_sweep_cache(tmp_path):
     run_sweep(runner, ["sad"], ["gmc", "wg"], workers=0)
     entries_before = {p.name: p.read_bytes() for p in cache.iterdir()}
     spec = load_spec(write_spec(tmp_path, TINY_SPEC))
-    result = run_scenario(
-        spec, cache_dir=str(cache), workers=0, history=False
-    )
+    result = run_scenario(spec, cache_dir=str(cache), workers=0)
     assert result.report.n_simulated == 0
     assert result.report.n_cached == 2
     assert result.config_hash == runner.config_hash
@@ -305,8 +303,7 @@ def test_trace_kind_scenario_runs_and_fingerprints_cache(tmp_path):
         scale: tiny
         """)
     result = run_scenario(
-        spec := load_spec(path), cache_dir=str(tmp_path / "c"),
-        workers=0, history=False,
+        spec := load_spec(path), cache_dir=str(tmp_path / "c"), workers=0
     )
     assert result.report.n_done == 1
     assert spec.workload.names == ("ext",)
@@ -316,9 +313,7 @@ def test_trace_kind_scenario_runs_and_fingerprints_cache(tmp_path):
     ]
     assert entry, "cache entry must embed the trace content fingerprint"
     assert result.metrics["ext"]["gmc"]["ipc"] > 0
-    procs = run_scenario(
-        spec, cache_dir=str(tmp_path / "procs"), workers=1, history=False
-    )
+    procs = run_scenario(spec, cache_dir=str(tmp_path / "procs"), workers=1)
     assert procs.report.n_simulated == 1
     assert cache_entries(tmp_path / "procs") == cache_entries(tmp_path / "c")
 
@@ -349,39 +344,29 @@ def test_cli_scenario_validate_broken_spec_fails(tmp_path, capsys):
     assert "INVALID" in out and "tRAS" in out and f"{path}:" in out
 
 
-def test_cli_scenario_run_and_sweep_spec_share_cache(tmp_path, capsys):
+def test_cli_scenario_rerun_is_served_from_cache(tmp_path, capsys):
     spec = write_spec(tmp_path, TINY_SPEC)
-    out_json = tmp_path / "res.json"
-    rc = main([
-        "scenario", "run", spec, "--cache-dir", str(tmp_path / "c"),
-        "--workers", "0", "--out", str(out_json),
-    ])
-    assert rc == 0
-    doc = json.loads(out_json.read_text())
-    assert doc["scenario"] == "t-tiny"
-    assert doc["sweep"]["jobs_simulated"] == 2
-    capsys.readouterr()
-    # Same spec through `sweep --spec`: everything is reused.
-    bench = tmp_path / "bench.json"
-    rc = main([
-        "sweep", "--spec", spec, "--cache-dir", str(tmp_path / "c"),
-        "--workers", "0", "--bench-out", str(bench),
-    ])
-    assert rc == 0
-    doc = json.loads(bench.read_text())
-    assert doc["jobs_simulated"] == 0 and doc["jobs_cached"] == 2
+    docs = []
+    for name in ("first.json", "second.json"):
+        out_json = tmp_path / name
+        rc = main([
+            "scenario", "run", spec, "--cache-dir", str(tmp_path / "c"),
+            "--workers", "0", "--out", str(out_json),
+        ])
+        assert rc == 0
+        docs.append(json.loads(out_json.read_text()))
+    first, second = docs
+    assert first["scenario"] == "t-tiny"
+    assert first["sweep"]["jobs_simulated"] == 2
+    # The same spec again: everything is reused.
+    assert second["sweep"]["jobs_simulated"] == 0
+    assert second["sweep"]["jobs_cached"] == 2
+    assert second["metrics"] == first["metrics"]
 
 
-def test_cli_sweep_spec_rejects_grid_flags(tmp_path, capsys):
-    spec = write_spec(tmp_path, TINY_SPEC)
-    rc = main(["sweep", "--spec", spec, "--benchmarks", "sad"])
-    assert rc == 2
-    assert "--benchmarks" in capsys.readouterr().err
-
-
-def test_cli_sweep_spec_bad_spec_is_usage_error(tmp_path, capsys):
+def test_cli_scenario_run_bad_spec_is_usage_error(tmp_path, capsys):
     path = write_spec(tmp_path, TINY_SPEC + "schedulers: [zzz]\n")
-    rc = main(["sweep", "--spec", path])
+    rc = main(["scenario", "run", path])
     assert rc == 2
     err = capsys.readouterr().err
     assert "unknown scheduler" in err and f"{path}:" in err
@@ -425,8 +410,6 @@ def test_programmatic_spec_skips_loader(tmp_path):
         scale="TINY",
         seeds=(1,),
     )
-    result = run_scenario(
-        spec, cache_dir=str(tmp_path), workers=0, history=False
-    )
+    result = run_scenario(spec, cache_dir=str(tmp_path), workers=0)
     assert result.report.n_done == 1
     assert result.metrics["sad"]["gmc"]["ipc"] > 0

@@ -11,7 +11,6 @@ import time
 import pytest
 
 import repro
-from repro.analysis import runner as runner_module
 from repro.analysis import sweep
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.sweep import _backoff_s, run_sweep
@@ -232,87 +231,28 @@ def test_unreadable_cache_entry_is_a_miss(tmp_path, workers):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint-backed resume (repro.guardrails integration)
+# failed jobs
 # ---------------------------------------------------------------------------
-def ckpt_runner(path) -> ExperimentRunner:
-    return ExperimentRunner(
-        scale=Scale.TINY, seeds=(1,), cache_dir=str(path),
-        checkpoint_period_ns=500.0,
-    )
-
-
-def spy_checkpoint_loads(monkeypatch) -> list[str]:
-    """Record the path of every snapshot an inline job resumes from."""
-    loads = []
-    real = runner_module.load_checkpoint
-
-    def load(path, *args, **kwargs):
-        system = real(path, *args, **kwargs)
-        loads.append(path)
-        return system
-
-    monkeypatch.setattr(runner_module, "load_checkpoint", load)
-    return loads
-
-
-def test_mid_run_crash_retry_resumes_from_checkpoint(tmp_path, monkeypatch):
-    """A job that dies mid-simulation, right after a periodic snapshot
-    landed, is retried from that snapshot, and the resumed result is
-    identical to an uninterrupted run."""
-    work = tmp_path / "work"
-    ref = tmp_path / "ref"
-    work.mkdir(), ref.mkdir()
-    monkeypatch.setenv("REPRO_CHAOS_MARK_DIR", str(tmp_path / "marks"))
-    monkeypatch.setenv("REPRO_CHAOS", "checkpoint-saved=raise!once")
-    loads = spy_checkpoint_loads(monkeypatch)
-    report = run_sweep(ckpt_runner(work), ["sad"], ["wg"], workers=0, retries=1)
-    assert report.n_failed == 0 and report.n_done == 1
-    (res,) = report.results
-    assert res.retries == 1  # the first attempt failed after its first snapshot
-    r = ckpt_runner(work)
-    ckpt = r.checkpoint_path("sad", "wg", 1, False)
-    assert loads == [ckpt]  # the retry resumed from it, not from zero
-    # The checkpoint is consumed (deleted) once the job lands.
-    assert not os.path.exists(ckpt)
-    # An uninterrupted reference sweep produces the exact same cache entry.
-    monkeypatch.delenv("REPRO_CHAOS")
-    run_sweep(ckpt_runner(ref), ["sad"], ["wg"], workers=0)
-    assert cache_entries(work) == cache_entries(ref)
-
-
-def test_exhausted_retries_record_error_type_and_checkpoint(tmp_path, monkeypatch):
-    """When retries run out, the failed job reports what broke and where
-    the last snapshot lives — and a rerun finishes from that snapshot."""
-    monkeypatch.setenv("REPRO_CHAOS_MARK_DIR", str(tmp_path / "marks"))
-    monkeypatch.setenv("REPRO_CHAOS", "checkpoint-saved=raise!once")
-    cache = tmp_path / "cache"
-    report = run_sweep(ckpt_runner(cache), ["sad"], ["wg"], workers=0, retries=0)
-    assert report.n_failed == 1
-    (failed,) = report.failed
-    assert failed.error_type == "ChaosError"
-    assert failed.checkpoint == ckpt_runner(cache).checkpoint_path("sad", "wg", 1)
-    assert os.path.exists(failed.checkpoint)
-    assert failed.to_dict()["checkpoint"] == failed.checkpoint
-    # Rerun: the snapshot finishes the job without restarting from zero.
-    loads = spy_checkpoint_loads(monkeypatch)
-    second = run_sweep(ckpt_runner(cache), ["sad"], ["wg"], workers=0)
-    assert second.n_failed == 0 and second.n_done == 1
-    assert loads == [failed.checkpoint]
-    (res,) = second.results
-    assert res.simulated and res.error_type == "" and res.checkpoint == ""
-    assert res.resumed and res.to_dict()["resumed"] is True
-
-
-def test_pre_run_crash_records_error_type_without_checkpoint(tmp_path, monkeypatch):
-    """A crash before the simulation starts has no snapshot to point at."""
+def test_exhausted_retries_record_error_type(tmp_path, monkeypatch):
+    """When retries run out, the failed job reports what broke, and a
+    plain rerun simulates it from zero."""
     monkeypatch.setenv("REPRO_CHAOS_MARK_DIR", str(tmp_path / "marks"))
     monkeypatch.setenv("REPRO_CHAOS", "job-start=raise!once")
     cache = tmp_path / "cache"
-    report = run_sweep(ckpt_runner(cache), ["sad"], ["wg"], workers=0, retries=0)
+    report = run_sweep(tiny_runner(cache), ["sad"], ["wg"], workers=0, retries=0)
     assert report.n_failed == 1
     (failed,) = report.failed
     assert failed.error_type == "ChaosError"
-    assert failed.checkpoint == ""
+    assert failed.to_dict()["error_type"] == "ChaosError"
+    assert list(cache.iterdir()) == []  # nothing cached: a rerun runs it
+    second = run_sweep(tiny_runner(cache), ["sad"], ["wg"], workers=0)
+    assert second.n_failed == 0 and second.n_done == 1
+    (res,) = second.results
+    assert res.simulated and res.retries == 0 and res.error_type == ""
+    ref = tmp_path / "ref"
+    monkeypatch.delenv("REPRO_CHAOS")
+    run_sweep(tiny_runner(ref), ["sad"], ["wg"], workers=0)
+    assert cache_entries(cache) == cache_entries(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +276,7 @@ def test_hung_job_is_killed_at_timeout_not_abandoned(tmp_path, monkeypatch):
     assert elapsed < 30  # nowhere near the 60s hang
     assert multiprocessing.active_children() == []  # worker actually dead
     (failed,) = report.results
-    assert failed.status == "failed" and failed.checkpoint == ""
+    assert failed.status == "failed"
     assert failed.to_dict()["error_type"] == "TimeoutError"
     assert list(tmp_path.iterdir()) == []  # nothing cached: a rerun runs it
 
@@ -432,26 +372,10 @@ def test_finished_job_is_never_dispatched(tmp_path, monkeypatch):
     assert report.n_cached == 2 and report.n_simulated == 0
 
 
-def test_worker_resumes_from_checkpoint_like_inline(tmp_path, monkeypatch):
-    """A worker process runs the sweep's own runner, checkpoint period
-    included: a job that dies right after its first snapshot is retried
-    once and publishes the entry of an uninterrupted sweep."""
-    work, ref = tmp_path / "work", tmp_path / "ref"
-    monkeypatch.setenv("REPRO_CHAOS_MARK_DIR", str(tmp_path / "marks"))
-    monkeypatch.setenv("REPRO_CHAOS", "checkpoint-saved=raise!once")
-    report = run_sweep(ckpt_runner(work), ["sad"], ["wg"], workers=1, retries=1)
-    assert report.n_failed == 0
-    assert [r.retries for r in report.results] == [1]
-    assert [r.resumed for r in report.results] == [True]
-    monkeypatch.delenv("REPRO_CHAOS")
-    run_sweep(ckpt_runner(ref), ["sad"], ["wg"], workers=0)
-    assert cache_entries(work) == cache_entries(ref)
-
-
 def test_runner_survives_pickling(tmp_path):
     """The ``spawn`` and ``forkserver`` start methods pickle a worker's
-    arguments, the runner among them: a trace-kind, checkpointing runner
-    must come back with the same settings and cache identity."""
+    arguments, the runner among them: a trace-kind runner must come back
+    with the same settings and cache identity."""
     from repro.workloads.trace import KernelTrace, MemOp, Segment, WarpTrace
 
     trace = KernelTrace("ext", [
@@ -461,16 +385,13 @@ def test_runner_survives_pickling(tmp_path):
     trace.save_json(str(tmp_path / "ext.trace.json"))
     r = ExperimentRunner(
         scale=Scale.TINY, seeds=(1,), kind="trace", cache_dir=str(tmp_path / "c"),
-        checkpoint_period_ns=500.0,
         trace_paths={"ext": str(tmp_path / "ext.trace.json")},
     )
     clone = pickle.loads(pickle.dumps(r))
     assert clone.config == r.config and clone.config_hash == r.config_hash
     assert (clone.kind, clone.scale, clone.seeds) == (r.kind, r.scale, r.seeds)
-    assert clone.checkpoint_period_ns == 500.0
     assert clone.trace_paths == r.trace_paths
     assert clone.cache_name("ext", "gmc", 1) == r.cache_name("ext", "gmc", 1)
-    assert clone.checkpoint_path("ext", "gmc", 1) == r.checkpoint_path("ext", "gmc", 1)
 
 
 def test_backoff_is_deterministic_and_bounded():
