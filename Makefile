@@ -2,19 +2,25 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-quick reproduce reproduce-paper examples clean
+.PHONY: install test shapes shapes-quick bench reproduce reproduce-paper examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
+# The tier-1 suite, run from the tree as CI runs it.
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
+# The figure-shape tests of benchmarks/ (TINY scale by default).
+shapes:
+	REPRO_HISTORY=0 PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable
+
+shapes-quick:
+	REPRO_BENCH_SCALE=quick REPRO_HISTORY=0 PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable
+
+# The repository benchmark (BENCHMARK.json), as CI's perf-ab job runs it.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-quick:
-	REPRO_BENCH_SCALE=quick $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	python3 bench/run.py --seconds 100 --trace 0
 
 reproduce:
 	$(PYTHON) examples/reproduce_paper.py --scale quick

@@ -25,7 +25,7 @@ Workload kinds:
 * ``algorithmic`` — traces emitted by actually running each algorithm
   (secondary validation; see DESIGN.md);
 * ``trace``       — externally supplied trace files replayed as-is
-  (``trace_paths`` maps benchmark names to ``.json``/``.npz`` files; the
+  (``trace_paths`` maps benchmark names to JSON interchange files; the
   cache key folds in a content fingerprint of each file, so editing a
   trace invalidates its entries like any config change would).
 
@@ -52,7 +52,7 @@ from repro.idealized import perfect_coalescing
 from repro.workloads.profiles import ALL_PROFILES, IRREGULAR_BENCHMARKS, REGULAR_BENCHMARKS
 from repro.workloads.suite import Scale, build_benchmark
 from repro.workloads.synthetic import synthetic_trace
-from repro.workloads.trace import KernelTrace, load_trace_file
+from repro.workloads.trace import KernelTrace
 
 __all__ = [
     "ExperimentRunner",
@@ -170,7 +170,7 @@ class ExperimentRunner:
                         f"no trace file registered for {bench!r}; known: "
                         f"{sorted(self.trace_paths)}"
                     ) from None
-                t = load_trace_file(path)
+                t = KernelTrace.load_json(path)
             else:
                 t = build_benchmark(bench, self.config, self.scale, seed=seed)
             self._traces[key] = t
@@ -320,14 +320,6 @@ class ExperimentRunner:
         runs = [self.run(bench, scheduler, s, perfect) for s in self.seeds]
         keys = set().union(*(r.keys() for r in runs))
         return {k: sum(r.get(k, 0.0) for r in runs) / len(runs) for k in keys}
-
-    def seed_spread(self, bench: str, scheduler: str, metric: str = "ipc") -> tuple[float, float]:
-        """(mean, max absolute deviation) of a metric across seeds — the
-        noise floor to quote next to small scheduler deltas."""
-        vals = [self.run(bench, scheduler, s)[metric] for s in self.seeds]
-        mean = sum(vals) / len(vals)
-        spread = max(abs(v - mean) for v in vals) if len(vals) > 1 else 0.0
-        return mean, spread
 
     # ------------------------------------------------------------------
     # derived metrics

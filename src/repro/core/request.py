@@ -87,12 +87,6 @@ class MemoryRequest:
     def warp(self) -> tuple[int, int]:
         return (self.sm_id, self.warp_id)
 
-    def mc_latency_ps(self) -> int:
-        """Queue-arrival to data-ready latency at the controller."""
-        if self.t_data < 0 or self.t_mc_arrival < 0:
-            raise ValueError("request never completed at a controller")
-        return self.t_data - self.t_mc_arrival
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "W" if self.is_write else "R"
         return (
@@ -129,7 +123,6 @@ class LoadTransaction:
         "banks_touched",
         "on_complete",
         "on_group_complete",
-        "row_hits",
         "_dispatched",
         "_resolved",
         "_dram_bound",
@@ -161,7 +154,6 @@ class LoadTransaction:
         self.banks_touched: set[tuple[int, int]] = set()
         self.on_complete = on_complete
         self.on_group_complete = on_group_complete
-        self.row_hits = 0
         # Per-channel group accounting (the last-request tag).
         self._dispatched: dict[int, int] = {}
         self._resolved: dict[int, int] = {}
@@ -224,32 +216,6 @@ class LoadTransaction:
             if self.t_first_dram < 0:
                 self.t_first_dram = now_ps
             self.t_last_dram = now_ps
-        if req is not None and req.was_row_hit:
-            self.row_hits += 1
         self.outstanding -= 1
         if self.outstanding == 0 and self.on_complete is not None:
             self.on_complete(self)
-
-    # -- statistics -----------------------------------------------------------
-    @property
-    def complete(self) -> bool:
-        return self.outstanding == 0
-
-    def divergence_ps(self) -> int:
-        """Gap between first and last main-memory reply (0 if none)."""
-        if not self.complete:
-            raise ValueError("load not complete")
-        if self.t_first_dram < 0:
-            return 0
-        return self.t_last_dram - self.t_first_dram
-
-    def effective_latency_ps(self) -> int:
-        """Issue-to-last-reply latency: the warp's memory stall time."""
-        if not self.complete:
-            raise ValueError("load not complete")
-        return self.t_last_return - self.t_issue
-
-    def first_latency_ps(self) -> int:
-        if self.t_first_return < 0:
-            raise ValueError("no reply recorded")
-        return self.t_first_return - self.t_issue

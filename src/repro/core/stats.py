@@ -23,8 +23,8 @@ class Histogram:
     """Streaming mean/min/max with a bounded reservoir for percentiles.
 
     The sorted reservoir is cached between :meth:`percentile` calls and
-    invalidated by :meth:`add` / :meth:`merge`, so reading several
-    percentiles off a settled histogram sorts once.
+    invalidated by :meth:`add`, so reading several percentiles off a
+    settled histogram sorts once.
     """
 
     __slots__ = (
@@ -60,40 +60,6 @@ class Histogram:
     def extend(self, values: Iterable[float]) -> None:
         for v in values:
             self.add(v)
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other`` into this histogram; returns ``self``.
-
-        Count/sum/min/max combine exactly.  The merged reservoir keeps
-        every sample when the union fits ``capacity``; otherwise each
-        source contributes slots proportional to the *population* it
-        represents (``count``, not reservoir length), chosen with this
-        histogram's seeded generator — so merging the same sequence of
-        interval histograms into a run total is fully reproducible.
-        """
-        if other.count == 0:
-            return self
-        self.total += other.total
-        if self.min is None or (other.min is not None and other.min < self.min):
-            self.min = other.min
-        if self.max is None or (other.max is not None and other.max > self.max):
-            self.max = other.max
-        mine, theirs = self._reservoir, other._reservoir
-        cap = self._capacity
-        if len(mine) + len(theirs) <= cap:
-            mine.extend(theirs)
-        else:
-            n_total = self.count + other.count
-            k_self = round(cap * self.count / n_total)
-            # Clamp so both shares are satisfiable from the actual pools.
-            k_self = max(cap - len(theirs), min(len(mine), k_self))
-            k_other = cap - k_self
-            self._reservoir = (
-                self._rng.sample(mine, k_self) + self._rng.sample(theirs, k_other)
-            )
-        self.count += other.count
-        self._sorted = None
-        return self
 
     @property
     def mean(self) -> float:
@@ -136,46 +102,10 @@ class ChannelStats:
     # Pending reads of the incomplete groups the WG family's read-queue
     # pressure fallback inserted, bypassing the BASJF pick.
     fallback_reads: int = 0
-    read_latency: Histogram = field(default_factory=Histogram)
-    queue_depth: Histogram = field(default_factory=Histogram)
     # Latency breakdown (ns): time waiting for the transaction scheduler
     # vs. time from command-queue insertion to data.
     sorter_wait: Histogram = field(default_factory=Histogram)
     service_time: Histogram = field(default_factory=Histogram)
-    # Per-bank column-access counts (bank-imbalance diagnostics).
-    bank_columns: list[int] = field(default_factory=list)
-
-    def note_bank_column(self, bank: int) -> None:
-        if len(self.bank_columns) <= bank:
-            self.bank_columns.extend([0] * (bank + 1 - len(self.bank_columns)))
-        self.bank_columns[bank] += 1
-
-    def bank_imbalance(self) -> float:
-        """Max over mean per-bank column accesses, **busy banks only**.
-
-        Banks that saw zero column accesses are excluded from the mean:
-        the metric measures how unevenly traffic spreads across the banks
-        a workload actually uses, not how many banks it touches.  A
-        workload hammering 4 of 16 banks *equally* therefore reports 1.0
-        (perfectly balanced among its banks), and 1.0 is also returned
-        when no bank saw any traffic.
-        """
-        busy = [c for c in self.bank_columns if c > 0]
-        if not busy:
-            return 1.0
-        return max(busy) / (sum(busy) / len(busy))
-
-    @property
-    def column_accesses(self) -> int:
-        return self.reads + self.writes
-
-    def row_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses
-        return self.row_hits / total if total else 0.0
-
-    def bandwidth_utilization(self, elapsed_ps: int) -> float:
-        """Fraction of wall-clock time the data bus moved data."""
-        return self.data_bus_busy_ps / elapsed_ps if elapsed_ps > 0 else 0.0
 
 
 @dataclass(slots=True)
@@ -205,19 +135,6 @@ class LoadRecord:
     def effective_latency_ps(self) -> int:
         """Issue to last reply: the warp's memory stall time (Fig. 9)."""
         return self.t_last_return - self.t_issue
-
-    @property
-    def first_latency_ps(self) -> int:
-        return self.t_first_return - self.t_issue
-
-    @property
-    def last_over_first(self) -> float:
-        """Last/first main-memory request latency ratio (Fig. 3)."""
-        if self.t_first_dram < 0:
-            return 1.0
-        first = self.t_first_dram - self.t_issue
-        last = self.t_last_dram - self.t_issue
-        return last / first if first > 0 else 1.0
 
 
 class SimStats:

@@ -38,14 +38,6 @@ class Bank:
         "earliest_act",
         "earliest_pre",
         "earliest_col",
-        "last_act_ps",
-        "hits_since_act",
-        "acts",
-        "pres",
-        "col_reads",
-        "col_writes",
-        "probe",
-        "probe_ctx",
     )
 
     def __init__(self, index: int, group: int) -> None:
@@ -56,16 +48,6 @@ class Bank:
         self.earliest_act = 0
         self.earliest_pre = 0
         self.earliest_col = 0
-        self.last_act_ps = -(10**15)
-        # Row-hit column accesses since the last ACT (MERB counter, 5 bits).
-        self.hits_since_act = 0
-        self.acts = 0
-        self.pres = 0
-        self.col_reads = 0
-        self.col_writes = 0
-        # Telemetry: row-hit-streak probe, wired by Channel.attach_probes.
-        self.probe = None
-        self.probe_ctx = -1
 
     # -- state transitions ----------------------------------------------------
     def do_activate(self, now: int, row: int, t: DRAMTimingConfig) -> None:
@@ -73,13 +55,7 @@ class Bank:
             raise RuntimeError(f"bank {self.index}: ACT with row {self.open_row} open")
         if now < self.earliest_act:
             raise RuntimeError(f"bank {self.index}: ACT at {now} before {self.earliest_act}")
-        if self.probe and self.acts:
-            # This ACT closes the previous activation's row-hit streak.
-            self.probe.emit(self.probe_ctx, self.index, self.hits_since_act)
         self.open_row = row
-        self.last_act_ps = now
-        self.hits_since_act = 0
-        self.acts += 1
         self.earliest_col = max(self.earliest_col, now + t.trcd_ps)
         self.earliest_pre = max(self.earliest_pre, now + t.tras_ps)
         self.earliest_act = max(self.earliest_act, now + t.trc_ps)
@@ -90,7 +66,6 @@ class Bank:
         if now < self.earliest_pre:
             raise RuntimeError(f"bank {self.index}: PRE at {now} before {self.earliest_pre}")
         self.open_row = None
-        self.pres += 1
         self.earliest_act = max(self.earliest_act, now + t.trp_ps)
 
     def do_column(
@@ -104,18 +79,14 @@ class Bank:
             raise RuntimeError(f"bank {self.index}: COL at {now} before {self.earliest_col}")
         burst_ps = n_bursts * t.tburst_ps
         if is_write:
-            self.col_writes += 1
             data_start = now + t.twl_ps
             data_end = data_start + burst_ps
             # Write recovery gates the next precharge.
             self.earliest_pre = max(self.earliest_pre, data_end + t.twr_ps)
         else:
-            self.col_reads += 1
             data_start = now + t.tcas_ps
             data_end = data_start + burst_ps
             self.earliest_pre = max(self.earliest_pre, now + t.trtp_ps)
-        # The MERB counter counts *bursts* of row-hit data (§IV-D).
-        self.hits_since_act = min(self.hits_since_act + n_bursts, 31)
         return data_end
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -72,24 +72,6 @@ class Channel:
         self.commands_issued = 0
         # Optional protocol audit trail (see repro.dram.validate).
         self.log = None
-        # Optional telemetry probe for command issue (see repro.telemetry).
-        # The channel does not know its id; the owning controller passes
-        # it in via attach_probes so emissions are attributable.
-        self.probe = None
-        self.probe_ctx = -1
-
-    def attach_probes(self, channel_id: int, cmd_probe, streak_probe) -> None:
-        """Wire telemetry probes into this channel and its banks.
-
-        ``cmd_probe`` fires ``(channel_id, kind, bank, now_ps)`` on every
-        ACT/PRE/RD/WR; ``streak_probe`` fires ``(channel_id, bank, hits)``
-        each time an ACT closes out the previous row's hit streak.
-        """
-        self.probe = cmd_probe
-        self.probe_ctx = channel_id
-        for bank in self.banks:
-            bank.probe = streak_probe
-            bank.probe_ctx = channel_id
 
     # ------------------------------------------------------------------
     # earliest-issue queries
@@ -194,10 +176,6 @@ class Channel:
         if len(self.act_window) > 8:
             del self.act_window[:4]
         self._consume_cmd_bus(now)
-        if self.probe:
-            from repro.dram.commands import CommandKind
-
-            self.probe.emit(self.probe_ctx, CommandKind.ACT, bank_idx, now)
         if self.log is not None:
             from repro.dram.commands import CommandKind
 
@@ -206,10 +184,6 @@ class Channel:
     def issue_pre(self, bank_idx: int, now: int) -> None:
         self.banks[bank_idx].do_precharge(now, self.t)
         self._consume_cmd_bus(now)
-        if self.probe:
-            from repro.dram.commands import CommandKind
-
-            self.probe.emit(self.probe_ctx, CommandKind.PRE, bank_idx, now)
         if self.log is not None:
             from repro.dram.commands import CommandKind
 
@@ -228,11 +202,6 @@ class Channel:
         else:
             self.last_read_data_end = data_end
         self._consume_cmd_bus(now)
-        if self.probe:
-            from repro.dram.commands import CommandKind
-
-            kind = CommandKind.WR if is_write else CommandKind.RD
-            self.probe.emit(self.probe_ctx, kind, bank_idx, now)
         if self.log is not None:
             from repro.dram.commands import CommandKind
 

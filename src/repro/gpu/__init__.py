@@ -2,7 +2,7 @@
 
 from repro.gpu.address_map import AddressMap
 from repro.gpu.cache import MSHR, Cache
-from repro.gpu.coalescer import CoalescerStats, coalesce
+from repro.gpu.coalescer import coalesce
 from repro.gpu.interconnect import Crossbar
 from repro.gpu.partition import MemoryPartition
 from repro.gpu.sm import SMCore
@@ -12,7 +12,6 @@ from repro.gpu.warp import WarpState, WarpStatus
 __all__ = [
     "AddressMap",
     "Cache",
-    "CoalescerStats",
     "Crossbar",
     "GPUSystem",
     "MSHR",

@@ -8,40 +8,14 @@ regular code produces a single request; irregular gathers produce up to 32
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-__all__ = ["coalesce", "CoalescerStats"]
-
-
-class CoalescerStats:
-    """Running tally of coalescing efficiency (drives Fig. 2)."""
-
-    __slots__ = ("loads", "requests", "divergent_loads")
-
-    def __init__(self) -> None:
-        self.loads = 0
-        self.requests = 0
-        self.divergent_loads = 0
-
-    def record(self, n_requests: int) -> None:
-        self.loads += 1
-        self.requests += n_requests
-        if n_requests > 1:
-            self.divergent_loads += 1
-
-    @property
-    def requests_per_load(self) -> float:
-        return self.requests / self.loads if self.loads else 0.0
-
-    @property
-    def frac_divergent(self) -> float:
-        return self.divergent_loads / self.loads if self.loads else 0.0
+__all__ = ["coalesce"]
 
 
 def coalesce(
     lane_addrs: Sequence[Optional[int]],
     line_bytes: int = 128,
-    stats: Optional[CoalescerStats] = None,
 ) -> list[int]:
     """Unique line base addresses touched by a warp instruction.
 
@@ -55,7 +29,4 @@ def coalesce(
         if a is None:
             continue
         seen.setdefault(a & mask, None)
-    lines = list(seen)
-    if stats is not None and lines:
-        stats.record(len(lines))
-    return lines
+    return list(seen)

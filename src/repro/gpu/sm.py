@@ -23,7 +23,7 @@ from repro.core.engine import Engine
 from repro.core.request import LoadTransaction, MemoryRequest
 from repro.core.stats import LoadRecord, SimStats
 from repro.gpu.cache import MSHR, Cache
-from repro.gpu.coalescer import CoalescerStats, coalesce
+from repro.gpu.coalescer import coalesce
 from repro.gpu.warp import WarpState, WarpStatus
 from repro.workloads.trace import MemOp, Segment, WarpTrace
 
@@ -43,7 +43,6 @@ class SMCore:
         group_complete_cb: Callable[[int, tuple[int, int]], None],
         on_warp_done: Callable[[WarpState], None],
         sim_stats: SimStats,
-        coal_stats: CoalescerStats,
     ) -> None:
         self.engine = engine
         self.sm_id = sm_id
@@ -65,7 +64,6 @@ class SMCore:
         self.group_complete_cb = group_complete_cb
         self.on_warp_done = on_warp_done
         self.sim_stats = sim_stats
-        self.coal_stats = coal_stats
 
         self.pending: deque[WarpState] = deque(WarpState(t) for t in warps)
         self.resident_count = 0
@@ -123,7 +121,7 @@ class SMCore:
     # ------------------------------------------------------------------
     def _issue_load(self, w: WarpState, mem: MemOp) -> None:
         now = self.engine.now
-        lines = coalesce(mem.lane_addrs, self.line_bytes, self.coal_stats)
+        lines = coalesce(mem.lane_addrs, self.line_bytes)
         if not lines:  # fully masked-off load
             self._run(w)
             return

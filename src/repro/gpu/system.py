@@ -19,7 +19,6 @@ from repro.core.request import MemoryRequest
 from repro.core.stats import SimStats
 from repro.dram.validate import StreamingAuditor
 from repro.gpu.address_map import AddressMap
-from repro.gpu.coalescer import CoalescerStats
 from repro.gpu.interconnect import Crossbar
 from repro.gpu.partition import MemoryPartition
 from repro.gpu.sm import SMCore
@@ -30,7 +29,7 @@ from repro.guardrails.faults import FaultInjector
 from repro.guardrails.invariants import InvariantMonitor
 from repro.mc.coordination import CoordinationNetwork
 from repro.mc.registry import controller_class, coordinated_schedulers
-from repro.telemetry.hub import NULL_PROBE, TelemetryHub
+from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.sampler import IntervalSampler
 from repro.workloads.trace import KernelTrace
 
@@ -46,7 +45,7 @@ class GPUSystem:
     """A fully wired GPU + memory system executing one kernel trace.
 
     ``telemetry`` is an optional :class:`~repro.telemetry.TelemetryHub`;
-    when omitted (the default) no probe, sampler, tracer or profiler is
+    when omitted (the default) no sampler, tracer or profiler is
     wired and the simulation path is byte-for-byte the untelemetered one.
 
     ``guardrails`` is an optional
@@ -70,12 +69,8 @@ class GPUSystem:
         self.engine = Engine()
         self.amap = AddressMap(config.dram_org)
         self.stats = SimStats(config.dram_org.num_channels)
-        self.coal_stats = CoalescerStats()
         self.telemetry = telemetry
         self._tracer = telemetry.tracer if telemetry is not None else None
-        self._p_warp_done = (
-            telemetry.probe("gpu.warp_done") if telemetry is not None else NULL_PROBE
-        )
         if telemetry is not None and telemetry.profiler is not None:
             self.engine.profiler = telemetry.profiler
         num_parts = config.dram_org.num_channels
@@ -100,7 +95,6 @@ class GPUSystem:
                 config,
                 self.stats.channels[ch],
                 deliver_read=self.partitions[ch].on_dram_data,
-                hub=telemetry,
             )
             self.partitions[ch].mc = mc
             self.mcs.append(mc)
@@ -139,7 +133,6 @@ class GPUSystem:
                 group_complete_cb=self._group_complete,
                 on_warp_done=self._warp_done,
                 sim_stats=self.stats,
-                coal_stats=self.coal_stats,
             )
             for sm_id in range(config.gpu.num_sms)
         ]
@@ -151,7 +144,7 @@ class GPUSystem:
         # The sampler is built last: it snapshots the controllers above.
         self.sampler: Optional[IntervalSampler] = None
         if telemetry is not None and telemetry.sampling:
-            self.sampler = IntervalSampler(self, telemetry.sample_period_ps, telemetry)
+            self.sampler = IntervalSampler(self, telemetry.sample_period_ps)
 
     # ------------------------------------------------------------------
     # routing callbacks
@@ -183,8 +176,6 @@ class GPUSystem:
         self._t_last_warp = self.engine.now
         if self.monitor is not None:
             self.monitor.note_warp_done((warp.sm_id, warp.warp_id))
-        if self._p_warp_done:
-            self._p_warp_done.emit(warp.sm_id, warp.warp_id, self.engine.now)
 
     # ------------------------------------------------------------------
     # execution

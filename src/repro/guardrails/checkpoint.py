@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: Keys every header carries besides ``format`` and ``version``.
 _HEADER_KEYS = (
@@ -113,9 +113,11 @@ def _read_header(fh, path: str) -> dict:
     except ValueError:
         header = None
     if not isinstance(header, dict):
+        # Version 3 introduced the header line, so only older snapshots
+        # lack one.
         raise CheckpointError(
             f"{path} has no checkpoint header (not a {CHECKPOINT_FORMAT} "
-            f"snapshot, or one written before version {CHECKPOINT_VERSION})"
+            "snapshot, or one written before version 3)"
         )
     if header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} snapshot")

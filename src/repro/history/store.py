@@ -15,7 +15,9 @@ Design rules:
   (:func:`repro.core.atomic.atomic_append_line`), so concurrent
   producers can never interleave bytes or garble each other's lines,
   and a crash can at worst truncate the final line — which readers
-  skip.
+  skip.  A record's id is its line number; an append holds an exclusive
+  ``flock`` on the kind's file from counting its lines to writing its
+  own, so concurrent producers never share an id.
 * **Forward-compatible reads.**  A record whose envelope schema version
   is newer than this code understands, or whose line does not parse, is
   skipped with a :class:`warnings.warn` — never a crash.  Old stores
@@ -27,6 +29,7 @@ Design rules:
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import platform
@@ -192,10 +195,8 @@ class HistoryStore:
         if problems:
             raise HistoryError("; ".join(problems))
         path = self.path(kind)
-        os.makedirs(self.root, exist_ok=True)
-        n = self._count_lines(path)
         record = HistoryRecord(
-            record_id=f"{kind}-{n + 1:04d}",
+            record_id="",
             kind=kind,
             created_utc=time.strftime(
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
@@ -207,9 +208,15 @@ class HistoryStore:
             calibration_ops_per_sec=_calibration_quick(),
             payload=payload,
         )
-        atomic_append_line(
-            path, json.dumps(record.to_dict(), separators=(",", ":"))
-        )
+        os.makedirs(self.root, exist_ok=True)
+        # One exclusive lock from the count through the append, so that
+        # concurrent producers number their records one after another.
+        with open(path, "ab") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            record.record_id = f"{kind}-{self._count_lines(path) + 1:04d}"
+            atomic_append_line(
+                path, json.dumps(record.to_dict(), separators=(",", ":"))
+            )
         return record
 
     @staticmethod

@@ -99,7 +99,6 @@ class ZeroDivergenceController(FRFCFSController):
         self._reads_pending -= 1  # it never entered the sorter
         self.stats.reads += 1
         self.stats.row_hits += 1
-        self.stats.read_latency.add((data_end - req.t_mc_arrival) / 1000.0)
         self.engine.schedule_at(data_end, self.deliver_read, req)
 
     def _on_column_issued(self, entry, now: int) -> None:

@@ -35,7 +35,6 @@ from repro.core.stats import ChannelStats
 from repro.dram.channel import Channel
 from repro.dram.commands import CommandKind
 from repro.mc.command_queue import SCORE_HIT, CommandQueues, QueuedRequest
-from repro.telemetry.hub import NULL_PROBE, TelemetryHub
 
 __all__ = ["MemoryController"]
 
@@ -60,7 +59,6 @@ class MemoryController:
         config: SimConfig,
         stats: ChannelStats,
         deliver_read: Callable[[MemoryRequest], None],
-        hub: Optional[TelemetryHub] = None,
     ) -> None:
         self.engine = engine
         self.channel_id = channel_id
@@ -73,17 +71,10 @@ class MemoryController:
         self.channel = Channel(self.org, self.t)
         self.cq = CommandQueues(self.org, self.mc.command_queue_depth)
 
-        # Telemetry probes (see docs/observability.md).  Falsy unless a
-        # consumer subscribed, so each emit site is one truthiness check.
-        if hub is not None:
-            self._p_read_done = hub.probe("mc.read_done")
-            self._p_drain = hub.probe("mc.drain")
-            self.channel.attach_probes(
-                channel_id, hub.probe("dram.cmd"), hub.probe("bank.streak")
-            )
-        else:
-            self._p_read_done = NULL_PROBE
-            self._p_drain = NULL_PROBE
+        #: Called with each DRAM read's controller latency in ns when its
+        #: data is scheduled (the interval sampler sets it); None when
+        #: nothing listens.
+        self.on_read_done: Optional[Callable[[float], None]] = None
 
         # Write queue and an index by line address for read forwarding.
         # The index covers the overflow buffer too: a read must see every
@@ -171,7 +162,6 @@ class MemoryController:
                 req.transaction.note_resolved(self.channel_id, to_dram=False)
             return
         req.serviced_by = "dram"
-        self.stats.queue_depth.add(self._reads_pending)
         if self._reads_pending >= self.mc.read_queue_entries or self._read_overflow:
             self.stats.read_queue_full_events += 1
             self._read_overflow.append(req)
@@ -256,7 +246,6 @@ class MemoryController:
 
     def _update_drain_state(self) -> None:
         wq = len(self.write_queue)
-        was_draining = self.draining
         if not self.draining:
             if wq >= self.mc.write_high_watermark:
                 self.draining = True
@@ -271,8 +260,6 @@ class MemoryController:
             elif self._drain_reason == "idle" and (wq == 0 or not self._read_side_idle()):
                 # Opportunistic drains yield to newly arrived reads.
                 self.draining = False
-        if self._p_drain and self.draining != was_draining:
-            self._p_drain.emit(self.channel_id, self.draining, self._drain_reason)
 
     def _schedule_writes(self, now: int) -> None:
         """FR-FCFS write drain: prefer row hits, then oldest, per bank."""
@@ -425,18 +412,15 @@ class MemoryController:
                 self.stats.row_hits += 1
             else:
                 self.stats.row_misses += 1
-            self.stats.note_bank_column(bank)
             if req.is_write:
                 self.stats.writes += 1
             else:
                 self.stats.reads += 1
                 self._reads_pending -= 1
-                latency_ns = (data_end - req.t_mc_arrival) / 1000.0
-                self.stats.read_latency.add(latency_ns)
                 self.stats.sorter_wait.add((req.t_scheduled - req.t_mc_arrival) / 1000.0)
                 self.stats.service_time.add((data_end - req.t_scheduled) / 1000.0)
-                if self._p_read_done:
-                    self._p_read_done.emit(self.channel_id, latency_ns, req.was_row_hit)
+                if self.on_read_done is not None:
+                    self.on_read_done((data_end - req.t_mc_arrival) / 1000.0)
                 self.engine.schedule_at(data_end, self.deliver_read, req)
 
     def _on_column_issued(self, entry: QueuedRequest, now: int) -> None:

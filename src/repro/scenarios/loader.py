@@ -35,7 +35,7 @@ from repro.scenarios.spec import (
 )
 from repro.workloads.profiles import ALL_PROFILES
 from repro.workloads.suite import Scale, benchmark_names
-from repro.workloads.trace import TraceFormatError, load_trace_file
+from repro.workloads.trace import KernelTrace, TraceFormatError
 
 __all__ = ["find_specs", "load_spec", "validate_spec_file"]
 
@@ -469,7 +469,7 @@ def load_spec(path: str, *, check_traces: bool = False) -> ScenarioSpec:
     if check_traces:
         for tname, tpath in workload.traces.items():
             try:
-                load_trace_file(tpath)
+                KernelTrace.load_json(tpath)
             except TraceFormatError as exc:
                 raise ctx.fail(
                     ("workload", "traces", tname), f"broken trace: {exc}"

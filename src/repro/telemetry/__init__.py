@@ -1,10 +1,9 @@
-"""repro.telemetry: probes, interval metrics, request tracing, profiling.
+"""repro.telemetry: interval metrics, request tracing, profiling.
 
 Layered observability for the simulator, all strictly opt-in:
 
-* :class:`TelemetryHub` / :class:`Probe` — the instrumentation hook API.
-  Components emit through probes that cost one truthiness check when
-  nothing is listening, so the default (no hub) simulation path is
+* :class:`TelemetryHub` — which of the consumers below a run wires up.
+  Without a hub (the default) none is, and the simulation path is
   unchanged.
 * :class:`IntervalSampler` — a periodic time-series of queue depths,
   row-hit rate, bus utilization, drain state and per-bank occupancy,
@@ -25,19 +24,17 @@ Typical use::
     hub.tracer.write("trace.json", stats.intervals)   # open in Perfetto
     print(hub.profiler.format())
 
-See ``docs/observability.md`` for the probe namespace and file schemas.
+See ``docs/observability.md`` for the file schemas.
 """
 
-from repro.telemetry.hub import NULL_PROBE, Probe, TelemetryHub
+from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.profiler import EngineProfiler
 from repro.telemetry.sampler import IntervalSampler
 from repro.telemetry.tracer import RequestTracer
 
 __all__ = [
-    "NULL_PROBE",
     "EngineProfiler",
     "IntervalSampler",
-    "Probe",
     "RequestTracer",
     "TelemetryHub",
 ]

@@ -8,8 +8,8 @@ method (``MemoryController.receive_read.<locals>.<lambda>`` is charged to
 ``MemoryController.receive_read``).
 
 Only meaningful when telemetry is on: the per-event ``perf_counter`` pair
-roughly doubles Python dispatch cost, which is exactly the overhead the
-probe design keeps off the default path.
+roughly doubles Python dispatch cost, so the engine times events only
+while a profiler is installed.
 """
 
 from __future__ import annotations

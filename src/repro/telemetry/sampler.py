@@ -9,10 +9,9 @@ busy time).  The result is a time-series that shows *when* a pathology
 happened — a drain storm, a queue-depth spike, a row-hit-rate collapse —
 rather than only that it happened somewhere inside an end-of-run total.
 
-Per-interval read latencies arrive through the ``mc.read_done`` probe and
-are summarized into a fresh :class:`~repro.core.stats.Histogram` each
-interval; at every sample boundary the interval histogram is folded into a
-run-total histogram via :meth:`Histogram.merge` and reset.
+Per-interval read latencies arrive through each controller's
+``on_read_done`` hook, which the sampler sets, and are summarized into a
+fresh :class:`~repro.core.stats.Histogram` each interval.
 
 Samples are plain dictionaries with the stable key set
 :data:`IntervalSampler.SCHEMA_KEYS` (validated by the test suite and
@@ -26,7 +25,6 @@ keeps the event queue alive after the workload finishes.
 from __future__ import annotations
 
 from repro.core.stats import Histogram
-from repro.telemetry.hub import TelemetryHub
 
 __all__ = ["IntervalSampler"]
 
@@ -73,27 +71,23 @@ class IntervalSampler:
         "lat_p95_ns",
     )
 
-    def __init__(self, system, period_ps: int, hub: TelemetryHub) -> None:
+    def __init__(self, system, period_ps: int) -> None:
         if period_ps <= 0:
             raise ValueError("sampling period must be positive")
         self.system = system
         self.engine = system.engine
         self.period_ps = period_ps
         self.samples: list[dict] = []
-        # Run-total latency histogram, built by merging interval histograms
-        # (exercises Histogram.merge exactly as real hardware counters roll
-        # interval registers into totals).
-        self.latency_total = Histogram()
         self._interval_hist = Histogram()
         self._prev: dict[str, list[int]] = {
             name: [0] * len(system.mcs) for name in _DELTA_COUNTERS
         }
         self._prev_bus_busy = [0] * len(system.mcs)
         self._prev_t = 0
-        hub.probe("mc.read_done").subscribe(self._on_read_done)
+        for mc in system.mcs:
+            mc.on_read_done = self._on_read_done
 
-    # -- probe sink ----------------------------------------------------------
-    def _on_read_done(self, channel_id: int, latency_ns: float, row_hit: bool) -> None:
+    def _on_read_done(self, latency_ns: float) -> None:
         self._interval_hist.add(latency_ns)
 
     # -- scheduling ----------------------------------------------------------
@@ -158,6 +152,5 @@ class IntervalSampler:
         sample["lat_mean_ns"] = h.mean
         sample["lat_p50_ns"] = h.percentile(50)
         sample["lat_p95_ns"] = h.percentile(95)
-        self.latency_total.merge(h)
         self._interval_hist = Histogram()
         self.samples.append(sample)

@@ -7,28 +7,19 @@ This is exactly the information the paper's mechanisms consume — request
 addresses, their warp of origin, and the compute spacing that determines
 how much latency the SM's multithreading can hide.
 
-Traces can be persisted two ways:
-
-* ``.npz`` archives (:meth:`KernelTrace.save` / :meth:`KernelTrace.load`)
-  — compact numpy arrays, the internal cache format;
-* JSON documents (:meth:`KernelTrace.save_json` /
-  :meth:`KernelTrace.load_json`) — the *ingestion* format: any external
-  tracer that can emit per-warp segment lists can produce one and replay
-  it through the simulator (``kind: trace`` in a scenario spec, see
-  docs/scenarios.md).  The two round-trip losslessly through
-  :meth:`KernelTrace.to_json_dict` / :meth:`KernelTrace.from_json_dict`.
-
-:func:`load_trace_file` dispatches on extension (``.json`` vs npz).
+Traces persist as JSON documents (:meth:`KernelTrace.save_json` /
+:meth:`KernelTrace.load_json`), the *ingestion* format: any external
+tracer that can emit per-warp segment lists can produce one and replay
+it through the simulator (``kind: trace`` in a scenario spec, see
+docs/scenarios.md).  A trace round-trips losslessly through
+:meth:`KernelTrace.to_json_dict` / :meth:`KernelTrace.from_json_dict`.
 """
 
 from __future__ import annotations
 
 import json
-import zipfile
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 __all__ = [
     "MemOp",
@@ -38,7 +29,6 @@ __all__ = [
     "TraceFormatError",
     "TRACE_JSON_FORMAT",
     "TRACE_JSON_VERSION",
-    "load_trace_file",
 ]
 
 #: Self-identification of the JSON trace interchange format.
@@ -47,12 +37,12 @@ TRACE_JSON_VERSION = 1
 
 
 class TraceFormatError(ValueError):
-    """A persisted trace archive is corrupt or structurally inconsistent.
+    """A persisted trace is unreadable or structurally inconsistent.
 
-    Raised by :meth:`KernelTrace.load` instead of the raw numpy/zipfile
-    exceptions so callers can tell "bad trace file" from a programming
-    error.  The message always names the file and, where applicable, the
-    offending array.
+    Raised by :meth:`KernelTrace.load_json` instead of the raw I/O,
+    decoding and JSON exceptions so callers can tell "bad trace file"
+    from a programming error.  The message always names the file and,
+    where applicable, the offending element.
     """
 
 
@@ -123,107 +113,6 @@ class KernelTrace:
 
     def total_memory_ops(self) -> int:
         return sum(w.memory_ops() for w in self.warps)
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def save(self, path: str) -> None:
-        """Serialize to a compressed npz archive."""
-        warp_meta = []  # (sm_id, warp_id, n_segments)
-        seg_meta = []  # (compute_cycles, has_mem, is_write, n_lanes)
-        lanes = []  # flattened lane addresses, -1 for masked lanes
-        for w in self.warps:
-            warp_meta.append((w.sm_id, w.warp_id, len(w.segments)))
-            for s in w.segments:
-                if s.mem is None:
-                    seg_meta.append((s.compute_cycles, 0, 0, 0))
-                else:
-                    seg_meta.append(
-                        (s.compute_cycles, 1, int(s.mem.is_write), len(s.mem.lane_addrs))
-                    )
-                    lanes.extend(
-                        -1 if a is None else a for a in s.mem.lane_addrs
-                    )
-        np.savez_compressed(
-            path,
-            name=np.array(self.name),
-            warp_meta=np.asarray(warp_meta, dtype=np.int64).reshape(-1, 3),
-            seg_meta=np.asarray(seg_meta, dtype=np.int64).reshape(-1, 4),
-            lanes=np.asarray(lanes, dtype=np.int64),
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "KernelTrace":
-        try:
-            data = np.load(path, allow_pickle=False)
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
-            raise TraceFormatError(
-                f"{path}: not a readable npz trace archive ({exc})"
-            ) from exc
-        with data:
-            arrays = {}
-            for key in ("name", "warp_meta", "seg_meta", "lanes"):
-                try:
-                    arrays[key] = data[key]
-                except (KeyError, zipfile.BadZipFile, ValueError, OSError) as exc:
-                    raise TraceFormatError(
-                        f"{path}: array '{key}' missing or unreadable ({exc})"
-                    ) from exc
-        name = str(arrays["name"])
-        warp_meta = arrays["warp_meta"]
-        seg_meta = arrays["seg_meta"]
-        lanes = arrays["lanes"]
-        for key in ("warp_meta", "seg_meta", "lanes"):
-            if not np.issubdtype(arrays[key].dtype, np.integer):
-                raise TraceFormatError(
-                    f"{path}: array '{key}' has non-integer dtype "
-                    f"{arrays[key].dtype}"
-                )
-        if warp_meta.ndim != 2 or warp_meta.shape[1] != 3:
-            raise TraceFormatError(
-                f"{path}: array 'warp_meta' has shape {warp_meta.shape}, "
-                "expected (n_warps, 3)"
-            )
-        if seg_meta.ndim != 2 or seg_meta.shape[1] != 4:
-            raise TraceFormatError(
-                f"{path}: array 'seg_meta' has shape {seg_meta.shape}, "
-                "expected (n_segments, 4)"
-            )
-        if lanes.ndim != 1:
-            raise TraceFormatError(
-                f"{path}: array 'lanes' has shape {lanes.shape}, expected 1-D"
-            )
-        claimed_segs = int(warp_meta[:, 2].sum()) if len(warp_meta) else 0
-        if claimed_segs != len(seg_meta):
-            raise TraceFormatError(
-                f"{path}: array 'seg_meta' holds {len(seg_meta)} segments but "
-                f"'warp_meta' claims {claimed_segs}"
-            )
-        claimed_lanes = int((seg_meta[:, 1] * seg_meta[:, 3]).sum()) if len(seg_meta) else 0
-        if claimed_lanes != len(lanes):
-            raise TraceFormatError(
-                f"{path}: array 'lanes' holds {len(lanes)} addresses but "
-                f"'seg_meta' claims {claimed_lanes}"
-            )
-        warps: list[WarpTrace] = []
-        si = 0
-        li = 0
-        for sm_id, warp_id, n_segs in warp_meta:
-            segments: list[Segment] = []
-            for _ in range(n_segs):
-                compute, has_mem, is_write, n_lanes = seg_meta[si]
-                si += 1
-                mem = None
-                if has_mem:
-                    raw = lanes[li : li + n_lanes]
-                    li += n_lanes
-                    mem = MemOp(
-                        is_write=bool(is_write),
-                        lane_addrs=[None if a < 0 else int(a) for a in raw],
-                    )
-                segments.append(Segment(compute_cycles=int(compute), mem=mem))
-            warps.append(WarpTrace(int(sm_id), int(warp_id), segments))
-        return cls(name=name, warps=warps)
 
     # ------------------------------------------------------------------
     # JSON interchange (external trace ingestion)
@@ -340,18 +229,13 @@ class KernelTrace:
     @classmethod
     def load_json(cls, path: str) -> "KernelTrace":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except OSError as exc:
             raise TraceFormatError(f"{path}: unreadable ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"{path}: not UTF-8 text ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_json_dict(doc, source=path)
 
-
-def load_trace_file(path: str) -> KernelTrace:
-    """Load a persisted trace, dispatching on extension: ``.json`` uses
-    the interchange reader, everything else the npz reader."""
-    if path.endswith(".json"):
-        return KernelTrace.load_json(path)
-    return KernelTrace.load(path)

@@ -68,22 +68,3 @@ def test_multi_burst_column():
     b.do_activate(0, row=1, t=T)
     end = b.do_column(T.trcd_ps, is_write=False, t=T, n_bursts=2)
     assert end == T.trcd_ps + T.tcas_ps + 2 * T.tburst_ps
-    assert b.hits_since_act == 2
-
-
-def test_hits_counter_saturates_at_31():
-    b = Bank(0, 0)
-    b.do_activate(0, row=1, t=T)
-    t = T.trcd_ps
-    for _ in range(40):
-        b.do_column(t, is_write=False, t=T)
-        t += T.tburst_ps
-    assert b.hits_since_act == 31
-
-
-def test_counters():
-    b = Bank(3, 1)
-    b.do_activate(0, 9, T)
-    b.do_column(T.trcd_ps, False, T)
-    b.do_precharge(max(T.tras_ps, T.trcd_ps + T.trtp_ps), T)
-    assert (b.acts, b.pres, b.col_reads, b.col_writes) == (1, 1, 1, 0)

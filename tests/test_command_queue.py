@@ -37,6 +37,14 @@ def test_row_change_resets_hit_counter():
     assert cq.hits_since_row_change[0] == 0
 
 
+def test_hit_counter_saturates_at_31():
+    """The MERB counter the WG-Bw gate reads is 5 bits wide (§IV-D)."""
+    cq = fresh(depth=64)
+    for _ in range(40):
+        cq.insert(make_request(bank=0, row=5), 0)
+    assert cq.hits_since_row_change[0] == 31
+
+
 def test_pop_restores_score():
     cq = fresh()
     cq.insert(make_request(bank=0, row=5), 0)

@@ -105,15 +105,6 @@ def test_speedup_is_relative():
     assert r.speedup("sad", "gmc") == pytest.approx(1.0)
 
 
-def test_seed_spread():
-    r = ExperimentRunner(scale=Scale.TINY, seeds=(1, 2))
-    mean, spread = r.seed_spread("sad", "gmc")
-    assert mean > 0
-    assert spread >= 0
-    one = ExperimentRunner(scale=Scale.TINY, seeds=(1,))
-    assert one.seed_spread("sad", "gmc")[1] == 0.0
-
-
 def test_distinct_configs_get_distinct_cache_entries(tmp_path):
     """Regression: two different SimConfigs must never share a cache entry.
 

@@ -161,7 +161,10 @@ def test_checkpoint_rejects_version_and_format_mismatch(tmp_path):
 
     not_ours = tmp_path / "other.ckpt"
     not_ours.write_bytes(pickle.dumps({"hello": "world"}))
-    with pytest.raises(CheckpointError, match="no checkpoint header"):
+    # Header lines arrived in version 3, whatever the current version.
+    with pytest.raises(
+        CheckpointError, match="no checkpoint header.*written before version 3"
+    ):
         load_checkpoint(str(not_ours))
 
     garbage = tmp_path / "garbage.ckpt"
@@ -190,17 +193,22 @@ def test_checkpoint_refuses_version_1_snapshot(tmp_path):
 def test_other_version_is_refused_before_its_payload_is_read(tmp_path):
     """A snapshot of another build names both versions even when its
     payload would not unpickle here (it names a class this build lacks)."""
-    payload = b"crepro.core.config\nTimingLegality\n."
-    with pytest.raises(AttributeError):
-        pickle.loads(payload)
-    ckpt = tmp_path / "old.ckpt"
-    ckpt.write_bytes(header_line(version=2) + payload)
-    for read in (peek_checkpoint, load_checkpoint):
-        with pytest.raises(
-            CheckpointError,
-            match=f"version 2, this build reads version {CHECKPOINT_VERSION}",
-        ):
-            read(str(ckpt))
+    old_payloads = {
+        2: b"crepro.core.config\nTimingLegality\n.",
+        3: b"crepro.gpu.coalescer\nCoalescerStats\n.",
+    }
+    for version, payload in old_payloads.items():
+        with pytest.raises(AttributeError):
+            pickle.loads(payload)
+        ckpt = tmp_path / f"v{version}.ckpt"
+        ckpt.write_bytes(header_line(version=version) + payload)
+        for read in (peek_checkpoint, load_checkpoint):
+            with pytest.raises(
+                CheckpointError,
+                match=f"version {version}, this build reads version "
+                f"{CHECKPOINT_VERSION}",
+            ):
+                read(str(ckpt))
 
 
 _SIDE_EFFECTS: list[str] = []

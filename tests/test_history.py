@@ -172,7 +172,7 @@ def test_parallel_appends_never_garble_lines(tmp_path):
 
     Eight processes hammer one JSONL file; every line must parse, carry
     the full envelope, and every (writer, seq) pair must land —
-    nothing torn, spliced, or lost.
+    nothing torn, spliced, or lost — under its own record id.
     """
     import multiprocessing
 
@@ -191,11 +191,15 @@ def test_parallel_appends_never_garble_lines(tmp_path):
     lines = open(os.path.join(root, "fuzz.jsonl")).read().splitlines()
     assert len(lines) == n_writers * n_each
     seen = set()
+    ids = set()
     for line in lines:
         doc = json.loads(line)  # raises on any torn/spliced line
         assert set(doc) == ENVELOPE_KEYS
         seen.add((doc["payload"]["writer"], doc["payload"]["seq"]))
+        ids.add(doc["id"])
     assert seen == {(w, i) for w in range(n_writers) for i in range(n_each)}
+    # Distinct and dense: each append numbered its line under the lock.
+    assert ids == {f"fuzz-{n:04d}" for n in range(1, n_writers * n_each + 1)}
 
 
 # ----------------------------------------------------------------------

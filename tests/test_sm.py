@@ -4,7 +4,6 @@ from repro.core.config import SimConfig
 from repro.core.engine import Engine
 from repro.core.request import MemoryRequest
 from repro.core.stats import SimStats
-from repro.gpu.coalescer import CoalescerStats
 from repro.gpu.sm import SMCore
 from repro.gpu.warp import WarpStatus
 from repro.workloads.trace import MemOp, Segment, WarpTrace
@@ -21,7 +20,6 @@ class SMHarness:
             cfg = dataclasses.replace(cfg, use_l1=False)
         self.engine = Engine()
         self.stats = SimStats(cfg.dram_org.num_channels)
-        self.coal = CoalescerStats()
         self.sent: list[MemoryRequest] = []
         self.done_warps = []
         self.mem_latency_ps = mem_latency_ps
@@ -41,7 +39,6 @@ class SMHarness:
             group_complete_cb=lambda ch, key, n: None,
             on_warp_done=self.done_warps.append,
             sim_stats=self.stats,
-            coal_stats=self.coal,
         )
 
     def run(self):

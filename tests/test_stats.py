@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.core.stats import ChannelStats, Histogram, LoadRecord, SimStats
+from repro.core.stats import Histogram, LoadRecord, SimStats
 
 
 def rec(
@@ -44,74 +44,12 @@ def test_histogram_reservoir_bounds(values):
     assert min(values) <= h.percentile(50) <= max(values)
 
 
-def test_histogram_merge_exact_counters():
-    a, b = Histogram(), Histogram()
-    a.extend([1.0, 2.0, 3.0])
-    b.extend([10.0, 20.0])
-    assert a.merge(b) is a
-    assert a.count == 5
-    assert a.total == 36.0
-    assert a.min == 1.0 and a.max == 20.0
-    assert a.mean == 7.2
-
-
-def test_histogram_merge_empty_and_into_empty():
-    a, b = Histogram(), Histogram()
-    b.extend([5.0, 6.0])
-    a.merge(Histogram())  # merging empty is a no-op
-    assert a.count == 0
-    a.merge(b)
-    assert a.count == 2 and a.percentile(100) == 6.0
-
-
-def test_histogram_merge_small_reservoirs_keep_everything():
-    a, b = Histogram(capacity=64), Histogram(capacity=64)
-    a.extend(float(i) for i in range(10))
-    b.extend(float(i) for i in range(100, 110))
-    a.merge(b)
-    assert sorted(a._reservoir) == [float(i) for i in range(10)] + [
-        float(i) for i in range(100, 110)
-    ]
-
-
-def test_histogram_merge_respects_capacity_and_weights():
-    a, b = Histogram(capacity=100), Histogram(capacity=100)
-    a.extend(0.0 for _ in range(900))  # 90% of the merged population
-    b.extend(1.0 for _ in range(100))
-    a.merge(b)
-    assert len(a._reservoir) == 100
-    assert a.count == 1000
-    ones = sum(1 for v in a._reservoir if v == 1.0)
-    assert ones == 10  # proportional to b's population share
-    assert a.percentile(50) == 0.0
-
-
-def test_histogram_merge_is_reproducible():
-    def build():
-        # Small capacity so every merge takes the weighted-sampling path.
-        total = Histogram(capacity=150)
-        for chunk in range(5):
-            h = Histogram()
-            h.extend(float(chunk * 100 + i) for i in range(200))
-            total.merge(h)
-        return total
-
-    x, y = build(), build()
-    assert x._reservoir == y._reservoir
-    for q in (0, 25, 50, 75, 90, 99, 100):
-        assert x.percentile(q) == y.percentile(q)
-
-
-def test_histogram_percentile_cache_invalidated_by_add_and_merge():
+def test_histogram_percentile_cache_invalidated_by_add():
     h = Histogram()
     h.extend([1.0, 2.0, 3.0])
     assert h.percentile(100) == 3.0
     h.add(10.0)  # must invalidate the cached sorted reservoir
     assert h.percentile(100) == 10.0
-    other = Histogram()
-    other.add(50.0)
-    h.merge(other)
-    assert h.percentile(100) == 50.0
     assert h.percentile(0) == 1.0
 
 
@@ -119,51 +57,11 @@ def test_load_record_metrics():
     r = rec(first=100, last=400, first_dram=150, last_dram=390)
     assert r.divergence_ps == 240
     assert r.effective_latency_ps == 400
-    assert r.first_latency_ps == 100
-    assert abs(r.last_over_first - 390 / 150) < 1e-9
 
 
 def test_load_record_without_dram_reply():
     r = rec(dram=0, first_dram=-1, last_dram=-1)
     assert r.divergence_ps == 0
-    assert r.last_over_first == 1.0
-
-
-def test_bank_imbalance_metric():
-    c = ChannelStats()
-    assert c.bank_imbalance() == 1.0  # no traffic: balanced by definition
-    for bank, n in ((0, 10), (1, 10), (2, 40)):
-        for _ in range(n):
-            c.note_bank_column(bank)
-    assert c.bank_columns == [10, 10, 40]
-    assert c.bank_imbalance() == 2.0  # 40 / mean(20)
-
-
-def test_bank_imbalance_ignores_idle_banks():
-    # Pinned behavior (documented in the docstring): banks with zero
-    # column accesses are excluded from the mean, so concentrating all
-    # traffic evenly on a subset of banks still reports 1.0.
-    c = ChannelStats()
-    for bank in (0, 1, 2, 3):
-        for _ in range(25):
-            c.note_bank_column(bank)
-    c.bank_columns.extend([0] * 12)  # 12 idle banks must not skew the mean
-    assert c.bank_imbalance() == 1.0
-    # An idle bank recorded between busy ones is likewise excluded.
-    c2 = ChannelStats()
-    c2.note_bank_column(0)
-    c2.note_bank_column(2)
-    assert c2.bank_columns == [1, 0, 1]
-    assert c2.bank_imbalance() == 1.0
-
-
-def test_channel_stats_rates():
-    c = ChannelStats()
-    c.row_hits, c.row_misses = 30, 10
-    assert c.row_hit_rate() == 0.75
-    c.data_bus_busy_ps = 500
-    assert c.bandwidth_utilization(1000) == 0.5
-    assert c.column_accesses == 0
 
 
 def test_sim_stats_aggregations():
@@ -180,6 +78,8 @@ def test_sim_stats_aggregations():
     assert s.mean_channels_per_divergent_warp() == 2.5
     # divergences: 300 and 600 -> 450 ns mean 0.45
     assert abs(s.mean_divergence_ns() - 0.45) < 1e-9
+    # Fig. 3 is a ratio of means: (400 + 700) / (100 + 100)
+    assert s.mean_last_over_first() == 5.5
     s.channels[0].row_hits = 8
     s.channels[0].row_misses = 2
     assert s.total_row_hit_rate() == 0.8

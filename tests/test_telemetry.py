@@ -2,7 +2,6 @@
 
 Covers the acceptance criteria of the observability PR:
 
-* probes are zero-cost and inert until subscribed;
 * with telemetry disabled, a run executes the same number of engine
   events and produces bit-identical summary metrics;
 * enabling the full telemetry stack does not perturb the simulated
@@ -17,7 +16,7 @@ import json
 import pytest
 
 from repro import Scale, SimConfig, TelemetryHub, build_benchmark, simulate
-from repro.telemetry import NULL_PROBE, EngineProfiler, Probe, RequestTracer
+from repro.telemetry import EngineProfiler, RequestTracer
 from repro.telemetry.sampler import IntervalSampler
 
 
@@ -28,53 +27,12 @@ def tiny_run(telemetry=None, scheduler="wg-w", bench="bfs"):
 
 
 # ---------------------------------------------------------------------------
-# probe / hub unit behavior
+# hub unit behavior
 # ---------------------------------------------------------------------------
-def test_probe_is_falsy_until_subscribed():
-    p = Probe("x")
-    assert not p
-    seen = []
-    p.subscribe(seen.append)
-    assert p
-    p.emit(42)
-    assert seen == [42]
-    p.unsubscribe(seen.append)
-    assert not p
-
-
-def test_probe_pickles_and_compares_by_identity():
-    """A probe rides in checkpoint snapshots, so it pickles with its name
-    and subscribers; like a plain object it hashes and compares by
-    identity, not by its (list) contents."""
-    import pickle
-
-    p = Probe("x")
-    p.subscribe(print)
-    clone = pickle.loads(pickle.dumps(p))
-    assert clone.name == "x" and list(clone) == [print]
-    a, b = Probe("a"), Probe("a")
-    assert a != b and len({a, b}) == 2
-
-
-def test_null_probe_is_inert():
-    assert not NULL_PROBE
-    NULL_PROBE.emit("anything")  # must be a no-op, not an error
-
-
-def test_hub_returns_same_probe_per_name():
-    hub = TelemetryHub()
-    assert hub.probe("a") is hub.probe("a")
-    assert hub.probe("a") is not hub.probe("b")
-    assert not hub.enabled
-    hub.probe("a").subscribe(lambda *a: None)
-    assert hub.enabled
-
-
 def test_hub_feature_construction():
     hub = TelemetryHub(sample_period_ns=10.0, trace=True, profile=True)
     assert hub.sampling and hub.sample_period_ps == 10_000
     assert hub.tracer is not None and hub.profiler is not None
-    assert hub.enabled
     with pytest.raises(ValueError):
         TelemetryHub(sample_period_ns=-1.0)
 
@@ -133,23 +91,15 @@ def test_interval_series_schema_and_coverage():
     )
 
 
-def test_interval_latency_histograms_roll_into_total():
+def test_interval_latencies_cover_every_dram_read():
     cfg = SimConfig(scheduler="gmc")
     trace = build_benchmark("bfs", cfg, Scale.TINY, seed=1)
-    hub = TelemetryHub(sample_period_ns=100.0)
-    from repro.gpu.system import GPUSystem
-
-    system = GPUSystem(cfg, trace, telemetry=hub)
-    stats = system.run()
-    sampler = system.sampler
-    # Every serviced DRAM read passed through the per-interval histograms
-    # and was merged into the run total.
+    stats = simulate(cfg, trace, telemetry=TelemetryHub(sample_period_ns=100.0))
+    # Every serviced DRAM read reached exactly one interval's histogram.
     total_reads = sum(c.reads for c in stats.channels)
-    assert sampler.latency_total.count == total_reads
-    assert sampler.latency_total.count == sum(
-        s["lat_count"] for s in stats.intervals
-    )
-    assert sampler.latency_total.percentile(50) > 0
+    assert total_reads > 0
+    assert sum(s["lat_count"] for s in stats.intervals) == total_reads
+    assert max(s["lat_p50_ns"] for s in stats.intervals) > 0
 
 
 def test_metrics_json_and_csv_export(tmp_path):

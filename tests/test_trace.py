@@ -1,6 +1,5 @@
 """Unit tests for trace containers, builders and persistence."""
 
-import numpy as np
 import pytest
 
 from repro.workloads.builder import ELEM_BYTES, Layout, TraceBuilder, WarpBuilder
@@ -10,7 +9,6 @@ from repro.workloads.trace import (
     Segment,
     TraceFormatError,
     WarpTrace,
-    load_trace_file,
 )
 
 
@@ -38,97 +36,10 @@ def test_kernel_by_sm_buckets_and_validation():
         k.by_sm(1)
 
 
-def test_save_load_roundtrip(tmp_path):
-    mem = MemOp(False, [100, None, 204] + [None] * 29)
-    k = KernelTrace("demo", [
-        WarpTrace(0, 0, [Segment(7, mem), Segment(2, None)]),
-        WarpTrace(1, 3, [Segment(0, MemOp(True, [4096 + 4 * i for i in range(32)]))]),
-    ])
-    path = str(tmp_path / "trace.npz")
-    k.save(path)
-    loaded = KernelTrace.load(path)
-    assert loaded.name == "demo"
-    assert loaded.total_instructions() == k.total_instructions()
-    assert loaded.total_memory_ops() == k.total_memory_ops()
-    w0 = loaded.warps[0]
-    assert w0.segments[0].mem.lane_addrs[:3] == [100, None, 204]
-    assert loaded.warps[1].segments[0].mem.is_write
-
-
-# -- load() hardening ---------------------------------------------------------
-def _demo_trace() -> KernelTrace:
-    return KernelTrace("demo", [
-        WarpTrace(0, 0, [Segment(3, MemOp(False, [64, None, 128]))]),
-        WarpTrace(0, 1, [Segment(1, MemOp(True, [256]))]),
-    ])
-
-
-def _resave(path, **overrides):
-    """Rewrite a saved trace archive with some arrays replaced."""
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {k: data[k] for k in data.files}
-    arrays.update(overrides)
-    np.savez(path, **arrays)
-
-
-def test_load_rejects_non_archive(tmp_path):
-    path = str(tmp_path / "garbage.npz")
-    with open(path, "w") as fh:
-        fh.write("this is not a zip archive")
-    with pytest.raises(TraceFormatError, match="garbage.npz"):
-        KernelTrace.load(path)
-
-
+# -- load errors -------------------------------------------------------------
 def test_load_rejects_missing_file(tmp_path):
-    with pytest.raises(TraceFormatError, match="missing.npz"):
-        KernelTrace.load(str(tmp_path / "missing.npz"))
-
-
-def test_load_rejects_missing_array(tmp_path):
-    path = str(tmp_path / "t.npz")
-    _demo_trace().save(path)
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {k: data[k] for k in data.files if k != "lanes"}
-    np.savez(path, **arrays)
-    with pytest.raises(TraceFormatError, match="'lanes'"):
-        KernelTrace.load(path)
-
-
-def test_load_rejects_bad_dtype(tmp_path):
-    path = str(tmp_path / "t.npz")
-    _demo_trace().save(path)
-    _resave(path, lanes=np.array([1.5, 2.5]))
-    with pytest.raises(TraceFormatError, match="'lanes'.*dtype"):
-        KernelTrace.load(path)
-
-
-def test_load_rejects_bad_shape(tmp_path):
-    path = str(tmp_path / "t.npz")
-    _demo_trace().save(path)
-    _resave(path, warp_meta=np.zeros((2, 2), dtype=np.int64))
-    with pytest.raises(TraceFormatError, match="'warp_meta'.*shape"):
-        KernelTrace.load(path)
-
-
-def test_load_rejects_segment_count_mismatch(tmp_path):
-    path = str(tmp_path / "t.npz")
-    _demo_trace().save(path)
-    with np.load(path, allow_pickle=False) as data:
-        warp_meta = data["warp_meta"].copy()
-    warp_meta[0, 2] += 1  # claim a segment that isn't there
-    _resave(path, warp_meta=warp_meta)
-    with pytest.raises(TraceFormatError, match="seg_meta.*claims"):
-        KernelTrace.load(path)
-
-
-def test_load_rejects_lane_count_mismatch(tmp_path):
-    path = str(tmp_path / "t.npz")
-    _demo_trace().save(path)
-    with np.load(path, allow_pickle=False) as data:
-        lanes = data["lanes"].copy()
-    _resave(path, lanes=lanes[:-1])  # drop one flattened lane address
-    with pytest.raises(TraceFormatError, match="lanes.*claims"):
-        KernelTrace.load(path)
+    with pytest.raises(TraceFormatError, match="missing.trace.json"):
+        KernelTrace.load_json(str(tmp_path / "missing.trace.json"))
 
 
 def test_trace_format_error_is_value_error(tmp_path):
@@ -166,8 +77,8 @@ def test_warp_builder_stream_and_compute():
 
 
 def test_stream_lanes_persist_as_lists(tmp_path):
-    """Range lanes serialize to the plain lane lists of the JSON and npz
-    formats, and load back as lists."""
+    """Range lanes serialize to the plain lane lists of the JSON format,
+    and load back as lists."""
     wb = WarpBuilder(0, 0)
     wb.compute(1).load_stream(256, 3).store_stream(8192, 0, elem_bytes=8)
     t = KernelTrace("streams", [wb.finish()])
@@ -175,10 +86,8 @@ def test_stream_lanes_persist_as_lists(tmp_path):
     assert expected[0] == [256 + 4 * (3 + i) for i in range(32)]
     assert t.to_json_dict()["warps"][0]["segments"][0][2] == expected[0]
     t.save_json(str(tmp_path / "s.json"))
-    t.save(str(tmp_path / "s.npz"))
-    for path in ("s.json", "s.npz"):
-        loaded = load_trace_file(str(tmp_path / path))
-        assert [s.mem.lane_addrs for s in loaded.warps[0].segments] == expected
+    loaded = KernelTrace.load_json(str(tmp_path / "s.json"))
+    assert [s.mem.lane_addrs for s in loaded.warps[0].segments] == expected
 
 
 def test_warp_builder_gather_masks_missing_lanes():
@@ -226,12 +135,10 @@ def _sample_trace() -> KernelTrace:
 
 
 def test_json_roundtrip_is_identity(tmp_path):
-    from repro.workloads.trace import load_trace_file
-
     t = _sample_trace()
     path = tmp_path / "demo.trace.json"
     t.save_json(str(path))
-    rt = load_trace_file(str(path))
+    rt = KernelTrace.load_json(str(path))
     assert rt.name == t.name
     assert len(rt.warps) == len(t.warps)
     for a, b in zip(t.warps, rt.warps):
@@ -243,12 +150,6 @@ def test_json_roundtrip_is_identity(tmp_path):
             if sa.mem is not None:
                 assert sa.mem.is_write == sb.mem.is_write
                 assert sa.mem.lane_addrs == sb.mem.lane_addrs
-    # ...and the round-trip simulates identically to the npz path.
-    npz = tmp_path / "demo.npz"
-    t.save(str(npz))
-    from_npz = load_trace_file(str(npz))
-    assert from_npz.total_instructions() == rt.total_instructions()
-    assert from_npz.total_memory_ops() == rt.total_memory_ops()
 
 
 def test_json_export_format_header(tmp_path):
@@ -298,11 +199,11 @@ def test_json_ingest_rejects_non_json(tmp_path):
         KT.load_json(str(path))
 
 
-def test_load_trace_file_dispatches_on_extension(tmp_path):
-    from repro.workloads.trace import load_trace_file
+def test_json_ingest_rejects_binary_file(tmp_path):
+    """Bytes that are not UTF-8 (a binary file given as a trace) are a
+    located format error, not a raw ``UnicodeDecodeError``."""
+    path = tmp_path / "binary.trace.json"
+    path.write_bytes(b"PK\x03\x04\x14\x00\xff\xfe binary payload")
+    with pytest.raises(TraceFormatError, match="binary.trace.json"):
+        KernelTrace.load_json(str(path))
 
-    t = _sample_trace()
-    t.save(str(tmp_path / "a.npz"))
-    t.save_json(str(tmp_path / "a.json"))
-    assert load_trace_file(str(tmp_path / "a.npz")).name == "demo"
-    assert load_trace_file(str(tmp_path / "a.json")).name == "demo"
