@@ -6,13 +6,14 @@ divergent load, a warp has at most one group in flight per controller at a
 time; the group key is therefore ``(sm_id, warp_id)``.
 
 The paper closes a group at a controller by tagging the warp's *last
-request to that controller* (the SM knows the per-channel counts after
-coalescing and address routing, and the interconnect preserves per-SM
-order).  L2 lookups filter requests on the way, so the equivalent condition
-is: all requests of the load destined for channel *c* have resolved (L2 hit
-or controller admission).  :class:`LoadTransaction` tracks this per channel
-and announces the group's size to the controller the moment its subset is
-fully admitted — see ``note_dispatched`` / ``note_resolved``.
+request to that controller*: after coalescing and address routing the SM
+sets :attr:`MemoryRequest.closes_group` on the last request it sends to
+each channel (page walks included).  The crossbar keeps per-(SM,
+partition) order and the L2 lookup latency is constant, so that request
+is also the last of the load's requests on its channel to *resolve* (L2
+hit, L2-MSHR merge, write-queue forward, or controller admission).
+Whichever component resolves it asks :meth:`LoadTransaction.note_resolved`
+for the group's size and announces it to its own controller.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ class _ReqIdSource:
 
 
 _req_ids = _ReqIdSource()
+
+# LoadTransaction._dram_bound marker for a channel whose group has closed.
+_CLOSED = -1
 
 
 def warp_key(sm_id: int, warp_id: int) -> tuple[int, int]:
@@ -78,6 +82,14 @@ class MemoryRequest:
     t_return: int = -1  # arrived back at the SM
 
     transaction: Optional["LoadTransaction"] = None
+    # The load's last request to this channel (the paper's group tag).
+    closes_group: bool = False
+
+    # Command-queue state (set by CommandQueues.insert and the command
+    # scheduler): §IV-B score at insertion, and whether the bank had to
+    # activate its row for it.
+    score: int = 0
+    needed_act: bool = False
 
     # Outcome annotations used by statistics
     serviced_by: str = ""  # "l1" | "l2" | "dram" | "wq" (write-queue hit)
@@ -103,9 +115,9 @@ class LoadTransaction:
     * count outstanding replies so the SM knows when to unblock the warp;
     * record first/last reply times (overall and main-memory-only) for the
       latency-divergence statistics;
-    * detect, per memory channel, when no further requests of this load
-      can arrive at that controller, and announce the warp-group's size
-      there (the paper's last-request tag).
+    * count, per memory channel, the requests admitted to that controller,
+      and hand the count to whoever resolves the channel's closing request
+      (the paper's last-request tag).
     """
 
     __slots__ = (
@@ -122,11 +134,7 @@ class LoadTransaction:
         "channels_touched",
         "banks_touched",
         "on_complete",
-        "on_group_complete",
-        "_dispatched",
-        "_resolved",
         "_dram_bound",
-        "_dispatch_done",
     )
 
     def __init__(
@@ -136,7 +144,6 @@ class LoadTransaction:
         n_requests: int,
         t_issue: int,
         on_complete: Optional[Callable[["LoadTransaction"], None]] = None,
-        on_group_complete: Optional[Callable[[int, tuple[int, int], int], None]] = None,
     ) -> None:
         if n_requests <= 0:
             raise ValueError("a load must carry at least one request")
@@ -153,48 +160,34 @@ class LoadTransaction:
         self.channels_touched: set[int] = set()
         self.banks_touched: set[tuple[int, int]] = set()
         self.on_complete = on_complete
-        self.on_group_complete = on_group_complete
-        # Per-channel group accounting (the last-request tag).
-        self._dispatched: dict[int, int] = {}
-        self._resolved: dict[int, int] = {}
+        # Requests admitted per channel; _CLOSED once the closing request
+        # of that channel has resolved.
         self._dram_bound: dict[int, int] = {}
-        self._dispatch_done = False
-
-    # -- dispatch-side bookkeeping (at the SM) -------------------------------
-    def note_dispatched(self, channel: int) -> None:
-        """A request of this load left the SM toward ``channel``."""
-        if self._dispatch_done:
-            raise ValueError("dispatch after finish_dispatch()")
-        self._dispatched[channel] = self._dispatched.get(channel, 0) + 1
-
-    def finish_dispatch(self) -> None:
-        """The SM issued the load's last request; per-channel counts final."""
-        self._dispatch_done = True
-        for ch in list(self._dispatched):
-            self._check_channel(ch)
 
     # -- resolution-side bookkeeping (at L2 slices and controllers) -----------
-    def note_resolved(self, channel: int, to_dram: bool) -> None:
-        """A request finished its L2 lookup on ``channel``.
+    def note_resolved(self, req: MemoryRequest, to_dram: bool) -> int:
+        """``req`` finished its L2 lookup; returns the group size to announce.
 
         ``to_dram`` is True when it was admitted to the controller (and so
         joined the warp-group there) — L2 hits, MSHR merges and write-queue
-        forwards resolve with ``to_dram=False``.
+        forwards resolve with ``to_dram=False``.  The return value is the
+        number of the load's requests admitted on ``req.channel`` when
+        ``req`` closes that group and at least one was admitted, else 0.
         """
-        self._resolved[channel] = self._resolved.get(channel, 0) + 1
-        if to_dram:
-            self._dram_bound[channel] = self._dram_bound.get(channel, 0) + 1
-        self._check_channel(channel)
-
-    def _check_channel(self, channel: int) -> None:
-        if not self._dispatch_done or self.on_group_complete is None:
-            return
-        dispatched = self._dispatched.get(channel, 0)
-        if self._resolved.get(channel, 0) != dispatched:
-            return
+        channel = req.channel
         count = self._dram_bound.get(channel, 0)
-        if count > 0:
-            self.on_group_complete(channel, (self.sm_id, self.warp_id), count)
+        if count == _CLOSED:
+            raise ValueError(
+                f"{req!r} resolved after its load's closing request to "
+                f"channel {channel}"
+            )
+        if to_dram:
+            count += 1
+        if req.closes_group:
+            self._dram_bound[channel] = _CLOSED
+            return count
+        self._dram_bound[channel] = count
+        return 0
 
     def note_dram_bound(self, req: MemoryRequest) -> None:
         """Statistics: a request joined channel ``req.channel``'s group."""

@@ -2,7 +2,7 @@
 
 Three layers:
 
-* :class:`Histogram` — cheap streaming summary (count/sum/min/max + sample
+* :class:`Histogram` — cheap streaming summary (count/sum + sample
   reservoir for percentiles);
 * :class:`ChannelStats` — per-memory-controller counters (row hits, drains,
   bus occupancy);
@@ -14,29 +14,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 __all__ = ["Histogram", "ChannelStats", "LoadRecord", "SimStats"]
 
 
 class Histogram:
-    """Streaming mean/min/max with a bounded reservoir for percentiles.
+    """Streaming mean with a bounded reservoir for percentiles.
 
     The sorted reservoir is cached between :meth:`percentile` calls and
     invalidated by :meth:`add`, so reading several percentiles off a
     settled histogram sorts once.
     """
 
-    __slots__ = (
-        "count", "total", "min", "max", "_reservoir", "_capacity", "_rng",
-        "_sorted",
-    )
+    __slots__ = ("count", "total", "_reservoir", "_capacity", "_rng", "_sorted")
 
     def __init__(self, capacity: int = 4096, seed: int = 12345) -> None:
         self.count = 0
         self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
         self._reservoir: list[float] = []
         self._capacity = capacity
         self._rng = random.Random(seed)
@@ -46,20 +41,12 @@ class Histogram:
         self.count += 1
         self.total += value
         self._sorted = None
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
         if len(self._reservoir) < self._capacity:
             self._reservoir.append(value)
         else:
             j = self._rng.randrange(self.count)
             if j < self._capacity:
                 self._reservoir[j] = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.add(v)
 
     @property
     def mean(self) -> float:
@@ -74,9 +61,6 @@ class Histogram:
         data = self._sorted
         idx = min(len(data) - 1, max(0, int(round(q / 100.0 * (len(data) - 1)))))
         return data[idx]
-
-    def __len__(self) -> int:
-        return self.count
 
 
 @dataclass

@@ -31,8 +31,6 @@ class Cache:
         ]
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self.dirty_evictions = 0
 
     def _set_of(self, line: int) -> OrderedDict[int, bool]:
         idx = (line // self.cfg.line_bytes) % self.num_sets
@@ -62,9 +60,7 @@ class Cache:
         victim_writeback = None
         if len(s) >= self.ways:
             victim, was_dirty = s.popitem(last=False)
-            self.evictions += 1
             if was_dirty:
-                self.dirty_evictions += 1
                 victim_writeback = victim
         s[line] = dirty
         return victim_writeback

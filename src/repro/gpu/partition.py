@@ -68,16 +68,14 @@ class MemoryPartition:
         if self.l2 is not None and self.l2.lookup(line):
             self.sim_stats.l2_hits += 1
             req.serviced_by = "l2"
-            if req.transaction is not None:
-                req.transaction.note_resolved(self.part_id, to_dram=False)
+            self.mc.resolve_read(req, to_dram=False)
             self.reply(req)
             return
         if self.l2 is not None:
             primary = self.mshr.allocate(line, req)
             if not primary:
                 # Secondary miss: rides the in-flight fill.
-                if req.transaction is not None:
-                    req.transaction.note_resolved(self.part_id, to_dram=False)
+                self.mc.resolve_read(req, to_dram=False)
                 return
         self.mc.receive_read(req)
 

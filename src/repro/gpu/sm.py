@@ -40,7 +40,6 @@ class SMCore:
         config: SimConfig,
         warps: list[WarpTrace],
         send_request: Callable[[MemoryRequest], None],
-        group_complete_cb: Callable[[int, tuple[int, int]], None],
         on_warp_done: Callable[[WarpState], None],
         sim_stats: SimStats,
     ) -> None:
@@ -61,14 +60,12 @@ class SMCore:
             self.tlb = None
         self.line_bytes = config.dram_org.line_bytes
         self.send_request = send_request
-        self.group_complete_cb = group_complete_cb
         self.on_warp_done = on_warp_done
         self.sim_stats = sim_stats
 
         self.pending: deque[WarpState] = deque(WarpState(t) for t in warps)
         self.resident_count = 0
         self.issue_free = 0  # issue-server availability (ps)
-        self.warps_finished = 0
 
     # ------------------------------------------------------------------
     # warp lifecycle
@@ -112,7 +109,6 @@ class SMCore:
         w.status = WarpStatus.DONE
         w.t_finished = self.engine.now
         self.resident_count -= 1
-        self.warps_finished += 1
         self.on_warp_done(w)
         self._activate_next()
 
@@ -147,9 +143,10 @@ class SMCore:
             n_requests=len(lines) + len(walk_lines),
             t_issue=now,
             on_complete=partial(self._load_done, w),
-            on_group_complete=self.group_complete_cb,
         )
         w.status = WarpStatus.BLOCKED
+        # The last request sent to each channel (routed by send_request).
+        last: dict[int, MemoryRequest] = {}
         # Page walks bypass the L1 (no locality to exploit; L2-cacheable).
         for walk in walk_lines:
             wreq = MemoryRequest(
@@ -158,6 +155,7 @@ class SMCore:
             wreq.transaction = txn
             wreq.t_issue = now
             self.send_request(wreq)
+            last[wreq.channel] = wreq
         # L1-hit returns are scheduled interleaved with miss sends, and the
         # engine breaks time ties by schedule order.
         for line in lines:
@@ -176,7 +174,11 @@ class SMCore:
                     # Merged into an in-flight L1 miss: no new request.
                     continue
             self.send_request(req)
-        txn.finish_dispatch()
+            last[req.channel] = req
+        # Tag each channel's last request (§IV-B).  Nothing is resolved
+        # yet: every request is still on the crossbar.
+        for req in last.values():
+            req.closes_group = True
 
     def _issue_store(self, w: WarpState, mem: MemOp) -> None:
         lines = coalesce(mem.lane_addrs, self.line_bytes)

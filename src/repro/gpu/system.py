@@ -130,7 +130,6 @@ class GPUSystem:
                 config,
                 buckets[sm_id],
                 send_request=self._send_request,
-                group_complete_cb=self._group_complete,
                 on_warp_done=self._warp_done,
                 sim_stats=self.stats,
             )
@@ -155,8 +154,6 @@ class GPUSystem:
             self._tracer.on_dispatch(req)
         if self.monitor is not None:
             self.monitor.note_inject(req, self.engine.now)
-        if req.transaction is not None:
-            req.transaction.note_dispatched(req.channel)
         part = self.partitions[req.channel]
         self.xbar.to_partition(req.channel, part.receive, req)
 
@@ -165,11 +162,6 @@ class GPUSystem:
             self.monitor.note_retire(req, self.engine.now)
         sm = self.sms[req.sm_id]
         self.xbar.to_sm(req.sm_id, sm.receive_reply, req)
-
-    def _group_complete(self, channel: int, key: tuple[int, int], expected: int) -> None:
-        # The tag travels with the group's last request, which is already
-        # at the controller when this fires (see LoadTransaction).
-        self.mcs[channel].receive_group_complete(key, expected)
 
     def _warp_done(self, warp: WarpState) -> None:
         self.warps_done += 1

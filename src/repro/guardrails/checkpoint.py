@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: Keys every header carries besides ``format`` and ``version``.
 _HEADER_KEYS = (

@@ -70,7 +70,6 @@ class ZeroDivergenceController(FRFCFSController):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._followers: dict[tuple[int, int], list[MemoryRequest]] = {}
         self._leader_seen: set[tuple[int, int]] = set()
 
     def _accept_read(self, req: MemoryRequest) -> None:
@@ -99,14 +98,20 @@ class ZeroDivergenceController(FRFCFSController):
         self._reads_pending -= 1  # it never entered the sorter
         self.stats.reads += 1
         self.stats.row_hits += 1
+        # Accounted like a scheduled read, but with no sorter wait; it
+        # keeps t_scheduled unset (it never enters a command queue).
+        self.stats.sorter_wait.add(0.0)
+        self.stats.service_time.add((data_end - now) / 1000.0)
+        if self.on_read_done is not None:
+            self.on_read_done((data_end - req.t_mc_arrival) / 1000.0)
         self.engine.schedule_at(data_end, self.deliver_read, req)
 
-    def _on_column_issued(self, entry, now: int) -> None:
+    def _on_column_issued(self, req: MemoryRequest, now: int) -> None:
         # The leader has been serviced: the group key becomes reusable for
         # the warp's next load (followers of *this* load were already
         # handled on arrival because the leader registered first).
-        if not entry.req.is_write:
-            self._leader_seen.discard(entry.req.warp)
+        if not req.is_write:
+            self._leader_seen.discard(req.warp)
 
 
 def install_idealized_schedulers() -> None:

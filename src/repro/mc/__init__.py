@@ -1,7 +1,7 @@
 """Memory controllers: the baseline GMC and the paper's warp-aware policies."""
 
 from repro.mc.base import MemoryController
-from repro.mc.command_queue import SCORE_HIT, SCORE_MISS, CommandQueues, QueuedRequest
+from repro.mc.command_queue import SCORE_HIT, SCORE_MISS, CommandQueues
 from repro.mc.coordination import CoordinationNetwork
 from repro.mc.fcfs import FCFSController
 from repro.mc.frfcfs import FRFCFSController
@@ -30,7 +30,6 @@ __all__ = [
     "GMCController",
     "MemoryController",
     "PAPER_SCHEDULERS",
-    "QueuedRequest",
     "RowSorter",
     "SBWASController",
     "SCHEDULERS",

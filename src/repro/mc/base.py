@@ -34,7 +34,7 @@ from repro.core.request import MemoryRequest
 from repro.core.stats import ChannelStats
 from repro.dram.channel import Channel
 from repro.dram.commands import CommandKind
-from repro.mc.command_queue import SCORE_HIT, CommandQueues, QueuedRequest
+from repro.mc.command_queue import CommandQueues
 
 __all__ = ["MemoryController"]
 
@@ -102,7 +102,7 @@ class MemoryController:
 
         # Next-legal-issue cache: the result of one full bank scan —
         # ``(cq_version, channel_version, entries, wake)`` where entries is
-        # the scan-ordered list of ``(bank, head, kind, earliest)`` and
+        # the scan-ordered list of ``(bank, req, kind, earliest)`` and
         # wake the controller-wide minimum earliest.  Valid until either
         # version moves (command issued, queue mutated, refresh adjusted
         # timing): earliest-issue answers are time-shift exact under
@@ -158,8 +158,7 @@ class MemoryController:
             req.serviced_by = "wq"
             req.t_data = self.engine.now + self.t.tcas_ps
             self.engine.schedule_at(req.t_data, self.deliver_read, req)
-            if req.transaction is not None:
-                req.transaction.note_resolved(self.channel_id, to_dram=False)
+            self.resolve_read(req, to_dram=False)
             return
         req.serviced_by = "dram"
         if self._reads_pending >= self.mc.read_queue_entries or self._read_overflow:
@@ -168,13 +167,21 @@ class MemoryController:
         else:
             self._reads_pending += 1
             self._accept_read(req)
-        # Resolve transaction bookkeeping only after the request is admitted:
-        # note_resolved may synchronously fire the group-size announcement,
-        # which must never precede the request's own admission.
+        # Resolve only after the request is admitted: if it closes its
+        # load's group, the size announcement must not precede it.
         if req.transaction is not None:
             req.transaction.note_dram_bound(req)
-            req.transaction.note_resolved(self.channel_id, to_dram=True)
+        self.resolve_read(req, to_dram=True)
         self._kick()
+
+    def resolve_read(self, req: MemoryRequest, to_dram: bool) -> None:
+        """``req`` finished its L2 lookup on this channel (admitted to this
+        controller when ``to_dram``); if it closes its load's group here,
+        announce the group's size (§IV-B, see LoadTransaction)."""
+        if req.transaction is not None:
+            expected = req.transaction.note_resolved(req, to_dram)
+            if expected:
+                self.receive_group_complete(req.warp, expected)
 
     def receive_write(self, req: MemoryRequest) -> None:
         req.t_mc_arrival = self.engine.now
@@ -304,9 +311,9 @@ class MemoryController:
             self._order_cache[key] = order
         return order
 
-    def _issue_after(self, bank: int, head: QueuedRequest, kind, now: int) -> Optional[int]:
+    def _issue_after(self, bank: int, req: MemoryRequest, kind, now: int) -> Optional[int]:
         """Issue ``kind`` on ``bank`` and return the follow-up wake time."""
-        self._do_issue(bank, head, kind, now)
+        self._do_issue(bank, req, kind, now)
         # Advance the round-robin pointers past this bank.
         g = bank // self.org.banks_per_group
         self._group_ptr = (g + 1) % self._num_bank_groups
@@ -338,9 +345,9 @@ class MemoryController:
                 # pick.  The common case is waking exactly at ``wake``.
                 if wake > now:
                     return wake
-                for bank, head, kind, earliest in entries:
+                for bank, req, kind, earliest in entries:
                     if earliest <= now:
-                        return self._issue_after(bank, head, kind, now)
+                        return self._issue_after(bank, req, kind, now)
                 return wake  # unreachable: wake <= now implies a ready entry
             self._scan_cache = None
         # Fresh scan.  The channel-global terms of each earliest-issue
@@ -360,9 +367,8 @@ class MemoryController:
             q = queues[bank]
             if not q:
                 continue
-            head = q[0]
+            req = q[0]
             b = banks[bank]
-            req = head.req
             open_row = b.open_row
             if open_row == req.row:
                 if req.is_write:
@@ -383,8 +389,8 @@ class MemoryController:
                 kind = _PRE
                 earliest = base if base > b.earliest_pre else b.earliest_pre
             if earliest <= now:
-                return self._issue_after(bank, head, kind, now)
-            entries.append((bank, head, kind, earliest))
+                return self._issue_after(bank, req, kind, now)
+            entries.append((bank, req, kind, earliest))
             if best_earliest is None or earliest < best_earliest:
                 best_earliest = earliest
         if best_earliest is not None:
@@ -393,21 +399,20 @@ class MemoryController:
             )
         return best_earliest
 
-    def _do_issue(self, bank: int, head: QueuedRequest, kind: CommandKind, now: int) -> None:
-        req = head.req
+    def _do_issue(self, bank: int, req: MemoryRequest, kind: CommandKind, now: int) -> None:
         if kind == CommandKind.ACT:
             self.channel.issue_act(bank, req.row, now)
             self.stats.activates += 1
-            head.needed_act = True
+            req.needed_act = True
         elif kind == CommandKind.PRE:
             self.channel.issue_pre(bank, now)
             self.stats.precharges += 1
         else:
             data_end = self.channel.issue_col(bank, req.is_write, now)
             self.cq.pop(bank)
-            self._on_column_issued(head, now)
+            self._on_column_issued(req, now)
             req.t_data = data_end
-            req.was_row_hit = not head.needed_act
+            req.was_row_hit = not req.needed_act
             if req.was_row_hit:
                 self.stats.row_hits += 1
             else:
@@ -423,7 +428,7 @@ class MemoryController:
                     self.on_read_done((data_end - req.t_mc_arrival) / 1000.0)
                 self.engine.schedule_at(data_end, self.deliver_read, req)
 
-    def _on_column_issued(self, entry: QueuedRequest, now: int) -> None:
+    def _on_column_issued(self, req: MemoryRequest, now: int) -> None:
         """Hook for policies that track per-request completion (WG family)."""
 
     # ------------------------------------------------------------------

@@ -26,22 +26,10 @@ from typing import Optional
 from repro.core.config import DRAMOrgConfig
 from repro.core.request import MemoryRequest
 
-__all__ = ["QueuedRequest", "CommandQueues", "SCORE_HIT", "SCORE_MISS"]
+__all__ = ["CommandQueues", "SCORE_HIT", "SCORE_MISS"]
 
 SCORE_HIT = 1  # tCAS ~ 12 ns
 SCORE_MISS = 3  # tRP + tRCD + tCAS ~ 36 ns
-
-
-class QueuedRequest:
-    """A request plus its command-generation state inside a bank queue."""
-
-    __slots__ = ("req", "score", "needed_act", "insert_ps")
-
-    def __init__(self, req: MemoryRequest, score: int, insert_ps: int) -> None:
-        self.req = req
-        self.score = score
-        self.needed_act = False
-        self.insert_ps = insert_ps
 
 
 class CommandQueues:
@@ -51,7 +39,7 @@ class CommandQueues:
         n = org.banks_per_channel
         self.org = org
         self.depth = depth
-        self.queues: list[deque[QueuedRequest]] = [deque() for _ in range(n)]
+        self.queues: list[deque[MemoryRequest]] = [deque() for _ in range(n)]
         self.queue_score = [0] * n
         self.last_sched_row: list[Optional[int]] = [None] * n
         self.hits_since_row_change = [0] * n
@@ -96,15 +84,16 @@ class CommandQueues:
         return self._reads
 
     # -- mutation ----------------------------------------------------------------
-    def insert(self, req: MemoryRequest, now_ps: int) -> QueuedRequest:
-        """Append a request to its bank queue; returns the queue entry."""
+    def insert(self, req: MemoryRequest, now_ps: int) -> None:
+        """Append a request to its bank queue, scoring it (§IV-B) and
+        stamping ``t_scheduled``."""
         bank = req.bank
         score = self.request_score(bank, req.row)
-        entry = QueuedRequest(req, score, now_ps)
+        req.score = score
         q = self.queues[bank]
         if not q:
             self._busy += 1
-        q.append(entry)
+        q.append(req)
         if len(q) >= self.depth:
             self.full.add(bank)
         self._total += 1
@@ -121,23 +110,22 @@ class CommandQueues:
             self.hits_since_row_change[bank] = 0
         self.last_sched_row[bank] = req.row
         req.t_scheduled = now_ps
-        return entry
 
-    def pop(self, bank: int) -> QueuedRequest:
-        """Remove the head entry after its column command issued."""
+    def pop(self, bank: int) -> MemoryRequest:
+        """Remove the head request after its column command issued."""
         q = self.queues[bank]
-        entry = q.popleft()
+        req = q.popleft()
         if len(q) < self.depth:
             self.full.discard(bank)
         if not q:
             self._busy -= 1
         self._total -= 1
-        if not entry.req.is_write:
+        if not req.is_write:
             self._reads -= 1
         self.version += 1
-        self.queue_score[bank] -= entry.score
-        return entry
+        self.queue_score[bank] -= req.score
+        return req
 
-    def head(self, bank: int) -> Optional[QueuedRequest]:
+    def head(self, bank: int) -> Optional[MemoryRequest]:
         q = self.queues[bank]
         return q[0] if q else None

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.request import MemoryRequest
-from repro.mc.command_queue import QueuedRequest
 from repro.mc.row_sorter import RowSorterController
 
 __all__ = ["SBWASController"]
@@ -56,8 +55,8 @@ class SBWASController(RowSorterController):
     def _update_drain_state(self) -> None:
         self.draining = False
 
-    def _on_column_issued(self, entry: QueuedRequest, now: int) -> None:
-        if entry.req.is_write:
+    def _on_column_issued(self, req: MemoryRequest, now: int) -> None:
+        if req.is_write:
             self._writes_in_sorter -= 1
 
     def pending_work(self) -> int:

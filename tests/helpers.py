@@ -6,7 +6,7 @@ import json
 
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
-from repro.core.request import MemoryRequest
+from repro.core.request import LoadTransaction, MemoryRequest
 from repro.core.stats import ChannelStats
 from repro.mc.registry import controller_class
 
@@ -28,6 +28,33 @@ def make_request(
     req = MemoryRequest(addr=addr, is_write=is_write, sm_id=sm_id, warp_id=warp_id)
     req.channel, req.bank, req.row, req.col = channel, bank, row, col
     return req
+
+
+def tagged_load(warp_id: int, specs, sm_id: int = 0) -> list[MemoryRequest]:
+    """One load's requests to channel 0, (bank, row) each, in dispatch
+    order, with the last tagged as closing the load's group there."""
+    txn = LoadTransaction(sm_id, warp_id, n_requests=len(specs), t_issue=0)
+    reqs = []
+    for bank, row in specs:
+        req = make_request(bank=bank, row=row, sm_id=sm_id, warp_id=warp_id)
+        req.transaction = txn
+        reqs.append(req)
+    reqs[-1].closes_group = True
+    return reqs
+
+
+def record_announcements(mc) -> list[tuple[tuple[int, int], int, int]]:
+    """Record a controller's group-size announcements as
+    (key, expected, instant) while passing them on."""
+    announced = []
+    announce = mc.receive_group_complete
+
+    def record(key, expected):
+        announced.append((key, expected, mc.engine.now))
+        announce(key, expected)
+
+    mc.receive_group_complete = record
+    return announced
 
 
 class MCHarness:

@@ -14,8 +14,9 @@ def fresh(depth: int = 8) -> CommandQueues:
 
 def test_first_insert_scores_as_miss():
     cq = fresh()
-    entry = cq.insert(make_request(bank=0, row=5), 0)
-    assert entry.score == SCORE_MISS
+    req = make_request(bank=0, row=5)
+    cq.insert(req, 0)
+    assert req.score == SCORE_MISS
     assert cq.queue_score[0] == SCORE_MISS
     assert cq.last_sched_row[0] == 5
 
@@ -23,8 +24,9 @@ def test_first_insert_scores_as_miss():
 def test_same_row_scores_as_hit():
     cq = fresh()
     cq.insert(make_request(bank=0, row=5), 0)
-    entry = cq.insert(make_request(bank=0, row=5), 0)
-    assert entry.score == SCORE_HIT
+    req = make_request(bank=0, row=5)
+    cq.insert(req, 0)
+    assert req.score == SCORE_HIT
     assert cq.queue_score[0] == SCORE_MISS + SCORE_HIT
 
 
@@ -47,10 +49,11 @@ def test_hit_counter_saturates_at_31():
 
 def test_pop_restores_score():
     cq = fresh()
+    first = make_request(bank=0, row=5)
+    cq.insert(first, 0)
     cq.insert(make_request(bank=0, row=5), 0)
-    cq.insert(make_request(bank=0, row=5), 0)
-    e = cq.pop(0)
-    assert e.score == SCORE_MISS
+    assert cq.pop(0) is first
+    assert first.score == SCORE_MISS
     assert cq.queue_score[0] == SCORE_HIT
     cq.pop(0)
     assert cq.queue_score[0] == 0
@@ -108,7 +111,8 @@ def test_head_and_timestamps():
     cq = fresh()
     req = make_request(bank=2, row=9)
     cq.insert(req, 1234)
-    assert cq.head(2).req is req
+    assert cq.head(2) is req
+    assert list(cq.queues[2]) == [req]  # the queue holds the request itself
     assert req.t_scheduled == 1234
     assert cq.head(3) is None
 

@@ -1,11 +1,14 @@
 """Tests for the differential/metamorphic fuzzer (repro.fuzz).
 
-The two regression tests re-introduce real bugs this codebase shipped
-and later fixed (overflow writes invisible to forwarding; MERB gate
-overfilling the command queue) and assert the fuzzer catches each one
-within a few seed-0 cases, minimizes it, and writes an artifact that
-replays deterministically — and stops reproducing once the patch is
-reverted.
+The regression tests re-introduce real bugs this codebase shipped and
+later fixed (overflow writes invisible to forwarding; MERB gate
+overfilling the command queue; a drifting incremental scorer; a pick
+that ignores queue room).  Each picks its seed-0 case by what its bug
+needs, not by position in the case stream: the first case whose healthy
+run exercises the mechanism the bug breaks, at a point where the buggy
+code would act differently.  The test then asserts the campaign catches
+the bug on that case, writes an artifact that replays deterministically,
+and stops reproducing once the patch is reverted.
 """
 
 import dataclasses
@@ -34,6 +37,7 @@ from repro.fuzz.artifact import (
     config_from_dict,
 )
 from repro.fuzz.oracles import ORACLES
+from repro.gpu.system import GPUSystem
 from repro.mc.warp_sorter import WarpGroupEntry, WarpSorter
 from repro.mc.wgbw import ORPHAN_LIMIT
 from repro.workloads.mutate import (
@@ -263,6 +267,46 @@ def test_campaign_requires_a_bound():
 
 
 # ---------------------------------------------------------------------------
+# regression tests: cases picked by the mechanism their bug breaks
+# ---------------------------------------------------------------------------
+_CASE_LIMIT = 16
+
+
+def _first_case_exercising(scheduler: str, watch):
+    """The first seed-0 case whose healthy run under ``scheduler`` reaches
+    the mechanism ``watch`` looks for.
+
+    ``watch(mc, seen)`` wraps methods of one controller instance and
+    appends to ``seen`` each time the mechanism runs in a state where the
+    buggy code would act differently.  Up to that moment the buggy and
+    healthy runs are identical, so the bug must surface in this case.
+    """
+    generator = CaseGenerator(0)
+    for index in range(_CASE_LIMIT):
+        case = generator.case(index)
+        system = GPUSystem(case.config.with_scheduler(scheduler), case.trace)
+        seen: list = []
+        for mc in system.mcs:
+            watch(mc, seen)
+        system.run()
+        if seen:
+            return case
+    pytest.fail(
+        f"none of the first {_CASE_LIMIT} seed-0 cases exercises the mechanism"
+    )
+
+
+def _campaign_through(case, scheduler: str, tmp_path, do_minimize: bool):
+    """Run the campaign up to and including ``case``; return its failure."""
+    report = run_campaign(
+        seed=0, iterations=case.index + 1, schedulers=[scheduler],
+        artifact_dir=str(tmp_path), do_minimize=do_minimize,
+    )
+    assert [f.case_index for f in report.failures] == [case.index]
+    return report.failures[0]
+
+
+# ---------------------------------------------------------------------------
 # regression: PR 2 bug A — overflowed writes invisible to read forwarding
 # ---------------------------------------------------------------------------
 def _buggy_receive_write(self, req):
@@ -271,20 +315,40 @@ def _buggy_receive_write(self, req):
     if len(self.write_queue) >= self.mc.write_queue_entries or self._write_overflow:
         self._write_overflow.append(req)
     else:
+        self._wq_index[req.addr] = req
         self._admit_write(req)
     self._kick()
 
 
+def _watch_overflow_forwarding(mc, seen):
+    """A read the pre-fix index answers differently.  That index held, per
+    line, the newest write admitted straight to the queue until it
+    drained, and never a write parked in the overflow."""
+    receive_write, receive_read = mc.receive_write, mc.receive_read
+    direct = {}  # line -> newest write admitted straight to the queue
+
+    def watched_write(req):
+        receive_write(req)
+        if req not in mc._write_overflow:
+            direct[req.addr] = req
+
+    def watched_read(req):
+        write = direct.get(req.addr)
+        pre_fix = write is not None and write in mc.write_queue
+        if pre_fix != (req.addr in mc._wq_index):
+            seen.append(req)
+        receive_read(req)
+
+    mc.receive_write = watched_write
+    mc.receive_read = watched_read
+
+
 def test_fuzzer_catches_overflow_forwarding_regression(tmp_path, monkeypatch):
+    case = _first_case_exercising("fcfs", _watch_overflow_forwarding)
     monkeypatch.setattr(
         mc_base.MemoryController, "receive_write", _buggy_receive_write
     )
-    report = run_campaign(
-        seed=0, iterations=3, schedulers=["fcfs"],
-        artifact_dir=str(tmp_path), do_minimize=True,
-    )
-    assert not report.clean
-    failure = report.failures[0]
+    failure = _campaign_through(case, "fcfs", tmp_path, do_minimize=True)
     assert failure.oracle == "forwarding-consistency"
     assert failure.artifact_path and os.path.exists(failure.artifact_path)
     assert failure.minimized_warps is not None
@@ -336,18 +400,32 @@ def _buggy_merb_gate(self, bank, open_row, now):
             self.stats.orphan_rescues += 1
 
 
+def _watch_capped_merb_gate(mc, seen):
+    """A gate call the queue-room cap cut short: hits it would still have
+    pulled (below the MERB threshold, or orphans) are left with no slot.
+    The uncapped pre-fix gate inserts them past the bound."""
+    gate = mc._merb_gate
+
+    def watched(bank, open_row, now):
+        cq = mc.cq
+        busy = cq.busy_banks() + (0 if cq.queues[bank] else 1)
+        need = mc._merb[max(1, min(busy, len(mc._merb) - 1))]
+        gate(bank, open_row, now)
+        left = len(mc.sorter.pending_hits(bank, open_row))
+        if left and cq.space(bank) - 1 <= 0 and (
+            cq.hits_since_row_change[bank] < need or left <= ORPHAN_LIMIT
+        ):
+            seen.append(bank)
+
+    mc._merb_gate = watched
+
+
 def test_fuzzer_catches_uncapped_merb_regression(tmp_path, monkeypatch):
+    case = _first_case_exercising("wg-bw", _watch_capped_merb_gate)
     monkeypatch.setattr(
         mc_wgbw.WGBwController, "_merb_gate", _buggy_merb_gate
     )
-    # Case 0 of seed 0 has 8-deep command queues, which the uncapped gate
-    # does not overfill; case 1 has depth 1.
-    report = run_campaign(
-        seed=0, iterations=2, schedulers=["wg-bw"],
-        artifact_dir=str(tmp_path), do_minimize=True,
-    )
-    assert not report.clean
-    failure = report.failures[0]
+    failure = _campaign_through(case, "wg-bw", tmp_path, do_minimize=True)
     assert failure.oracle == "merb-gate-contract"
     assert failure.artifact_path and os.path.exists(failure.artifact_path)
 
@@ -381,14 +459,24 @@ def _buggy_entry_add(self, req):
     self.received += 1
 
 
+def _watch_chained_groups(mc, seen):
+    """A pick that scores a complete group with two or more requests on
+    one bank: only there do the chain terms the bug drops count."""
+    pick = mc._pick_with_room
+
+    def watched(now):
+        for entry in mc.sorter.complete_groups():
+            if any(len(reqs) > 1 for reqs in entry.by_bank.values()):
+                seen.append(entry.key)
+        return pick(now)
+
+    mc._pick_with_room = watched
+
+
 def test_fuzzer_catches_incremental_scorer_drift(tmp_path, monkeypatch):
+    case = _first_case_exercising("wg", _watch_chained_groups)
     monkeypatch.setattr(WarpGroupEntry, "add", _buggy_entry_add)
-    report = run_campaign(
-        seed=0, iterations=3, schedulers=["wg"],
-        artifact_dir=str(tmp_path), do_minimize=False,
-    )
-    assert not report.clean
-    failure = report.failures[0]
+    failure = _campaign_through(case, "wg", tmp_path, do_minimize=False)
     assert failure.oracle == "scorer-differential"
     assert failure.artifact_path and os.path.exists(failure.artifact_path)
 
@@ -421,14 +509,24 @@ def _roomless_pick(self, now):
     return None if best is None else best[1:]
 
 
+def _watch_roomless_best(mc, seen):
+    """A pick whose best-ranked complete group touches a full bank queue,
+    so a pick that ignores room would take it."""
+    pick = mc._pick_with_room
+
+    def watched(now):
+        best = _roomless_pick(mc, now)
+        if best is not None and not mc.cq.full.isdisjoint(best[0].by_bank):
+            seen.append(best[0].key)
+        return pick(now)
+
+    mc._pick_with_room = watched
+
+
 def test_fuzzer_catches_a_pick_that_ignores_room(tmp_path, monkeypatch):
+    case = _first_case_exercising("wg", _watch_roomless_best)
     monkeypatch.setattr(mc_wg.WGController, "_pick_with_room", _roomless_pick)
-    report = run_campaign(
-        seed=0, iterations=3, schedulers=["wg"],
-        artifact_dir=str(tmp_path), do_minimize=False,
-    )
-    assert not report.clean
-    failure = report.failures[0]
+    failure = _campaign_through(case, "wg", tmp_path, do_minimize=False)
     assert failure.oracle == "pick-differential"
     assert failure.artifact_path and os.path.exists(failure.artifact_path)
 

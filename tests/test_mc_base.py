@@ -4,7 +4,7 @@ import dataclasses
 
 from repro.core.config import SimConfig
 
-from helpers import MCHarness, make_request
+from helpers import MCHarness, make_request, record_announcements, tagged_load
 
 
 def test_reads_complete_and_deliver(harness):
@@ -171,3 +171,40 @@ def test_deterministic_replay():
         return [r.t_data for r in reqs]  # by submission order
 
     assert run_once() == run_once()
+
+
+# ---------------------------------------------------------------------------
+# The group tag (§IV-B) resolved inside the controller: a load's closing
+# request announces the group's size wherever the controller resolves it.
+# ---------------------------------------------------------------------------
+def test_closing_write_queue_forward_announces_the_admitted_requests(harness):
+    h = harness("wg")
+    announced = record_announcements(h.mc)
+    own, fwd = tagged_load(1, [(0, 1), (3, 4)])
+    h.write(bank=3, row=4, addr=fwd.addr)
+    h.mc.receive_read(own)
+    assert announced == []
+    h.mc.receive_read(fwd)
+    assert fwd.serviced_by == "wq"
+    assert announced == [((0, 1), 1, 0)]  # only the admitted request counts
+    h.run()
+    assert own.t_data > 0 and h.stats.reads == 1
+
+
+def test_closing_request_parked_in_the_read_overflow_announces(harness):
+    cfg = dataclasses.replace(
+        SimConfig(), mc=dataclasses.replace(SimConfig().mc, read_queue_entries=2)
+    )
+    h = harness("wg", cfg)
+    announced = record_announcements(h.mc)
+    for i in range(2):  # fill the read queue with other warps' reads
+        h.read(bank=i, row=7, warp_id=10 + i)
+    reqs = tagged_load(1, [(4, 1), (5, 2)])
+    for req in reqs:
+        h.mc.receive_read(req)
+    # Both parked, and the closing one announced the pair on parking.
+    assert list(h.mc._read_overflow) == reqs
+    assert announced == [((0, 1), 2, 0)]
+    h.run()
+    assert all(r.t_data > 0 for r in reqs)
+    assert h.mc.pending_work() == 0

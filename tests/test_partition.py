@@ -1,13 +1,14 @@
 """Unit tests for the memory partition (L2 slice + controller glue)."""
 
-import pytest
-
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
-from repro.core.request import LoadTransaction, MemoryRequest
+from repro.core.request import MemoryRequest
 from repro.core.stats import SimStats
 from repro.gpu.address_map import AddressMap
 from repro.gpu.partition import MemoryPartition
+from repro.mc.registry import controller_class
+
+from helpers import make_request, record_announcements, tagged_load
 
 
 class FakeMC:
@@ -16,12 +17,16 @@ class FakeMC:
     def __init__(self):
         self.reads = []
         self.writes = []
+        self.resolved = []
 
     def receive_read(self, req):
         self.reads.append(req)
 
     def receive_write(self, req):
         self.writes.append(req)
+
+    def resolve_read(self, req, to_dram):
+        self.resolved.append((req, to_dram))
 
 
 def build(part_id: int = 0, use_l2: bool = True):
@@ -149,17 +154,63 @@ def test_transaction_resolution_on_l2_hit():
     part.receive(req)
     eng.run()
     part.on_dram_data(req)
-    fired = []
-    txn = LoadTransaction(
-        0, 0, n_requests=1, t_issue=0,
-        on_group_complete=lambda ch, key, n: fired.append(ch),
-    )
     again = read_req(amap, 0)
-    again.transaction = txn
-    txn.note_dispatched(0)
-    txn.finish_dispatch()
     part.receive(again)
     eng.run()
-    # L2 hit -> resolved with to_dram False -> no group anywhere.
-    assert fired == []
+    # The hit resolves at the slice, never admitted to the controller.
+    assert part.mc.resolved == [(again, False)]
     assert again.serviced_by == "l2"
+
+
+# ---------------------------------------------------------------------------
+# The group tag (§IV-B): whoever resolves a load's closing request on this
+# channel announces how many of the load's requests the controller admitted.
+# ---------------------------------------------------------------------------
+def build_wired():
+    """A partition in front of a real WG controller whose group-size
+    announcements are recorded."""
+    eng, amap, part, replies = build()
+    part.mc = controller_class("wg")(
+        eng, 0, part.config, part.sim_stats.channels[0], part.on_dram_data
+    )
+    return eng, part, replies, record_announcements(part.mc)
+
+
+def test_closing_l2_hit_announces_the_admitted_requests():
+    eng, part, replies, announced = build_wired()
+    miss, hit = tagged_load(1, [(0, 1), (1, 2)])
+    part.l2.fill(hit.addr)
+    for req in (miss, hit):
+        part.receive(req)
+    eng.run()
+    assert (miss.serviced_by, hit.serviced_by) == ("dram", "l2")
+    # Announced at the hit's lookup, counting the one admitted miss...
+    assert announced == [((0, 1), 1, part.l2_lat_ps)]
+    # ...which completes the group, so WG schedules it.
+    assert miss.t_data > 0 and set(replies) == {miss, hit}
+
+
+def test_closing_l2_mshr_merge_announces_the_admitted_requests():
+    eng, part, replies, announced = build_wired()
+    other = make_request(bank=2, row=3, warp_id=7)  # another warp's fill
+    part.receive(other)
+    own, merged = tagged_load(1, [(0, 1), (2, 3)])
+    assert merged.addr == other.addr
+    for req in (own, merged):
+        part.receive(req)
+    eng.run()
+    assert announced == [((0, 1), 1, part.l2_lat_ps)]
+    assert part.mc.stats.reads == 2  # own and other; merged rode other's fill
+    assert set(replies) == {other, own, merged}
+
+
+def test_channel_whose_requests_all_hit_the_l2_announces_nothing():
+    eng, part, replies, announced = build_wired()
+    reqs = tagged_load(1, [(0, 1), (1, 2)])
+    for req in reqs:
+        part.l2.fill(req.addr)
+        part.receive(req)
+    eng.run()
+    assert announced == []
+    assert replies == reqs
+    assert part.mc.sorter.empty() and not part.mc.sorter.groups

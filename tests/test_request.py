@@ -47,45 +47,40 @@ def test_zero_requests_rejected():
 
 
 def test_group_complete_fires_per_channel_with_counts():
-    fired = []
-    txn = LoadTransaction(
-        0, 7, n_requests=4, t_issue=0,
-        on_group_complete=lambda ch, key, n: fired.append((ch, key, n)),
-    )
-    for ch in (0, 0, 1):
-        txn.note_dispatched(ch)
-    txn.note_dispatched(2)
-    txn.finish_dispatch()
+    txn = LoadTransaction(0, 7, n_requests=4, t_issue=0)
+    a, b, c, d = _req(0), _req(0), _req(1), _req(2)
+    for r in (b, c, d):  # the last request to each channel
+        r.closes_group = True
     # channel 1's only request resolves as an L2 hit: no group there.
-    txn.note_resolved(1, to_dram=False)
-    assert fired == []
-    # channel 0: one L2 hit + one DRAM admission -> group of size 1.
-    txn.note_resolved(0, to_dram=True)
-    assert fired == []  # still waiting for channel 0's second lookup
-    txn.note_resolved(0, to_dram=False)
-    assert fired == [(0, (0, 7), 1)]
-    txn.note_resolved(2, to_dram=True)
-    assert fired == [(0, (0, 7), 1), (2, (0, 7), 1)]
+    assert txn.note_resolved(c, to_dram=False) == 0
+    # channel 0: one DRAM admission + one L2 hit on the closing request
+    # -> group of size 1.
+    assert txn.note_resolved(a, to_dram=True) == 0
+    assert txn.note_resolved(b, to_dram=False) == 1
+    assert txn.note_resolved(d, to_dram=True) == 1
 
 
-def test_group_complete_waits_for_dispatch_finish():
-    fired = []
-    txn = LoadTransaction(
-        0, 7, n_requests=2, t_issue=0,
-        on_group_complete=lambda ch, key, n: fired.append(ch),
-    )
-    txn.note_dispatched(0)
-    txn.note_resolved(0, to_dram=True)
-    assert fired == []  # the SM may still dispatch more to channel 0
-    txn.finish_dispatch()
-    assert fired == [0]
+def test_group_size_counts_only_admitted_requests():
+    txn = LoadTransaction(0, 7, n_requests=3, t_issue=0)
+    reqs = [_req(0) for _ in range(3)]
+    reqs[-1].closes_group = True
+    assert [txn.note_resolved(r, to_dram=True) for r in reqs] == [0, 0, 3]
 
 
-def test_dispatch_after_finish_rejected():
-    txn = LoadTransaction(0, 1, n_requests=2, t_issue=0)
-    txn.finish_dispatch()
-    with pytest.raises(ValueError):
-        txn.note_dispatched(0)
+def test_resolution_after_closing_request_raises():
+    """The crossbar and the L2 keep a load's requests to one channel in
+    order, so a resolution after the closing one would mis-size the
+    group: it must raise rather than announce."""
+    txn = LoadTransaction(0, 7, n_requests=2, t_issue=0)
+    closing, late = _req(0), _req(0)
+    closing.closes_group = True
+    assert txn.note_resolved(closing, to_dram=True) == 1
+    with pytest.raises(ValueError, match="after its load's closing request"):
+        txn.note_resolved(late, to_dram=True)
+    # Other channels are unaffected.
+    other = _req(1)
+    other.closes_group = True
+    assert txn.note_resolved(other, to_dram=True) == 1
 
 
 def test_note_dram_bound_statistics():

@@ -9,28 +9,18 @@ import dataclasses
 from repro.core.config import SimConfig
 from repro.core.request import LoadTransaction
 
-from helpers import MCHarness, make_request
+from helpers import MCHarness, make_request, tagged_load
 
 
 def send_group(h: MCHarness, warp_id: int, specs, sm_id: int = 0):
     """Inject a complete warp-group: specs = [(bank, row), ...].
 
-    Uses a real LoadTransaction so the group-size announcement flows
-    exactly as in the full system.
+    Uses a real LoadTransaction and tags the last request, so the
+    group-size announcement flows exactly as in the full system.
     """
-    txn = LoadTransaction(
-        sm_id, warp_id, n_requests=len(specs), t_issue=h.engine.now,
-        on_group_complete=lambda ch, key, n: h.mc.receive_group_complete(key, n),
-    )
-    reqs = []
-    for bank, row in specs:
-        req = make_request(bank=bank, row=row, sm_id=sm_id, warp_id=warp_id)
-        req.transaction = txn
-        txn.note_dispatched(0)
-        reqs.append(req)
+    reqs = tagged_load(warp_id, specs, sm_id=sm_id)
     for req in reqs:
         h.mc.receive_read(req)
-    txn.finish_dispatch()
     return reqs
 
 
@@ -120,14 +110,9 @@ def test_wg_group_scheduled_together(harness):
 
 def test_wg_waits_for_group_completion(harness):
     h = harness("wg")
-    txn = LoadTransaction(
-        0, 1, n_requests=2, t_issue=0,
-        on_group_complete=lambda ch, key, n: h.mc.receive_group_complete(key, n),
-    )
+    txn = LoadTransaction(0, 1, n_requests=2, t_issue=0)
     first = make_request(bank=0, row=1, warp_id=1)
     first.transaction = txn
-    txn.note_dispatched(0)
-    txn.note_dispatched(0)
     h.mc.receive_read(first)
     # Competing complete singleton arrives later but is schedulable.
     other = send_group(h, warp_id=2, specs=[(0, 2)])[0]
@@ -137,8 +122,8 @@ def test_wg_waits_for_group_completion(harness):
     # Second request arrives; group completes and drains.
     second = make_request(bank=1, row=1, warp_id=1)
     second.transaction = txn
+    second.closes_group = True
     h.mc.receive_read(second)
-    txn.finish_dispatch()
     h.run()
     assert first.t_data > 0 and second.t_data > 0
 

@@ -4,7 +4,9 @@ from repro.core.config import SimConfig
 from repro.core.engine import Engine
 from repro.core.request import MemoryRequest
 from repro.core.stats import SimStats
+from repro.gpu.address_map import AddressMap
 from repro.gpu.sm import SMCore
+from repro.gpu.tlb import PAGE_TABLE_REGION
 from repro.gpu.warp import WarpStatus
 from repro.workloads.trace import MemOp, Segment, WarpTrace
 
@@ -20,11 +22,13 @@ class SMHarness:
             cfg = dataclasses.replace(cfg, use_l1=False)
         self.engine = Engine()
         self.stats = SimStats(cfg.dram_org.num_channels)
+        self.amap = AddressMap(cfg.dram_org)
         self.sent: list[MemoryRequest] = []
         self.done_warps = []
         self.mem_latency_ps = mem_latency_ps
 
         def send(req: MemoryRequest) -> None:
+            self.amap.route(req)
             self.sent.append(req)
             if req.is_write:
                 return  # stores get no reply, as in the real system
@@ -36,7 +40,6 @@ class SMHarness:
         self.sm = SMCore(
             self.engine, 0, cfg, warps,
             send_request=send,
-            group_complete_cb=lambda ch, key, n: None,
             on_warp_done=self.done_warps.append,
             sim_stats=self.stats,
         )
@@ -153,3 +156,43 @@ def test_instruction_counting():
     h.run()
     # 10 compute + 1 load + 5 compute.
     assert h.stats.warp_instructions == 16
+
+
+def _closing(sent):
+    """Per channel, the requests flagged as closing the load's group."""
+    flagged: dict[int, list[MemoryRequest]] = {}
+    for req in sent:
+        if req.closes_group:
+            flagged.setdefault(req.channel, []).append(req)
+    return flagged
+
+
+def test_last_request_per_channel_closes_the_group():
+    lines = [1, 2, 3, 4, 5, 6, 7, 8]
+    h = SMHarness([warp(0, 0, [Segment(1, gather_op(lines))])], use_l1=False)
+    h.run()
+    last = {}
+    for req in h.sent:
+        last[req.channel] = req
+    assert len(last) > 1  # the load spans several channels
+    assert _closing(h.sent) == {ch: [req] for ch, req in last.items()}
+
+
+def test_page_walk_closes_the_group_of_its_channel():
+    """A walk sent to a channel no line of the load maps to is that
+    channel's only request, so it carries the tag."""
+    import dataclasses
+
+    cfg = dataclasses.replace(SimConfig(), use_tlb=True, use_l1=False)
+    amap = AddressMap(cfg.dram_org)
+    page = cfg.gpu.page_bytes
+    walk = PAGE_TABLE_REGION & ~(cfg.dram_org.line_bytes - 1)  # page 0's PTE
+    walk_channel = amap.channel_of(walk)
+    lanes = [a for a in range(0, page, 128) if amap.channel_of(a) != walk_channel]
+    h = SMHarness(
+        [warp(0, 0, [Segment(1, MemOp(False, lanes[:32]))])], config=cfg
+    )
+    h.run()
+    walks = [r for r in h.sent if r.addr == walk]
+    assert len(walks) == 1 and walks[0].channel == walk_channel
+    assert _closing(h.sent)[walk_channel] == walks

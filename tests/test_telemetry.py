@@ -102,6 +102,21 @@ def test_interval_latencies_cover_every_dram_read():
     assert max(s["lat_p50_ns"] for s in stats.intervals) > 0
 
 
+def test_zero_div_followers_reach_every_latency_record():
+    """Zero-div completes a group's followers on arrival, outside the
+    command queues; they still count in the interval latencies and the
+    sorter-wait/service breakdown, like every other DRAM read."""
+    import repro.idealized  # noqa: F401  (registers zero-div)
+
+    cfg = SimConfig(scheduler="zero-div")
+    trace = build_benchmark("bfs", cfg, Scale.TINY, seed=1)
+    stats = simulate(cfg, trace, telemetry=TelemetryHub(sample_period_ns=100.0))
+    assert sum(c.reads for c in stats.channels) == 1289
+    assert sum(s["lat_count"] for s in stats.intervals) == 1289
+    assert sum(c.sorter_wait.count for c in stats.channels) == 1289
+    assert sum(c.service_time.count for c in stats.channels) == 1289
+
+
 def test_metrics_json_and_csv_export(tmp_path):
     hub = TelemetryHub(sample_period_ns=100.0)
     stats = tiny_run(telemetry=hub)

@@ -56,16 +56,12 @@ def test_remote_score_discount_promotes_laggard_group():
     def inject_warp1():
         # Warp 1 spans both channels, arriving after the backlog has
         # occupied channel 1's command queues.
-        txn = LoadTransaction(
-            0, 1, n_requests=2, t_issue=eng.now,
-            on_group_complete=lambda ch, key, n: mcs[ch].receive_group_complete(key, n),
-        )
-        for r, ch in ((r0, 0), (r1, 1)):
+        txn = LoadTransaction(0, 1, n_requests=2, t_issue=eng.now)
+        for r in (r0, r1):
             r.transaction = txn
-            txn.note_dispatched(ch)
+            r.closes_group = True  # each is its channel's only request
         mcs[0].receive_read(r0)
         mcs[1].receive_read(r1)
-        txn.finish_dispatch()
 
     eng.schedule_at(2000, inject_warp1)
     eng.run(max_events=300_000)
@@ -96,15 +92,11 @@ def test_merb_gate_defers_row_miss_behind_pending_hits(harness):
     # Pending row hits from an incomplete background warp...
     from repro.core.request import LoadTransaction
 
-    bg = LoadTransaction(
-        0, 9, n_requests=8, t_issue=h.engine.now,
-        on_group_complete=lambda ch, key, n: h.mc.receive_group_complete(key, n),
-    )
+    bg = LoadTransaction(0, 9, n_requests=8, t_issue=h.engine.now)
     hit_reqs = []
-    for i in range(6):
+    for i in range(6):  # its closing request never arrives
         r = make_request(bank=0, row=1, col=i, warp_id=9)
         r.transaction = bg
-        bg.note_dispatched(0)
         h.mc.receive_read(r)
         hit_reqs.append(r)
     # ...and a complete single-request group that misses the row.
@@ -142,7 +134,7 @@ def test_orphan_control_rescues_stranded_hits():
     mc.sorter.add(miss, 0)
     mc._insert_request(miss, 0)
     assert h.stats.orphan_rescues == 2
-    order = [e.req for e in mc.cq.queues[0]]
+    order = list(mc.cq.queues[0])
     assert order == orphans + [miss]
 
 
@@ -171,7 +163,7 @@ def test_merb_gate_respects_command_queue_depth():
     # The gate still made progress: it used every slot it could while
     # reserving one for the row-miss itself.
     assert h.stats.merb_deferrals == depth - 1
-    assert mc.cq.queues[0][-1].req is miss
+    assert mc.cq.queues[0][-1] is miss
 
 
 def test_merb_gate_noop_when_queue_full():
@@ -212,16 +204,14 @@ def test_wgbw_command_queues_never_exceed_depth_end_to_end(harness):
     for i in range(12):  # incomplete background hits: filler candidates
         r = make_request(bank=0, row=1, col=i, warp_id=9)
         r.transaction = bg
-        bg.note_dispatched(0)
         h.mc.receive_read(r)
     original_insert = h.mc.cq.insert
     max_seen = 0
 
     def checked_insert(req, now_ps):
         nonlocal max_seen
-        entry = original_insert(req, now_ps)
+        original_insert(req, now_ps)
         max_seen = max(max_seen, h.mc.cq.occupancy(req.bank))
-        return entry
 
     h.mc.cq.insert = checked_insert
     send_group(h, warp_id=2, specs=[(0, 77)])  # row miss triggers the gate
@@ -237,16 +227,12 @@ def test_wgbw_command_queues_never_exceed_depth_end_to_end(harness):
 # ---------------------------------------------------------------------------
 def incomplete_singleton(h, warp_id: int, bank: int, row: int):
     """A one-request group whose size announcement never arrives (the
-    transaction claims a second request that is never dispatched)."""
+    request does not close its group, and the closing one never comes)."""
     from repro.core.request import LoadTransaction
 
-    txn = LoadTransaction(
-        0, warp_id, n_requests=2, t_issue=h.engine.now,
-        on_group_complete=lambda ch, key, n: h.mc.receive_group_complete(key, n),
-    )
+    txn = LoadTransaction(0, warp_id, n_requests=2, t_issue=h.engine.now)
     req = make_request(bank=bank, row=row, warp_id=warp_id)
     req.transaction = txn
-    txn.note_dispatched(0)
     h.mc.receive_read(req)
     return req
 
@@ -365,7 +351,6 @@ def incomplete_group(mc, channel=0, warp_id=5):
     txn = LoadTransaction(0, warp_id, n_requests=4, t_issue=0)
     r = make_request(bank=0, row=1, warp_id=warp_id, channel=channel)
     r.transaction = txn
-    txn.note_dispatched(channel)
     mc.receive_read(r)
     return (0, warp_id)
 
