@@ -13,10 +13,10 @@ test:
 
 # The figure-shape tests of benchmarks/ (TINY scale by default).
 shapes:
-	REPRO_HISTORY=0 PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable
+	REPRO_HISTORY=0 PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q
 
 shapes-quick:
-	REPRO_BENCH_SCALE=quick REPRO_HISTORY=0 PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable
+	REPRO_BENCH_SCALE=quick REPRO_HISTORY=0 PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q
 
 # The repository benchmark (BENCHMARK.json), as CI's perf-ab job runs it.
 bench:

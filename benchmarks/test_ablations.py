@@ -33,25 +33,19 @@ def base_cfg():
     return SimConfig()
 
 
-def test_ablation_refresh_overhead(base_cfg, benchmark):
+def test_ablation_refresh_overhead(base_cfg):
     trace = trace_for(base_cfg)
     ref = dataclasses.replace(
         base_cfg,
         dram_timing=dataclasses.replace(base_cfg.dram_timing, refresh_enabled=True),
     )
-
-    def run():
-        off = simulate(base_cfg, trace).ipc()
-        on = simulate(ref, trace).ipc()
-        return on / off
-
-    ratio = benchmark.pedantic(run, rounds=1, iterations=1)
+    ratio = simulate(ref, trace).ipc() / simulate(base_cfg, trace).ipc()
     print(f"\nrefresh on/off IPC ratio: {ratio:.4f}")
     # tRFC/tREFI = 4%: overhead must be bounded and not negative.
     assert 0.90 <= ratio <= 1.01
 
 
-def test_ablation_tlb_with_warp_aware(base_cfg, benchmark):
+def test_ablation_tlb_with_warp_aware(base_cfg):
     """§V claim: warp-aware scheduling keeps its benefit when TLB misses
     inject page-walk traffic."""
     tlb_cfg = dataclasses.replace(
@@ -59,44 +53,29 @@ def test_ablation_tlb_with_warp_aware(base_cfg, benchmark):
         gpu=dataclasses.replace(base_cfg.gpu, tlb_entries=16),
     )
     trace = trace_for(base_cfg, name="spmv")
-
-    def run():
-        gmc = simulate(tlb_cfg.with_scheduler("gmc"), trace).ipc()
-        wgw = simulate(tlb_cfg.with_scheduler("wg-w"), trace).ipc()
-        return wgw / gmc
-
-    speedup = benchmark.pedantic(run, rounds=1, iterations=1)
+    gmc = simulate(tlb_cfg.with_scheduler("gmc"), trace).ipc()
+    speedup = simulate(tlb_cfg.with_scheduler("wg-w"), trace).ipc() / gmc
     print(f"\nWG-W speedup with TLB walks: {speedup:.4f}")
     assert speedup > 0.97  # no collapse under walk traffic
 
 
-def test_ablation_wgshare_vs_wgw(base_cfg, benchmark):
+def test_ablation_wgshare_vs_wgw(base_cfg):
     trace = trace_for(base_cfg, name="PVC")
-
-    def run():
-        wgw = simulate(base_cfg.with_scheduler("wg-w"), trace).ipc()
-        share = simulate(base_cfg.with_scheduler("wg-share"), trace).ipc()
-        return share / wgw
-
-    ratio = benchmark.pedantic(run, rounds=1, iterations=1)
+    wgw = simulate(base_cfg.with_scheduler("wg-w"), trace).ipc()
+    ratio = simulate(base_cfg.with_scheduler("wg-share"), trace).ipc() / wgw
     print(f"\nWG-Share / WG-W IPC: {ratio:.4f}")
     assert ratio > 0.95  # future-work heuristic must not regress
 
 
-def test_ablation_command_queue_depth(base_cfg, benchmark):
+def test_ablation_command_queue_depth(base_cfg):
     trace = trace_for(base_cfg, name="cfd")
-
-    def run():
-        out = {}
-        for depth in (2, 4, 16):
-            cfg = dataclasses.replace(
-                base_cfg,
-                mc=dataclasses.replace(base_cfg.mc, command_queue_depth=depth),
-            )
-            out[depth] = simulate(cfg.with_scheduler("wg-w"), trace).ipc()
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = {}
+    for depth in (2, 4, 16):
+        cfg = dataclasses.replace(
+            base_cfg,
+            mc=dataclasses.replace(base_cfg.mc, command_queue_depth=depth),
+        )
+        out[depth] = simulate(cfg.with_scheduler("wg-w"), trace).ipc()
     print("\nWG-W IPC by command-queue depth:", {k: round(v, 3) for k, v in out.items()})
     # All depths function; the default (4) is not the worst choice.
     assert min(out.values()) > 0

@@ -9,10 +9,8 @@ from repro.analysis.experiments import fig2_coalescing
 from conftest import emit
 
 
-def test_fig2_coalescing(runner, benchmark):
-    result = benchmark.pedantic(
-        fig2_coalescing, args=(runner,), rounds=1, iterations=1
-    )
+def test_fig2_coalescing(runner):
+    result = fig2_coalescing(runner)
     emit(result)
     assert len(result.rows) == 12  # 11 irregular benchmarks + MEAN
     # Shape: a majority-divergent suite with several requests per load.

@@ -9,10 +9,8 @@ from repro.analysis.experiments import fig3_divergence
 from conftest import emit
 
 
-def test_fig3_divergence(runner, benchmark):
-    result = benchmark.pedantic(
-        fig3_divergence, args=(runner,), rounds=1, iterations=1
-    )
+def test_fig3_divergence(runner):
+    result = fig3_divergence(runner)
     emit(result)
     # Significant main-memory latency divergence exists under the baseline.
     assert result.headline["last_over_first"] > 1.3

@@ -10,10 +10,8 @@ from repro.analysis.experiments import fig4_opportunity
 from conftest import emit
 
 
-def test_fig4_opportunity(runner, benchmark):
-    result = benchmark.pedantic(
-        fig4_opportunity, args=(runner,), rounds=1, iterations=1
-    )
+def test_fig4_opportunity(runner):
+    result = fig4_opportunity(runner)
     emit(result)
     pc = result.headline["perfect_coalescing_x"]
     zd = result.headline["zero_divergence_x"]

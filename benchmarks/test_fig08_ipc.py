@@ -17,8 +17,8 @@ from repro.analysis.experiments import fig8_ipc
 from conftest import emit
 
 
-def test_fig8_normalized_ipc(runner, benchmark):
-    result = benchmark.pedantic(fig8_ipc, args=(runner,), rounds=1, iterations=1)
+def test_fig8_normalized_ipc(runner):
+    result = fig8_ipc(runner)
     emit(result)
     h = result.headline
     # The headline result: the best policy wins by a clear margin.

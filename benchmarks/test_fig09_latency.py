@@ -10,10 +10,8 @@ from repro.analysis.experiments import fig9_latency
 from conftest import emit
 
 
-def test_fig9_effective_latency(runner, benchmark):
-    result = benchmark.pedantic(
-        fig9_latency, args=(runner,), rounds=1, iterations=1
-    )
+def test_fig9_effective_latency(runner):
+    result = fig9_latency(runner)
     emit(result)
     h = result.headline
     # The full stack cuts average warp stall time vs the baseline.

@@ -11,10 +11,8 @@ from repro.analysis.experiments import fig10_divergence
 from conftest import emit
 
 
-def test_fig10_divergence(runner, benchmark):
-    result = benchmark.pedantic(
-        fig10_divergence, args=(runner,), rounds=1, iterations=1
-    )
+def test_fig10_divergence(runner):
+    result = fig10_divergence(runner)
     emit(result)
     h = result.headline
     # Warp-aware scheduling shrinks the divergence gap suite-wide.

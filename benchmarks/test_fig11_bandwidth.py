@@ -11,10 +11,8 @@ from repro.analysis.experiments import fig11_bandwidth
 from conftest import emit
 
 
-def test_fig11_bandwidth_utilization(runner, benchmark):
-    result = benchmark.pedantic(
-        fig11_bandwidth, args=(runner,), rounds=1, iterations=1
-    )
+def test_fig11_bandwidth_utilization(runner):
+    result = fig11_bandwidth(runner)
     emit(result)
     h = result.headline
     # The MERB governor improves utilization over plain WG-M...

@@ -13,10 +13,8 @@ WRITE_HEAVY = ("nw", "SS", "sad", "PVC")
 READ_MOSTLY = ("bfs", "bh", "spmv", "sssp")
 
 
-def test_fig12_write_intensity(runner, benchmark):
-    result = benchmark.pedantic(
-        fig12_writes, args=(runner,), rounds=1, iterations=1
-    )
+def test_fig12_write_intensity(runner):
+    result = fig12_writes(runner)
     emit(result)
     wi = {row[0]: row[1] for row in result.rows}
     heavy = sum(wi[b] for b in WRITE_HEAVY) / len(WRITE_HEAVY)

@@ -10,10 +10,8 @@ from repro.analysis.experiments import sec6a_regular
 from conftest import emit
 
 
-def test_sec6a_regular_apps(runner, benchmark):
-    result = benchmark.pedantic(
-        sec6a_regular, args=(runner,), rounds=1, iterations=1
-    )
+def test_sec6a_regular_apps(runner):
+    result = sec6a_regular(runner)
     emit(result)
     # No meaningful slowdown on any regular benchmark (threshold
     # re-calibrated after the MERB depth-cap fix: worst case 0.970 at

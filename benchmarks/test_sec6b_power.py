@@ -13,14 +13,14 @@ from repro.dram.power import estimate_channel_power
 from conftest import emit
 
 
-def test_sec6b_energy_per_access(runner, benchmark):
-    result = benchmark.pedantic(sec6b_power, args=(runner,), rounds=1, iterations=1)
+def test_sec6b_energy_per_access(runner):
+    result = sec6b_power(runner)
     emit(result)
     # Energy per access moves by only a few percent between schedulers.
     assert abs(result.headline["mean_energy_delta"]) < 0.10
 
 
-def test_paper_sensitivity_point(benchmark):
+def test_paper_sensitivity_point():
     """The paper's exact claim, via the calculator: 16% fewer row hits
     (19% more activates at fixed work) costs low-single-digit percent."""
     t = DRAMTimingConfig()
@@ -36,5 +36,5 @@ def test_paper_sensitivity_point(benchmark):
         )
         return worse.total_w / base.total_w - 1.0
 
-    delta = benchmark(deltas)
+    delta = deltas()
     assert 0.0 < delta < 0.06

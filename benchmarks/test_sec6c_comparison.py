@@ -10,10 +10,8 @@ from repro.analysis.experiments import sec6c_comparison
 from conftest import emit
 
 
-def test_sec6c_prior_schedulers(runner, benchmark):
-    result = benchmark.pedantic(
-        sec6c_comparison, args=(runner,), rounds=1, iterations=1
-    )
+def test_sec6c_prior_schedulers(runner):
+    result = sec6c_comparison(runner)
     emit(result)
     h = result.headline
     # WAFCFS loses against the throughput-optimized baseline.

@@ -12,7 +12,6 @@ Run:  python examples/scheduler_comparison.py [benchmark] [--synthetic]
 
 import argparse
 
-import repro.idealized  # noqa: F401  (registers the zero-div bound)
 from repro import (
     ALL_PROFILES,
     Scale,

@@ -37,7 +37,6 @@ import json
 import os
 import sys
 
-import repro.idealized  # noqa: F401  (registers zero-div)
 from repro import (
     ALL_PROFILES,
     PAPER_SCHEDULERS,

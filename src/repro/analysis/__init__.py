@@ -16,7 +16,7 @@ from repro.analysis.experiments import (
     sec6c_comparison,
     table1_merb,
 )
-from repro.analysis.report import bar, format_table, geomean, rows_to_csv
+from repro.analysis.report import format_table, geomean
 from repro.analysis.runner import ExperimentRunner, atomic_write_json, config_hash
 from repro.analysis.sweep import SweepJob, SweepReport, run_sweep
 
@@ -26,7 +26,6 @@ __all__ = [
     "SweepJob",
     "SweepReport",
     "atomic_write_json",
-    "bar",
     "config_hash",
     "run_sweep",
     "fig10_divergence",
@@ -39,7 +38,6 @@ __all__ = [
     "fig9_latency",
     "format_table",
     "geomean",
-    "rows_to_csv",
     "run_all",
     "sec6a_regular",
     "sec6b_power",

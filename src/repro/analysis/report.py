@@ -1,18 +1,16 @@
 """Plain-text table rendering for experiment output.
 
 The paper's figures are bar charts; we regenerate them as aligned ASCII
-tables (one row per benchmark, one column per series) plus optional CSV
-dumps, which preserves every number a reader would take off the charts.
+tables (one row per benchmark, one column per series), which preserves
+every number a reader would take off the charts.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-__all__ = ["format_table", "rows_to_csv", "geomean", "bar"]
+__all__ = ["format_table", "geomean"]
 
 
 def format_table(
@@ -49,22 +47,8 @@ def format_table(
     return "\n".join(parts)
 
 
-def rows_to_csv(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def geomean(values: Iterable[float]) -> float:
     vals = [v for v in values if v > 0]
     if not vals:
         return 0.0
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
-def bar(value: float, scale: float = 40.0, maximum: float = 2.0) -> str:
-    """A tiny ASCII bar for quick visual comparison in terminals."""
-    n = int(max(0.0, min(value, maximum)) / maximum * scale)
-    return "#" * n

@@ -146,16 +146,6 @@ class DRAMTimingConfig:
     def trfc_ps(self) -> int:
         return self._ck_align(self.trfc_ns)
 
-    @cached_property
-    def row_miss_penalty_ps(self) -> int:
-        """tRP + tRCD + tCAS: array latency of a row-buffer miss (~36 ns)."""
-        return self.trp_ps + self.trcd_ps + self.tcas_ps
-
-    @cached_property
-    def row_hit_latency_ps(self) -> int:
-        """tCAS: array latency of a row-buffer hit (~12 ns)."""
-        return self.tcas_ps
-
 
 @dataclass(frozen=True)
 class DRAMOrgConfig:
@@ -209,21 +199,12 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """A set-associative cache level."""
+    """A set-associative cache level.  Its line size is
+    ``DRAMOrgConfig.line_bytes``; its MSHRs are unbounded (DESIGN.md §4)."""
 
     size_bytes: int
-    line_bytes: int = 128
     ways: int = 8
     hit_latency_ns: float = 5.0
-    mshr_entries: int = 64
-
-    def __post_init__(self) -> None:
-        if self.size_bytes % (self.line_bytes * self.ways):
-            raise ValueError("cache size must be divisible by line*ways")
-
-    @property
-    def num_sets(self) -> int:
-        return self.size_bytes // (self.line_bytes * self.ways)
 
 
 @dataclass(frozen=True)
@@ -239,7 +220,7 @@ class GPUConfig:
     )
     l2_slice: CacheConfig = field(
         default_factory=lambda: CacheConfig(
-            size_bytes=128 * 1024, ways=16, hit_latency_ns=20.0, mshr_entries=128
+            size_bytes=128 * 1024, ways=16, hit_latency_ns=20.0
         )
     )
     xbar_latency_ns: float = 15.0
@@ -265,7 +246,6 @@ class SimConfig:
     use_l1: bool = True
     use_l2: bool = True
     use_tlb: bool = False  # §V extension: per-SM TLB with page walks
-    seed: int = 1
 
     def __post_init__(self) -> None:
         self.validate()
@@ -275,6 +255,7 @@ class SimConfig:
 
         The component dataclasses check their own local shape (power-of-two
         bank counts, positive tCK); the cross-parameter GDDR5 identities
+        and the cache geometry (sets of ``dram_org.line_bytes`` lines)
         only make sense on the composed config, so they live here.  Runs on
         every construction (``__post_init__``), which covers ``replace()``
         and therefore every config the fuzzer's generator produces.
@@ -313,6 +294,13 @@ class SimConfig:
             )
         if self.gpu.num_sms <= 0:
             raise ValueError(f"num_sms must be positive, got {self.gpu.num_sms}")
+        line = self.dram_org.line_bytes
+        for name, cache in (("l1", self.gpu.l1), ("l2_slice", self.gpu.l2_slice)):
+            if cache.size_bytes % (line * cache.ways):
+                raise ValueError(
+                    f"gpu.{name}.size_bytes ({cache.size_bytes}) must be a "
+                    f"multiple of dram_org.line_bytes * ways ({line}*{cache.ways})"
+                )
         if self.dram_org.num_channels <= 0:
             raise ValueError(
                 f"num_channels must be positive, got {self.dram_org.num_channels}"

@@ -58,7 +58,7 @@ def warp_key(sm_id: int, warp_id: int) -> tuple[int, int]:
 class MemoryRequest:
     """A single coalesced 128B memory access as seen below the coalescer.
 
-    Address decomposition fields (channel/bank/row/col) are filled by the
+    Address decomposition fields (channel/bank/row) are filled by the
     address mapper before the request enters the interconnect.
     """
 
@@ -72,7 +72,6 @@ class MemoryRequest:
     channel: int = -1
     bank: int = -1
     row: int = -1
-    col: int = -1
 
     # Lifecycle timestamps, picoseconds (-1 = not reached)
     t_issue: int = -1  # left the coalescer

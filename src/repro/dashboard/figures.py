@@ -262,8 +262,8 @@ def fuzz_figure(fuzz_records: Sequence) -> Figure:
 def scenario_matrix_figure(sweep_records: Sequence) -> Figure:
     """Sweep runs grouped by scenario: one row per declarative spec.
 
-    Sweeps launched through ``repro scenario run`` / ``sweep --spec``
-    stamp their scenario name and spec hash into the history payload
+    Sweeps launched through ``repro scenario run`` stamp their scenario
+    name and spec hash into the history payload
     (docs/scenarios.md); this view compares the latest run of each
     scenario — grid size, failures, cache reuse, simulation throughput —
     and flags a scenario whose spec hash changed since its previous run

@@ -51,8 +51,6 @@ class Channel:
         self._rd2wr = timing.trtrs_ps - timing.twl_ps
         self._wr2rd = timing.twtr_ps
         self._tfaw = timing.tfaw_ps
-        self._twl = timing.twl_ps
-        self._tcas = timing.tcas_ps
         self._tburst = timing.tburst_ps
         #: Bumped on every timing-state mutation (any command issue; the
         #: refresh gate bumps it too when it adjusts bank/bus state).

@@ -59,15 +59,6 @@ class PowerBreakdown:
     def total_w(self) -> float:
         return self.background_w + self.activate_w + self.array_rw_w + self.io_w
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "background_w": self.background_w,
-            "activate_w": self.activate_w,
-            "array_rw_w": self.array_rw_w,
-            "io_w": self.io_w,
-            "total_w": self.total_w,
-        }
-
 
 def estimate_channel_power(
     activates: int,

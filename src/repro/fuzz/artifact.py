@@ -7,9 +7,9 @@ the campaign seed / case index that generated it, the oracle name, and
 the failure detail observed when it was written.  No timestamps and no
 environment data — two artifacts for the same failure are byte-identical.
 
-Schema (``format: repro-fuzz-repro``, ``version: 2``)::
+Schema (``format: repro-fuzz-repro``, ``version: 3``)::
 
-    {"format": "repro-fuzz-repro", "version": 2,
+    {"format": "repro-fuzz-repro", "version": 3,
      "campaign_seed": 0, "case_index": 17,
      "oracle": "merb-gate-contract", "scheduler": "wg-bw",
      "schedulers": ["wg-bw"], "detail": "...",
@@ -53,8 +53,9 @@ __all__ = [
 
 ARTIFACT_FORMAT = "repro-fuzz-repro"
 # v2: the trace is KernelTrace.to_json_dict(), and MCConfig lost its two
-# sorter-size fields.
-ARTIFACT_VERSION = 2
+# sorter-size fields.  v3: SimConfig lost ``seed``, and CacheConfig lost
+# ``line_bytes`` and ``mshr_entries``.
+ARTIFACT_VERSION = 3
 
 
 class ArtifactError(ValueError):
@@ -77,7 +78,6 @@ def config_from_dict(data: dict) -> SimConfig:
         use_l1=data["use_l1"],
         use_l2=data["use_l2"],
         use_tlb=data["use_tlb"],
-        seed=data["seed"],
     )
 
 

@@ -165,7 +165,6 @@ class CaseGenerator:
             use_l1=False if stress else bool(rng.random() < 0.8),
             use_l2=False if stress else bool(rng.random() < 0.8),
             use_tlb=bool(rng.random() < 0.1),
-            seed=int(rng.integers(1, 2**31)),
         )
 
     # ------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.fuzz.artifact import build_artifact, save_artifact
 from repro.fuzz.generator import CaseGenerator, FuzzCase
 from repro.fuzz.minimizer import minimize
 from repro.fuzz.oracles import OracleFailure, check_case, run_oracle
+from repro.mc.registry import SCHEDULERS
 
 __all__ = ["FuzzFailure", "FuzzReport", "run_campaign", "default_schedulers"]
 
@@ -76,9 +77,6 @@ class FuzzReport:
 
 def default_schedulers() -> list[str]:
     """Every registered policy, idealized ones included, in stable order."""
-    import repro.idealized  # noqa: F401  (registers zero-div)
-    from repro.mc.registry import SCHEDULERS
-
     return sorted(SCHEDULERS)
 
 

@@ -153,7 +153,7 @@ def _neutralize_config(config: SimConfig, trace: KernelTrace, predicate: Predica
             if _try(predicate, budget, candidate, trace):
                 current = candidate
                 kept_neutral.append(f"{section}.{f.name}")
-    for name in ("use_l1", "use_l2", "use_tlb", "seed"):
+    for name in ("use_l1", "use_l2", "use_tlb"):
         if getattr(current, name) == getattr(default, name):
             continue
         candidate = dataclasses.replace(current, **{name: getattr(default, name)})

@@ -7,7 +7,7 @@ from repro.gpu.interconnect import Crossbar
 from repro.gpu.partition import MemoryPartition
 from repro.gpu.sm import SMCore
 from repro.gpu.system import GPUSystem, simulate
-from repro.gpu.warp import WarpState, WarpStatus
+from repro.gpu.warp import WarpState
 
 __all__ = [
     "AddressMap",
@@ -18,7 +18,6 @@ __all__ = [
     "MemoryPartition",
     "SMCore",
     "WarpState",
-    "WarpStatus",
     "coalesce",
     "simulate",
 ]

@@ -48,9 +48,6 @@ class AddressMap:
         low = (block & 0x7) ^ ((block >> 3) & 0x7)  # addr[10:8] ^ addr[13:11]
         return (block & ~0x7) | low
 
-    def channel_of(self, addr: int) -> int:
-        return self.channel_key(addr) % self.org.num_channels
-
     # -- full decomposition ----------------------------------------------------
     def decompose(self, addr: int) -> tuple[int, int, int, int]:
         """(channel, bank, row, col) of a byte address."""
@@ -99,8 +96,5 @@ class AddressMap:
         return (block << self.block_shift) | (line_in_block << self.line_shift)
 
     def route(self, req: MemoryRequest) -> None:
-        """Fill a request's channel/bank/row/col fields in place."""
-        req.channel, req.bank, req.row, req.col = self.decompose(req.addr)
-
-    def line_address(self, addr: int) -> int:
-        return addr >> self.line_shift << self.line_shift
+        """Fill a request's channel/bank/row fields in place."""
+        req.channel, req.bank, req.row, _ = self.decompose(req.addr)

@@ -21,19 +21,17 @@ __all__ = ["Cache", "MSHR"]
 class Cache:
     """A single cache level.  Addresses are line-aligned byte addresses."""
 
-    def __init__(self, cfg: CacheConfig) -> None:
-        self.cfg = cfg
-        self.num_sets = cfg.num_sets
+    def __init__(self, cfg: CacheConfig, line_bytes: int) -> None:
+        self.line_bytes = line_bytes
+        self.num_sets = cfg.size_bytes // (line_bytes * cfg.ways)
         self.ways = cfg.ways
         # Per set: OrderedDict line_addr -> dirty flag, LRU order (oldest first).
         self._sets: list[OrderedDict[int, bool]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
-        self.hits = 0
-        self.misses = 0
 
     def _set_of(self, line: int) -> OrderedDict[int, bool]:
-        idx = (line // self.cfg.line_bytes) % self.num_sets
+        idx = (line // self.line_bytes) % self.num_sets
         return self._sets[idx]
 
     # -- operations --------------------------------------------------------
@@ -44,9 +42,7 @@ class Cache:
             s.move_to_end(line)
             if mark_dirty:
                 s[line] = True
-            self.hits += 1
             return True
-        self.misses += 1
         return False
 
     def fill(self, line: int, dirty: bool = False) -> Optional[int]:
@@ -65,54 +61,28 @@ class Cache:
         s[line] = dirty
         return victim_writeback
 
-    def contains(self, line: int) -> bool:
-        return line in self._set_of(line)
-
-    def invalidate(self, line: int) -> None:
-        self._set_of(line).pop(line, None)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
-
 
 class MSHR:
     """Miss-status holding registers: merge misses to in-flight lines.
 
     ``allocate`` returns True when the line miss is *primary* (a new fill
     must be requested) and False when it merged into an existing entry.
-    Waiters are arbitrary opaque objects returned by ``complete``.
+    Waiters are arbitrary opaque objects returned by ``complete``.  There
+    is no entry limit: a primary miss is never stalled (a deviation,
+    DESIGN.md §4).
     """
 
-    def __init__(self, entries: int) -> None:
-        self.entries = entries
+    def __init__(self) -> None:
         self._pending: dict[int, list] = {}
-        self.merges = 0
-        self.overflows = 0
 
     def allocate(self, line: int, waiter) -> bool:
         waiters = self._pending.get(line)
         if waiters is not None:
             waiters.append(waiter)
-            self.merges += 1
             return False
-        if len(self._pending) >= self.entries:
-            # Structural overflow; real hardware would stall the requester.
-            # We record the entry anyway and count the event so experiments
-            # can verify MSHR pressure stayed negligible.
-            self.overflows += 1
         self._pending[line] = [waiter]
         return True
 
     def complete(self, line: int) -> list:
         """Fill arrived: pop and return all waiters for the line."""
         return self._pending.pop(line, [])
-
-    def pending(self, line: int) -> bool:
-        return line in self._pending
-
-    def __len__(self) -> int:
-        return len(self._pending)

@@ -38,28 +38,21 @@ class Crossbar:
         self.transfer_ps = max(1, int(line_bytes / gpu.xbar_bytes_per_ns * 1000))
         self._to_partition_free = [0] * num_partitions
         self._to_sm_free = [0] * gpu.num_sms
-        self.messages_forward = 0
-        self.messages_return = 0
 
     def _send(
-        self, free: list[int], port: int, fn: Callable[..., None], args: tuple, payload: bool
+        self, free: list[int], port: int, fn: Callable[..., None], args: tuple
     ) -> int:
-        now = self.engine.now
-        start = max(now, free[port])
-        done = start + (self.transfer_ps if payload else 0)
+        start = max(self.engine.now, free[port])
+        done = start + self.transfer_ps
         free[port] = done
         deliver = done + self.latency_ps
         self.engine.schedule_at(deliver, fn, *args)
         return deliver
 
-    def to_partition(
-        self, part: int, fn: Callable[..., None], *args, payload: bool = True
-    ) -> int:
-        """Send a request (or a zero-payload control message) to a partition."""
-        self.messages_forward += 1
-        return self._send(self._to_partition_free, part, fn, args, payload)
+    def to_partition(self, part: int, fn: Callable[..., None], *args) -> int:
+        """Send a request to a partition."""
+        return self._send(self._to_partition_free, part, fn, args)
 
-    def to_sm(self, sm_id: int, fn: Callable[..., None], *args, payload: bool = True) -> int:
+    def to_sm(self, sm_id: int, fn: Callable[..., None], *args) -> int:
         """Send a data reply back to an SM."""
-        self.messages_return += 1
-        return self._send(self._to_sm_free, sm_id, fn, args, payload)
+        return self._send(self._to_sm_free, sm_id, fn, args)

@@ -3,7 +3,9 @@
 Each of the six partitions owns the slice of the physical address space
 its channel maps; reads probe the L2 slice (with MSHR merging), misses
 enter the controller's read queue, and dirty L2 evictions generate the
-DRAM write traffic that the write-drain machinery batches.
+DRAM write traffic that the write-drain machinery batches.  The MSHRs
+never stall a miss (DESIGN.md §4): every primary miss reaches the
+controller, whose read queue and overflow are where misses wait.
 """
 
 from __future__ import annotations
@@ -39,11 +41,14 @@ class MemoryPartition:
         self.amap = amap
         self.reply = reply
         self.sim_stats = sim_stats
-        self.l2 = Cache(config.gpu.l2_slice) if config.use_l2 else None
-        self.mshr = MSHR(config.gpu.l2_slice.mshr_entries)
+        self.l2 = (
+            Cache(config.gpu.l2_slice, config.dram_org.line_bytes)
+            if config.use_l2
+            else None
+        )
+        self.mshr = MSHR()
         self.l2_lat_ps = int(config.gpu.l2_slice.hit_latency_ns * 1000)
         self.mc: MemoryController | None = None  # set by the system after wiring
-        self.writebacks = 0
 
     # ------------------------------------------------------------------
     # ingress (from the crossbar)
@@ -106,5 +111,4 @@ class MemoryPartition:
                 f"L2 victim {victim_line:#x} maps to channel {wb.channel}, "
                 f"but lives in slice {self.part_id}"
             )
-        self.writebacks += 1
         self.mc.receive_write(wb)

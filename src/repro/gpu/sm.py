@@ -24,7 +24,7 @@ from repro.core.request import LoadTransaction, MemoryRequest
 from repro.core.stats import LoadRecord, SimStats
 from repro.gpu.cache import MSHR, Cache
 from repro.gpu.coalescer import coalesce
-from repro.gpu.warp import WarpState, WarpStatus
+from repro.gpu.warp import WarpState
 from repro.workloads.trace import MemOp, Segment, WarpTrace
 
 __all__ = ["SMCore"]
@@ -49,8 +49,9 @@ class SMCore:
         gpu = config.gpu
         self.core_cycle_ps = gpu.core_cycle_ps
         self.max_warps = gpu.max_warps_per_sm
-        self.l1 = Cache(gpu.l1) if config.use_l1 else None
-        self.l1_mshr = MSHR(gpu.l1.mshr_entries)
+        self.line_bytes = config.dram_org.line_bytes
+        self.l1 = Cache(gpu.l1, self.line_bytes) if config.use_l1 else None
+        self.l1_mshr = MSHR()
         self.l1_hit_ps = int(gpu.l1.hit_latency_ns * 1000)
         if config.use_tlb:
             from repro.gpu.tlb import TLB
@@ -58,13 +59,11 @@ class SMCore:
             self.tlb = TLB(gpu.tlb_entries, gpu.page_bytes)
         else:
             self.tlb = None
-        self.line_bytes = config.dram_org.line_bytes
         self.send_request = send_request
         self.on_warp_done = on_warp_done
         self.sim_stats = sim_stats
 
         self.pending: deque[WarpState] = deque(WarpState(t) for t in warps)
-        self.resident_count = 0
         self.issue_free = 0  # issue-server availability (ps)
 
     # ------------------------------------------------------------------
@@ -77,10 +76,7 @@ class SMCore:
     def _activate_next(self) -> None:
         if not self.pending:
             return
-        w = self.pending.popleft()
-        w.status = WarpStatus.READY
-        self.resident_count += 1
-        self._run(w)
+        self._run(self.pending.popleft())
 
     def _run(self, w: WarpState) -> None:
         """Claim issue-server time for the warp's current segment."""
@@ -106,9 +102,6 @@ class SMCore:
             self._issue_load(w, seg.mem)
 
     def _finish(self, w: WarpState) -> None:
-        w.status = WarpStatus.DONE
-        w.t_finished = self.engine.now
-        self.resident_count -= 1
         self.on_warp_done(w)
         self._activate_next()
 
@@ -144,7 +137,6 @@ class SMCore:
             t_issue=now,
             on_complete=partial(self._load_done, w),
         )
-        w.status = WarpStatus.BLOCKED
         # The last request sent to each channel (routed by send_request).
         last: dict[int, MemoryRequest] = {}
         # Page walks bypass the L1 (no locality to exploit; L2-cacheable).
@@ -213,8 +205,6 @@ class SMCore:
                 t_last_dram=txn.t_last_dram,
             )
         )
-        w.status = WarpStatus.READY
-        w.loads_completed += 1
         self._run(w)
 
     # ------------------------------------------------------------------
@@ -235,7 +225,3 @@ class SMCore:
         self.l1.fill(req.addr)
         for txn, primary_req in waiters:
             txn.note_return(self.engine.now, primary_req)
-
-    @property
-    def done(self) -> bool:
-        return self.resident_count == 0 and not self.pending

@@ -34,8 +34,6 @@ class TLB:
         self.page_bytes = page_bytes
         self._shift = page_bytes.bit_length() - 1
         self._map: OrderedDict[int, None] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def page_of(self, addr: int) -> int:
         return addr >> self._shift
@@ -44,9 +42,7 @@ class TLB:
         page = self.page_of(addr)
         if page in self._map:
             self._map.move_to_end(page)
-            self.hits += 1
             return True
-        self.misses += 1
         return False
 
     def fill(self, addr: int) -> None:
@@ -62,10 +58,3 @@ class TLB:
         """Physical address of the PTE for ``addr``'s page (8B entries,
         read as part of the owning 128B line)."""
         return PAGE_TABLE_REGION + (self.page_of(addr) * 8) % (32 << 20)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def __len__(self) -> int:
-        return len(self._map)

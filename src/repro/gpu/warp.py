@@ -2,31 +2,19 @@
 
 from __future__ import annotations
 
-from enum import Enum, auto
-
 from repro.workloads.trace import Segment, WarpTrace
 
-__all__ = ["WarpState", "WarpStatus"]
-
-
-class WarpStatus(Enum):
-    PENDING = auto()  # assigned to the SM, not yet resident
-    READY = auto()  # resident, executing or awaiting the issue stage
-    BLOCKED = auto()  # stalled on an outstanding vector load
-    DONE = auto()
+__all__ = ["WarpState"]
 
 
 class WarpState:
     """A warp's execution cursor (SIMT: all 32 lanes move together)."""
 
-    __slots__ = ("trace", "pc", "status", "loads_completed", "t_finished")
+    __slots__ = ("trace", "pc")
 
     def __init__(self, trace: WarpTrace) -> None:
         self.trace = trace
         self.pc = 0
-        self.status = WarpStatus.PENDING
-        self.loads_completed = 0
-        self.t_finished = -1
 
     @property
     def sm_id(self) -> int:
@@ -49,5 +37,5 @@ class WarpState:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Warp(sm{self.sm_id}, w{self.warp_id}, pc={self.pc}/"
-            f"{len(self.trace.segments)}, {self.status.name})"
+            f"{len(self.trace.segments)})"
         )

@@ -60,12 +60,10 @@ class InvariantMonitor:
         self.outstanding: dict[int, tuple[MemoryRequest, int]] = {}
         self.reads_injected = 0
         self.reads_retired = 0
-        self.writes_injected = 0
         self.done_warps: set[tuple[int, int]] = set()
         # Per-controller progress snapshots: commands_issued at the last
         # sweep where the count changed, and when that was.
         self._mc_progress: dict[int, tuple[int, int]] = {}
-        self.checks_run = 0
 
     # ------------------------------------------------------------------
     # edge hooks (called from GPUSystem routing callbacks)
@@ -73,7 +71,6 @@ class InvariantMonitor:
     def note_inject(self, req: MemoryRequest, now_ps: int) -> None:
         """A coalesced request entered the memory system."""
         if req.is_write:
-            self.writes_injected += 1
             return  # stores are fire-and-forget: no reply to conserve
         if req.req_id in self.outstanding:
             raise InvariantViolation(
@@ -101,7 +98,6 @@ class InvariantMonitor:
     # ------------------------------------------------------------------
     def check(self, system: "GPUSystem", now_ps: int) -> None:
         """Audit slow-drift state; raises on the first broken invariant."""
-        self.checks_run += 1
         self._check_occupancy(system, now_ps)
         self._check_warp_groups(system, now_ps)
         self._check_stale_requests(now_ps)

@@ -1,15 +1,5 @@
 """Idealized opportunity models for the Fig. 4 analysis."""
 
-from repro.idealized.perfect import (
-    ZeroDivergenceController,
-    install_idealized_schedulers,
-    perfect_coalescing,
-)
+from repro.idealized.perfect import perfect_coalescing
 
-install_idealized_schedulers()
-
-__all__ = [
-    "ZeroDivergenceController",
-    "install_idealized_schedulers",
-    "perfect_coalescing",
-]
+__all__ = ["perfect_coalescing"]

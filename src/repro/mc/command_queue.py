@@ -125,7 +125,3 @@ class CommandQueues:
         self.version += 1
         self.queue_score[bank] -= req.score
         return req
-
-    def head(self, bank: int) -> Optional[MemoryRequest]:
-        q = self.queues[bank]
-        return q[0] if q else None

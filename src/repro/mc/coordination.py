@@ -29,7 +29,6 @@ class CoordinationNetwork:
         self.engine = engine
         self.delay_ps = delay_ps
         self.controllers: list["MemoryController"] = []
-        self.messages_sent = 0
 
     def attach(self, controller: "MemoryController") -> None:
         self.controllers.append(controller)
@@ -38,7 +37,6 @@ class CoordinationNetwork:
         self, src_channel: int, key: tuple[int, int], score: int
     ) -> None:
         """Announce that ``src_channel`` selected warp-group ``key``."""
-        self.messages_sent += 1
         for mc in self.controllers:
             if mc.channel_id == src_channel:
                 continue

@@ -2,20 +2,21 @@
 
 Names follow the paper's nomenclature:
 
-==========  ==============================================================
-name        policy
-==========  ==============================================================
-``gmc``     throughput-optimized baseline (§II-C; all results normalized
-            to it)
-``fcfs``    naive first-come first-served
-``frfcfs``  first-ready FCFS (Rixner et al.)
-``wafcfs``  warp-groups in completion order, in-order (Yuan et al.)
-``sbwas``   single-bank warp-aware potential function (Lakshminarayana)
-``wg``      warp-group BASJF, single controller (§IV-B)
-``wg-m``    + multi-controller coordination (§IV-C)
-``wg-bw``   + MERB bandwidth governor (§IV-D)
-``wg-w``    + warp-aware write drain (§IV-E) — the paper's best policy
-==========  ==============================================================
+============  ==============================================================
+name          policy
+============  ==============================================================
+``gmc``       throughput-optimized baseline (§II-C; all results normalized
+              to it)
+``fcfs``      naive first-come first-served
+``frfcfs``    first-ready FCFS (Rixner et al.)
+``wafcfs``    warp-groups in completion order, in-order (Yuan et al.)
+``sbwas``     single-bank warp-aware potential function (Lakshminarayana)
+``wg``        warp-group BASJF, single controller (§IV-B)
+``wg-m``      + multi-controller coordination (§IV-C)
+``wg-bw``     + MERB bandwidth governor (§IV-D)
+``wg-w``      + warp-aware write drain (§IV-E) — the paper's best policy
+``zero-div``  zero-latency-divergence bound (Fig. 4), not a real policy
+============  ==============================================================
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.mc.wgbw import WGBwController
 from repro.mc.wgm import WGMController
 from repro.mc.wgshare import WGShareController
 from repro.mc.wgw import WGWController
+from repro.mc.zerodiv import ZeroDivergenceController
 
 __all__ = [
     "SCHEDULERS",
@@ -54,6 +56,7 @@ SCHEDULERS: dict[str, Type[MemoryController]] = {
         WGBwController,
         WGWController,
         WGShareController,  # the conclusion's future-work extension
+        ZeroDivergenceController,  # Fig. 4's idealized bound
     )
 }
 

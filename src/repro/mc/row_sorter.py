@@ -87,10 +87,6 @@ class RowSorter:
                 best = head
         return best
 
-    def stream_len(self, bank: int, row: int) -> int:
-        stream = self.banks[bank].get(row)
-        return len(stream) if stream else 0
-
     def __len__(self) -> int:
         return self._count
 

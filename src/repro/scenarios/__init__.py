@@ -4,7 +4,7 @@ A scenario is one experiment expressed as data — DRAM preset + config
 overrides, workload recipe, scheduler list, scale/seeds, kept metrics
 and an optional figure — in a versioned YAML/JSON file.  The committed
 library lives in ``scenarios/``; ``repro scenario run|list|validate``
-and ``repro sweep --spec`` consume them.
+consumes them.
 """
 
 from repro.scenarios.loader import find_specs, load_spec, validate_spec_file

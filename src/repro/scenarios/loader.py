@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-import repro.idealized  # noqa: F401  (registers zero-div)
 from repro.core.config import SimConfig
 from repro.core.overrides import OverrideError, apply_override
 from repro.dram.timing import DRAM_PRESETS

@@ -39,21 +39,6 @@ class TraceSignature:
     footprint_bytes: int
     distinct_rows: int
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "warps": self.warps,
-            "loads": self.loads,
-            "stores": self.stores,
-            "instructions": self.instructions,
-            "requests_per_load": self.requests_per_load,
-            "frac_divergent_loads": self.frac_divergent_loads,
-            "channels_per_divergent_load": self.channels_per_divergent_load,
-            "banks_per_divergent_load": self.banks_per_divergent_load,
-            "store_request_ratio": self.store_request_ratio,
-            "footprint_bytes": self.footprint_bytes,
-            "distinct_rows": self.distinct_rows,
-        }
-
 
 def trace_signature(trace: KernelTrace, config: SimConfig | None = None) -> TraceSignature:
     """Analyze a trace against the configured address mapping."""

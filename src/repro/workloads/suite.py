@@ -51,7 +51,6 @@ __all__ = [
 class Scale(Enum):
     TINY = 0.10
     QUICK = 0.30
-    SMALL = 0.50
     PAPER = 1.0
 
     @property

@@ -26,7 +26,7 @@ def make_request(
         # Unique synthetic address: identity is all the tests need.
         addr = (((channel * 16 + bank) * 4096 + row) * 16 + col) * 128
     req = MemoryRequest(addr=addr, is_write=is_write, sm_id=sm_id, warp_id=warp_id)
-    req.channel, req.bank, req.row, req.col = channel, bank, row, col
+    req.channel, req.bank, req.row = channel, bank, row
     return req
 
 

@@ -34,7 +34,7 @@ def test_256b_blocks_stay_together():
 
 def test_consecutive_blocks_spread_channels():
     """256B interleaving: a 16KB streaming region touches every channel."""
-    channels = {MAP.channel_of(a) for a in range(0, 16384, 256)}
+    channels = {MAP.decompose(a)[0] for a in range(0, 16384, 256)}
     assert channels == set(range(ORG.num_channels))
 
 
@@ -42,7 +42,7 @@ def test_channel_xor_breaks_2kb_stride_camping():
     """Without the XOR fold, a 2KB*num_channels stride camps on one
     channel; the hash must spread it."""
     stride = 2048 * ORG.num_channels
-    channels = {MAP.channel_of(i * stride) for i in range(64)}
+    channels = {MAP.decompose(i * stride)[0] for i in range(64)}
     assert len(channels) > 1
 
 
@@ -56,11 +56,7 @@ def test_bank_permutation_breaks_row_stride_camping():
 def test_route_fills_request():
     req = MemoryRequest(addr=123456 * 128, is_write=False, sm_id=0, warp_id=0)
     MAP.route(req)
-    assert (req.channel, req.bank, req.row, req.col) == MAP.decompose(req.addr)
-
-
-def test_line_address():
-    assert MAP.line_address(1000) == 896  # 1000 & ~127
+    assert (req.channel, req.bank, req.row) == MAP.decompose(req.addr)[:3]
 
 
 @settings(max_examples=300, deadline=None)
@@ -100,6 +96,6 @@ def test_compose_validates_ranges():
 def test_distribution_is_roughly_uniform():
     rng = np.random.default_rng(3)
     addrs = rng.integers(0, CAPACITY // 256, size=20000) * 256
-    chans = np.array([MAP.channel_of(int(a)) for a in addrs])
+    chans = np.array([MAP.decompose(int(a))[0] for a in addrs])
     counts = np.bincount(chans, minlength=ORG.num_channels)
     assert counts.min() > 0.8 * counts.mean()

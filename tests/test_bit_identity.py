@@ -28,7 +28,6 @@ import tempfile
 import pytest
 
 import repro.core.request as request_mod
-import repro.idealized  # noqa: F401  (registers zero-div)
 from repro.core.config import SimConfig
 from repro.gpu.system import GPUSystem
 from repro.guardrails.checkpoint import load_checkpoint

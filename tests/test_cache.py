@@ -7,7 +7,7 @@ from repro.gpu.cache import MSHR, Cache
 
 
 def small_cache(ways: int = 2, sets: int = 4) -> Cache:
-    return Cache(CacheConfig(size_bytes=128 * ways * sets, ways=ways))
+    return Cache(CacheConfig(size_bytes=128 * ways * sets, ways=ways), 128)
 
 
 def test_miss_then_hit_after_fill():
@@ -15,7 +15,6 @@ def test_miss_then_hit_after_fill():
     assert not c.lookup(0)
     c.fill(0)
     assert c.lookup(0)
-    assert c.hits == 1 and c.misses == 1
 
 
 def test_lru_eviction_order():
@@ -25,7 +24,7 @@ def test_lru_eviction_order():
     c.lookup(0)  # 0 becomes MRU
     victim = c.fill(256)  # evicts 128 (LRU), clean -> no writeback
     assert victim is None
-    assert c.contains(0) and c.contains(256) and not c.contains(128)
+    assert c.lookup(0) and c.lookup(256) and not c.lookup(128)
 
 
 def test_dirty_eviction_returns_victim():
@@ -46,33 +45,17 @@ def test_fill_existing_line_is_idempotent():
     c = small_cache(ways=2, sets=1)
     c.fill(0)
     assert c.fill(0) is None
-    assert c.occupancy() == 1
-
-
-def test_invalidate():
-    c = small_cache()
-    c.fill(0)
-    c.invalidate(0)
-    assert not c.contains(0)
-    c.invalidate(0)  # idempotent
-
-
-def test_hit_rate():
-    c = small_cache()
-    c.fill(0)
-    c.lookup(0)
-    c.lookup(128)
-    assert c.hit_rate() == 0.5
+    # The refill took no second way: a new line fits beside it.
+    assert c.fill(128) is None
+    assert c.lookup(0) and c.lookup(128)
 
 
 def test_set_isolation():
     c = small_cache(ways=1, sets=4)
     # Lines mapping to different sets must not evict each other.
-    c.fill(0 * 128)
-    c.fill(1 * 128)
-    c.fill(2 * 128)
-    c.fill(3 * 128)
-    assert c.occupancy() == 4
+    for i in range(4):
+        c.fill(i * 128)
+    assert all(c.lookup(i * 128) for i in range(4))
 
 
 @settings(max_examples=50, deadline=None)
@@ -82,37 +65,31 @@ def test_property_occupancy_bounded(line_indices):
     for idx in line_indices:
         if not c.lookup(idx * 128):
             c.fill(idx * 128)
-    assert c.occupancy() <= 8
     # A just-filled line is always resident.
-    assert c.contains(line_indices[-1] * 128)
+    assert c.lookup(line_indices[-1] * 128)
+    # Lookups never evict, so they count the resident lines.
+    assert sum(c.lookup(idx * 128) for idx in set(line_indices)) <= 8
 
 
 # -- MSHR -------------------------------------------------------------------
 def test_mshr_primary_and_merge():
-    m = MSHR(entries=4)
+    m = MSHR()
     assert m.allocate(0, "a") is True
     assert m.allocate(0, "b") is False  # merged
-    assert m.pending(0)
     assert m.complete(0) == ["a", "b"]
-    assert not m.pending(0)
-    assert m.merges == 1
+    # The entry is gone: the next miss to the line is primary again.
+    assert m.allocate(0, "c") is True
 
 
 def test_mshr_complete_unknown_line_is_empty():
-    m = MSHR(entries=4)
+    m = MSHR()
     assert m.complete(999) == []
 
 
-def test_mshr_overflow_counted_but_tracked():
-    m = MSHR(entries=1)
-    m.allocate(0, "a")
-    assert m.allocate(128, "b") is True
-    assert m.overflows == 1
-    assert m.complete(128) == ["b"]
-
-
-def test_mshr_len():
-    m = MSHR(entries=8)
-    m.allocate(0, "a")
-    m.allocate(128, "b")
-    assert len(m) == 2
+def test_mshr_has_no_entry_limit():
+    """Every distinct-line miss is primary, however many are in flight
+    (the unbounded-MSHR deviation, DESIGN.md §4)."""
+    m = MSHR()
+    lines = [i * 128 for i in range(1000)]
+    assert all(m.allocate(line, line) for line in lines)
+    assert all(m.complete(line) == [line] for line in lines)

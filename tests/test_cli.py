@@ -140,6 +140,7 @@ def test_checkpoint_period_must_be_positive():
         ("mc.command_queue_depth=0", "positive queue size"),
         ("mc.write_queue_entries=-4", "positive queue size"),
         ("nonsense.field=1", "unknown config field"),
+        ("seed=3", "unknown config field 'seed'"),
         ("dram_timing.tras_ns", "section.field=value"),
     ],
     ids=lambda v: v if "=" in str(v) else str(v),

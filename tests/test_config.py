@@ -12,6 +12,8 @@ from repro.core.config import (
     MCConfig,
     SimConfig,
 )
+from repro.core.overrides import field_paths
+from repro.gpu.cache import Cache
 
 
 def test_gddr5_defaults_match_table2():
@@ -35,9 +37,9 @@ def test_gddr5_defaults_match_table2():
 
 def test_row_miss_penalty_is_36ns():
     t = DRAMTimingConfig()
-    assert t.row_miss_penalty_ps == t.trp_ps + t.trcd_ps + t.tcas_ps
-    assert abs(t.row_miss_penalty_ps / 1000 - 36.0) < 0.1
-    assert abs(t.row_hit_latency_ps / 1000 - 12.0) < 0.1
+    # tRP + tRCD + tCAS for a row-buffer miss, tCAS alone for a hit.
+    assert abs((t.trp_ps + t.trcd_ps + t.tcas_ps) / 1000 - 36.0) < 0.1
+    assert abs(t.tcas_ps / 1000 - 12.0) < 0.1
 
 
 def test_invalid_tck_rejected():
@@ -59,10 +61,26 @@ def test_org_defaults_and_validation():
 
 
 def test_cache_config_sets():
-    l1 = CacheConfig(size_bytes=32 * 1024, ways=8)
-    assert l1.num_sets == 32
-    with pytest.raises(ValueError):
-        CacheConfig(size_bytes=1000, ways=8)
+    assert Cache(CacheConfig(size_bytes=32 * 1024, ways=8), 128).num_sets == 32
+    with pytest.raises(ValueError, match="gpu.l1.size_bytes"):
+        SimConfig(gpu=GPUConfig(l1=CacheConfig(size_bytes=1000, ways=8)))
+    # The line size is dram_org's: three sets of 128B lines, 1.5 of 256B.
+    l2 = CacheConfig(size_bytes=3 * 16 * 128, ways=16)
+    SimConfig(gpu=GPUConfig(l2_slice=l2))
+    with pytest.raises(ValueError, match="gpu.l2_slice.size_bytes"):
+        SimConfig(gpu=GPUConfig(l2_slice=l2), dram_org=DRAMOrgConfig(line_bytes=256))
+
+
+def test_no_leaf_the_simulator_ignores():
+    """Deleted knobs stay deleted: none of these changed a simulation."""
+    dead = {
+        "seed",
+        "gpu.l1.line_bytes",
+        "gpu.l1.mshr_entries",
+        "gpu.l2_slice.line_bytes",
+        "gpu.l2_slice.mshr_entries",
+    }
+    assert dead.isdisjoint(field_paths())
 
 
 def test_gpu_defaults_match_table2():

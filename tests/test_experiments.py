@@ -1,4 +1,4 @@
-"""Tests for the experiment runner, drivers and reporting."""
+"""Tests for the experiment runner and drivers."""
 
 import dataclasses
 
@@ -12,7 +12,6 @@ from repro.analysis.experiments import (
     prefetch,
     table1_merb,
 )
-from repro.analysis.report import bar, format_table, geomean, rows_to_csv
 from repro.analysis import runner as runner_module
 from repro.analysis.runner import ExperimentRunner
 from repro.core.config import SimConfig
@@ -26,31 +25,6 @@ from helpers import count_trace_builds
 
 def tiny_runner(**kw) -> ExperimentRunner:
     return ExperimentRunner(scale=Scale.TINY, seeds=(1,), **kw)
-
-
-# -- report helpers ------------------------------------------------------------
-def test_format_table_alignment():
-    out = format_table(["a", "bb"], [[1, 2.5], ["x", 3.25]], title="T")
-    lines = out.splitlines()
-    assert lines[0] == "T"
-    assert "bb" in lines[2]
-    assert "3.250" in out
-
-
-def test_rows_to_csv():
-    csv_text = rows_to_csv(["x", "y"], [[1, 2], [3, 4]])
-    assert csv_text.splitlines() == ["x,y", "1,2", "3,4"]
-
-
-def test_geomean():
-    assert geomean([1.0, 4.0]) == pytest.approx(2.0)
-    assert geomean([]) == 0.0
-    assert geomean([0.0, 2.0]) == pytest.approx(2.0)  # non-positives skipped
-
-
-def test_bar():
-    assert bar(2.0, scale=10, maximum=2.0) == "#" * 10
-    assert bar(-1.0) == ""
 
 
 # -- runner ---------------------------------------------------------------------

@@ -459,14 +459,29 @@ def _buggy_entry_add(self, req):
     self.received += 1
 
 
+def _chainless_score(entry, cq):
+    """``WarpSorter.score`` of ``entry`` as the buggy maintenance leaves a
+    group nothing was removed from: every bank's chain terms stay 0."""
+    kept = entry.bank_stats
+    entry.bank_stats = {bank: [s[0], 0, 0] for bank, s in kept.items()}
+    try:
+        return WarpSorter.score(entry, cq)
+    finally:
+        entry.bank_stats = kept
+
+
 def _watch_chained_groups(mc, seen):
-    """A pick that scores a complete group with two or more requests on
-    one bank: only there do the chain terms the bug drops count."""
+    """A pick that scores a complete, never-drained group whose chain
+    terms (the requests after the first on a bank) change its (score,
+    hits).  The bug drops exactly those terms, so the buggy scorer
+    differs there; a chain another bank's score masks does not count."""
     pick = mc._pick_with_room
 
     def watched(now):
         for entry in mc.sorter.complete_groups():
-            if any(len(reqs) > 1 for reqs in entry.by_bank.values()):
+            if entry.n_requests == entry.received and WarpSorter.score(
+                entry, mc.cq
+            ) != _chainless_score(entry, mc.cq):
                 seen.append(entry.key)
         return pick(now)
 

@@ -28,12 +28,10 @@ from repro.guardrails import (
     save_checkpoint,
 )
 from repro.guardrails.checkpoint import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
+from repro.mc.registry import SCHEDULERS
 from repro.telemetry import TelemetryHub
 from repro.workloads.profiles import IRREGULAR_PROFILES
 from repro.workloads.synthetic import synthetic_trace
-
-import repro.idealized  # noqa: F401  (registers zero-div)
-from repro.mc.registry import SCHEDULERS
 
 # A small irregular workload: ~4000 ns simulated, every queue exercised.
 PROFILE = dataclasses.replace(IRREGULAR_PROFILES["bfs"], warps=48, loads_per_warp=6)

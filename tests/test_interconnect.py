@@ -47,12 +47,3 @@ def test_return_path_independent_of_forward():
     tf = xbar.to_partition(0, lambda: None)
     tr = xbar.to_sm(0, lambda: None)
     assert tf == tr
-    assert xbar.messages_forward == 1
-    assert xbar.messages_return == 1
-
-
-def test_control_messages_have_no_payload_occupancy():
-    eng, xbar = make()
-    t1 = xbar.to_partition(0, lambda: None, payload=False)
-    t2 = xbar.to_partition(0, lambda: None, payload=False)
-    assert t1 == t2

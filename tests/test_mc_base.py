@@ -141,7 +141,7 @@ def test_bank_interleaving_uses_bank_groups(harness):
     t = h.config.dram_timing
     span = max(r.t_data for r in h.delivered) - min(r.t_data for r in h.delivered)
     # Row cycles overlap: total span far below 4 serial row misses.
-    assert span < 2 * t.row_miss_penalty_ps
+    assert span < 2 * (t.trp_ps + t.trcd_ps + t.tcas_ps)
 
 
 def test_write_then_read_same_bank_round_trip(harness):

@@ -64,9 +64,3 @@ def test_params_energy_positive():
     params = GDDR5PowerParams()
     assert params.activate_energy_j > 0
     assert params.io_w_at_full_bw > 1.0  # I/O is watts-scale at 6 Gbps
-
-
-def test_as_dict_keys():
-    p = estimate(activates=100, busy_frac=0.2)
-    d = p.as_dict()
-    assert set(d) == {"background_w", "activate_w", "array_rw_w", "io_w", "total_w"}

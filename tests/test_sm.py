@@ -7,7 +7,6 @@ from repro.core.stats import SimStats
 from repro.gpu.address_map import AddressMap
 from repro.gpu.sm import SMCore
 from repro.gpu.tlb import PAGE_TABLE_REGION
-from repro.gpu.warp import WarpStatus
 from repro.workloads.trace import MemOp, Segment, WarpTrace
 
 
@@ -25,6 +24,7 @@ class SMHarness:
         self.amap = AddressMap(cfg.dram_org)
         self.sent: list[MemoryRequest] = []
         self.done_warps = []
+        self.finish_ps: list[int] = []  # engine time of each warp finish
         self.mem_latency_ps = mem_latency_ps
 
         def send(req: MemoryRequest) -> None:
@@ -37,10 +37,14 @@ class SMHarness:
                 self.mem_latency_ps, lambda r=req: self.sm.receive_reply(r)
             )
 
+        def warp_done(w) -> None:
+            self.done_warps.append(w)
+            self.finish_ps.append(self.engine.now)
+
         self.sm = SMCore(
             self.engine, 0, cfg, warps,
             send_request=send,
-            on_warp_done=self.done_warps.append,
+            on_warp_done=warp_done,
             sim_stats=self.stats,
         )
 
@@ -67,7 +71,7 @@ def test_warp_blocks_until_last_reply():
     rec = h.stats.load_records[0]
     assert rec.n_requests == 4
     # Warp finished only after the last reply.
-    assert h.done_warps[0].t_finished >= max(r.t_return for r in h.sent)
+    assert h.finish_ps[0] >= max(r.t_return for r in h.sent)
 
 
 def test_issue_server_serializes_compute():
@@ -135,8 +139,7 @@ def test_resident_warp_cap_staggers_start():
     warps = [warp(0, i, [Segment(2, gather_op([i + 1]))]) for i in range(6)]
     h = SMHarness(warps, config=cfg)
     h.sm.start()
-    assert h.sm.resident_count == 2
-    assert len(h.sm.pending) == 4
+    assert len(h.sm.pending) == 4  # two of six warps resident
     h.engine.run(max_events=1_000_000)
     assert len(h.done_warps) == 6
 
@@ -187,8 +190,10 @@ def test_page_walk_closes_the_group_of_its_channel():
     amap = AddressMap(cfg.dram_org)
     page = cfg.gpu.page_bytes
     walk = PAGE_TABLE_REGION & ~(cfg.dram_org.line_bytes - 1)  # page 0's PTE
-    walk_channel = amap.channel_of(walk)
-    lanes = [a for a in range(0, page, 128) if amap.channel_of(a) != walk_channel]
+    walk_channel = amap.decompose(walk)[0]
+    lanes = [
+        a for a in range(0, page, 128) if amap.decompose(a)[0] != walk_channel
+    ]
     h = SMHarness(
         [warp(0, 0, [Segment(1, MemOp(False, lanes[:32]))])], config=cfg
     )

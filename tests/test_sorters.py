@@ -19,7 +19,7 @@ def test_row_sorter_streams_fifo():
     b = make_request(bank=0, row=1)
     rs.add(a)
     rs.add(b)
-    assert rs.stream_len(0, 1) == 2
+    assert list(rs.rows_for(0)[1]) == [a, b]
     assert rs.pop(0, 1) is a
     assert rs.pop(0, 1) is b
     assert not rs.has_row(0, 1)

@@ -56,7 +56,7 @@ def test_channel_spread_respects_profile():
                 lines = coalesce(s.mem.lane_addrs)
                 if len(lines) < 2:
                     continue
-                spreads.append(len({amap.channel_of(a) for a in lines}))
+                spreads.append(len({amap.decompose(a)[0] for a in lines}))
         assert spreads
         mean = float(np.mean(spreads))
         assert abs(mean - min(p.channels_per_warp, 6)) < 1.2, (name, mean)

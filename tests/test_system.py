@@ -11,8 +11,6 @@ from repro.workloads.profiles import IRREGULAR_PROFILES
 from repro.workloads.synthetic import synthetic_trace
 from repro.workloads.trace import KernelTrace, MemOp, Segment, WarpTrace
 
-import repro.idealized  # noqa: F401  (registers zero-div)
-
 
 def tiny_trace(cfg: SimConfig, n_warps: int = 24, seed: int = 5) -> KernelTrace:
     profile = dataclasses.replace(

@@ -106,8 +106,6 @@ def test_zero_div_followers_reach_every_latency_record():
     """Zero-div completes a group's followers on arrival, outside the
     command queues; they still count in the interval latencies and the
     sorter-wait/service breakdown, like every other DRAM read."""
-    import repro.idealized  # noqa: F401  (registers zero-div)
-
     cfg = SimConfig(scheduler="zero-div")
     trace = build_benchmark("bfs", cfg, Scale.TINY, seed=1)
     stats = simulate(cfg, trace, telemetry=TelemetryHub(sample_period_ns=100.0))
