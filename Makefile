@@ -22,11 +22,12 @@ shapes-quick:
 bench:
 	python3 bench/run.py --seconds 100 --trace 0
 
+# The paper's evaluation: every table and figure (repro reproduce).
 reproduce:
-	$(PYTHON) examples/reproduce_paper.py --scale quick
+	PYTHONPATH=src $(PYTHON) -m repro reproduce --scale quick
 
 reproduce-paper:
-	$(PYTHON) examples/reproduce_paper.py --scale paper --out results/
+	PYTHONPATH=src $(PYTHON) -m repro reproduce --scale paper --out results/
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -8,10 +8,8 @@ sweep is computed once per session and cached on disk under
 session reuses every entry already there.
 
 Scale is ``TINY`` by default; set ``REPRO_BENCH_SCALE=quick|paper`` for
-higher-fidelity runs (the shape assertions are scale-independent).  Set
-``REPRO_BENCH_WORKERS=N`` to prefill the cache with N worker processes
-before the figure tests run, through the same sweep harness as
-``python -m repro sweep`` (0, the default, simulates lazily inline).
+higher-fidelity runs (the shape assertions are scale-independent).  Runs
+simulate lazily inline, the first time a figure test reads them.
 """
 
 from __future__ import annotations
@@ -20,23 +18,18 @@ import os
 
 import pytest
 
-from repro.analysis.experiments import prefetch
 from repro.analysis.runner import ExperimentRunner
 from repro.workloads.suite import Scale
 
 _SCALE = Scale[os.environ.get("REPRO_BENCH_SCALE", "tiny").upper()]
 _CACHE = os.path.join(os.path.dirname(__file__), ".benchcache")
-_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "0"))
 
 
 @pytest.fixture(scope="session")
 def runner() -> ExperimentRunner:
-    r = ExperimentRunner(
+    return ExperimentRunner(
         scale=_SCALE, seeds=(1, 2), kind="synthetic", cache_dir=_CACHE
     )
-    if _WORKERS > 0:
-        prefetch(r, workers=_WORKERS)
-    return r
 
 
 @pytest.fixture(scope="session")
@@ -60,7 +53,6 @@ def pytest_sessionfinish(session, exitstatus):
         "benchmarks",
         {
             "scale": _SCALE.name,
-            "workers": _WORKERS,
             "tests_collected": session.testscollected,
             "tests_failed": session.testsfailed,
             "exit_status": int(exitstatus),

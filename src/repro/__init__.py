@@ -27,7 +27,7 @@ from repro.core.config import (
 )
 from repro.core.stats import SimStats
 from repro.gpu.system import GPUSystem, simulate
-from repro.mc.registry import PAPER_SCHEDULERS, SCHEDULERS
+from repro.mc.registry import SCHEDULERS
 from repro.telemetry import TelemetryHub
 from repro.workloads.profiles import (
     ALL_PROFILES,
@@ -51,7 +51,6 @@ __all__ = [
     "KernelTrace",
     "MCConfig",
     "MemOp",
-    "PAPER_SCHEDULERS",
     "REGULAR_BENCHMARKS",
     "SCHEDULERS",
     "Scale",

@@ -8,15 +8,15 @@ Subcommands:
   ``--audit`` / ``--invariants`` for runtime guardrails;
   ``--checkpoint-period`` / ``--restore-from`` for snapshots — see
   docs/robustness.md);
-* ``compare BENCH`` — all schedulers on one benchmark;
-* ``sweep``       — fill the result cache with a parallel
-  (benchmark x scheduler x seed) sweep: worker processes, retries, live
-  progress, machine-readable throughput report; jobs already in the
-  cache are not rerun, so rerunning a killed sweep finishes it;
 * ``scenario``    — work with the declarative scenario library
   (``run``/``list``/``validate``) — see docs/scenarios.md and the
-  committed ``scenarios/`` directory;
-* ``reproduce``   — regenerate the paper's tables and figures;
+  committed ``scenarios/`` directory.  ``scenario run SPEC`` is the
+  (benchmark x scheduler x seed) grid runner: worker processes, retries,
+  live progress, a machine-readable sweep report (``--out``); jobs
+  already in the cache are not rerun, so rerunning a killed run
+  finishes it;
+* ``reproduce``   — regenerate the paper's tables and figures
+  (``--only`` for a subset, ``--out DIR`` for one text file each);
 * ``fuzz``        — differential/metamorphic fuzzing campaign over random
   configs and workloads, with failure minimization and replayable repro
   artifacts (``--replay``) — see docs/robustness.md;
@@ -39,7 +39,6 @@ import sys
 
 from repro import (
     ALL_PROFILES,
-    PAPER_SCHEDULERS,
     SCHEDULERS,
     Scale,
     SimConfig,
@@ -48,10 +47,9 @@ from repro import (
     simulate,
     synthetic_trace,
 )
-from repro.analysis import format_table, run_all
-from repro.analysis.experiments import prefetch
+from repro.analysis import format_table
+from repro.analysis.experiments import DRIVERS, prefetch
 from repro.analysis.runner import ExperimentRunner
-from repro.analysis.sweep import run_sweep
 from repro.core.overrides import (
     apply_overrides as apply_config_overrides,
     parse_assignment,
@@ -85,12 +83,6 @@ def _trace(args, cfg):
             ) from None
         return synthetic_trace(profile, cfg, seed=seed, scale=scale.factor)
     return build_benchmark(args.benchmark, cfg, scale, seed=seed)
-
-
-def _benches_for_kind(kind: str) -> list[str]:
-    """Default benchmark set per trace kind: synthetic sweeps only the
-    profile-backed paper suites; algorithmic sweeps everything."""
-    return sorted(ALL_PROFILES) if kind == "synthetic" else sorted(benchmark_names())
 
 
 def _make_hub(args) -> TelemetryHub | None:
@@ -273,59 +265,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = SimConfig()
-    trace = _trace(args, cfg)
-    rows = []
-    base = None
-    for sched in PAPER_SCHEDULERS:
-        s = simulate(cfg.with_scheduler(sched), trace).summary()
-        if base is None:
-            base = s["ipc"]
-        rows.append([sched, s["ipc"], s["ipc"] / base, s["effective_latency_ns"],
-                     s["divergence_ns"], s["bandwidth_utilization"]])
-    print(format_table(
-        ["scheduler", "IPC", "vs GMC", "stall ns", "div ns", "bus util"],
-        rows, title=args.benchmark,
-    ))
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    benchmarks = args.benchmarks or _benches_for_kind(args.kind)
-    if args.kind == "synthetic":
-        unprofiled = [b for b in benchmarks if b not in ALL_PROFILES]
-        if unprofiled:
-            print(
-                f"repro sweep: error: no synthetic profile for "
-                f"{', '.join(unprofiled)}; use --kind algorithmic",
-                file=sys.stderr,
-            )
-            return 2
-    runner = ExperimentRunner(
-        scale=Scale[args.scale.upper()],
-        seeds=tuple(args.seeds),
-        kind=args.kind,
-        cache_dir=args.cache_dir,
-    )
-    report = run_sweep(
-        runner,
-        benchmarks,
-        args.schedulers,
-        perfect=args.perfect,
-        workers=args.workers,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
-    if args.bench_out:
-        report.write_bench(args.bench_out)
-        print(f"[sweep] throughput report -> {args.bench_out}", file=sys.stderr)
-    for res in report.failed:
-        print(f"[sweep] FAILED {res.job.job_id}: {res.error}", file=sys.stderr)
-    return 1 if report.n_failed else 0
-
-
 def cmd_scenario(args) -> int:
     from repro.scenarios import (
         SpecError,
@@ -435,9 +374,15 @@ def cmd_reproduce(args) -> int:
             runner, workers=args.workers,
             progress=lambda msg: print(msg, file=sys.stderr),
         )
-    for res in run_all(runner).values():
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    for rid in args.only or DRIVERS:
+        res = DRIVERS[rid](runner)
         print()
         print(res)
+        if args.out:
+            with open(os.path.join(args.out, f"{rid}.txt"), "w") as fh:
+                fh.write(f"{res}\n")
     return 0
 
 
@@ -559,7 +504,7 @@ def _history_store(args):
     if not os.path.isdir(store.root):
         print(
             f"repro history: note: {store.root} does not exist yet — "
-            "sweep/fuzz/accuracy runs create it (REPRO_HISTORY_DIR overrides)",
+            "scenario/fuzz/accuracy runs create it (REPRO_HISTORY_DIR overrides)",
             file=sys.stderr,
         )
     return store
@@ -748,40 +693,6 @@ def main(argv: list[str] | None = None) -> int:
                             "starting a benchmark")
     p_run.set_defaults(fn=cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="all paper schedulers on a benchmark")
-    p_cmp.add_argument("benchmark", choices=sorted(benchmark_names()))
-    common(p_cmp)
-    p_cmp.set_defaults(fn=cmd_compare)
-
-    p_sw = sub.add_parser(
-        "sweep", help="parallel (benchmark x scheduler x seed) cache-filling sweep"
-    )
-    p_sw.add_argument("--benchmarks", nargs="+", metavar="BENCH",
-                      default=None, choices=sorted(benchmark_names()),
-                      help="benchmarks to sweep (default: all with a "
-                           "profile for the kind)")
-    p_sw.add_argument("--schedulers", nargs="+", metavar="SCHED",
-                      default=list(PAPER_SCHEDULERS), choices=sorted(SCHEDULERS),
-                      help="schedulers to sweep (default: gmc + WG family)")
-    p_sw.add_argument("--scale", default="quick",
-                      choices=[s.name.lower() for s in Scale])
-    p_sw.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    p_sw.add_argument("--kind", default="synthetic",
-                      choices=["synthetic", "algorithmic"])
-    p_sw.add_argument("--cache-dir", default=".repro-results")
-    p_sw.add_argument("--workers", type=int, default=4,
-                      help="worker processes (0 = run inline)")
-    p_sw.add_argument("--timeout", type=float, default=None, metavar="S",
-                      help="per-job timeout in seconds (default: none)")
-    p_sw.add_argument("--retries", type=int, default=1,
-                      help="resubmissions per failed job (default 1)")
-    p_sw.add_argument("--perfect", action="store_true",
-                      help="apply the perfect-coalescing transform (Fig. 4)")
-    p_sw.add_argument("--bench-out", default="BENCH_sweep.json", metavar="PATH",
-                      help="machine-readable throughput report "
-                           "(default BENCH_sweep.json; '' to skip)")
-    p_sw.set_defaults(fn=cmd_sweep)
-
     p_sc = sub.add_parser(
         "scenario",
         help="declarative scenario specs: run/list/validate (docs/scenarios.md)",
@@ -817,6 +728,12 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.add_argument("--cache-dir", default=".repro-results")
     p_rep.add_argument("--workers", type=int, default=0,
                        help="prefetch the sweep with N worker processes first")
+    p_rep.add_argument("--only", nargs="+", metavar="EXP", default=None,
+                       choices=list(DRIVERS),
+                       help="run these experiments only (default: all, "
+                            f"in the paper's order: {' '.join(DRIVERS)})")
+    p_rep.add_argument("--out", default=None, metavar="DIR",
+                       help="also write each table to DIR/EXP.txt")
     p_rep.set_defaults(fn=cmd_reproduce)
 
     p_fz = sub.add_parser(

@@ -10,7 +10,6 @@ from repro.analysis.experiments import (
     fig10_divergence,
     fig11_bandwidth,
     fig12_writes,
-    run_all,
     sec6a_regular,
     sec6b_power,
     sec6c_comparison,
@@ -38,7 +37,6 @@ __all__ = [
     "fig9_latency",
     "format_table",
     "geomean",
-    "run_all",
     "sec6a_regular",
     "sec6b_power",
     "sec6c_comparison",

@@ -4,9 +4,9 @@ Each ``figN_*``/``secN_*`` function regenerates one table or figure of the
 paper's evaluation from an :class:`ExperimentRunner` sweep and returns an
 :class:`ExperimentResult` whose ``table`` is ready to print and whose
 ``headline`` dict carries the numbers EXPERIMENTS.md records against the
-paper's.  ``run_all`` produces the complete evaluation in one call, and
-``prefetch`` fills a runner's cache with every run the drivers read,
-through parallel sweeps.
+paper's.  ``DRIVERS`` lists them in the paper's order (``python -m repro
+reproduce`` runs them), and ``prefetch`` fills a runner's cache with
+every run the drivers read, through parallel sweeps.
 
 Paper targets (for orientation; see EXPERIMENTS.md for measured values):
 
@@ -58,7 +58,6 @@ __all__ = [
     "sec6b_power",
     "sec6c_comparison",
     "prefetch",
-    "run_all",
 ]
 
 PAPER_SCHEDULERS = ("wg", "wg-m", "wg-bw", "wg-w")
@@ -439,11 +438,6 @@ DRIVERS: dict[str, Callable[[ExperimentRunner], ExperimentResult]] = {
 }
 
 
-def run_all(runner: ExperimentRunner) -> dict[str, ExperimentResult]:
-    """Regenerate every table and figure; returns {experiment id: result}."""
-    return {rid: driver(runner) for rid, driver in DRIVERS.items()}
-
-
 def prefetch(
     runner: ExperimentRunner,
     *,
@@ -476,86 +470,87 @@ def prefetch(
 #: Machine-readable mirror of the EXPERIMENTS.md paper-vs-measured table.
 #: Each entry's ``paper_text``/``measured_text`` is a literal snippet of
 #: that table's row — tests/test_accuracy.py asserts the doc and this
-#: export never drift apart.  ``delta`` is measured - paper in the
-#: entry's own unit; percent entries feed the dashboard's accuracy chart.
+#: export never drift apart.  :func:`accuracy_doc` adds each entry's
+#: ``delta``, measured - paper in the entry's own unit; percent entries
+#: feed the dashboard's accuracy chart.
 ACCURACY_ENTRIES: tuple[dict, ...] = (
     {"id": "fig2-divergent", "figure": "Fig. 2",
      "metric": "loads issuing >1 request", "unit": "pct",
-     "paper": 56.0, "measured": 59.0, "delta": 3.0,
+     "paper": 56.0, "measured": 59.0,
      "paper_text": "56%", "measured_text": "59% divergent"},
     {"id": "fig2-requests", "figure": "Fig. 2",
      "metric": "requests per load", "unit": "count",
-     "paper": 5.9, "measured": 5.39, "delta": -0.51,
+     "paper": 5.9, "measured": 5.39,
      "paper_text": "5.9 requests/load", "measured_text": "5.39 requests/load"},
     {"id": "fig3-ratio", "figure": "Fig. 3",
      "metric": "last/first main-memory latency", "unit": "x",
-     "paper": 1.6, "measured": 6.1, "delta": 4.5,
+     "paper": 1.6, "measured": 6.1,
      "paper_text": "≈1.6×", "measured_text": "6.1×"},
     {"id": "fig3-controllers", "figure": "Fig. 3",
      "metric": "controllers per warp", "unit": "count",
-     "paper": 2.5, "measured": 2.17, "delta": -0.33,
+     "paper": 2.5, "measured": 2.17,
      "paper_text": "2.5 controllers/warp",
      "measured_text": "2.17 controllers/warp"},
     {"id": "fig4-coalescing", "figure": "Fig. 4",
      "metric": "perfect-coalescing speedup", "unit": "x",
-     "paper": 5.0, "measured": 4.55, "delta": -0.45,
+     "paper": 5.0, "measured": 4.55,
      "paper_text": "≈5×", "measured_text": "4.55×"},
     {"id": "fig4-zerodiv", "figure": "Fig. 4",
      "metric": "zero-divergence speedup", "unit": "pct",
-     "paper": 43.0, "measured": 60.0, "delta": 17.0,
+     "paper": 43.0, "measured": 60.0,
      "paper_text": "+43%", "measured_text": "+60%"},
     {"id": "table1-util", "figure": "Table I",
      "metric": "single-bank utilization bound", "unit": "pct",
-     "paper": 62.0, "measured": 62.0, "delta": 0.0,
+     "paper": 62.0, "measured": 62.0,
      "paper_text": "62% single-bank util", "measured_text": "62.0%"},
     {"id": "fig8-wg", "figure": "Fig. 8",
      "metric": "WG speedup", "unit": "pct",
-     "paper": 3.4, "measured": 8.1, "delta": 4.7,
+     "paper": 3.4, "measured": 8.1,
      "paper_text": "WG +3.4%", "measured_text": "WG +8.1%"},
     {"id": "fig8-wgm", "figure": "Fig. 8",
      "metric": "WG-M speedup", "unit": "pct",
-     "paper": 6.2, "measured": 7.2, "delta": 1.0,
+     "paper": 6.2, "measured": 7.2,
      "paper_text": "WG-M +6.2%", "measured_text": "WG-M +7.2%"},
     {"id": "fig8-wgbw", "figure": "Fig. 8",
      "metric": "WG-Bw speedup", "unit": "pct",
-     "paper": 8.4, "measured": 9.2, "delta": 0.8,
+     "paper": 8.4, "measured": 9.2,
      "paper_text": "WG-Bw +8.4%", "measured_text": "WG-Bw +9.2%"},
     {"id": "fig8-wgw", "figure": "Fig. 8",
      "metric": "WG-W speedup", "unit": "pct",
-     "paper": 10.1, "measured": 9.2, "delta": -0.9,
+     "paper": 10.1, "measured": 9.2,
      "paper_text": "WG-W +10.1%", "measured_text": "WG-W +9.2%"},
     {"id": "fig9-wg", "figure": "Fig. 9",
      "metric": "WG effective-latency change", "unit": "pct",
-     "paper": -9.1, "measured": -4.4, "delta": 4.7,
+     "paper": -9.1, "measured": -4.4,
      "paper_text": "WG −9.1%", "measured_text": "WG −4.4%"},
     {"id": "fig9-wgm", "figure": "Fig. 9",
      "metric": "WG-M effective-latency change", "unit": "pct",
-     "paper": -16.9, "measured": -4.1, "delta": 12.8,
+     "paper": -16.9, "measured": -4.1,
      "paper_text": "WG-M −16.9%", "measured_text": "WG-M −4.1%"},
     {"id": "fig11-margin", "figure": "Fig. 11",
      "metric": "WG-Bw utilization margin over WG-M", "unit": "pct",
-     "paper": 14.0, "measured": 1.9, "delta": -12.1,
+     "paper": 14.0, "measured": 1.9,
      "paper_text": ">14%", "measured_text": "+1.9%"},
     {"id": "sec6a-regular", "figure": "§VI-A",
      "metric": "regular-app geomean change", "unit": "pct",
-     "paper": 1.8, "measured": -0.5, "delta": -2.3,
+     "paper": 1.8, "measured": -0.5,
      "paper_text": "+1.8%", "measured_text": "−0.5% geomean"},
     {"id": "sec6b-energy", "figure": "§VI-B",
      "metric": "GDDR5 energy change", "unit": "pct",
-     "paper": 1.8, "measured": -1.5, "delta": -3.3,
+     "paper": 1.8, "measured": -1.5,
      "paper_text": "+1.8% GDDR5 power",
      "measured_text": "energy/access −1.5%"},
     {"id": "sec6c-sbwas", "figure": "§VI-C",
      "metric": "SBWAS speedup", "unit": "pct",
-     "paper": 2.5, "measured": 1.9, "delta": -0.6,
+     "paper": 2.5, "measured": 1.9,
      "paper_text": "SBWAS +2.5%", "measured_text": "SBWAS +1.9%"},
     {"id": "sec6c-wafcfs", "figure": "§VI-C",
      "metric": "WAFCFS change", "unit": "pct",
-     "paper": -11.2, "measured": -1.4, "delta": 9.8,
+     "paper": -11.2, "measured": -1.4,
      "paper_text": "WAFCFS −11.2%", "measured_text": "WAFCFS −1.4%"},
     {"id": "sec6c-gap", "figure": "§VI-C",
      "metric": "WG-W gap over SBWAS", "unit": "pct",
-     "paper": 7.3, "measured": 7.3, "delta": 0.0,
+     "paper": 7.3, "measured": 7.3,
      "paper_text": "by 7.3%", "measured_text": "by 7.3pp"},
 )
 
@@ -569,8 +564,18 @@ def accuracy_doc() -> dict:
         "kind": "accuracy",
         "source": "EXPERIMENTS.md",
         "generated_by": "repro.analysis.experiments.write_accuracy",
-        "entries": [dict(e) for e in ACCURACY_ENTRIES],
+        "entries": [_with_delta(e) for e in ACCURACY_ENTRIES],
     }
+
+
+def _with_delta(entry: dict) -> dict:
+    """A copy of ``entry`` with ``delta`` inserted after ``measured``."""
+    out = {}
+    for key, value in entry.items():
+        out[key] = value
+        if key == "measured":
+            out["delta"] = round(entry["measured"] - entry["paper"], 6)
+    return out
 
 
 def write_accuracy(path: str = "results/accuracy.json") -> dict:

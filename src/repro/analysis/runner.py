@@ -41,6 +41,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 import time
 from typing import Optional
 
@@ -150,7 +151,9 @@ class ExperimentRunner:
         key = (bench, seed, perfect)
         if key not in self._traces:
             if perfect:
-                t = perfect_coalescing(self.trace(bench, seed))
+                t = perfect_coalescing(
+                    self.trace(bench, seed), self.config.dram_org.line_bytes
+                )
             elif self.kind == "synthetic":
                 try:
                     profile = ALL_PROFILES[bench]
@@ -240,7 +243,10 @@ class ExperimentRunner:
             self.last_outcome = "disk"
             return result
         if self.verbose:
-            print(f"  simulating {bench} / {scheduler} (seed {seed}) ...", flush=True)
+            print(
+                f"  simulating {bench} / {scheduler} (seed {seed}) ...",
+                file=sys.stderr, flush=True,
+            )
         stats = simulate(
             self.config.with_scheduler(scheduler), self.trace(bench, seed, perfect)
         )

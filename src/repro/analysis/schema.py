@@ -10,7 +10,7 @@ to the corresponding document shape; additive keys do not need a bump.
 constant                      document
 ============================  ===========================================
 ``METRICS_SCHEMA``            ``SimStats.write_metrics`` bundle
-``SWEEP_SCHEMA``              ``BENCH_sweep.json`` / sweep history record
+``SWEEP_SCHEMA``              ``SweepReport.to_dict`` / sweep history record
 ``FUZZ_SCHEMA``               fuzz campaign report (``FuzzReport.to_dict``)
 ``ACCURACY_SCHEMA``           ``results/accuracy.json`` paper-vs-measured
 ``HISTORY_SCHEMA``            run-history record envelope

@@ -28,8 +28,9 @@ supervised process per job, or inline through the caller's runner
   concurrent failers decorrelate.
 
 The returned :class:`SweepReport` carries per-job wall-clock and
-events/sec and serializes to the machine-readable ``BENCH_sweep.json``
-(:meth:`SweepReport.write_bench`) that tracks sweep throughput over time.
+events/sec; :meth:`SweepReport.to_dict` is the machine-readable form
+that the run history stores and ``repro scenario run --out`` writes
+under ``"sweep"``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.analysis.runner import ExperimentRunner, atomic_write_json
+from repro.analysis.runner import ExperimentRunner
 from repro.analysis.schema import SWEEP_SCHEMA
 
 __all__ = [
@@ -218,10 +219,6 @@ class SweepReport:
             "events_per_sec": round(self.events_per_sec, 1),
             "jobs": [r.to_dict() for r in self.results],
         }
-
-    def write_bench(self, path: str) -> None:
-        """Emit the machine-readable sweep benchmark (BENCH_sweep.json)."""
-        atomic_write_json(path, self.to_dict())
 
     def format(self) -> str:
         parts = [

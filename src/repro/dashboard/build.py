@@ -249,7 +249,7 @@ def _render_page(
         "<footer>Static build — no scripts, no network. "
         "Regenerate with <code>python -m repro dashboard</code>; "
         "benchmark with <code>python3 bench/run.py</code>; "
-        "ingest runs via <code>python -m repro sweep</code> / "
+        "ingest runs via <code>python -m repro scenario run</code> / "
         "<code>fuzz</code> / <code>accuracy</code>.</footer>"
     )
     parts.append("</main></body></html>")

@@ -1,16 +1,12 @@
 """DRAM protocol auditor.
 
-USIMM-style validation in two modes sharing one rule engine:
-
-* **offline** — a :class:`CommandLog` records every command a channel
-  issues, and :func:`audit_command_log` replays the log against the
-  timing parameters, reporting every constraint violation;
-* **streaming** — a :class:`StreamingAuditor` installed *as* the
-  channel's log checks each command the instant it is recorded and (by
-  default) aborts the run with a precise diagnostic, so a scheduler bug
-  surfaces at the first illegal command instead of as wrong end-of-run
-  numbers.  This is what ``python -m repro run --audit`` wires up (see
-  :mod:`repro.guardrails`).
+USIMM-style validation, streaming: a :class:`StreamingAuditor` installed
+*as* a channel's log checks each command the instant it is recorded and
+(by default) aborts the run with a precise diagnostic, so a scheduler bug
+surfaces at the first illegal command instead of as wrong end-of-run
+numbers.  This is what ``python -m repro run --audit`` wires up (see
+:mod:`repro.guardrails`); with ``collect=True`` it keeps every violation
+instead, which is how the tests audit a whole command stream.
 
 The simulator's timestamp algebra is designed to make violations
 impossible; the auditor is the independent proof (and the first tool to
@@ -39,53 +35,17 @@ ROW_STATE             column commands only to the open row; no double ACT
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import DRAMOrgConfig, DRAMTimingConfig
 from repro.dram.commands import CommandKind
 
 __all__ = [
-    "LoggedCommand",
-    "CommandLog",
     "ProtocolViolationError",
     "StreamingAuditor",
     "Violation",
-    "audit_command_log",
 ]
-
-
-@dataclass(slots=True)
-class LoggedCommand:
-    issue_ps: int
-    kind: CommandKind
-    bank: int
-    row: int = -1
-    data_start_ps: int = -1
-    data_end_ps: int = -1
-
-
-class CommandLog:
-    """Append-only record of a channel's command stream."""
-
-    def __init__(self) -> None:
-        self.commands: list[LoggedCommand] = []
-
-    def record(
-        self,
-        issue_ps: int,
-        kind: CommandKind,
-        bank: int,
-        row: int = -1,
-        data_start_ps: int = -1,
-        data_end_ps: int = -1,
-    ) -> None:
-        self.commands.append(
-            LoggedCommand(issue_ps, kind, bank, row, data_start_ps, data_end_ps)
-        )
-
-    def __len__(self) -> int:
-        return len(self.commands)
 
 
 @dataclass(slots=True)
@@ -135,21 +95,28 @@ class _AuditState:
         self.last_data_end = -(1 << 60)
         self.last_wr_data_end_any = -(1 << 60)
 
-    def check(self, cmd: LoggedCommand) -> list[Violation]:
+    def check(
+        self,
+        t: int,
+        kind: CommandKind,
+        bank: int,
+        row: int,
+        data_start_ps: int,
+        data_end_ps: int,
+    ) -> list[Violation]:
         """Check one command against the state so far; advance the state."""
         timing = self.t
         v: list[Violation] = []
-        t = cmd.issue_ps
-        b = self.banks[cmd.bank]
+        b = self.banks[bank]
 
         def bad(rule: str, detail: str) -> None:
-            v.append(Violation(rule, t, cmd.bank, detail))
+            v.append(Violation(rule, t, bank, detail))
 
         if self.last_cmd_time > -(1 << 59) and t - self.last_cmd_time < timing.tck_ps:
             bad("CMD_BUS", f"{t - self.last_cmd_time}ps since previous command")
         self.last_cmd_time = t
 
-        if cmd.kind == CommandKind.ACT:
+        if kind == CommandKind.ACT:
             if b.open_row is not None:
                 bad("ROW_STATE", "ACT with a row already open")
             if t - b.last_act < timing.trc_ps:
@@ -166,9 +133,9 @@ class _AuditState:
                 del self.act_times[:8]
             self.last_act_any = t
             b.last_act = t
-            b.open_row = cmd.row
+            b.open_row = row
 
-        elif cmd.kind == CommandKind.PRE:
+        elif kind == CommandKind.PRE:
             if b.open_row is None:
                 bad("ROW_STATE", "PRE with no open row")
             if t - b.last_act < timing.tras_ps:
@@ -186,37 +153,37 @@ class _AuditState:
         else:  # RD / WR
             if b.open_row is None:
                 bad("ROW_STATE", "column command with bank closed")
-            elif cmd.row >= 0 and cmd.row != b.open_row:
-                bad("ROW_STATE", f"column to row {cmd.row} but row {b.open_row} open")
+            elif row >= 0 and row != b.open_row:
+                bad("ROW_STATE", f"column to row {row} but row {b.open_row} open")
             if t - b.last_act < timing.trcd_ps:
                 bad("ACT_TO_COL", f"tRCD: {t - b.last_act}ps")
             if self.last_col_time > -(1 << 59):
                 ccd = (
                     timing.tccdl_ps
-                    if self.group_of[cmd.bank] == self.last_col_group
+                    if self.group_of[bank] == self.last_col_group
                     else timing.tccds_ps
                 )
                 if t - self.last_col_time < ccd:
                     bad("CCD", f"{t - self.last_col_time}ps since last column")
-            if cmd.kind == CommandKind.RD:
+            if kind == CommandKind.RD:
                 if (
                     self.last_wr_data_end_any > -(1 << 59)
                     and t - self.last_wr_data_end_any < timing.twtr_ps
                 ):
                     bad("WTR", f"{t - self.last_wr_data_end_any}ps after write data")
                 b.last_rd = t
-            if cmd.data_start_ps >= 0:
-                if cmd.data_start_ps < self.last_data_end:
+            if data_start_ps >= 0:
+                if data_start_ps < self.last_data_end:
                     bad(
                         "DATA_BUS",
-                        f"burst starts {self.last_data_end - cmd.data_start_ps}ps early",
+                        f"burst starts {self.last_data_end - data_start_ps}ps early",
                     )
-                self.last_data_end = max(self.last_data_end, cmd.data_end_ps)
-            if cmd.kind == CommandKind.WR and cmd.data_end_ps >= 0:
-                b.last_wr_data_end = cmd.data_end_ps
-                self.last_wr_data_end_any = cmd.data_end_ps
+                self.last_data_end = max(self.last_data_end, data_end_ps)
+            if kind == CommandKind.WR and data_end_ps >= 0:
+                b.last_wr_data_end = data_end_ps
+                self.last_wr_data_end_any = data_end_ps
             self.last_col_time = t
-            self.last_col_group = self.group_of[cmd.bank]
+            self.last_col_group = self.group_of[bank]
 
         return v
 
@@ -257,8 +224,9 @@ class StreamingAuditor:
         data_start_ps: int = -1,
         data_end_ps: int = -1,
     ) -> None:
-        cmd = LoggedCommand(issue_ps, kind, bank, row, data_start_ps, data_end_ps)
-        found = self._state.check(cmd)
+        found = self._state.check(
+            issue_ps, kind, bank, row, data_start_ps, data_end_ps
+        )
         self.commands_checked += 1
         if not found:
             return
@@ -269,16 +237,3 @@ class StreamingAuditor:
 
     def __len__(self) -> int:
         return self.commands_checked
-
-
-def audit_command_log(
-    log: CommandLog,
-    timing: DRAMTimingConfig,
-    org: DRAMOrgConfig,
-) -> list[Violation]:
-    """Replay a command log; return every timing/protocol violation."""
-    state = _AuditState(timing, org)
-    v: list[Violation] = []
-    for cmd in log.commands:
-        v.extend(state.check(cmd))
-    return v

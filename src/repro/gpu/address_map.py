@@ -28,7 +28,7 @@ __all__ = ["AddressMap"]
 
 
 class AddressMap:
-    """Byte address -> (channel, bank, row, col) decomposition."""
+    """Byte address <-> (channel, bank, row, col) mapping."""
 
     def __init__(self, org: DRAMOrgConfig) -> None:
         self.org = org
@@ -40,6 +40,8 @@ class AddressMap:
         self.bank_mask = org.banks_per_channel - 1
         if org.banks_per_channel & self.bank_mask:
             raise ValueError("banks_per_channel must be a power of two")
+        self.bank_shift = org.banks_per_channel.bit_length() - 1
+        self.lines_per_block = org.interleave_bytes // org.line_bytes
 
     # -- channel hash ------------------------------------------------------
     def channel_key(self, addr: int) -> int:
@@ -48,23 +50,24 @@ class AddressMap:
         low = (block & 0x7) ^ ((block >> 3) & 0x7)  # addr[10:8] ^ addr[13:11]
         return (block & ~0x7) | low
 
-    # -- full decomposition ----------------------------------------------------
-    def decompose(self, addr: int) -> tuple[int, int, int, int]:
-        """(channel, bank, row, col) of a byte address."""
+    # -- decomposition -----------------------------------------------------
+    def locate(self, addr: int) -> tuple[int, int, int]:
+        """(channel, bank, row) of a byte address."""
         key = self.channel_key(addr)
         channel = key % self.org.num_channels
         local = key // self.org.num_channels  # channel-local 256B block index
-        col_block = local & (self.blocks_per_row - 1)
         seg = local // self.blocks_per_row  # (bank, row)-sized segment index
-        bank_raw = seg & self.bank_mask
-        upper = seg >> (self.org.banks_per_channel.bit_length() - 1)
-        bank = (bank_raw ^ (upper & self.bank_mask)) & self.bank_mask
-        row = upper % self.org.rows_per_bank
-        line_in_block = (addr >> self.line_shift) & (
-            (self.org.interleave_bytes // self.org.line_bytes) - 1
-        )
-        col = col_block * (self.org.interleave_bytes // self.org.line_bytes) + line_in_block
-        return channel, bank, row, col
+        upper = seg >> self.bank_shift
+        bank = (seg ^ upper) & self.bank_mask
+        return channel, bank, upper % self.org.rows_per_bank
+
+    def decompose(self, addr: int) -> tuple[int, int, int, int]:
+        """(channel, bank, row, col) of a byte address."""
+        channel, bank, row = self.locate(addr)
+        local = self.channel_key(addr) // self.org.num_channels
+        col_block = local & (self.blocks_per_row - 1)
+        line_in_block = (addr >> self.line_shift) & (self.lines_per_block - 1)
+        return channel, bank, row, col_block * self.lines_per_block + line_in_block
 
     def compose(
         self, channel: int, bank: int, row: int, col: int
@@ -76,8 +79,7 @@ class AddressMap:
         the mapping is a bijection.
         """
         org = self.org
-        lines_per_block = org.interleave_bytes // org.line_bytes
-        col_block, line_in_block = divmod(col, lines_per_block)
+        col_block, line_in_block = divmod(col, self.lines_per_block)
         if not 0 <= col_block < self.blocks_per_row:
             raise ValueError(f"col {col} outside the row")
         if not 0 <= row < org.rows_per_bank:
@@ -88,7 +90,7 @@ class AddressMap:
             raise ValueError(f"channel {channel} out of range")
         upper = row
         bank_raw = (bank ^ (upper & self.bank_mask)) & self.bank_mask
-        seg = (upper << (org.banks_per_channel.bit_length() - 1)) | bank_raw
+        seg = (upper << self.bank_shift) | bank_raw
         local = seg * self.blocks_per_row + col_block
         key = local * org.num_channels + channel
         # Undo the XOR spread on the low three block bits.
@@ -97,4 +99,4 @@ class AddressMap:
 
     def route(self, req: MemoryRequest) -> None:
         """Fill a request's channel/bank/row fields in place."""
-        req.channel, req.bank, req.row, _ = self.decompose(req.addr)
+        req.channel, req.bank, req.row = self.locate(req.addr)

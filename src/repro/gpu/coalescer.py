@@ -1,7 +1,8 @@
 """Memory coalescer (§III-A).
 
 Combines the 32 per-lane addresses of a warp's vector memory instruction
-into the minimal set of 128-byte cache-line requests.  Perfectly coalesced
+into the minimal set of cache-line requests (``DRAMOrgConfig.line_bytes``,
+128 bytes by default).  Perfectly coalesced
 regular code produces a single request; irregular gathers produce up to 32
 (the paper measures 5.9 on average for its irregular suite, Fig. 2).
 """
@@ -13,10 +14,7 @@ from typing import Optional, Sequence
 __all__ = ["coalesce"]
 
 
-def coalesce(
-    lane_addrs: Sequence[Optional[int]],
-    line_bytes: int = 128,
-) -> list[int]:
+def coalesce(lane_addrs: Sequence[Optional[int]], line_bytes: int) -> list[int]:
     """Unique line base addresses touched by a warp instruction.
 
     ``None`` entries model lanes masked off by control divergence.  Order

@@ -7,8 +7,9 @@ Two properties matter to the paper's mechanisms and are modeled here:
 * different SMs' streams interleave at each partition's ingress port,
   which is what defeats naive FCFS scheduling (§III-A).
 
-Each port is a serialization server: a 128B message occupies the port for
-``line_bytes / bytes_per_ns`` and is delivered after the base latency.
+Each port is a serialization server: a line-sized message occupies the
+port for ``line_bytes / bytes_per_ns`` and is delivered after the base
+latency.
 Because port occupancy is granted in call order, per-source FIFO order is
 preserved automatically.
 """
@@ -31,7 +32,7 @@ class Crossbar:
         engine: Engine,
         gpu: GPUConfig,
         num_partitions: int,
-        line_bytes: int = 128,
+        line_bytes: int,
     ) -> None:
         self.engine = engine
         self.latency_ps = int(gpu.xbar_latency_ns * 1000)

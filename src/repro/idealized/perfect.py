@@ -4,7 +4,7 @@ Two hypothetical systems bound the benefit of warp-aware scheduling:
 
 * **Perfect coalescing** — every vector load produces exactly one memory
   request.  Realized as a trace transform: all lanes of each memory op are
-  redirected to the op's first line.  The paper measures ~5x speedup
+  redirected to the op's first line (of the simulated ``line_bytes``).  The paper measures ~5x speedup
   (it removes bandwidth demand *and* divergence) and calls it unrealizable.
 
 * **Zero latency divergence** — a memory controller, registered as the
@@ -18,8 +18,9 @@ from repro.workloads.trace import KernelTrace, MemOp, Segment, WarpTrace
 __all__ = ["perfect_coalescing"]
 
 
-def perfect_coalescing(kernel: KernelTrace) -> KernelTrace:
-    """Transform a trace so every memory op touches exactly one line."""
+def perfect_coalescing(kernel: KernelTrace, line_bytes: int) -> KernelTrace:
+    """Transform a trace so every memory op touches exactly one
+    ``line_bytes`` line."""
     new_warps = []
     for w in kernel.warps:
         segs = []
@@ -31,9 +32,9 @@ def perfect_coalescing(kernel: KernelTrace) -> KernelTrace:
             if first is None:
                 segs.append(Segment(s.compute_cycles, None))
                 continue
-            base = first & ~127
+            base = first & ~(line_bytes - 1)
             lanes = [
-                None if a is None else base + (i * 4) % 128
+                None if a is None else base + (i * 4) % line_bytes
                 for i, a in enumerate(s.mem.lane_addrs)
             ]
             segs.append(Segment(s.compute_cycles, MemOp(s.mem.is_write, lanes)))

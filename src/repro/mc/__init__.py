@@ -7,12 +7,7 @@ from repro.mc.fcfs import FCFSController
 from repro.mc.frfcfs import FRFCFSController
 from repro.mc.gmc import GMCController
 from repro.mc.merb import merb_table, merb_value, single_bank_utilization
-from repro.mc.registry import (
-    PAPER_SCHEDULERS,
-    SCHEDULERS,
-    controller_class,
-    coordinated_schedulers,
-)
+from repro.mc.registry import SCHEDULERS, controller_class, coordinated_schedulers
 from repro.mc.row_sorter import RowSorter
 from repro.mc.sbwas import SBWASController
 from repro.mc.wafcfs import WAFCFSController
@@ -29,7 +24,6 @@ __all__ = [
     "FRFCFSController",
     "GMCController",
     "MemoryController",
-    "PAPER_SCHEDULERS",
     "RowSorter",
     "SBWASController",
     "SCHEDULERS",

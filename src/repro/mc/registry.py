@@ -38,7 +38,6 @@ from repro.mc.zerodiv import ZeroDivergenceController
 
 __all__ = [
     "SCHEDULERS",
-    "PAPER_SCHEDULERS",
     "controller_class",
     "coordinated_schedulers",
 ]
@@ -59,9 +58,6 @@ SCHEDULERS: dict[str, Type[MemoryController]] = {
         ZeroDivergenceController,  # Fig. 4's idealized bound
     )
 }
-
-# The schedulers evaluated in Fig. 8, in presentation order.
-PAPER_SCHEDULERS = ("gmc", "wg", "wg-m", "wg-bw", "wg-w")
 
 # Policies that participate in the §IV-C coordination network.
 _COORDINATED = {"wg-m", "wg-bw", "wg-w", "wg-share"}

@@ -72,7 +72,7 @@ def trace_signature(trace: KernelTrace, config: SimConfig | None = None) -> Trac
             chans = set()
             banks = set()
             for a in lines:
-                ch, bank, row, _col = amap.decompose(a)
+                ch, bank, row = amap.locate(a)
                 chans.add(ch)
                 banks.add((ch, bank))
                 rows_seen.add((ch, bank, row))

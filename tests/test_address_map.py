@@ -54,9 +54,12 @@ def test_bank_permutation_breaks_row_stride_camping():
 
 
 def test_route_fills_request():
-    req = MemoryRequest(addr=123456 * 128, is_write=False, sm_id=0, warp_id=0)
-    MAP.route(req)
-    assert (req.channel, req.bank, req.row) == MAP.decompose(req.addr)[:3]
+    """``route`` fills the first three fields of ``decompose``, for any
+    byte address (rows wrap above the capacity)."""
+    for addr in (123456 * 128, 123456 * 128 + 77, CAPACITY - 1, 3 * CAPACITY + 4096):
+        req = MemoryRequest(addr=addr, is_write=False, sm_id=0, warp_id=0)
+        MAP.route(req)
+        assert (req.channel, req.bank, req.row) == MAP.decompose(req.addr)[:3]
 
 
 @settings(max_examples=300, deadline=None)

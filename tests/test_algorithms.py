@@ -24,6 +24,7 @@ from repro.workloads.algorithms import (
 from repro.workloads.suite import IRREGULAR_SUITE, REGULAR_SUITE, Scale, build_benchmark
 
 CFG = SimConfig()
+LINE = CFG.dram_org.line_bytes
 
 
 def stats_of(trace):
@@ -36,7 +37,7 @@ def stats_of(trace):
                 stores += 1
             else:
                 loads += 1
-                rpl.append(len(coalesce(s.mem.lane_addrs)))
+                rpl.append(len(coalesce(s.mem.lane_addrs, LINE)))
     return np.asarray(rpl), loads, stores
 
 
@@ -76,8 +77,8 @@ def test_bh_walks_diverge_with_depth():
     # Per warp: first tree-level gathers coalesce (few nodes), deep ones diverge.
     w = t.warps[0]
     gathers = [s.mem for s in w.segments if s.mem and not s.mem.is_write]
-    first_level = len(coalesce(gathers[1].lane_addrs))
-    deepest = len(coalesce(gathers[-1].lane_addrs))
+    first_level = len(coalesce(gathers[1].lane_addrs, LINE))
+    deepest = len(coalesce(gathers[-1].lane_addrs, LINE))
     assert first_level <= 2
     assert deepest > first_level
 
@@ -87,7 +88,7 @@ def test_spmv_row_pointer_coalesced_x_gather_divergent():
     w = t.warps[0]
     mems = [s.mem for s in w.segments if s.mem is not None]
     # First op is the row_ptr stream: one or two requests.
-    assert len(coalesce(mems[0].lane_addrs)) <= 2
+    assert len(coalesce(mems[0].lane_addrs, LINE)) <= 2
     rpl, _, _ = stats_of(t)
     assert rpl.mean() > 2.0
 
@@ -103,7 +104,7 @@ def test_cfd_touches_many_channels():
         for s in w.segments:
             if s.mem is None or s.mem.is_write:
                 continue
-            for a in coalesce(s.mem.lane_addrs):
+            for a in coalesce(s.mem.lane_addrs, LINE):
                 chans.add(amap.decompose(a)[0])
         spreads.append(len(chans))
     assert np.mean(spreads) >= 3

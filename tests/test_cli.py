@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -27,16 +28,37 @@ def test_run_algorithmic_kind(capsys):
     assert "ipc" in capsys.readouterr().out
 
 
-def test_compare_table(capsys):
-    assert main(["compare", "sad", "--scale", "tiny"]) == 0
-    out = capsys.readouterr().out
-    for sched in ("gmc", "wg", "wg-m", "wg-bw", "wg-w"):
-        assert sched in out
-
-
 def test_rejects_unknown_benchmark():
     with pytest.raises(SystemExit):
         main(["run", "not-a-benchmark"])
+
+
+@pytest.mark.parametrize("gone", ["sweep", "compare"])
+def test_one_front_end_per_job(gone, capsys):
+    """``scenario run`` is the grid runner and ``reproduce`` the
+    evaluation runner; the duplicate front ends are not commands."""
+    with pytest.raises(SystemExit) as exc_info:
+        main([gone])
+    assert exc_info.value.code == 2
+    assert f"invalid choice: '{gone}'" in capsys.readouterr().err
+
+
+def test_reproduce_only_writes_each_table(tmp_path, capsys):
+    out_dir = tmp_path / "tables"
+    assert main([
+        "reproduce", "--scale", "tiny", "--seeds", "1",
+        "--cache-dir", str(tmp_path / "cache"),
+        "--only", "table1", "fig2", "--out", str(out_dir),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "Table I - MERB values" in out and "Fig. 2 - Coalescing" in out
+    assert out.index("Table I") < out.index("Fig. 2")  # the order asked for
+    for other in ("Fig. 3", "Fig. 4", "Fig. 8", "Sec VI"):
+        assert other not in out
+    assert sorted(os.listdir(out_dir)) == ["fig2.txt", "table1.txt"]
+    for rid, title in (("table1", "Table I"), ("fig2", "Fig. 2")):
+        text = (out_dir / f"{rid}.txt").read_text()
+        assert title in text and text in out
 
 
 def test_run_json_output(capsys):

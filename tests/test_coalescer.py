@@ -3,41 +3,44 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.config import SimConfig
 from repro.gpu.coalescer import coalesce
+
+LINE = SimConfig().dram_org.line_bytes
 
 
 def test_perfectly_coalesced_load_is_one_request():
     lanes = [1024 + 4 * i for i in range(32)]
-    assert coalesce(lanes) == [1024]
+    assert coalesce(lanes, LINE) == [1024]
 
 
 def test_unaligned_contiguous_load_spans_two_lines():
     lanes = [1000 + 4 * i for i in range(32)]
-    assert coalesce(lanes) == [896, 1024]
+    assert coalesce(lanes, LINE) == [896, 1024]
 
 
 def test_fully_divergent_load():
     lanes = [i * 4096 for i in range(32)]
-    assert len(coalesce(lanes)) == 32
+    assert len(coalesce(lanes, LINE)) == 32
 
 
 def test_masked_lanes_skipped():
     lanes = [None] * 30 + [256, 512]
-    assert coalesce(lanes) == [256, 512]
+    assert coalesce(lanes, LINE) == [256, 512]
 
 
 def test_all_masked_returns_empty():
-    assert coalesce([None] * 32) == []
+    assert coalesce([None] * 32, LINE) == []
 
 
 def test_first_appearance_order_preserved():
     lanes = [512, 0, 513, 128, 1]
-    assert coalesce(lanes) == [512, 0, 128]
+    assert coalesce(lanes, LINE) == [512, 0, 128]
 
 
 @given(st.lists(st.one_of(st.none(), st.integers(0, 1 << 30)), max_size=32))
 def test_property_results_are_unique_aligned_lines(lanes):
-    lines = coalesce(lanes)
+    lines = coalesce(lanes, LINE)
     assert len(lines) == len(set(lines))
     for line in lines:
         assert line % 128 == 0
@@ -47,7 +50,7 @@ def test_property_results_are_unique_aligned_lines(lanes):
 
 @given(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=32))
 def test_property_count_bounded_by_lanes(lanes):
-    assert 1 <= len(coalesce(lanes)) <= len(lanes)
+    assert 1 <= len(coalesce(lanes, LINE)) <= len(lanes)
 
 
 @pytest.mark.parametrize("line_bytes", [32, 64, 128])

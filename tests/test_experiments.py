@@ -69,7 +69,7 @@ def test_perfect_trace_derives_from_the_memoized_base(monkeypatch):
         ALL_PROFILES["sad"], r.config, seed=1, scale=r.scale.factor
     )
     assert base == fresh
-    assert perfect == perfect_coalescing(fresh)
+    assert perfect == perfect_coalescing(fresh, r.config.dram_org.line_bytes)
     r.release_traces("sad", 1)
     assert r._traces == {}
 

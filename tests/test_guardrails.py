@@ -10,12 +10,7 @@ import pytest
 
 from repro.core.config import SimConfig
 from repro.dram.commands import CommandKind
-from repro.dram.validate import (
-    CommandLog,
-    ProtocolViolationError,
-    StreamingAuditor,
-    audit_command_log,
-)
+from repro.dram.validate import ProtocolViolationError, StreamingAuditor
 from repro.gpu.system import GPUSystem, simulate
 from repro.guardrails import (
     CheckpointError,
@@ -385,28 +380,23 @@ def test_dropped_response_without_watchdog_fails_final_conservation():
 
 
 # ---------------------------------------------------------------------------
-# streaming auditor == offline auditor
+# streaming protocol auditor
 # ---------------------------------------------------------------------------
-def test_streaming_auditor_matches_offline_audit():
+def test_collecting_auditor_reports_planted_violations():
     T = SimConfig().dram_timing
     ORG = SimConfig().dram_org
     # A sequence with two deliberate violations (tRCD, tRRD) amid legal
-    # commands; the collecting streaming auditor must report exactly what
-    # the offline replay reports.
+    # commands; the collecting auditor keeps running and reports both.
     rd = T.tck_ps
     cmds = [
         (0, CommandKind.ACT, 0, 5),
         (rd, CommandKind.RD, 0, 5, rd + T.tcas_ps, rd + T.tcas_ps + T.tburst_ps),
         (rd + T.tck_ps, CommandKind.ACT, 1, 7),
     ]
-    log = CommandLog()
     streaming = StreamingAuditor(T, ORG, channel_id=3, collect=True)
     for c in cmds:
-        log.record(*c)
         streaming.record(*c)
-    offline = audit_command_log(log, T, ORG)
-    assert streaming.violations == offline
-    assert {v.rule for v in offline} >= {"ACT_TO_COL", "ACT_TO_ACT_DIFF"}
+    assert {v.rule for v in streaming.violations} >= {"ACT_TO_COL", "ACT_TO_ACT_DIFF"}
     assert streaming.commands_checked == len(cmds)
 
 

@@ -2,12 +2,15 @@
 
 import dataclasses
 
+from repro.analysis.runner import ExperimentRunner
 from repro.core.config import SimConfig
+from repro.core.overrides import apply_overrides
 from repro.gpu.coalescer import coalesce
 from repro.gpu.system import simulate
 from repro.idealized import perfect_coalescing
 from repro.mc.registry import SCHEDULERS
 from repro.workloads.profiles import IRREGULAR_PROFILES
+from repro.workloads.suite import Scale
 from repro.workloads.synthetic import synthetic_trace
 from repro.workloads.trace import KernelTrace, MemOp, Segment, WarpTrace
 
@@ -20,13 +23,31 @@ def test_perfect_coalescing_every_op_single_line():
     cfg = SimConfig()
     profile = dataclasses.replace(IRREGULAR_PROFILES["bh"], warps=32, loads_per_warp=4)
     trace = synthetic_trace(profile, cfg, seed=1)
-    pc = perfect_coalescing(trace)
+    line_bytes = cfg.dram_org.line_bytes
+    pc = perfect_coalescing(trace, line_bytes)
     assert pc.name.endswith("+perfect-coalescing")
     for w in pc.warps:
         for s in w.segments:
             if s.mem is None:
                 continue
-            assert len(coalesce(s.mem.lane_addrs)) == 1
+            assert len(coalesce(s.mem.lane_addrs, line_bytes)) == 1
+
+
+def test_perfect_coalescing_follows_the_configured_line_size():
+    """At a 64-byte line, every load of the perfectly coalesced trace the
+    runner simulates issues exactly one request, as at the default 128."""
+    cfg = apply_overrides(SimConfig(), {"dram_org.line_bytes": 64})
+    runner = ExperimentRunner(config=cfg, scale=Scale.TINY, seeds=(1,))
+    loads = [
+        s.mem.lane_addrs
+        for w in runner.trace("bfs", 1, perfect=True).warps
+        for s in w.segments
+        if s.mem is not None and not s.mem.is_write
+    ]
+    assert loads
+    assert {len(coalesce(lanes, 64)) for lanes in loads} == {1}
+    summary = runner.run("bfs", "gmc", 1, perfect=True)
+    assert summary["requests_per_load"] == 1.0
 
 
 def test_perfect_coalescing_preserves_structure():
@@ -37,7 +58,7 @@ def test_perfect_coalescing_preserves_structure():
             Segment(1, MemOp(False, [None] * 32)),
         ])
     ])
-    pc = perfect_coalescing(trace)
+    pc = perfect_coalescing(trace, SimConfig().dram_org.line_bytes)
     segs = pc.warps[0].segments
     assert segs[0].compute_cycles == 5
     assert segs[0].mem is not None
@@ -50,7 +71,7 @@ def test_perfect_coalescing_speeds_up_divergent_workload():
     profile = dataclasses.replace(IRREGULAR_PROFILES["bfs"], warps=32, loads_per_warp=5)
     trace = synthetic_trace(profile, cfg, seed=2)
     base = simulate(cfg, trace)
-    ideal = simulate(cfg, perfect_coalescing(trace))
+    ideal = simulate(cfg, perfect_coalescing(trace, cfg.dram_org.line_bytes))
     assert ideal.ipc() > base.ipc() * 1.3
     assert ideal.requests_issued < base.requests_issued
 

@@ -1,13 +1,15 @@
 """Unit tests for the SM <-> partition crossbar."""
 
-from repro.core.config import GPUConfig
+from repro.core.config import GPUConfig, SimConfig
 from repro.core.engine import Engine
 from repro.gpu.interconnect import Crossbar
 
 
 def make(num_parts: int = 2) -> tuple[Engine, Crossbar]:
     eng = Engine()
-    return eng, Crossbar(eng, GPUConfig(num_sms=4), num_parts)
+    return eng, Crossbar(
+        eng, GPUConfig(num_sms=4), num_parts, SimConfig().dram_org.line_bytes
+    )
 
 
 def test_base_latency_applied():

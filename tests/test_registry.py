@@ -3,12 +3,7 @@
 import pytest
 
 from repro.mc.base import MemoryController
-from repro.mc.registry import (
-    PAPER_SCHEDULERS,
-    SCHEDULERS,
-    controller_class,
-    coordinated_schedulers,
-)
+from repro.mc.registry import SCHEDULERS, controller_class, coordinated_schedulers
 
 
 def test_all_paper_schedulers_registered():
@@ -21,10 +16,6 @@ def test_all_paper_schedulers_registered():
 def test_unknown_scheduler_raises_with_choices():
     with pytest.raises(ValueError, match="unknown scheduler"):
         controller_class("lru")
-
-
-def test_paper_order():
-    assert PAPER_SCHEDULERS == ("gmc", "wg", "wg-m", "wg-bw", "wg-w")
 
 
 def test_coordinated_set():

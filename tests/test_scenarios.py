@@ -372,12 +372,6 @@ def test_cli_scenario_run_bad_spec_is_usage_error(tmp_path, capsys):
     assert "unknown scheduler" in err and f"{path}:" in err
 
 
-def test_cli_sweep_synthetic_rejects_modern_bench(capsys):
-    rc = main(["sweep", "--benchmarks", "embgather", "--workers", "0"])
-    assert rc == 2
-    assert "algorithmic" in capsys.readouterr().err
-
-
 def test_cli_run_modern_bench_defaults_to_algorithmic(tmp_path, capsys):
     rc = main(["run", "embgather", "--scale", "tiny", "--json"])
     assert rc == 0

@@ -127,9 +127,7 @@ def test_injected_crash_without_retry_budget_is_isolated(tmp_path, monkeypatch):
 def test_bench_report_schema(tmp_path):
     r = tiny_runner(tmp_path)
     report = run_sweep(r, ["sad"], ["gmc"], workers=0)
-    out = tmp_path / "BENCH_sweep.json"
-    report.write_bench(str(out))
-    doc = json.loads(out.read_text())
+    doc = json.loads(json.dumps(report.to_dict()))
     assert doc["schema_version"] == 1
     assert doc["jobs_total"] == 1 and doc["jobs_done"] == 1
     assert doc["config_hash"] == r.config_hash
@@ -329,11 +327,11 @@ def test_killed_worker_without_timeout_spares_the_other_jobs(tmp_path, monkeypat
 
 
 def test_sigkill_worker_mid_sweep_completes_bit_identical(tmp_path):
-    """End to end through ``repro sweep``: the first job's worker is
-    SIGKILLed, the sweep still finishes every job with the kill costing
-    exactly one retry, and the results are bit-identical to an inline
-    run.  The CLI runs in a subprocess so the kill arm never reaches
-    this test process."""
+    """End to end through ``repro scenario run``: the first job's worker
+    is SIGKILLed, the sweep still finishes every job with the kill
+    costing exactly one retry, and the results are bit-identical to an
+    inline run.  The CLI runs in a subprocess so the kill arm never
+    reaches this test process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = {k: v for k, v in os.environ.items()
            if k not in ("REPRO_CHAOS", "REPRO_CHAOS_MARK_DIR")}
@@ -341,17 +339,22 @@ def test_sigkill_worker_mid_sweep_completes_bit_identical(tmp_path):
     env["REPRO_HISTORY"] = "0"
     env["REPRO_CHAOS"] = "job-start=kill!once"
     env["REPRO_CHAOS_MARK_DIR"] = str(tmp_path / "marks")
-    bench = tmp_path / "BENCH_sweep.json"
+    spec = tmp_path / "grid.yaml"
+    spec.write_text(
+        "spec_version: 1\nname: sigkill-grid\npreset: gddr5\n"
+        "workload:\n  kind: synthetic\n  benchmarks: [sad]\n"
+        "schedulers: [gmc, wg]\nscale: tiny\nseeds: [1]\n"
+    )
+    out = tmp_path / "result.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "sweep", "--scale", "tiny",
-         "--benchmarks", "sad", "--schedulers", "gmc", "wg", "--seeds", "1",
+        [sys.executable, "-m", "repro", "scenario", "run", str(spec),
          "--workers", "2", "--cache-dir", str(tmp_path / "cache"),
-         "--bench-out", str(bench)],
+         "--out", str(out)],
         env=env, timeout=120, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert os.listdir(tmp_path / "marks")  # the kill really fired
-    report = json.loads(bench.read_text())
+    report = json.loads(out.read_text())["sweep"]
     assert report["jobs_failed"] == 0 and report["jobs_simulated"] == 2
     assert sorted(job["retries"] for job in report["jobs"]) == [0, 1]
     ref = tmp_path / "ref"

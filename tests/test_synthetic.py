@@ -13,6 +13,7 @@ from repro.workloads.profiles import ALL_PROFILES, IRREGULAR_PROFILES, Benchmark
 from repro.workloads.synthetic import HotRowStreams, _sample_group_size, synthetic_trace
 
 CFG = SimConfig()
+LINE = CFG.dram_org.line_bytes
 
 
 def small(profile: BenchmarkProfile) -> BenchmarkProfile:
@@ -25,7 +26,7 @@ def trace_signature(profile, seed=1):
     for w in trace.warps:
         for s in w.segments:
             if s.mem is not None and not s.mem.is_write:
-                rpls.append(len(coalesce(s.mem.lane_addrs)))
+                rpls.append(len(coalesce(s.mem.lane_addrs, LINE)))
     return trace, np.asarray(rpls)
 
 
@@ -53,7 +54,7 @@ def test_channel_spread_respects_profile():
             for s in w.segments:
                 if s.mem is None or s.mem.is_write:
                     continue
-                lines = coalesce(s.mem.lane_addrs)
+                lines = coalesce(s.mem.lane_addrs, LINE)
                 if len(lines) < 2:
                     continue
                 spreads.append(len({amap.decompose(a)[0] for a in lines}))

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import DRAMOrgConfig, DRAMTimingConfig, SimConfig
 from repro.dram.commands import CommandKind
-from repro.dram.validate import CommandLog, audit_command_log
+from repro.dram.validate import StreamingAuditor
 from repro.gpu.system import GPUSystem
 from repro.workloads.profiles import IRREGULAR_PROFILES
 from repro.workloads.synthetic import synthetic_trace
@@ -16,101 +16,102 @@ T = DRAMTimingConfig()
 ORG = DRAMOrgConfig()
 
 
-def log_of(*cmds) -> CommandLog:
-    log = CommandLog()
+def audit(*cmds) -> list:
+    """Every violation a collecting auditor finds in ``cmds``."""
+    auditor = StreamingAuditor(T, ORG, collect=True)
     for c in cmds:
-        log.record(*c)
-    return log
+        auditor.record(*c)
+    assert auditor.commands_checked == len(cmds)
+    return auditor.violations
 
 
 def test_clean_sequence_passes():
     t0 = 0
     rd = t0 + T.trcd_ps
-    log = log_of(
+    cmds = (
         (t0, CommandKind.ACT, 0, 5),
         (rd, CommandKind.RD, 0, 5, rd + T.tcas_ps, rd + T.tcas_ps + T.tburst_ps),
         (max(t0 + T.tras_ps, rd + T.trtp_ps), CommandKind.PRE, 0),
     )
-    assert audit_command_log(log, T, ORG) == []
+    assert audit(*cmds) == []
 
 
 def test_detects_trcd_violation():
-    log = log_of(
+    cmds = (
         (0, CommandKind.ACT, 0, 5),
         (T.tck_ps, CommandKind.RD, 0, 5),
     )
-    rules = {v.rule for v in audit_command_log(log, T, ORG)}
+    rules = {v.rule for v in audit(*cmds)}
     assert "ACT_TO_COL" in rules
 
 
 def test_detects_trrd_violation():
-    log = log_of(
+    cmds = (
         (0, CommandKind.ACT, 0, 5),
         (T.tck_ps, CommandKind.ACT, 1, 5),
     )
-    rules = {v.rule for v in audit_command_log(log, T, ORG)}
+    rules = {v.rule for v in audit(*cmds)}
     assert "ACT_TO_ACT_DIFF" in rules
 
 
 def test_detects_faw_violation():
     gap = (T.tfaw_ps // 4) - T.tck_ps  # five ACTs squeezed into one window
     cmds = [(i * gap, CommandKind.ACT, i, 1) for i in range(5)]
-    rules = {v.rule for v in audit_command_log(log_of(*cmds), T, ORG)}
+    rules = {v.rule for v in audit(*cmds)}
     assert "FAW" in rules
 
 
 def test_detects_row_state_errors():
-    log = log_of(
+    cmds = (
         (0, CommandKind.RD, 0, 5),  # closed bank
         (T.tck_ps * 10, CommandKind.PRE, 1),  # no row open
     )
-    rules = [v.rule for v in audit_command_log(log, T, ORG)]
+    rules = [v.rule for v in audit(*cmds)]
     assert rules.count("ROW_STATE") == 2
 
 
 def test_detects_wrong_row_column():
     rd = T.trcd_ps
-    log = log_of(
+    cmds = (
         (0, CommandKind.ACT, 0, 5),
         (rd, CommandKind.RD, 0, 6),  # row 6 not open
     )
-    rules = {v.rule for v in audit_command_log(log, T, ORG)}
+    rules = {v.rule for v in audit(*cmds)}
     assert "ROW_STATE" in rules
 
 
 def test_detects_data_bus_overlap():
     t1 = T.trcd_ps
-    log = log_of(
+    cmds = (
         (0, CommandKind.ACT, 0, 5),
         (t1, CommandKind.RD, 0, 5, t1 + T.tcas_ps, t1 + T.tcas_ps + 4 * T.tburst_ps),
         (t1 + T.tccdl_ps, CommandKind.RD, 0, 5,
          t1 + T.tccdl_ps + T.tcas_ps, t1 + T.tccdl_ps + T.tcas_ps + T.tburst_ps),
     )
-    rules = {v.rule for v in audit_command_log(log, T, ORG)}
+    rules = {v.rule for v in audit(*cmds)}
     assert "DATA_BUS" in rules
 
 
 def test_detects_early_precharge_after_write():
     wr = T.trcd_ps
     data_end = wr + T.twl_ps + T.tburst_ps
-    log = log_of(
+    cmds = (
         (0, CommandKind.ACT, 0, 5),
         (wr, CommandKind.WR, 0, 5, wr + T.twl_ps, data_end),
         (data_end + T.tck_ps, CommandKind.PRE, 0),  # tWR not elapsed
     )
-    rules = {v.rule for v in audit_command_log(log, T, ORG)}
+    rules = {v.rule for v in audit(*cmds)}
     assert "WR_TO_PRE" in rules
 
 
 def test_violation_formatting():
-    log = log_of((0, CommandKind.RD, 0, 5))
-    v = audit_command_log(log, T, ORG)[0]
+    v = audit((0, CommandKind.RD, 0, 5))[0]
     assert "ROW_STATE" in str(v)
 
 
 @pytest.mark.parametrize("sched", ["gmc", "wg-w", "sbwas", "wafcfs", "fcfs"])
 def test_end_to_end_command_streams_are_legal(sched):
-    """Attach the audit log to every channel of a full simulation and
+    """Attach a collecting auditor to every channel of a full simulation and
     verify the scheduler never violates a timing constraint."""
     cfg = SimConfig().small().with_scheduler(sched)
     profile = dataclasses.replace(
@@ -118,14 +119,15 @@ def test_end_to_end_command_streams_are_legal(sched):
     )
     trace = synthetic_trace(profile, cfg, seed=6, scale=1.0)
     sys_ = GPUSystem(cfg, trace)
-    logs = []
+    auditors = []
     for mc in sys_.mcs:
-        mc.channel.log = CommandLog()
-        logs.append(mc.channel.log)
+        mc.channel.log = StreamingAuditor(
+            cfg.dram_timing, cfg.dram_org, mc.channel_id, collect=True
+        )
+        auditors.append(mc.channel.log)
     sys_.run()
     total = 0
-    for log in logs:
-        total += len(log)
-        violations = audit_command_log(log, cfg.dram_timing, cfg.dram_org)
-        assert violations == [], violations[:5]
+    for auditor in auditors:
+        total += auditor.commands_checked
+        assert auditor.violations == [], auditor.violations[:5]
     assert total > 100  # the audit actually saw a real command stream
