@@ -1,15 +1,15 @@
 """Shared fixtures for the per-figure benchmark harness.
 
 Every ``test_figNN_*``/``test_secN_*`` file regenerates one table or
-figure of the paper from a shared (benchmark x scheduler) sweep.  The
-sweep is computed once per session and cached on disk under
+figure of the paper through the ``reproduce`` fixture, the way ``repro
+reproduce`` does: an inline sweep of the runs the experiment declares,
+then its driver.  The runs are cached on disk under
 ``benchmarks/.benchcache`` (entries keyed by a content hash of the full
 ``SimConfig``, so config changes invalidate automatically); a later
-session reuses every entry already there.
+test or session reuses every entry already there.
 
 Scale is ``TINY`` by default; set ``REPRO_BENCH_SCALE=quick|paper`` for
-higher-fidelity runs (the shape assertions are scale-independent).  Runs
-simulate lazily inline, the first time a figure test reads them.
+higher-fidelity runs (the shape assertions are scale-independent).
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import os
 
 import pytest
 
+from repro.analysis.experiments import DRIVERS, declared_sweeps
 from repro.analysis.runner import ExperimentRunner
+from repro.analysis.sweep import run_sweep
 from repro.workloads.suite import Scale
 
 _SCALE = Scale[os.environ.get("REPRO_BENCH_SCALE", "tiny").upper()]
@@ -26,15 +28,18 @@ _CACHE = os.path.join(os.path.dirname(__file__), ".benchcache")
 
 
 @pytest.fixture(scope="session")
-def runner() -> ExperimentRunner:
-    return ExperimentRunner(
+def reproduce():
+    """Render one experiment by id after sweeping the runs it reads."""
+    runner = ExperimentRunner(
         scale=_SCALE, seeds=(1, 2), kind="synthetic", cache_dir=_CACHE
     )
 
+    def render(experiment: str):
+        for sweep_runner, cells in declared_sweeps(runner, [experiment]):
+            run_sweep(sweep_runner, cells, workers=0).raise_on_failure()
+        return DRIVERS[experiment].render(runner)
 
-@pytest.fixture(scope="session")
-def scale() -> Scale:
-    return _SCALE
+    return render
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -4,13 +4,11 @@ Paper: 56% of loads issue more than one memory request after coalescing;
 the suite averages 5.9 requests per load.
 """
 
-from repro.analysis.experiments import fig2_coalescing
-
 from conftest import emit
 
 
-def test_fig2_coalescing(runner):
-    result = fig2_coalescing(runner)
+def test_fig2_coalescing(reproduce):
+    result = reproduce("fig2")
     emit(result)
     assert len(result.rows) == 12  # 11 irregular benchmarks + MEAN
     # Shape: a majority-divergent suite with several requests per load.

@@ -4,13 +4,11 @@ Paper: a warp's last request completes at ~1.6x the latency of its first,
 and a warp's requests touch 2.5 memory controllers on average.
 """
 
-from repro.analysis.experiments import fig3_divergence
-
 from conftest import emit
 
 
-def test_fig3_divergence(runner):
-    result = fig3_divergence(runner)
+def test_fig3_divergence(reproduce):
+    result = reproduce("fig3")
     emit(result)
     # Significant main-memory latency divergence exists under the baseline.
     assert result.headline["last_over_first"] > 1.3

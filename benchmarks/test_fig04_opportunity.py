@@ -5,13 +5,11 @@ unrealizable bound; zero main-memory latency divergence is worth +43%,
 the true headroom of warp-aware scheduling.
 """
 
-from repro.analysis.experiments import fig4_opportunity
-
 from conftest import emit
 
 
-def test_fig4_opportunity(runner):
-    result = fig4_opportunity(runner)
+def test_fig4_opportunity(reproduce):
+    result = reproduce("fig4")
     emit(result)
     pc = result.headline["perfect_coalescing_x"]
     zd = result.headline["zero_divergence_x"]

@@ -12,13 +12,11 @@ re-calibrated after the fix (best policy +2.1% at TINY; see
 EXPERIMENTS.md).
 """
 
-from repro.analysis.experiments import fig8_ipc
-
 from conftest import emit
 
 
-def test_fig8_normalized_ipc(runner):
-    result = fig8_ipc(runner)
+def test_fig8_normalized_ipc(reproduce):
+    result = reproduce("fig8")
     emit(result)
     h = result.headline
     # The headline result: the best policy wins by a clear margin.

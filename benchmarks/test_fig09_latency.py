@@ -5,13 +5,11 @@ until a warp's last reply) — WG by 9.1% and WG-M by 16.9%; the
 bandwidth-aware variants keep the reduction while restoring utilization.
 """
 
-from repro.analysis.experiments import fig9_latency
-
 from conftest import emit
 
 
-def test_fig9_effective_latency(runner):
-    result = fig9_latency(runner)
+def test_fig9_effective_latency(reproduce):
+    result = reproduce("fig9")
     emit(result)
     h = result.headline
     # The full stack cuts average warp stall time vs the baseline.

@@ -6,13 +6,11 @@ controllers, while sad/nw/SS/bfs (fewer than 2 controllers per warp) are
 already handled by per-controller WG.
 """
 
-from repro.analysis.experiments import fig10_divergence
-
 from conftest import emit
 
 
-def test_fig10_divergence(runner):
-    result = fig10_divergence(runner)
+def test_fig10_divergence(reproduce):
+    result = reproduce("fig10")
     emit(result)
     h = result.headline
     # Warp-aware scheduling shrinks the divergence gap suite-wide.

@@ -6,13 +6,11 @@ utilization than WG-M — by hiding row-miss overheads behind row hits in
 other banks.
 """
 
-from repro.analysis.experiments import fig11_bandwidth
-
 from conftest import emit
 
 
-def test_fig11_bandwidth_utilization(runner):
-    result = fig11_bandwidth(runner)
+def test_fig11_bandwidth_utilization(reproduce):
+    result = reproduce("fig11")
     emit(result)
     h = result.headline
     # The MERB governor improves utilization over plain WG-M...

@@ -5,16 +5,14 @@ warp-aware write drain helps where both write intensity and the fraction
 of unit-size warp-groups stalled by drains are high.
 """
 
-from repro.analysis.experiments import fig12_writes
-
 from conftest import emit
 
 WRITE_HEAVY = ("nw", "SS", "sad", "PVC")
 READ_MOSTLY = ("bfs", "bh", "spmv", "sssp")
 
 
-def test_fig12_write_intensity(runner):
-    result = fig12_writes(runner)
+def test_fig12_write_intensity(reproduce):
+    result = reproduce("fig12")
     emit(result)
     wi = {row[0]: row[1] for row in result.rows}
     heavy = sum(wi[b] for b in WRITE_HEAVY) / len(WRITE_HEAVY)

@@ -5,13 +5,11 @@ modest +1.8% with *no* application slowing down — the warp-group scoring
 degenerates to row-hit streaming when warps issue one request each.
 """
 
-from repro.analysis.experiments import sec6a_regular
-
 from conftest import emit
 
 
-def test_sec6a_regular_apps(runner):
-    result = sec6a_regular(runner)
+def test_sec6a_regular_apps(reproduce):
+    result = reproduce("sec6a")
     emit(result)
     # No meaningful slowdown on any regular benchmark (threshold
     # re-calibrated after the MERB depth-cap fix: worst case 0.970 at

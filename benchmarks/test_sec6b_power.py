@@ -6,15 +6,14 @@ We assert the methodology's conclusion both on simulated runs and with
 the calculator directly at the paper's exact -16% hit-rate point.
 """
 
-from repro.analysis.experiments import sec6b_power
 from repro.core.config import DRAMTimingConfig
 from repro.dram.power import estimate_channel_power
 
 from conftest import emit
 
 
-def test_sec6b_energy_per_access(runner):
-    result = sec6b_power(runner)
+def test_sec6b_energy_per_access(reproduce):
+    result = reproduce("sec6b")
     emit(result)
     # Energy per access moves by only a few percent between schedulers.
     assert abs(result.headline["mean_energy_delta"]) < 0.10

@@ -5,13 +5,11 @@ the GMC; WAFCFS *loses* 11.2% (in-order warp servicing achieves almost no
 row hits on irregular access streams); WG-W beats SBWAS by 7.3%.
 """
 
-from repro.analysis.experiments import sec6c_comparison
-
 from conftest import emit
 
 
-def test_sec6c_prior_schedulers(runner):
-    result = sec6c_comparison(runner)
+def test_sec6c_prior_schedulers(reproduce):
+    result = reproduce("sec6c")
     emit(result)
     h = result.headline
     # WAFCFS loses against the throughput-optimized baseline.

@@ -15,8 +15,8 @@ Subcommands:
   live progress, a machine-readable sweep report (``--out``); jobs
   already in the cache are not rerun, so rerunning a killed run
   finishes it;
-* ``reproduce``   — regenerate the paper's tables and figures
-  (``--only`` for a subset, ``--out DIR`` for one text file each);
+* ``reproduce``   — sweep the runs the paper's tables and figures read,
+  then render them (``--only`` for a subset, ``--out DIR`` for files);
 * ``fuzz``        — differential/metamorphic fuzzing campaign over random
   configs and workloads, with failure minimization and replayable repro
   artifacts (``--replay``) — see docs/robustness.md;
@@ -48,8 +48,9 @@ from repro import (
     synthetic_trace,
 )
 from repro.analysis import format_table
-from repro.analysis.experiments import DRIVERS, prefetch
+from repro.analysis.experiments import DRIVERS, declared_sweeps
 from repro.analysis.runner import ExperimentRunner
+from repro.analysis.sweep import run_sweep
 from repro.core.overrides import (
     apply_overrides as apply_config_overrides,
     parse_assignment,
@@ -267,6 +268,7 @@ def cmd_run(args) -> int:
 
 def cmd_scenario(args) -> int:
     from repro.scenarios import (
+        ScenarioError,
         SpecError,
         find_specs,
         load_spec,
@@ -353,7 +355,10 @@ def cmd_scenario(args) -> int:
             scale=args.scale,
             progress=lambda msg: print(msg, file=sys.stderr),
         )
-    except RuntimeError as exc:
+    except ScenarioError as exc:
+        if args.out:
+            exc.result.write(args.out)
+            print(f"[scenario] sweep report -> {args.out}", file=sys.stderr)
         print(f"repro scenario: error: {exc}", file=sys.stderr)
         return 1
     print(result.format())
@@ -366,18 +371,19 @@ def cmd_scenario(args) -> int:
 def cmd_reproduce(args) -> int:
     runner = ExperimentRunner(
         scale=Scale[args.scale.upper()], seeds=tuple(args.seeds),
-        kind=args.kind, cache_dir=args.cache_dir, verbose=True,
+        kind=args.kind, cache_dir=args.cache_dir,
     )
-    if args.workers > 0:
-        # Fill the cache with parallel sweeps; the drivers then read it.
-        prefetch(
-            runner, workers=args.workers,
+    experiments = args.only or list(DRIVERS)
+    # Sweep exactly the runs the experiments read; the drivers only read.
+    for sweep_runner, cells in declared_sweeps(runner, experiments):
+        run_sweep(
+            sweep_runner, cells, workers=args.workers,
             progress=lambda msg: print(msg, file=sys.stderr),
-        )
+        ).raise_on_failure()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-    for rid in args.only or DRIVERS:
-        res = DRIVERS[rid](runner)
+    for rid in experiments:
+        res = DRIVERS[rid].render(runner)
         print()
         print(res)
         if args.out:
@@ -727,7 +733,7 @@ def main(argv: list[str] | None = None) -> int:
                        choices=["synthetic", "algorithmic"])
     p_rep.add_argument("--cache-dir", default=".repro-results")
     p_rep.add_argument("--workers", type=int, default=0,
-                       help="prefetch the sweep with N worker processes first")
+                       help="sweep with N worker processes (default 0: inline)")
     p_rep.add_argument("--only", nargs="+", metavar="EXP", default=None,
                        choices=list(DRIVERS),
                        help="run these experiments only (default: all, "

@@ -1,12 +1,14 @@
 """Per-figure experiment drivers.
 
 Each ``figN_*``/``secN_*`` function regenerates one table or figure of the
-paper's evaluation from an :class:`ExperimentRunner` sweep and returns an
+paper's evaluation from an :class:`ExperimentRunner` and returns an
 :class:`ExperimentResult` whose ``table`` is ready to print and whose
 ``headline`` dict carries the numbers EXPERIMENTS.md records against the
 paper's.  ``DRIVERS`` lists them in the paper's order (``python -m repro
-reproduce`` runs them), and ``prefetch`` fills a runner's cache with
-every run the drivers read, through parallel sweeps.
+reproduce`` runs them), each with the :class:`Runs` it reads.  A driver
+only reads: :func:`declared_sweeps` turns the runs a set of experiments
+reads into one sweep per config variant, and
+:func:`repro.analysis.sweep.run_sweep` simulates them first.
 
 Paper targets (for orientation; see EXPERIMENTS.md for measured values):
 
@@ -28,22 +30,26 @@ Fig. 12    WG-W wins where write intensity and unit groups are high
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.report import format_table, geomean
 from repro.analysis.runner import ExperimentRunner
-from repro.analysis.sweep import run_sweep
+from repro.core.atomic import atomic_write_json
 from repro.core.config import SimConfig
+from repro.core.overrides import apply_overrides
 from repro.dram.power import estimate_channel_power
 from repro.mc.merb import merb_table, single_bank_utilization
 
 __all__ = [
     "ACCURACY_ENTRIES",
     "DRIVERS",
+    "Experiment",
     "ExperimentResult",
+    "Runs",
     "accuracy_doc",
+    "declared_sweeps",
     "write_accuracy",
     "fig2_coalescing",
     "fig3_divergence",
@@ -57,10 +63,14 @@ __all__ = [
     "sec6a_regular",
     "sec6b_power",
     "sec6c_comparison",
-    "prefetch",
 ]
 
 PAPER_SCHEDULERS = ("wg", "wg-m", "wg-bw", "wg-w")
+FIG9_SCHEDULERS = ("gmc", *PAPER_SCHEDULERS)
+FIG10_SCHEDULERS = ("gmc", "wg", "wg-m")
+FIG11_SCHEDULERS = ("gmc", "wg-m", "wg-bw", "wg-w")
+#: §VI-C profiles SBWAS at each alpha and keeps the best per benchmark.
+SBWAS_ALPHAS = (0.25, 0.5, 0.75)
 
 
 @dataclass
@@ -75,9 +85,45 @@ class ExperimentResult:
     def table(self) -> str:
         return format_table(self.headers, self.rows, title=self.experiment)
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
+    def __str__(self) -> str:
         extra = "\n".join(f"  {k}: {v:.4g}" for k, v in self.headline.items())
         return f"{self.table}\n{extra}\n{self.notes}".rstrip()
+
+
+@dataclass(frozen=True)
+class Runs:
+    """Runs an experiment reads: a benchmark suite under ``schedulers``
+    at every seed of the runner."""
+
+    schedulers: tuple[str, ...]
+    regular: bool = False  # the regular suite instead of the irregular one
+    perfect: bool = False  # perfectly coalesced traces (Fig. 4)
+    sbwas_alpha: Optional[float] = None  # a config variant (§VI-C)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One table or figure: its driver and every run the driver reads."""
+
+    render: Callable[[ExperimentRunner], ExperimentResult]
+    reads: tuple[Runs, ...] = ()
+
+
+def _variant_runner(
+    runner: ExperimentRunner, sbwas_alpha: Optional[float]
+) -> ExperimentRunner:
+    """``runner`` itself, or one like it, sharing its cache, at another
+    ``mc.sbwas_alpha``."""
+    if sbwas_alpha is None:
+        return runner
+    return ExperimentRunner(
+        config=apply_overrides(runner.config, {"mc.sbwas_alpha": sbwas_alpha}),
+        scale=runner.scale,
+        seeds=runner.seeds,
+        kind=runner.kind,
+        cache_dir=runner.cache_dir,
+        trace_paths=runner.trace_paths or None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +213,11 @@ def _per_scheduler_metric(
     runner: ExperimentRunner,
     metric: str,
     schedulers: Sequence[str],
-    benchmarks: Sequence[str],
     normalize_to_gmc: bool = False,
 ) -> tuple[list[list], dict[str, float]]:
     rows = []
     agg: dict[str, list[float]] = {s: [] for s in schedulers}
-    for b in benchmarks:
+    for b in runner.irregular_benchmarks():
         base = runner.mean(b, "gmc")[metric] if normalize_to_gmc else 1.0
         row = [b]
         for s in schedulers:
@@ -186,54 +231,44 @@ def _per_scheduler_metric(
     return rows, summary
 
 
-def fig8_ipc(
-    runner: ExperimentRunner, schedulers: Sequence[str] = PAPER_SCHEDULERS
-) -> ExperimentResult:
+def fig8_ipc(runner: ExperimentRunner) -> ExperimentResult:
     """Fig. 8: IPC normalized to the GMC baseline."""
     rows, summary = _per_scheduler_metric(
-        runner, "ipc", schedulers, runner.irregular_benchmarks(), normalize_to_gmc=True
+        runner, "ipc", PAPER_SCHEDULERS, normalize_to_gmc=True
     )
     return ExperimentResult(
         "Fig. 8 - IPC normalized to GMC",
-        ["benchmark", *schedulers],
+        ["benchmark", *PAPER_SCHEDULERS],
         rows,
         {f"speedup_{s}": v for s, v in summary.items()},
         "paper geomeans: WG +3.4%, WG-M +6.2%, WG-Bw +8.4%, WG-W +10.1%",
     )
 
 
-def fig9_latency(
-    runner: ExperimentRunner, schedulers: Sequence[str] = ("gmc", *PAPER_SCHEDULERS)
-) -> ExperimentResult:
+def fig9_latency(runner: ExperimentRunner) -> ExperimentResult:
     """Fig. 9: effective main-memory latency experienced by warps (ns)."""
-    rows, _ = _per_scheduler_metric(
-        runner, "effective_latency_ns", schedulers, runner.irregular_benchmarks()
-    )
+    rows, _ = _per_scheduler_metric(runner, "effective_latency_ns", FIG9_SCHEDULERS)
     base = rows[-1][1]
     headline = {
         f"latency_reduction_{s}": 1.0 - rows[-1][i + 1] / base
-        for i, s in enumerate(schedulers)
+        for i, s in enumerate(FIG9_SCHEDULERS)
         if s != "gmc"
     }
     return ExperimentResult(
         "Fig. 9 - Effective memory latency (ns)",
-        ["benchmark", *schedulers],
+        ["benchmark", *FIG9_SCHEDULERS],
         rows,
         headline,
         "paper: WG -9.1%, WG-M -16.9% average effective latency",
     )
 
 
-def fig10_divergence(
-    runner: ExperimentRunner, schedulers: Sequence[str] = ("gmc", "wg", "wg-m")
-) -> ExperimentResult:
+def fig10_divergence(runner: ExperimentRunner) -> ExperimentResult:
     """Fig. 10: first-to-last DRAM reply gap per warp (ns)."""
-    rows, summary = _per_scheduler_metric(
-        runner, "divergence_ns", schedulers, runner.irregular_benchmarks()
-    )
+    rows, summary = _per_scheduler_metric(runner, "divergence_ns", FIG10_SCHEDULERS)
     return ExperimentResult(
         "Fig. 10 - DRAM latency divergence (ns)",
-        ["benchmark", *schedulers],
+        ["benchmark", *FIG10_SCHEDULERS],
         rows,
         {f"divergence_{s}": v for s, v in summary.items()},
         "paper: WG-M lowest for multi-controller warps (cfd/spmv/sssp/sp); "
@@ -241,22 +276,15 @@ def fig10_divergence(
     )
 
 
-def fig11_bandwidth(
-    runner: ExperimentRunner,
-    schedulers: Sequence[str] = ("gmc", "wg-m", "wg-bw", "wg-w"),
-) -> ExperimentResult:
+def fig11_bandwidth(runner: ExperimentRunner) -> ExperimentResult:
     """Fig. 11: DRAM data-bus utilization."""
     rows, summary = _per_scheduler_metric(
-        runner, "bandwidth_utilization", schedulers, runner.irregular_benchmarks()
+        runner, "bandwidth_utilization", FIG11_SCHEDULERS
     )
-    gain = (
-        (summary["wg-bw"] / summary["wg-m"]) - 1.0
-        if "wg-bw" in summary and "wg-m" in summary
-        else 0.0
-    )
+    gain = summary["wg-bw"] / summary["wg-m"] - 1.0
     return ExperimentResult(
         "Fig. 11 - Bandwidth utilization",
-        ["benchmark", *schedulers],
+        ["benchmark", *FIG11_SCHEDULERS],
         rows,
         {**{f"bw_{s}": v for s, v in summary.items()}, "wgbw_over_wgm": gain},
         "paper: WG-Bw improves WG-M's utilization by >14%",
@@ -369,25 +397,10 @@ def sec6b_power(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def sec6c_comparison(
-    runner: ExperimentRunner, alphas: tuple[float, ...] = (0.25, 0.5, 0.75)
-) -> ExperimentResult:
+def sec6c_comparison(runner: ExperimentRunner) -> ExperimentResult:
     """§VI-C: SBWAS (best alpha per benchmark, as the paper profiles) and
     WAFCFS versus the GMC baseline, alongside WG-W."""
-    alpha_runners = {
-        a: ExperimentRunner(
-            config=dataclasses.replace(
-                runner.config,
-                mc=dataclasses.replace(runner.config.mc, sbwas_alpha=a),
-            ),
-            scale=runner.scale,
-            seeds=runner.seeds,
-            kind=runner.kind,
-            cache_dir=runner.cache_dir,
-            verbose=runner.verbose,
-        )
-        for a in alphas
-    }
+    alpha_runners = {a: _variant_runner(runner, a) for a in SBWAS_ALPHAS}
     rows = []
     sbwas_speedups = []
     wafcfs_speedups = []
@@ -421,47 +434,52 @@ def sec6c_comparison(
     )
 
 
-#: Experiment id -> driver, in the paper's order.
-DRIVERS: dict[str, Callable[[ExperimentRunner], ExperimentResult]] = {
-    "fig2": fig2_coalescing,
-    "fig3": fig3_divergence,
-    "fig4": fig4_opportunity,
-    "table1": lambda runner: table1_merb(runner.config),
-    "fig8": fig8_ipc,
-    "fig9": fig9_latency,
-    "fig10": fig10_divergence,
-    "fig11": fig11_bandwidth,
-    "fig12": fig12_writes,
-    "sec6a": sec6a_regular,
-    "sec6b": sec6b_power,
-    "sec6c": sec6c_comparison,
+#: Experiment id -> driver and the runs it reads, in the paper's order.
+DRIVERS: dict[str, Experiment] = {
+    "fig2": Experiment(fig2_coalescing, (Runs(("gmc",)),)),
+    "fig3": Experiment(fig3_divergence, (Runs(("gmc",)),)),
+    "fig4": Experiment(
+        fig4_opportunity,
+        (Runs(("gmc", "zero-div")), Runs(("gmc",), perfect=True)),
+    ),
+    "table1": Experiment(lambda runner: table1_merb(runner.config)),
+    "fig8": Experiment(fig8_ipc, (Runs(("gmc", *PAPER_SCHEDULERS)),)),
+    "fig9": Experiment(fig9_latency, (Runs(FIG9_SCHEDULERS),)),
+    "fig10": Experiment(fig10_divergence, (Runs(FIG10_SCHEDULERS),)),
+    "fig11": Experiment(fig11_bandwidth, (Runs(FIG11_SCHEDULERS),)),
+    "fig12": Experiment(fig12_writes, (Runs(("gmc", "wg-bw", "wg-w")),)),
+    "sec6a": Experiment(sec6a_regular, (Runs(("gmc", "wg-w"), regular=True),)),
+    "sec6b": Experiment(sec6b_power, (Runs(("gmc", "wg-w")),)),
+    "sec6c": Experiment(
+        sec6c_comparison,
+        (
+            Runs(("gmc", "wafcfs", "wg-w")),
+            *(Runs(("sbwas",), sbwas_alpha=a) for a in SBWAS_ALPHAS),
+        ),
+    ),
 }
 
 
-def prefetch(
-    runner: ExperimentRunner,
-    *,
-    workers: int = 0,
-    progress: Optional[Callable[[str], None]] = None,
-) -> None:
-    """Fill ``runner``'s cache with every run the drivers read from it.
-
-    Three sweeps: the irregular suite under GMC, the WG family, WAFCFS
-    (§VI-C) and the zero-divergence bound (Fig. 4); its perfect-coalescing
-    GMC runs (Fig. 4); and the regular suite under GMC and WG-W (§VI-A).
-    SBWAS runs per alpha under configs of its own, so
-    :func:`sec6c_comparison` still simulates those.  A failed job raises.
-    """
-    irregular = runner.irregular_benchmarks()
-    for benches, schedulers, perfect in (
-        (irregular, ("gmc", *PAPER_SCHEDULERS, "wafcfs", "zero-div"), False),
-        (irregular, ("gmc",), True),
-        (runner.regular_benchmarks(), ("gmc", "wg-w"), False),
-    ):
-        run_sweep(
-            runner, benches, schedulers, perfect=perfect,
-            workers=workers, progress=progress,
-        ).raise_on_failure()
+def declared_sweeps(
+    runner: ExperimentRunner, experiments: Sequence[str]
+) -> list[tuple[ExperimentRunner, list[tuple[str, str, bool]]]]:
+    """The runs the named experiments read, as one (runner, cells) sweep
+    per config variant for :func:`repro.analysis.sweep.run_sweep`; the
+    drivers derive the same variant runners."""
+    grids: dict[Optional[float], dict[tuple[str, str, bool], None]] = {}
+    for rid in experiments:
+        for runs in DRIVERS[rid].reads:
+            suite = (
+                runner.regular_benchmarks() if runs.regular
+                else runner.irregular_benchmarks()
+            )
+            grids.setdefault(runs.sbwas_alpha, {}).update(
+                dict.fromkeys(product(suite, runs.schedulers, [runs.perfect]))
+            )
+    return [
+        (_variant_runner(runner, alpha), list(cells))
+        for alpha, cells in grids.items()
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -580,7 +598,6 @@ def _with_delta(entry: dict) -> dict:
 
 def write_accuracy(path: str = "results/accuracy.json") -> dict:
     """Write ``results/accuracy.json`` (and append a history record)."""
-    from repro.analysis.runner import atomic_write_json
     from repro.history import record_run
 
     doc = accuracy_doc()

@@ -1,11 +1,11 @@
 """Shared experiment runner with content-addressed result caching.
 
 Figures 8-12 all derive from the same (benchmark x scheduler) sweep, so
-experiments share one :class:`ExperimentRunner`: each simulation runs once
-per (workload kind, benchmark, scheduler, scale, seed) and its summary
-dict is cached in memory and optionally as JSON on disk.  Each
-(benchmark, seed) trace is built once and shared by every scheduler that
-simulates it.
+experiments share one :class:`ExperimentRunner`.  Its ``run_job`` is the
+one call that simulates a run, caching the summary in memory and
+optionally as JSON on disk; ``run`` and ``mean`` only read those, and a
+run nobody swept raises.  Each (benchmark, seed) trace is built once and
+shared by every scheduler that simulates it.
 
 Disk-cache keying
 -----------------
@@ -41,7 +41,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import sys
 import time
 from typing import Optional
 
@@ -57,7 +56,6 @@ from repro.workloads.trace import KernelTrace
 
 __all__ = [
     "ExperimentRunner",
-    "atomic_write_json",
     "config_hash",
 ]
 
@@ -81,11 +79,6 @@ def config_hash(config: SimConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
-# atomic_write_json lives in repro.core.atomic (the result cache and the
-# history store share it); re-exported here because this module is its
-# historical home and external callers import it from here.
-
-
 def _file_fingerprint(path: str) -> str:
     """12-hex content hash of a file (external-trace cache identity)."""
     h = hashlib.sha256()
@@ -105,7 +98,6 @@ class ExperimentRunner:
         seeds: tuple[int, ...] = (1, 2),
         kind: str = "synthetic",
         cache_dir: Optional[str] = None,
-        verbose: bool = False,
         trace_paths: Optional[dict[str, str]] = None,
     ) -> None:
         if kind not in ("synthetic", "algorithmic", "trace"):
@@ -123,7 +115,6 @@ class ExperimentRunner:
         self.seeds = seeds
         self.kind = kind
         self.cache_dir = cache_dir
-        self.verbose = verbose
         self.trace_paths = dict(trace_paths) if trace_paths else {}
         # Content fingerprint per external trace, folded into cache names:
         # an edited trace file can never serve a stale cached summary.
@@ -132,8 +123,6 @@ class ExperimentRunner:
             for name, path in self.trace_paths.items()
         }
         self.config_hash = config_hash(self.config)
-        # "memo" | "disk" | "simulated" (last run())
-        self.last_outcome = ""
         self._traces: dict[tuple[str, int, bool], KernelTrace] = {}
         self._results: dict[tuple, dict[str, float]] = {}
 
@@ -233,63 +222,27 @@ class ExperimentRunner:
     def run(
         self, bench: str, scheduler: str, seed: int, perfect: bool = False
     ) -> dict[str, float]:
-        key = (self.kind, bench, scheduler, self.scale.name, seed, int(perfect))
-        if key in self._results:
-            self.last_outcome = "memo"
-            return self._results[key]
-        result = self.read_cache(bench, scheduler, seed, perfect)
-        if result is not None:
-            self._results[key] = result
-            self.last_outcome = "disk"
-            return result
-        if self.verbose:
-            print(
-                f"  simulating {bench} / {scheduler} (seed {seed}) ...",
-                file=sys.stderr, flush=True,
-            )
-        stats = simulate(
-            self.config.with_scheduler(scheduler), self.trace(bench, seed, perfect)
-        )
-        result = stats.summary()
-        # Extras the figures need beyond the headline summary.
-        recs = stats.dram_loads()
-        result["unit_group_frac"] = (
-            sum(1 for r in recs if r.dram_requests == 1) / len(recs) if recs else 0.0
-        )
-        result["banks_per_warp"] = (
-            sum(r.banks_touched for r in recs if r.dram_requests > 1)
-            / max(1, sum(1 for r in recs if r.dram_requests > 1))
-        )
-        result["activates"] = float(sum(c.activates for c in stats.channels))
-        result["reads"] = float(sum(c.reads for c in stats.channels))
-        result["writes"] = float(sum(c.writes for c in stats.channels))
-        result["coord_msgs"] = float(
-            sum(c.coordination_msgs_applied for c in stats.channels)
-        )
-        result["merb_deferrals"] = float(
-            sum(c.merb_deferrals for c in stats.channels)
-        )
-        result["wgw_promotions"] = float(
-            sum(c.wgw_promotions for c in stats.channels)
-        )
-        result["fallback_reads"] = float(
-            sum(c.fallback_reads for c in stats.channels)
-        )
-        # Host-side cost of producing this entry (the sweep harness reports
-        # events/sec per job from these).
-        result["sim_events"] = float(stats.events_processed)
-        result["sim_wall_s"] = stats.wall_seconds
-        self._results[key] = result
-        self.last_outcome = "simulated"
-        path = self.cache_path(bench, scheduler, seed, perfect)
-        if path:
-            atomic_write_json(path, result)
-        return result
+        """One run's summary, from memory or the disk cache.
+
+        Never simulates: a run that no :meth:`run_job` produced, here or
+        into the shared ``cache_dir``, raises ``LookupError`` naming it.
+        """
+        key = (bench, scheduler, seed, perfect)
+        if key not in self._results:
+            entry = self.read_cache(bench, scheduler, seed, perfect)
+            if entry is None:
+                raise LookupError(
+                    f"run {self.cache_name(bench, scheduler, seed, perfect)} "
+                    "is in neither memory nor the cache; sweep it first"
+                )
+            self._results[key] = entry
+        return self._results[key]
 
     def run_job(
         self, bench: str, scheduler: str, seed: int, perfect: bool = False
     ) -> tuple[dict[str, float], dict]:
-        """One sweep job: :meth:`run` plus what the sweep records.
+        """One sweep job: the run's summary, simulated unless it is
+        already in memory or on disk.
 
         The sweep runs every job through this method, inline and in
         worker processes alike (:mod:`repro.analysis.sweep`).  Returns
@@ -305,16 +258,45 @@ class ExperimentRunner:
         # exactly this point.
         chaos_point("job-start")
         t0 = time.time()
-        summary = self.run(bench, scheduler, seed, perfect)
+        key = (bench, scheduler, seed, perfect)
+        on_disk = self.read_cache(bench, scheduler, seed, perfect)
+        summary = self._results.get(key, on_disk)
+        simulated = summary is None
+        if simulated:
+            stats = simulate(
+                self.config.with_scheduler(scheduler),
+                self.trace(bench, seed, perfect),
+            )
+            summary = stats.summary()
+            # Extras the figures need beyond the headline summary.
+            recs = stats.dram_loads()
+            summary["unit_group_frac"] = (
+                sum(1 for r in recs if r.dram_requests == 1) / len(recs)
+                if recs else 0.0
+            )
+            summary["banks_per_warp"] = (
+                sum(r.banks_touched for r in recs if r.dram_requests > 1)
+                / max(1, sum(1 for r in recs if r.dram_requests > 1))
+            )
+            channels = stats.channels
+            for extra, counter in (
+                ("activates", "activates"), ("reads", "reads"), ("writes", "writes"),
+                ("coord_msgs", "coordination_msgs_applied"),
+                ("merb_deferrals", "merb_deferrals"),
+                ("wgw_promotions", "wgw_promotions"),
+                ("fallback_reads", "fallback_reads"),
+            ):
+                summary[extra] = float(sum(getattr(c, counter) for c in channels))
+            # Host-side cost of producing this entry (the sweep harness
+            # reports events/sec per job from these).
+            summary["sim_events"] = float(stats.events_processed)
+            summary["sim_wall_s"] = stats.wall_seconds
+        self._results[key] = summary
         path = self.cache_path(bench, scheduler, seed, perfect)
-        if (
-            self.last_outcome == "memo"
-            and path
-            and self.read_cache(bench, scheduler, seed, perfect) is None
-        ):
+        if path and on_disk is None:
             atomic_write_json(path, summary)
         meta = {
-            "simulated": self.last_outcome == "simulated",
+            "simulated": simulated,
             "wall_s": time.time() - t0,
             "sim_events": summary.get("sim_events", 0.0),
             "sim_wall_s": summary.get("sim_wall_s", 0.0),

@@ -1,8 +1,8 @@
 """Robust parallel sweep harness over :class:`ExperimentRunner`.
 
-``run_sweep`` executes a (benchmark x scheduler x seed) grid with one
-supervised process per job, or inline through the caller's runner
-(``workers <= 0``), and makes the sweep safe to run at scale:
+``run_sweep`` runs (benchmark, scheduler, perfect) cells at each of the
+runner's seeds, one supervised process per job or inline through the
+caller's runner (``workers <= 0``), and makes the sweep safe at scale:
 
 * **the cache is the only state** — a job is done once its
   content-addressed cache entry is on disk.  Every sweep reads each
@@ -16,8 +16,8 @@ supervised process per job, or inline through the caller's runner
   which is resubmitted up to ``retries`` times before being recorded as
   failed (the rest of the sweep always completes);
 * **atomic cache writes** — workers publish results via temp-file +
-  rename (see :func:`repro.analysis.runner.atomic_write_json`), so
-  concurrent workers and readers never see partial JSON;
+  rename (:func:`repro.core.atomic.atomic_write_json`), so concurrent
+  workers and readers never see partial JSON;
 * **real timeout enforcement** — a job running past ``timeout_s`` has
   its process **killed**, not abandoned, and a worker that dies without
   reporting (OOM-killed, SIGKILL) is detected by its exit code; both
@@ -40,7 +40,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.schema import SWEEP_SCHEMA
@@ -195,7 +195,8 @@ class SweepReport:
     def raise_on_failure(self) -> None:
         if self.failed:
             lines = ", ".join(
-                f"{r.job.job_id} ({r.error.splitlines()[0] if r.error else '?'})"
+                f"{r.job.job_id} ({r.error_type or '?'}: "
+                f"{r.error.splitlines()[0] if r.error else '?'})"
                 for r in self.failed
             )
             raise RuntimeError(f"{self.n_failed} sweep job(s) failed: {lines}")
@@ -240,10 +241,8 @@ class SweepReport:
 # ----------------------------------------------------------------------
 def run_sweep(
     runner: ExperimentRunner,
-    benchmarks: Sequence[str],
-    schedulers: Sequence[str],
+    cells: Iterable[tuple[str, str, bool]],
     *,
-    perfect: bool = False,
     workers: int = 4,
     timeout_s: Optional[float] = None,
     retries: int = 1,
@@ -251,7 +250,8 @@ def run_sweep(
     scenario_name: str = "",
     scenario_hash: str = "",
 ) -> SweepReport:
-    """Run the (benchmark x scheduler x seed) grid; returns a report.
+    """Run each (benchmark, scheduler, perfect) cell at every seed of
+    ``runner``; returns a report.
 
     A job whose cache entry is already on disk and readable is reported
     done from that entry and never dispatched; only the others run, a
@@ -260,11 +260,11 @@ def run_sweep(
     ``timeout_s=None`` means no deadline.  ``workers <= 0``
     executes inline (no processes, no timeout) with the same retry
     semantics.  Both paths run each job through ``runner.run_job``.
-    Inline, the runner's trace memo builds each (benchmark, seed) trace
-    once for all schedulers, and its result memo then answers
-    ``runner.run`` for every job it ran.  A worker process gets its own
-    copy of the runner and hands its result back through the runner's
-    ``cache_dir``, which is required either way.
+    Jobs run one benchmark at a time.  Inline, the runner's trace memo
+    builds each (benchmark, seed) trace once for all schedulers, and its
+    result memo then answers ``runner.run`` for every job it ran.  A
+    worker process gets its own copy of the runner and hands its result
+    back through the runner's ``cache_dir``, which is required either way.
 
     Retry attempts are spaced by a seeded exponential backoff
     (:func:`_backoff_s`), quick enough for tests while still
@@ -277,23 +277,23 @@ def run_sweep(
         raise ValueError("a parallel sweep requires a cache_dir")
     os.makedirs(runner.cache_dir, exist_ok=True)
 
-    jobs: list[SweepJob] = []
-    seen: set[str] = set()
-    for bench in benchmarks:
-        for sched in schedulers:
-            for seed in runner.seeds:
-                job = SweepJob(
-                    kind=runner.kind,
-                    bench=bench,
-                    scheduler=sched,
-                    scale=runner.scale.name,
-                    seed=seed,
-                    perfect=perfect,
-                    config_hash=runner.config_hash,
-                )
-                if job.job_id not in seen:
-                    seen.add(job.job_id)
-                    jobs.append(job)
+    unique: dict[str, SweepJob] = {}
+    for bench, sched, perfect in cells:
+        for seed in runner.seeds:
+            job = SweepJob(
+                kind=runner.kind,
+                bench=bench,
+                scheduler=sched,
+                scale=runner.scale.name,
+                seed=seed,
+                perfect=perfect,
+                config_hash=runner.config_hash,
+            )
+            unique.setdefault(job.job_id, job)
+    first: dict[str, int] = {}
+    for job in unique.values():
+        first.setdefault(job.bench, len(first))
+    jobs = sorted(unique.values(), key=lambda job: first[job.bench])
 
     say = progress if progress is not None else (lambda _msg: None)
 

@@ -30,7 +30,8 @@ import dataclasses
 import json
 from typing import Optional
 
-from repro.analysis.runner import atomic_write_json, config_hash
+from repro.analysis.runner import config_hash
+from repro.core.atomic import atomic_write_json
 from repro.core.config import (
     CacheConfig,
     DRAMOrgConfig,

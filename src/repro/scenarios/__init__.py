@@ -8,7 +8,9 @@ consumes them.
 """
 
 from repro.scenarios.loader import find_specs, load_spec, validate_spec_file
-from repro.scenarios.runner import ScenarioResult, build_runner, run_scenario
+from repro.scenarios.runner import (
+    ScenarioError, ScenarioResult, build_runner, run_scenario,
+)
 from repro.scenarios.spec import (
     KNOWN_METRICS,
     SPEC_VERSION,
@@ -22,6 +24,7 @@ __all__ = [
     "KNOWN_METRICS",
     "SPEC_VERSION",
     "FigureRecipe",
+    "ScenarioError",
     "ScenarioResult",
     "ScenarioSpec",
     "SpecError",

@@ -3,24 +3,25 @@
 ``run_scenario`` is the one spec runner (``repro scenario run``): it
 builds the resolved-config :class:`ExperimentRunner`, drives
 ``run_sweep`` with the scenario's name+hash stamped into the report (and
-so into the history store), then collects the spec's kept metrics into
-a per-benchmark × per-scheduler table — including the optional figure
-recipe's normalized view.
+so into the history store), then reads the spec's kept metrics from the
+swept runs into a per-benchmark × per-scheduler table — including the
+optional figure recipe's normalized view.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Optional
 
 from repro.analysis import format_table
-from repro.analysis.runner import ExperimentRunner, atomic_write_json, config_hash
+from repro.analysis.runner import ExperimentRunner
 from repro.analysis.sweep import SweepReport, run_sweep
+from repro.core.atomic import atomic_write_json
 from repro.scenarios.spec import ScenarioSpec
 from repro.workloads.suite import Scale
 
-__all__ = ["ScenarioResult", "build_runner", "run_scenario"]
+__all__ = ["ScenarioError", "ScenarioResult", "build_runner", "run_scenario"]
 
 #: Metrics kept when a spec's ``metrics:`` list is empty.
 DEFAULT_METRICS = (
@@ -96,6 +97,15 @@ class ScenarioResult:
         return "\n\n".join(blocks)
 
 
+class ScenarioError(RuntimeError):
+    """A scenario's sweep had failed jobs.  ``result`` holds the sweep
+    report, with each failed job's error, and no metrics."""
+
+    def __init__(self, message: str, result: ScenarioResult) -> None:
+        super().__init__(message)
+        self.result = result
+
+
 def build_runner(
     spec: ScenarioSpec,
     *,
@@ -162,17 +172,15 @@ def run_scenario(
     Caching and identity are exactly the plain sweep's: the resolved
     config's content hash keys every cache entry, so a scenario that
     resolves to a config some earlier run (spec'd or hand-coded) already
-    swept is served bit-identically from cache.  Failed jobs raise (the
-    scenario's tables would silently hold zeros otherwise).
+    swept is served bit-identically from cache.  Failed jobs raise
+    :class:`ScenarioError` (the scenario's tables would silently hold
+    zeros otherwise).
     """
-    os.makedirs(cache_dir, exist_ok=True)
     runner = build_runner(spec, cache_dir=cache_dir, scale=scale)
     spec_hash = spec.spec_hash()
     report = run_sweep(
         runner,
-        list(spec.workload.names),
-        list(spec.schedulers),
-        perfect=spec.perfect,
+        product(spec.workload.names, spec.schedulers, [spec.perfect]),
         workers=spec.workers if workers is None else workers,
         timeout_s=spec.timeout_s,
         retries=spec.retries,
@@ -180,13 +188,14 @@ def run_scenario(
         scenario_name=spec.name,
         scenario_hash=spec_hash,
     )
-    report.raise_on_failure()
-    metrics = _collect_metrics(spec, runner)
-    return ScenarioResult(
-        spec=spec,
-        spec_hash=spec_hash,
-        config_hash=config_hash(runner.config),
+    result = ScenarioResult(
+        spec=spec, spec_hash=spec_hash, config_hash=runner.config_hash,
         report=report,
-        metrics=metrics,
-        figure=_collect_figure(spec, metrics),
     )
+    try:
+        report.raise_on_failure()
+    except RuntimeError as exc:
+        raise ScenarioError(str(exc), result) from None
+    result.metrics = _collect_metrics(spec, runner)
+    result.figure = _collect_figure(spec, result.metrics)
+    return result

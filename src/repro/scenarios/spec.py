@@ -136,8 +136,8 @@ class ScenarioSpec:
     def resolved_config(self) -> SimConfig:
         """Preset + overrides -> the sweep's base :class:`SimConfig`.
 
-        Raising variant — callers wanting spec-path errors go through
-        :func:`repro.scenarios.loader.resolve_config`.
+        Raises the config tree's own errors; :func:`repro.scenarios.load_spec`
+        reports them as a :class:`SpecError` located at ``overrides``.
         """
         from repro.core.overrides import apply_overrides
         from repro.dram.timing import get_preset

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
@@ -118,3 +119,8 @@ def cache_entries(path) -> dict[str, dict]:
         for p in path.iterdir()
         if p.suffix == ".json"
     }
+
+
+def grid(benchmarks, schedulers, perfect: bool = False) -> list[tuple[str, str, bool]]:
+    """The (benchmark, scheduler, perfect) sweep cells of a product grid."""
+    return list(product(benchmarks, schedulers, [perfect]))

@@ -1,6 +1,6 @@
 """Crash safety of the shared store primitives (repro.core.atomic).
 
-Each test runs the writer in a real subprocess armed through
+Each crash test runs the writer in a real subprocess armed through
 ``REPRO_CHAOS`` (never set in this test process's own environment),
 SIGKILLs it inside the crash window, and checks what a reader sees.
 """
@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 import repro
+from repro.core.atomic import atomic_write_json
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -25,6 +26,14 @@ def chaos_env(**arms) -> dict:
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.update(arms)
     return env
+
+
+def test_atomic_write_json_leaves_no_temp_files(tmp_path):
+    path = tmp_path / "sub" / "x.json"
+    atomic_write_json(str(path), {"a": 1})
+    atomic_write_json(str(path), {"a": 2})  # overwrite in place
+    assert json.loads(path.read_text()) == {"a": 2}
+    assert [p.name for p in path.parent.iterdir()] == ["x.json"]
 
 
 def test_crash_mid_atomic_write_never_exposes_partial_file(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import fnmatch
 import json
 import os
 
@@ -43,13 +44,30 @@ def test_one_front_end_per_job(gone, capsys):
     assert f"invalid choice: '{gone}'" in capsys.readouterr().err
 
 
-def test_reproduce_only_writes_each_table(tmp_path, capsys):
-    out_dir = tmp_path / "tables"
+def test_reproduce_only_table1_simulates_nothing(tmp_path, capsys):
+    cache = tmp_path / "cache"
     assert main([
         "reproduce", "--scale", "tiny", "--seeds", "1",
-        "--cache-dir", str(tmp_path / "cache"),
+        "--cache-dir", str(cache), "--only", "table1",
+    ]) == 0
+    assert "Table I - MERB values" in capsys.readouterr().out
+    assert not cache.exists() or not os.listdir(cache)
+
+
+def test_reproduce_only_writes_each_table(tmp_path, capsys):
+    out_dir = tmp_path / "tables"
+    cache = tmp_path / "cache"
+    assert main([
+        "reproduce", "--scale", "tiny", "--seeds", "1",
+        "--cache-dir", str(cache),
         "--only", "table1", "fig2", "--out", str(out_dir),
     ]) == 0
+    # Exactly the runs Fig. 2 reads: the irregular suite under GMC.
+    names = os.listdir(cache)
+    assert len(names) == 11
+    assert all(
+        fnmatch.fnmatch(n, "synthetic-*-gmc-TINY-s1-p0-*.json") for n in names
+    ), names
     out = capsys.readouterr().out
     assert "Table I - MERB values" in out and "Fig. 2 - Coalescing" in out
     assert out.index("Table I") < out.index("Fig. 2")  # the order asked for

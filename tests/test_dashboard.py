@@ -369,7 +369,7 @@ def test_scenario_matrix_renders(store):
 
     store.append("sweep", _sweep_payload("fig8-baseline", "aaaaaaaaaaaa"))
     store.append("sweep", _sweep_payload("ci-tiny", "bbbbbbbbbbbb", cached=2))
-    # Unstamped sweeps (`reproduce --workers`, a direct `run_sweep`)
+    # Unstamped sweeps (`reproduce`, a direct `run_sweep`)
     # are ignored, not an error.
     store.append("sweep", {
         "schema_version": 1, "jobs_done": 1,

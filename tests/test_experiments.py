@@ -6,14 +6,15 @@ import pytest
 
 from repro.analysis.experiments import (
     DRIVERS,
+    declared_sweeps,
     fig2_coalescing,
     fig3_divergence,
     fig8_ipc,
-    prefetch,
     table1_merb,
 )
 from repro.analysis import runner as runner_module
 from repro.analysis.runner import ExperimentRunner
+from repro.analysis.sweep import run_sweep
 from repro.core.config import SimConfig
 from repro.idealized import perfect_coalescing
 from repro.workloads.profiles import ALL_PROFILES
@@ -27,6 +28,19 @@ def tiny_runner(**kw) -> ExperimentRunner:
     return ExperimentRunner(scale=Scale.TINY, seeds=(1,), **kw)
 
 
+def sweep_declared(runner: ExperimentRunner, experiments) -> set[str]:
+    """Sweep the runs ``experiments`` read, inline; their cache names."""
+    names = set()
+    for sweep_runner, cells in declared_sweeps(runner, experiments):
+        run_sweep(sweep_runner, cells, workers=0).raise_on_failure()
+        names |= {
+            sweep_runner.cache_name(bench, sched, seed, perfect)
+            for bench, sched, perfect in cells
+            for seed in runner.seeds
+        }
+    return names
+
+
 # -- runner ---------------------------------------------------------------------
 def test_runner_rejects_bad_kind():
     with pytest.raises(ValueError):
@@ -35,23 +49,31 @@ def test_runner_rejects_bad_kind():
 
 def test_runner_memoizes_runs():
     r = tiny_runner()
-    a = r.run("sad", "gmc", seed=1)
+    a, _meta = r.run_job("sad", "gmc", 1)
     b = r.run("sad", "gmc", seed=1)
     assert a is b  # cached object
 
 
 def test_runner_disk_cache(tmp_path):
     r1 = ExperimentRunner(scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path))
-    a = r1.run("sad", "gmc", seed=1)
+    a, _meta = r1.run_job("sad", "gmc", 1)
     r2 = ExperimentRunner(scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path))
     b = r2.run("sad", "gmc", seed=1)
     assert a == b
     assert any(p.suffix == ".json" for p in tmp_path.iterdir())
 
 
+def test_reading_an_unswept_run_names_it(tmp_path):
+    """``run`` never simulates: a run in neither the memo nor the cache
+    raises, naming the run."""
+    r = tiny_runner(cache_dir=str(tmp_path))
+    with pytest.raises(LookupError, match=r.cache_name("sad", "wg", 1)):
+        r.mean("sad", "wg")
+
+
 def test_runner_extras_present():
     r = tiny_runner()
-    s = r.run("sad", "gmc", seed=1)
+    s, _meta = r.run_job("sad", "gmc", 1)
     for key in ("unit_group_frac", "activates", "reads", "writes", "ipc"):
         assert key in s
     assert s["fallback_reads"] == 0.0  # only the WG family has the fallback
@@ -76,6 +98,7 @@ def test_perfect_trace_derives_from_the_memoized_base(monkeypatch):
 
 def test_speedup_is_relative():
     r = tiny_runner()
+    r.run_job("sad", "gmc", 1)
     assert r.speedup("sad", "gmc") == pytest.approx(1.0)
 
 
@@ -96,8 +119,8 @@ def test_distinct_configs_get_distinct_cache_entries(tmp_path):
         cache_dir=str(tmp_path),
     )
     assert base.config_hash != alpha.config_hash
-    a = base.run("sad", "sbwas", seed=1)
-    b = alpha.run("sad", "sbwas", seed=1)
+    a, _meta = base.run_job("sad", "sbwas", 1)
+    b, _meta = alpha.run_job("sad", "sbwas", 1)
     assert a["ipc"] != b["ipc"]  # the alpha change is visible, not masked
     names = [p.name for p in tmp_path.iterdir() if p.suffix == ".json"]
     assert len(names) == 2
@@ -108,7 +131,6 @@ def test_distinct_configs_get_distinct_cache_entries(tmp_path):
         config=alpha.config, scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path)
     )
     assert alpha2.run("sad", "sbwas", seed=1) == b
-    assert alpha2.last_outcome == "disk"
 
 
 def test_config_hash_is_stable_and_sensitive():
@@ -121,18 +143,6 @@ def test_config_hash_is_stable_and_sensitive():
     assert config_hash(SimConfig()) != config_hash(tweaked)
 
 
-def test_atomic_write_json_leaves_no_temp_files(tmp_path):
-    from repro.analysis.runner import atomic_write_json
-
-    path = tmp_path / "sub" / "x.json"
-    atomic_write_json(str(path), {"a": 1})
-    atomic_write_json(str(path), {"a": 2})  # overwrite in place
-    import json
-
-    assert json.loads(path.read_text()) == {"a": 2}
-    assert [p.name for p in path.parent.iterdir()] == ["x.json"]
-
-
 # -- drivers ---------------------------------------------------------------------
 def test_table1_driver():
     res = table1_merb()
@@ -142,8 +152,16 @@ def test_table1_driver():
     assert res.headline["single_bank_util_at_31"] == pytest.approx(0.62, abs=0.005)
 
 
-def test_fig2_fig3_shapes():
-    r = tiny_runner()
+@pytest.fixture(scope="module")
+def swept_tiny(tmp_path_factory) -> ExperimentRunner:
+    """A TINY seed-1 runner holding the runs Figs. 2, 3 and 8 read."""
+    r = tiny_runner(cache_dir=str(tmp_path_factory.mktemp("cache")))
+    sweep_declared(r, ["fig2", "fig3", "fig8"])
+    return r
+
+
+def test_fig2_fig3_shapes(swept_tiny):
+    r = swept_tiny
     f2 = fig2_coalescing(r)
     assert len(f2.rows) == 12  # 11 benchmarks + MEAN
     assert 0.3 < f2.headline["frac_divergent"] < 0.8
@@ -153,36 +171,43 @@ def test_fig2_fig3_shapes():
     assert 1.0 < f3.headline["channels_per_warp"] < 4.0
 
 
-def test_fig8_normalized_to_gmc():
-    r = tiny_runner()
-    res = fig8_ipc(r, schedulers=("wg",))
+def test_fig8_normalized_to_gmc(swept_tiny):
+    res = fig8_ipc(swept_tiny)
     assert res.rows[-1][0] == "GEOMEAN"
     assert "speedup_wg" in res.headline
     for row in res.rows[:-1]:
         assert row[1] > 0
 
 
-def test_prefetch_fills_exactly_the_runs_the_drivers_read(tmp_path, monkeypatch):
-    """After ``prefetch``, every driver but §VI-C (whose SBWAS runs use
-    per-alpha configs) reads all its runs from the cache, and the
-    prefetch ran nothing else."""
-
-    def patched_runner() -> ExperimentRunner:
-        r = tiny_runner(cache_dir=str(tmp_path))
-        monkeypatch.setattr(r, "irregular_benchmarks", lambda: ("sad",))
-        monkeypatch.setattr(r, "regular_benchmarks", lambda: ("streamcluster",))
-        return r
-
-    prefetch(patched_runner())
-    # sad: gmc, the WG family, wafcfs, zero-div and perfect gmc;
-    # streamcluster: gmc and wg-w.
-    assert len(list(tmp_path.iterdir())) == 8 + 2
-    r = patched_runner()
+@pytest.mark.parametrize("experiment", list(DRIVERS))
+def test_each_experiment_reads_exactly_the_runs_it_declares(
+    experiment, tmp_path, monkeypatch
+):
+    """Sweeping an experiment's declared runs into an empty cache fills
+    exactly those entries, and the driver then renders from them alone,
+    reading every one, with no simulation."""
+    monkeypatch.setattr(
+        ExperimentRunner, "irregular_benchmarks", staticmethod(lambda: ("sad",))
+    )
+    monkeypatch.setattr(
+        ExperimentRunner, "regular_benchmarks",
+        staticmethod(lambda: ("streamcluster",)),
+    )
+    r = tiny_runner(cache_dir=str(tmp_path))
+    declared = sweep_declared(r, [experiment])
+    assert {p.name for p in tmp_path.iterdir()} == declared
 
     def no_simulation(*args):
         raise AssertionError(f"simulated {args}")
 
     monkeypatch.setattr(runner_module, "simulate", no_simulation)
-    for rid, driver in DRIVERS.items():
-        if rid != "sec6c":
-            assert driver(r).rows, rid
+    read = set()
+    real_run = ExperimentRunner.run
+
+    def run(self, bench, scheduler, seed, perfect=False):
+        read.add(self.cache_name(bench, scheduler, seed, perfect))
+        return real_run(self, bench, scheduler, seed, perfect)
+
+    monkeypatch.setattr(ExperimentRunner, "run", run)
+    assert DRIVERS[experiment].render(tiny_runner(cache_dir=str(tmp_path))).rows
+    assert read == declared

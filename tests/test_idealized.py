@@ -46,7 +46,7 @@ def test_perfect_coalescing_follows_the_configured_line_size():
     ]
     assert loads
     assert {len(coalesce(lanes, 64)) for lanes in loads} == {1}
-    summary = runner.run("bfs", "gmc", 1, perfect=True)
+    summary, _meta = runner.run_job("bfs", "gmc", 1, perfect=True)
     assert summary["requests_per_load"] == 1.0
 
 

@@ -1,4 +1,4 @@
-"""Tests for offline trace inspection and the parallel sweep runner."""
+"""Tests for offline trace inspection (trace_signature)."""
 
 import dataclasses
 
@@ -56,35 +56,3 @@ def test_signature_empty_trace():
     assert sig.loads == 0
     assert sig.requests_per_load == 0.0
     assert sig.footprint_bytes == 0
-
-
-# -- parallel sweep -------------------------------------------------------------
-def test_run_job_roundtrip(tmp_path):
-    from repro.analysis.runner import ExperimentRunner
-    from repro.workloads.suite import Scale
-
-    def fresh_runner():
-        return ExperimentRunner(scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path))
-
-    summary, meta = fresh_runner().run_job("sad", "gmc", 1, False)
-    assert summary["ipc"] > 0
-    assert meta["simulated"] and meta["sim_events"] > 0
-    # A second runner is served from the disk cache.
-    summary2, meta2 = fresh_runner().run_job("sad", "gmc", 1, False)
-    assert not meta2["simulated"] and summary2 == summary
-    assert meta2["sim_events"] == meta["sim_events"]
-
-
-def test_parallel_sweep_fills_runner_cache(tmp_path):
-    from repro.analysis.runner import ExperimentRunner
-    from repro.analysis.sweep import run_sweep
-    from repro.workloads.suite import Scale
-
-    r = ExperimentRunner(scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path))
-    report = run_sweep(r, ["sad"], ["gmc", "wg"], workers=2)
-    assert report.n_done == 2 and report.n_failed == 0
-    files = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
-    assert len(files) == 2  # one result per job, no other sweep state
-    # The runner now serves results without simulating.
-    assert r.mean("sad", "gmc")["ipc"] > 0
-    assert r.last_outcome == "disk"

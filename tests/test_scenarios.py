@@ -28,7 +28,7 @@ from repro.scenarios import (
 )
 from repro.workloads.suite import Scale
 
-from helpers import cache_entries
+from helpers import cache_entries, grid
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LIBRARY = os.path.join(REPO, "scenarios")
@@ -61,7 +61,7 @@ figure:
 def test_known_metrics_exist_in_real_summaries(tmp_path):
     """Every spec-selectable metric is a key the runner actually emits."""
     r = ExperimentRunner(scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path))
-    summary = r.run("sad", "gmc", 1)
+    summary, _meta = r.run_job("sad", "gmc", 1)
     missing = [m for m in KNOWN_METRICS if m not in summary]
     assert not missing, f"spec metrics without a summary key: {missing}"
 
@@ -222,20 +222,18 @@ def test_find_specs_skips_trace_payloads(tmp_path):
 # ---------------------------------------------------------------------------
 def test_committed_library_is_valid():
     paths = find_specs(LIBRARY)
-    assert len(paths) >= 9
+    assert len(paths) >= 7
     bad = {p: validate_spec_file(p) for p in paths}
     assert not {p: str(e) for p, e in bad.items() if e is not None}
 
 
-def test_fig8_spec_resolves_to_default_config_hash():
-    """Acceptance: the fig8 spec's cache identity is bit-identical to the
-    Python-coded reproduce path (same config_hash -> same cache files)."""
-    spec = load_spec(os.path.join(LIBRARY, "fig8_baseline.yaml"))
+def test_gddr5_spec_resolves_to_default_config_hash():
+    """A committed spec on the gddr5 preset without overrides shares the
+    Python-coded reproduce path's cache identity (same config_hash ->
+    same cache files)."""
+    spec = load_spec(os.path.join(LIBRARY, "modern_embedding_gather.yaml"))
+    assert spec.preset == "gddr5" and not spec.overrides
     assert config_hash(spec.resolved_config()) == config_hash(SimConfig())
-    assert spec.workload.kind == "synthetic"
-    assert spec.scale == "QUICK" and spec.seeds == (1, 2)
-    assert spec.schedulers == ("gmc", "wg", "wg-m", "wg-bw", "wg-w")
-    assert len(spec.workload.benchmarks) == 11
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +246,7 @@ def test_run_scenario_reuses_hand_coded_sweep_cache(tmp_path):
     runner = ExperimentRunner(
         scale=Scale.TINY, seeds=(1,), cache_dir=str(cache)
     )
-    run_sweep(runner, ["sad"], ["gmc", "wg"], workers=0)
+    run_sweep(runner, grid(["sad"], ["gmc", "wg"]), workers=0)
     entries_before = {p.name: p.read_bytes() for p in cache.iterdir()}
     spec = load_spec(write_spec(tmp_path, TINY_SPEC))
     result = run_scenario(spec, cache_dir=str(cache), workers=0)
@@ -364,6 +362,29 @@ def test_cli_scenario_rerun_is_served_from_cache(tmp_path, capsys):
     assert second["metrics"] == first["metrics"]
 
 
+def test_cli_scenario_failed_job_still_writes_out(tmp_path, monkeypatch, capsys):
+    """A failed job exits 1, and ``--out`` still gets the document with
+    the sweep report, naming the failure's exception type, as the error
+    line does."""
+    monkeypatch.setenv("REPRO_CHAOS", "job-start=raise")
+    spec = write_spec(
+        tmp_path,
+        TINY_SPEC.replace("[gmc, wg]", "[gmc]")
+        + "sweep:\n  workers: 0\n  retries: 0\n",
+    )
+    out_json = tmp_path / "out.json"
+    rc = main([
+        "scenario", "run", spec, "--cache-dir", str(tmp_path / "c"),
+        "--out", str(out_json),
+    ])
+    assert rc == 1
+    doc = json.loads(out_json.read_text())
+    assert doc["sweep"]["jobs_failed"] == 1
+    (job,) = doc["sweep"]["jobs"]
+    assert job["status"] == "failed" and job["error_type"] == "ChaosError"
+    assert "ChaosError" in capsys.readouterr().err
+
+
 def test_cli_scenario_run_bad_spec_is_usage_error(tmp_path, capsys):
     path = write_spec(tmp_path, TINY_SPEC + "schedulers: [zzz]\n")
     rc = main(["scenario", "run", path])
@@ -388,7 +409,7 @@ def test_cli_run_modern_bench_synthetic_kind_is_usage_error(capsys):
 def test_cli_scenario_list_renders_table(capsys):
     assert main(["scenario", "list", LIBRARY]) == 0
     out = capsys.readouterr().out
-    assert "fig8-baseline" in out and "trace-replay-example" in out
+    assert "ci-tiny" in out and "trace-replay-example" in out
 
 
 # ---------------------------------------------------------------------------

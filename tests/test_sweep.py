@@ -16,7 +16,7 @@ from repro.analysis.runner import ExperimentRunner
 from repro.analysis.sweep import _backoff_s, run_sweep
 from repro.workloads.suite import Scale
 
-from helpers import cache_entries, count_trace_builds
+from helpers import cache_entries, count_trace_builds, grid
 
 
 def tiny_runner(tmp_path, seeds=(1,)) -> ExperimentRunner:
@@ -26,14 +26,14 @@ def tiny_runner(tmp_path, seeds=(1,)) -> ExperimentRunner:
 def test_sweep_requires_cache_dir():
     r = ExperimentRunner(scale=Scale.TINY, seeds=(1,))
     with pytest.raises(ValueError):
-        run_sweep(r, ["sad"], ["gmc"])
+        run_sweep(r, grid(["sad"], ["gmc"]))
 
 
-def test_inline_sweep_fills_cache_and_manifest(tmp_path):
+def test_inline_sweep_fills_cache_with_one_entry_per_job(tmp_path):
     """The cache is the sweep's record of finished jobs: the directory
     holds one complete entry per job and nothing else."""
     r = tiny_runner(tmp_path)
-    report = run_sweep(r, ["sad"], ["gmc", "wg"], workers=0)
+    report = run_sweep(r, grid(["sad"], ["gmc", "wg"]), workers=0)
     assert report.n_done == 2 and report.n_failed == 0
     assert report.n_simulated == 2
     assert report.events_total > 0
@@ -50,12 +50,12 @@ def test_interrupted_sweep_resumes_without_resimulating(tmp_path):
     and wall time of the simulation that produced it."""
     r = tiny_runner(tmp_path)
     # "Interrupted" run: only part of the grid completed before the kill.
-    first = run_sweep(r, ["sad"], ["gmc", "wg"], workers=0)
+    first = run_sweep(r, grid(["sad"], ["gmc", "wg"]), workers=0)
     assert first.n_simulated == 2
     mtimes = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
     # Plain rerun over the full grid.
     second = run_sweep(
-        tiny_runner(tmp_path), ["sad"], ["gmc", "wg", "wg-m"], workers=0
+        tiny_runner(tmp_path), grid(["sad"], ["gmc", "wg", "wg-m"]), workers=0
     )
     assert second.n_cached == 2  # the finished jobs were not touched
     assert second.n_simulated == 1  # only the new cell ran
@@ -71,19 +71,9 @@ def test_interrupted_sweep_resumes_without_resimulating(tmp_path):
             assert res.sim_wall_s == origin.sim_wall_s > 0
     # A third run is a complete no-op.
     third = run_sweep(
-        tiny_runner(tmp_path), ["sad"], ["gmc", "wg", "wg-m"], workers=0
+        tiny_runner(tmp_path), grid(["sad"], ["gmc", "wg", "wg-m"]), workers=0
     )
     assert third.n_cached == 3 and third.n_simulated == 0
-
-
-def test_without_resume_manifest_is_ignored_but_cache_still_hits(tmp_path):
-    """A plain rerun, with no resume option and no manifest, is served
-    from the cache entry alone."""
-    r = tiny_runner(tmp_path)
-    run_sweep(r, ["sad"], ["gmc"], workers=0)
-    again = run_sweep(tiny_runner(tmp_path), ["sad"], ["gmc"], workers=0)
-    assert again.n_done == 1
-    assert again.n_simulated == 0 and again.n_cached == 1
 
 
 def test_injected_crash_fails_only_that_job_and_is_retried(tmp_path, monkeypatch):
@@ -92,7 +82,7 @@ def test_injected_crash_fails_only_that_job_and_is_retried(tmp_path, monkeypatch
     monkeypatch.setenv("REPRO_CHAOS", "job-start=raise!once")
     cache = tmp_path / "cache"
     report = run_sweep(
-        tiny_runner(cache), ["sad"], ["gmc", "wg"], workers=2, retries=1
+        tiny_runner(cache), grid(["sad"], ["gmc", "wg"]), workers=2, retries=1
     )
     assert report.n_failed == 0 and report.n_done == 2
     # Only the first job to start raised, and only it was resubmitted.
@@ -108,7 +98,7 @@ def test_injected_crash_without_retry_budget_is_isolated(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS", "job-start=raise!once")
     cache = tmp_path / "cache"
     report = run_sweep(
-        tiny_runner(cache), ["sad"], ["gmc", "wg"], workers=2, retries=0
+        tiny_runner(cache), grid(["sad"], ["gmc", "wg"]), workers=2, retries=0
     )
     assert report.n_failed == 1  # only the job that raised
     assert report.n_done == 1  # the rest of the sweep completed
@@ -118,15 +108,15 @@ def test_injected_crash_without_retry_budget_is_isolated(tmp_path, monkeypatch):
     # The failed job has no cache entry, so a rerun runs it (the !once
     # marker is claimed, so the second attempt runs clean).
     rerun = run_sweep(
-        tiny_runner(cache), ["sad"], ["gmc", "wg"], workers=0, retries=0
+        tiny_runner(cache), grid(["sad"], ["gmc", "wg"]), workers=0, retries=0
     )
     assert rerun.n_failed == 0
     assert rerun.n_cached == 1 and rerun.n_simulated == 1
 
 
-def test_bench_report_schema(tmp_path):
+def test_sweep_report_schema(tmp_path):
     r = tiny_runner(tmp_path)
-    report = run_sweep(r, ["sad"], ["gmc"], workers=0)
+    report = run_sweep(r, grid(["sad"], ["gmc"]), workers=0)
     doc = json.loads(json.dumps(report.to_dict()))
     assert doc["schema_version"] == 1
     assert doc["jobs_total"] == 1 and doc["jobs_done"] == 1
@@ -138,20 +128,40 @@ def test_bench_report_schema(tmp_path):
     assert doc["events_per_sec"] > 0
 
 
-def test_resume_reruns_job_whose_cache_entry_vanished(tmp_path):
+def test_rerun_simulates_job_whose_cache_entry_vanished(tmp_path):
     r = tiny_runner(tmp_path)
-    run_sweep(r, ["sad"], ["gmc"], workers=0)
+    run_sweep(r, grid(["sad"], ["gmc"]), workers=0)
     for p in tmp_path.iterdir():
         os.unlink(p)  # cache evicted
-    report = run_sweep(tiny_runner(tmp_path), ["sad"], ["gmc"], workers=0)
+    report = run_sweep(tiny_runner(tmp_path), grid(["sad"], ["gmc"]), workers=0)
     assert report.n_cached == 0 and report.n_simulated == 1
     assert report.n_done == 1
+
+
+def test_run_job_roundtrip(tmp_path):
+    summary, meta = tiny_runner(tmp_path).run_job("sad", "gmc", 1, False)
+    assert summary["ipc"] > 0
+    assert meta["simulated"] and meta["sim_events"] > 0
+    # A second runner is served from the disk cache.
+    summary2, meta2 = tiny_runner(tmp_path).run_job("sad", "gmc", 1, False)
+    assert not meta2["simulated"] and summary2 == summary
+    assert meta2["sim_events"] == meta["sim_events"]
+
+
+def test_parallel_sweep_fills_runner_cache(tmp_path):
+    r = tiny_runner(tmp_path)
+    report = run_sweep(r, grid(["sad"], ["gmc", "wg"]), workers=2)
+    assert report.n_done == 2 and report.n_failed == 0
+    files = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
+    assert len(files) == 2  # one result per job, no other sweep state
+    # The runner reads what the worker processes wrote.
+    assert r.mean("sad", "gmc")["ipc"] > 0
 
 
 def test_progress_reports_counts_and_eta(tmp_path):
     lines = []
     r = tiny_runner(tmp_path)
-    run_sweep(r, ["sad"], ["gmc", "wg"], workers=0, progress=lines.append)
+    run_sweep(r, grid(["sad"], ["gmc", "wg"]), workers=0, progress=lines.append)
     assert any("1/2" in ln for ln in lines)
     assert any("2/2" in ln for ln in lines)
     assert "eta" in lines[0]
@@ -166,7 +176,7 @@ def test_inline_sweep_builds_each_trace_once(tmp_path, monkeypatch):
     2 x 2 x 2 grid builds 4 traces, not one per job."""
     builds = count_trace_builds(monkeypatch)
     report = run_sweep(
-        tiny_runner(tmp_path, seeds=(1, 2)), ["sad", "bfs"], ["gmc", "wg"],
+        tiny_runner(tmp_path, seeds=(1, 2)), grid(["sad", "bfs"], ["gmc", "wg"]),
         workers=0,
     )
     assert report.n_done == 8 and report.n_simulated == 8
@@ -186,7 +196,7 @@ def test_inline_sweep_releases_traces_after_their_last_job(tmp_path, monkeypatch
         return real(bench, scheduler, seed, perfect)
 
     monkeypatch.setattr(r, "run_job", run_job)
-    run_sweep(r, ["sad", "bfs"], ["gmc", "wg"], workers=0)
+    run_sweep(r, grid(["sad", "bfs"], ["gmc", "wg"]), workers=0)
     assert len(started) == 8
     for i, memo in enumerate(held):
         assert memo <= set(started[i:]), (i, memo)
@@ -198,11 +208,11 @@ def test_memo_hit_rewrites_a_deleted_cache_entry(tmp_path):
     """A job reported done has its cache entry on disk, even when the
     reused runner serves the job from its result memo."""
     r = tiny_runner(tmp_path)
-    run_sweep(r, ["sad"], ["gmc", "wg"], workers=0)
+    run_sweep(r, grid(["sad"], ["gmc", "wg"]), workers=0)
     victim = tmp_path / r.cache_name("sad", "gmc", 1)
     published = victim.read_text()
     victim.unlink()
-    report = run_sweep(r, ["sad"], ["gmc", "wg"], workers=0)
+    report = run_sweep(r, grid(["sad"], ["gmc", "wg"]), workers=0)
     assert report.n_failed == 0 and report.n_simulated == 0
     assert report.n_cached == 2 and report.n_done == 2
     for res in report.results:
@@ -214,12 +224,12 @@ def test_memo_hit_rewrites_a_deleted_cache_entry(tmp_path):
 def test_unreadable_cache_entry_is_a_miss(tmp_path, workers):
     """A truncated cache entry is simulated again and rewritten, like a
     missing one, instead of aborting the sweep before any job runs."""
-    run_sweep(tiny_runner(tmp_path), ["sad"], ["gmc", "wg"], workers=0)
+    run_sweep(tiny_runner(tmp_path), grid(["sad"], ["gmc", "wg"]), workers=0)
     first = cache_entries(tmp_path)
     victim = tmp_path / tiny_runner(tmp_path).cache_name("sad", "gmc", 1)
     victim.write_text('{"ipc": 1.')
     report = run_sweep(
-        tiny_runner(tmp_path), ["sad"], ["gmc", "wg"], workers=workers
+        tiny_runner(tmp_path), grid(["sad"], ["gmc", "wg"]), workers=workers
     )
     assert report.n_failed == 0
     assert report.n_simulated == 1 and report.n_cached == 1
@@ -237,19 +247,19 @@ def test_exhausted_retries_record_error_type(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS_MARK_DIR", str(tmp_path / "marks"))
     monkeypatch.setenv("REPRO_CHAOS", "job-start=raise!once")
     cache = tmp_path / "cache"
-    report = run_sweep(tiny_runner(cache), ["sad"], ["wg"], workers=0, retries=0)
+    report = run_sweep(tiny_runner(cache), grid(["sad"], ["wg"]), workers=0, retries=0)
     assert report.n_failed == 1
     (failed,) = report.failed
     assert failed.error_type == "ChaosError"
     assert failed.to_dict()["error_type"] == "ChaosError"
     assert list(cache.iterdir()) == []  # nothing cached: a rerun runs it
-    second = run_sweep(tiny_runner(cache), ["sad"], ["wg"], workers=0)
+    second = run_sweep(tiny_runner(cache), grid(["sad"], ["wg"]), workers=0)
     assert second.n_failed == 0 and second.n_done == 1
     (res,) = second.results
     assert res.simulated and res.retries == 0 and res.error_type == ""
     ref = tmp_path / "ref"
     monkeypatch.delenv("REPRO_CHAOS")
-    run_sweep(tiny_runner(ref), ["sad"], ["wg"], workers=0)
+    run_sweep(tiny_runner(ref), grid(["sad"], ["wg"]), workers=0)
     assert cache_entries(cache) == cache_entries(ref)
 
 
@@ -264,7 +274,7 @@ def test_hung_job_is_killed_at_timeout_not_abandoned(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS", "job-start=stall:60")
     t0 = time.time()
     report = run_sweep(
-        tiny_runner(tmp_path), ["sad"], ["gmc"],
+        tiny_runner(tmp_path), grid(["sad"], ["gmc"]),
         workers=1, timeout_s=1.0, retries=0,
     )
     elapsed = time.time() - t0
@@ -284,7 +294,7 @@ def test_worker_killed_without_result_is_detected(tmp_path, monkeypatch):
     as a crash, not a hang — and does not poison the rest of the sweep."""
     monkeypatch.setenv("REPRO_CHAOS", "job-start=kill")
     report = run_sweep(
-        tiny_runner(tmp_path), ["sad"], ["gmc"],
+        tiny_runner(tmp_path), grid(["sad"], ["gmc"]),
         workers=1, timeout_s=60.0, retries=0,
     )
     assert report.n_failed == 1
@@ -298,7 +308,7 @@ def test_crashed_worker_is_retried_once_chaos_passes(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS_MARK_DIR", str(tmp_path / "marks"))
     monkeypatch.setenv("REPRO_CHAOS", "job-start=kill!once")
     report = run_sweep(
-        tiny_runner(tmp_path / "cache"), ["sad"], ["gmc"],
+        tiny_runner(tmp_path / "cache"), grid(["sad"], ["gmc"]),
         workers=1, timeout_s=60.0, retries=1,
     )
     assert report.n_failed == 0 and report.n_done == 1
@@ -314,7 +324,7 @@ def test_killed_worker_without_timeout_spares_the_other_jobs(tmp_path, monkeypat
     monkeypatch.setenv("REPRO_CHAOS_MARK_DIR", str(tmp_path / "marks"))
     monkeypatch.setenv("REPRO_CHAOS", "job-start=kill!once")
     report = run_sweep(
-        tiny_runner(tmp_path / "cache"), ["sad"], ["gmc", "wg"],
+        tiny_runner(tmp_path / "cache"), grid(["sad"], ["gmc", "wg"]),
         workers=2, retries=1,
     )
     assert report.n_done == 2 and report.n_failed == 0
@@ -322,7 +332,7 @@ def test_killed_worker_without_timeout_spares_the_other_jobs(tmp_path, monkeypat
     # The retried job's result is bit-identical to an unbroken inline run.
     monkeypatch.delenv("REPRO_CHAOS")
     ref = tmp_path / "ref"
-    run_sweep(tiny_runner(ref), ["sad"], ["gmc", "wg"], workers=0)
+    run_sweep(tiny_runner(ref), grid(["sad"], ["gmc", "wg"]), workers=0)
     assert cache_entries(tmp_path / "cache") == cache_entries(ref)
 
 
@@ -358,7 +368,7 @@ def test_sigkill_worker_mid_sweep_completes_bit_identical(tmp_path):
     assert report["jobs_failed"] == 0 and report["jobs_simulated"] == 2
     assert sorted(job["retries"] for job in report["jobs"]) == [0, 1]
     ref = tmp_path / "ref"
-    run_sweep(tiny_runner(ref), ["sad"], ["gmc", "wg"], workers=0)
+    run_sweep(tiny_runner(ref), grid(["sad"], ["gmc", "wg"]), workers=0)
     assert cache_entries(tmp_path / "cache") == cache_entries(ref)
 
 
@@ -366,10 +376,10 @@ def test_finished_job_is_never_dispatched(tmp_path, monkeypatch):
     """A rerun serves finished jobs from their cache entries without
     starting a worker: with every job start armed to SIGKILL, the rerun
     of a finished sweep still fails nothing."""
-    run_sweep(tiny_runner(tmp_path), ["sad"], ["gmc", "wg"], workers=0)
+    run_sweep(tiny_runner(tmp_path), grid(["sad"], ["gmc", "wg"]), workers=0)
     monkeypatch.setenv("REPRO_CHAOS", "job-start=kill")
     report = run_sweep(
-        tiny_runner(tmp_path), ["sad"], ["gmc", "wg"], workers=2, retries=0
+        tiny_runner(tmp_path), grid(["sad"], ["gmc", "wg"]), workers=2, retries=0
     )
     assert report.n_failed == 0
     assert report.n_cached == 2 and report.n_simulated == 0
@@ -431,7 +441,7 @@ def test_retry_policy_paces_local_retries(tmp_path, monkeypatch):
         lines = []
         t0 = time.time()
         report = run_sweep(
-            tiny_runner(cache), ["sad"], ["gmc", "wg"],
+            tiny_runner(cache), grid(["sad"], ["gmc", "wg"]),
             workers=workers, retries=1,
             progress=lines.append,
         )
@@ -444,5 +454,5 @@ def test_retry_policy_paces_local_retries(tmp_path, monkeypatch):
             assert builds == [("sad", 1)]
     monkeypatch.delenv("REPRO_CHAOS")
     ref = tmp_path / "ref"
-    run_sweep(tiny_runner(ref), ["sad"], ["gmc", "wg"], workers=0)
+    run_sweep(tiny_runner(ref), grid(["sad"], ["gmc", "wg"]), workers=0)
     assert cache_entries(tmp_path / "w0") == cache_entries(ref)
