@@ -35,8 +35,9 @@ def reproduce():
     )
 
     def render(experiment: str):
-        for sweep_runner, cells in declared_sweeps(runner, [experiment]):
-            run_sweep(sweep_runner, cells, workers=0).raise_on_failure()
+        sweeps = declared_sweeps(runner, [experiment])
+        if sweeps:
+            run_sweep(sweeps, workers=0).raise_on_failure()
         return DRIVERS[experiment].render(runner)
 
     return render

@@ -12,16 +12,9 @@ Run:  python examples/scheduler_comparison.py [benchmark] [--synthetic]
 
 import argparse
 
-from repro import (
-    ALL_PROFILES,
-    Scale,
-    SimConfig,
-    benchmark_names,
-    build_benchmark,
-    simulate,
-    synthetic_trace,
-)
+from repro import Scale, SimConfig, benchmark_names, simulate
 from repro.analysis import format_table
+from repro.analysis.runner import build_trace
 
 ORDER = (
     "fcfs", "frfcfs", "wafcfs", "sbwas", "gmc",
@@ -40,12 +33,11 @@ def main() -> None:
     args = ap.parse_args()
 
     cfg = SimConfig()
-    if args.synthetic:
-        trace = synthetic_trace(ALL_PROFILES[args.benchmark], cfg,
-                                seed=args.seed, scale=Scale.QUICK.factor)
-    else:
-        trace = build_benchmark(args.benchmark, cfg, Scale.QUICK, seed=args.seed)
     kind = "synthetic" if args.synthetic else "algorithmic"
+    try:
+        trace = build_trace(kind, args.benchmark, cfg, Scale.QUICK, args.seed)
+    except ValueError as exc:
+        ap.error(str(exc))
     print(f"{args.benchmark} ({kind}): {len(trace.warps)} warps, "
           f"{trace.total_memory_ops()} memory instructions\n")
 

@@ -43,13 +43,11 @@ from repro import (
     Scale,
     SimConfig,
     benchmark_names,
-    build_benchmark,
     simulate,
-    synthetic_trace,
 )
 from repro.analysis import format_table
 from repro.analysis.experiments import DRIVERS, declared_sweeps
-from repro.analysis.runner import ExperimentRunner
+from repro.analysis.runner import ExperimentRunner, build_trace
 from repro.analysis.sweep import run_sweep
 from repro.core.overrides import (
     apply_overrides as apply_config_overrides,
@@ -64,26 +62,6 @@ from repro.guardrails import (
     peek_checkpoint,
 )
 from repro.telemetry import TelemetryHub
-
-
-def _trace(args, cfg):
-    # Default kind resolves per benchmark: the modern suite (embgather,
-    # graphsample) has no synthetic profile and runs algorithmically.
-    kind = args.kind or (
-        "synthetic" if args.benchmark in ALL_PROFILES else "algorithmic"
-    )
-    scale = Scale[(args.scale or "quick").upper()]
-    seed = 1 if args.seed is None else args.seed
-    if kind == "synthetic":
-        try:
-            profile = ALL_PROFILES[args.benchmark]
-        except KeyError:
-            raise ValueError(
-                f"benchmark {args.benchmark!r} has no synthetic profile; "
-                "use --kind algorithmic"
-            ) from None
-        return synthetic_trace(profile, cfg, seed=seed, scale=scale.factor)
-    return build_benchmark(args.benchmark, cfg, scale, seed=seed)
 
 
 def _make_hub(args) -> TelemetryHub | None:
@@ -244,8 +222,13 @@ def cmd_run(args) -> int:
         except (ValueError, TypeError) as exc:
             print(f"repro run: invalid configuration: {exc}", file=sys.stderr)
             return 2
+        kind = args.kind or (
+            "synthetic" if args.benchmark in ALL_PROFILES else "algorithmic")
         try:
-            trace = _trace(args, cfg)
+            trace = build_trace(
+                kind, args.benchmark, cfg, Scale[(args.scale or "quick").upper()],
+                1 if args.seed is None else args.seed,
+            )
         except ValueError as exc:
             print(f"repro run: error: {exc}", file=sys.stderr)
             return 2
@@ -308,8 +291,6 @@ def cmd_scenario(args) -> int:
         return 1 if n_bad else 0
 
     if args.action == "list":
-        from repro.analysis import format_table
-
         try:
             paths = find_specs(args.dir)
         except SpecError as exc:
@@ -374,10 +355,11 @@ def cmd_reproduce(args) -> int:
         kind=args.kind, cache_dir=args.cache_dir,
     )
     experiments = args.only or list(DRIVERS)
-    # Sweep exactly the runs the experiments read; the drivers only read.
-    for sweep_runner, cells in declared_sweeps(runner, experiments):
+    # One sweep of exactly the runs the experiments read (Table I: none).
+    sweeps = declared_sweeps(runner, experiments)
+    if sweeps:
         run_sweep(
-            sweep_runner, cells, workers=args.workers,
+            sweeps, workers=args.workers,
             progress=lambda msg: print(msg, file=sys.stderr),
         ).raise_on_failure()
     if args.out:
@@ -499,8 +481,6 @@ def cmd_accuracy(args) -> int:
 
 
 def _history_store(args):
-    import os
-
     from repro.history import default_store
     from repro.history.store import HistoryStore
 
@@ -609,7 +589,6 @@ def cmd_history(args) -> int:
 def cmd_dashboard(args) -> int:
     from repro.dashboard import build_dashboard
     from repro.history import DEFAULT_HISTORY_DIR
-    import os
 
     history_dir = args.history_dir or os.environ.get(
         "REPRO_HISTORY_DIR", DEFAULT_HISTORY_DIR
@@ -639,8 +618,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(p):
-        # Defaults resolve to quick/1/synthetic in _trace; None here lets
-        # ``run --restore-from`` tell "explicitly given" from "default".
+        # Defaults resolve in cmd_run (the kind per benchmark); None here
+        # lets ``run --restore-from`` tell "explicitly given" from "default".
         p.add_argument("--scale", default=None,
                        choices=[s.name.lower() for s in Scale],
                        help="workload scale (default quick)")
@@ -648,7 +627,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="trace RNG seed (default 1)")
         p.add_argument("--kind", default=None,
                        choices=["synthetic", "algorithmic"],
-                       help="trace generator (default synthetic)")
+                       help="trace generator (default synthetic, or "
+                            "algorithmic for a benchmark without a synthetic profile)")
 
     def positive_ns(text: str) -> float:
         period = float(text)

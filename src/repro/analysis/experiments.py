@@ -7,8 +7,8 @@ paper's evaluation from an :class:`ExperimentRunner` and returns an
 paper's.  ``DRIVERS`` lists them in the paper's order (``python -m repro
 reproduce`` runs them), each with the :class:`Runs` it reads.  A driver
 only reads: :func:`declared_sweeps` turns the runs a set of experiments
-reads into one sweep per config variant, and
-:func:`repro.analysis.sweep.run_sweep` simulates them first.
+reads into one (runner, cells) pair per config variant, and one
+:func:`repro.analysis.sweep.run_sweep` call simulates them all first.
 
 Paper targets (for orientation; see EXPERIMENTS.md for measured values):
 
@@ -463,9 +463,10 @@ DRIVERS: dict[str, Experiment] = {
 def declared_sweeps(
     runner: ExperimentRunner, experiments: Sequence[str]
 ) -> list[tuple[ExperimentRunner, list[tuple[str, str, bool]]]]:
-    """The runs the named experiments read, as one (runner, cells) sweep
-    per config variant for :func:`repro.analysis.sweep.run_sweep`; the
-    drivers derive the same variant runners."""
+    """The runs the named experiments read, as (runner, cells) pairs for
+    one :func:`repro.analysis.sweep.run_sweep` call, empty if they read
+    none: one per config variant, which the drivers derive too.  The
+    ``mc.sbwas_alpha`` variants share the base config's traces."""
     grids: dict[Optional[float], dict[tuple[str, str, bool], None]] = {}
     for rid in experiments:
         for runs in DRIVERS[rid].reads:

@@ -4,8 +4,11 @@ Figures 8-12 all derive from the same (benchmark x scheduler) sweep, so
 experiments share one :class:`ExperimentRunner`.  Its ``run_job`` is the
 one call that simulates a run, caching the summary in memory and
 optionally as JSON on disk; ``run`` and ``mean`` only read those, and a
-run nobody swept raises.  Each (benchmark, seed) trace is built once and
-shared by every scheduler that simulates it.
+run nobody swept raises.
+
+:func:`build_trace` is the one place a benchmark name becomes a trace;
+:func:`repro.analysis.sweep.run_sweep` builds each input once and hands
+it to ``run_job`` for every scheduler that simulates it.
 
 Disk-cache keying
 -----------------
@@ -48,14 +51,15 @@ from repro.core.atomic import atomic_write_json
 from repro.core.config import SimConfig
 from repro.gpu.system import simulate
 from repro.guardrails.chaos import chaos_point
-from repro.idealized import perfect_coalescing
 from repro.workloads.profiles import ALL_PROFILES, IRREGULAR_BENCHMARKS, REGULAR_BENCHMARKS
-from repro.workloads.suite import Scale, build_benchmark
+from repro.workloads.suite import Scale, benchmark_names, build_benchmark
 from repro.workloads.synthetic import synthetic_trace
 from repro.workloads.trace import KernelTrace
 
 __all__ = [
     "ExperimentRunner",
+    "build_trace",
+    "check_benchmark",
     "config_hash",
 ]
 
@@ -79,6 +83,38 @@ def config_hash(config: SimConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
+def check_benchmark(kind: str, bench: str) -> None:
+    """Raise ``ValueError`` unless ``kind`` can build a trace of ``bench``."""
+    if bench not in benchmark_names():
+        raise ValueError(
+            f"unknown benchmark {bench!r}; choose from {sorted(benchmark_names())}"
+        )
+    if kind == "synthetic" and bench not in ALL_PROFILES:
+        raise ValueError(
+            f"benchmark {bench!r} has no synthetic profile; use kind: algorithmic"
+        )
+
+
+def build_trace(
+    kind: str, bench: str, config: SimConfig, scale: Scale, seed: int,
+    path: Optional[str] = None,
+) -> KernelTrace:
+    """A fresh ``kind`` trace of ``bench``, the one place a benchmark name
+    becomes a trace: drawn from its synthetic profile, built by running
+    its algorithm, or loaded from ``path`` (kind ``trace``).  Of
+    ``config``, only ``dram_org`` and ``gpu`` enter it.  The synthetic
+    build calls this module's ``synthetic_trace`` global, which profilers
+    wrap by name."""
+    if kind == "trace":
+        if path is None:
+            raise ValueError(f"no trace file registered for {bench!r}")
+        return KernelTrace.load_json(path)
+    check_benchmark(kind, bench)
+    if kind == "synthetic":
+        return synthetic_trace(ALL_PROFILES[bench], config, seed=seed, scale=scale.factor)
+    return build_benchmark(bench, config, scale, seed=seed)
+
+
 def _file_fingerprint(path: str) -> str:
     """12-hex content hash of a file (external-trace cache identity)."""
     h = hashlib.sha256()
@@ -89,7 +125,9 @@ def _file_fingerprint(path: str) -> str:
 
 
 class ExperimentRunner:
-    """Runs (benchmark, scheduler) pairs once and caches their summaries."""
+    """Runs (benchmark, scheduler) pairs once and caches their summaries.
+
+    It holds no traces: ``run_job`` simulates the one the sweep hands it."""
 
     def __init__(
         self,
@@ -123,55 +161,21 @@ class ExperimentRunner:
             for name, path in self.trace_paths.items()
         }
         self.config_hash = config_hash(self.config)
-        self._traces: dict[tuple[str, int, bool], KernelTrace] = {}
         self._results: dict[tuple, dict[str, float]] = {}
 
-    # ------------------------------------------------------------------
-    # workload construction
-    # ------------------------------------------------------------------
-    def trace(self, bench: str, seed: int, perfect: bool = False) -> KernelTrace:
-        """The memoized trace of (bench, seed).
+    def _bench_key(self, bench: str) -> str:
+        """``bench``, with its trace file's fingerprint for kind ``trace``."""
+        if self.kind == "trace" and bench in self._trace_fps:
+            return f"{bench}@{self._trace_fps[bench]}"
+        return bench
 
-        Simulation only reads a trace, so every scheduler of one
-        (bench, seed) shares it.  ``perfect=True`` derives the idealized
-        trace from the memoized base: :func:`perfect_coalescing` builds
-        new objects and never mutates its input.
-        """
-        key = (bench, seed, perfect)
-        if key not in self._traces:
-            if perfect:
-                t = perfect_coalescing(
-                    self.trace(bench, seed), self.config.dram_org.line_bytes
-                )
-            elif self.kind == "synthetic":
-                try:
-                    profile = ALL_PROFILES[bench]
-                except KeyError:
-                    raise ValueError(
-                        f"benchmark {bench!r} has no synthetic profile; "
-                        "run it with kind='algorithmic'"
-                    ) from None
-                t = synthetic_trace(
-                    profile, self.config, seed=seed, scale=self.scale.factor
-                )
-            elif self.kind == "trace":
-                try:
-                    path = self.trace_paths[bench]
-                except KeyError:
-                    raise ValueError(
-                        f"no trace file registered for {bench!r}; known: "
-                        f"{sorted(self.trace_paths)}"
-                    ) from None
-                t = KernelTrace.load_json(path)
-            else:
-                t = build_benchmark(bench, self.config, self.scale, seed=seed)
-            self._traces[key] = t
-        return self._traces[key]
-
-    def release_traces(self, bench: str, seed: int) -> None:
-        """Drop the memoized traces of (bench, seed), base and idealized."""
-        self._traces.pop((bench, seed, False), None)
-        self._traces.pop((bench, seed, True), None)
+    def trace_key(self, bench: str, seed: int) -> tuple:
+        """What enters the trace of (bench, seed); runners that differ
+        only elsewhere (say, in ``mc.sbwas_alpha``) build equal traces."""
+        return (
+            self.kind, self._bench_key(bench), self.scale, seed,
+            self.config.dram_org, self.config.gpu,
+        )
 
     # ------------------------------------------------------------------
     # simulation with caching
@@ -181,11 +185,8 @@ class ExperimentRunner:
     ) -> str:
         """Cache file name for one run (config identity via content hash;
         external traces also carry their file's content fingerprint)."""
-        bench_key = bench
-        if self.kind == "trace" and bench in self._trace_fps:
-            bench_key = f"{bench}@{self._trace_fps[bench]}"
         return (
-            f"{self.kind}-{bench_key}-{scheduler}-{self.scale.name}"
+            f"{self.kind}-{self._bench_key(bench)}-{scheduler}-{self.scale.name}"
             f"-s{seed}-p{int(perfect)}-{self.config_hash}.json"
         )
 
@@ -239,14 +240,16 @@ class ExperimentRunner:
         return self._results[key]
 
     def run_job(
-        self, bench: str, scheduler: str, seed: int, perfect: bool = False
+        self, bench: str, scheduler: str, seed: int, perfect: bool,
+        trace: KernelTrace,
     ) -> tuple[dict[str, float], dict]:
-        """One sweep job: the run's summary, simulated unless it is
-        already in memory or on disk.
+        """One sweep job: the run's summary, simulated on ``trace`` unless
+        it is already in memory or on disk.
 
         The sweep runs every job through this method, inline and in
-        worker processes alike (:mod:`repro.analysis.sweep`).  Returns
-        ``(summary, meta)``; ``meta`` records whether the job actually
+        worker processes alike, handing it the job's input trace
+        (perfectly coalesced for ``perfect``; :mod:`repro.analysis.sweep`).
+        Returns ``(summary, meta)``; ``meta`` records whether the job actually
         simulated, plus its wall time and engine event count.  A sweep
         reports a job done only with a readable cache entry on disk, so a
         memo hit whose file has since been deleted or damaged writes it
@@ -263,10 +266,7 @@ class ExperimentRunner:
         summary = self._results.get(key, on_disk)
         simulated = summary is None
         if simulated:
-            stats = simulate(
-                self.config.with_scheduler(scheduler),
-                self.trace(bench, seed, perfect),
-            )
+            stats = simulate(self.config.with_scheduler(scheduler), trace)
             summary = stats.summary()
             # Extras the figures need beyond the headline summary.
             recs = stats.dram_loads()

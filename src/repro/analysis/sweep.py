@@ -1,9 +1,14 @@
 """Robust parallel sweep harness over :class:`ExperimentRunner`.
 
-``run_sweep`` runs (benchmark, scheduler, perfect) cells at each of the
-runner's seeds, one supervised process per job or inline through the
-caller's runner (``workers <= 0``), and makes the sweep safe at scale:
+``run_sweep`` runs the (benchmark, scheduler, perfect) cells of one or
+more runners, one per config variant, at each of their seeds, one
+supervised process per job or inline (``workers <= 0``), and makes the
+sweep safe at scale:
 
+* **one trace per input** — jobs whose runners agree on what enters a
+  trace (:meth:`ExperimentRunner.trace_key`) share one input, whose
+  trace the sweep builds on its first job, hands to each of its jobs
+  (worker processes build nothing) and drops after its last job;
 * **the cache is the only state** — a job is done once its
   content-addressed cache entry is on disk.  Every sweep reads each
   job's entry up front and dispatches only the jobs without a readable
@@ -39,11 +44,14 @@ import multiprocessing
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
-from repro.analysis.runner import ExperimentRunner
+from repro.analysis.runner import ExperimentRunner, build_trace
 from repro.analysis.schema import SWEEP_SCHEMA
+from repro.idealized import perfect_coalescing
+from repro.workloads.trace import KernelTrace
 
 __all__ = [
     "JobResult",
@@ -240,8 +248,7 @@ class SweepReport:
 # sweep driver
 # ----------------------------------------------------------------------
 def run_sweep(
-    runner: ExperimentRunner,
-    cells: Iterable[tuple[str, str, bool]],
+    sweeps: Sequence[tuple[ExperimentRunner, Iterable[tuple[str, str, bool]]]],
     *,
     workers: int = 4,
     timeout_s: Optional[float] = None,
@@ -250,8 +257,8 @@ def run_sweep(
     scenario_name: str = "",
     scenario_hash: str = "",
 ) -> SweepReport:
-    """Run each (benchmark, scheduler, perfect) cell at every seed of
-    ``runner``; returns a report.
+    """Run the (benchmark, scheduler, perfect) cells of each ``(runner,
+    cells)`` pair at every seed of its runner; returns one report.
 
     A job whose cache entry is already on disk and readable is reported
     done from that entry and never dispatched; only the others run, a
@@ -259,65 +266,86 @@ def run_sweep(
     that many of them at once, each in its own supervised process;
     ``timeout_s=None`` means no deadline.  ``workers <= 0``
     executes inline (no processes, no timeout) with the same retry
-    semantics.  Both paths run each job through ``runner.run_job``.
-    Jobs run one benchmark at a time.  Inline, the runner's trace memo
-    builds each (benchmark, seed) trace once for all schedulers, and its
-    result memo then answers ``runner.run`` for every job it ran.  A
-    worker process gets its own copy of the runner and hands its result
-    back through the runner's ``cache_dir``, which is required either way.
+    semantics.  Both paths run one input's jobs back to back, whichever
+    pair they came from, each through its runner's ``run_job`` on the
+    input's trace; its perfectly coalesced trace derives from that one
+    build.  Inline, each runner's result memo then answers ``runner.run``
+    for every job it ran; a worker process hands its result back through
+    the runner's ``cache_dir``, which is required either way.
 
     Retry attempts are spaced by a seeded exponential backoff
     (:func:`_backoff_s`), quick enough for tests while still
     decorrelating concurrent failers.
 
-    The finished report is appended to the run-history store
-    (docs/observability.md) unless ``REPRO_HISTORY=0``.
+    The report's ``kind``, ``scale`` and ``config_hash`` are the first
+    runner's; each job's id carries its own config hash.  The finished
+    report is appended to the run-history store (docs/observability.md)
+    unless ``REPRO_HISTORY=0``.
     """
-    if runner.cache_dir is None:
-        raise ValueError("a parallel sweep requires a cache_dir")
-    os.makedirs(runner.cache_dir, exist_ok=True)
-
-    unique: dict[str, SweepJob] = {}
-    for bench, sched, perfect in cells:
-        for seed in runner.seeds:
-            job = SweepJob(
-                kind=runner.kind,
-                bench=bench,
-                scheduler=sched,
-                scale=runner.scale.name,
-                seed=seed,
-                perfect=perfect,
-                config_hash=runner.config_hash,
-            )
-            unique.setdefault(job.job_id, job)
-    first: dict[str, int] = {}
-    for job in unique.values():
-        first.setdefault(job.bench, len(first))
-    jobs = sorted(unique.values(), key=lambda job: first[job.bench])
+    if not sweeps:
+        raise ValueError("a sweep needs at least one (runner, cells) pair")
+    runners: dict[SweepJob, ExperimentRunner] = {}
+    inputs: dict[SweepJob, tuple] = {}  # job -> its runner's trace_key
+    by_input: dict[tuple, list[SweepJob]] = {}  # in first-seen order
+    for runner, cells in sweeps:
+        if runner.cache_dir is None:
+            raise ValueError("a sweep requires a cache_dir")
+        os.makedirs(runner.cache_dir, exist_ok=True)
+        for bench, sched, perfect in cells:
+            for seed in runner.seeds:
+                job = SweepJob(
+                    runner.kind, bench, sched, runner.scale.name, seed,
+                    perfect, runner.config_hash,
+                )
+                if job not in runners:
+                    runners[job] = runner
+                    inputs[job] = runner.trace_key(bench, seed)
+                    by_input.setdefault(inputs[job], []).append(job)
 
     say = progress if progress is not None else (lambda _msg: None)
 
     t0 = time.time()
     cached: list[JobResult] = []
     todo: list[SweepJob] = []
-    for job in jobs:
-        entry = runner.read_cache(job.bench, job.scheduler, job.seed, job.perfect)
+    for job in (job for jobs in by_input.values() for job in jobs):
+        entry = runners[job].read_cache(
+            job.bench, job.scheduler, job.seed, job.perfect
+        )
         if entry is None:
             todo.append(job)
             continue
-        cached.append(
-            JobResult(
-                job,
-                "done",
-                sim_events=entry.get("sim_events", 0.0),
-                sim_wall_s=entry.get("sim_wall_s", 0.0),
+        cached.append(JobResult(
+            job, "done", sim_events=entry.get("sim_events", 0.0),
+            sim_wall_s=entry.get("sim_wall_s", 0.0),
+        ))
+
+    # The traces of inputs with unsettled jobs: {input: {perfect: trace}}.
+    held: dict[tuple, dict[bool, KernelTrace]] = {}
+    unsettled = Counter(inputs[job] for job in todo)
+
+    def trace_of(job: SweepJob) -> KernelTrace:
+        """``job``'s trace; a build that raises fails the attempt."""
+        runner = runners[job]
+        traces = held.setdefault(inputs[job], {})
+        if False not in traces:
+            traces[False] = build_trace(
+                runner.kind, job.bench, runner.config, runner.scale,
+                job.seed, runner.trace_paths.get(job.bench),
             )
-        )
+        if job.perfect and True not in traces:
+            traces[True] = perfect_coalescing(
+                traces[False], runner.config.dram_org.line_bytes
+            )
+        return traces[job.perfect]
 
     dispatched: list[JobResult] = []
 
     def record(res: JobResult) -> None:
         dispatched.append(res)
+        key = inputs[res.job]
+        unsettled[key] -= 1
+        if not unsettled[key]:  # the input's last job has settled
+            held.pop(key, None)
         finished = len(dispatched)
         elapsed = time.time() - t0
         eta = (elapsed / finished) * (len(todo) - finished)
@@ -338,23 +366,19 @@ def run_sweep(
             delay = _backoff_s(attempt + 1, job.job_id)
             say(f"[sweep] retrying {job.job_id} in {delay:.2f}s: {error}")
             return delay
-        record(
-            JobResult(
-                job,
-                "failed",
-                wall_s=wall_s,
-                retries=attempt,
-                error=error,
-                error_type=error_type,
-            )
-        )
+        record(JobResult(
+            job, "failed", wall_s=wall_s, retries=attempt, error=error,
+            error_type=error_type,
+        ))
         return None
 
     if todo and workers <= 0:
-        _run_inline(runner, todo, record, retry_or_fail)
+        _run_inline(runners, todo, trace_of, record, retry_or_fail)
     elif todo:
-        _run_procs(runner, todo, workers, timeout_s, record, retry_or_fail, say)
+        _run_procs(runners, todo, trace_of, workers, timeout_s, record,
+                   retry_or_fail, say)
 
+    runner = sweeps[0][0]
     report = SweepReport(
         cached + dispatched,
         scale=runner.scale.name,
@@ -386,22 +410,17 @@ def _done_result(job: SweepJob, meta: dict, attempt: int) -> JobResult:
     )
 
 
-def _run_inline(runner, todo, record, retry_or_fail) -> None:
-    """Run each job in this process through ``runner`` (no timeout).
-
-    Every job shares the runner's trace memo, so all schedulers of one
-    (benchmark, seed) simulate one trace built once.  The traces of a
-    (benchmark, seed) are released right after the last job that reads
-    them: the memo holds only what the remaining jobs need.
-    """
-    last = {(job.bench, job.seed): i for i, job in enumerate(todo)}
-    for i, job in enumerate(todo):
+def _run_inline(runners, todo, trace_of, record, retry_or_fail) -> None:
+    """Run each job in this process through its runner (no timeout),
+    so the sweep holds only the traces of the input running now."""
+    for job in todo:
         attempt = 0
         while True:
             t_start = time.time()
             try:
-                _summary, meta = runner.run_job(
-                    job.bench, job.scheduler, job.seed, job.perfect
+                _summary, meta = runners[job].run_job(
+                    job.bench, job.scheduler, job.seed, job.perfect,
+                    trace_of(job),
                 )
             except Exception as exc:
                 delay = retry_or_fail(
@@ -414,16 +433,14 @@ def _run_inline(runner, todo, record, retry_or_fail) -> None:
                 continue
             record(_done_result(job, meta, attempt))
             break
-        if last[job.bench, job.seed] == i:
-            runner.release_traces(job.bench, job.seed)
 
 
-def _proc_entry(conn, runner: ExperimentRunner, job: SweepJob) -> None:
+def _proc_entry(conn, runner: ExperimentRunner, job: SweepJob, trace) -> None:
     """Child entry for _run_procs: the inline job body, reported as
     ``("ok", meta)`` or ``("err", (message, type name))`` through the pipe."""
     try:
         _summary, meta = runner.run_job(
-            job.bench, job.scheduler, job.seed, job.perfect
+            job.bench, job.scheduler, job.seed, job.perfect, trace
         )
     except BaseException as exc:  # noqa: BLE001 - marshalled to the parent
         try:
@@ -435,18 +452,21 @@ def _proc_entry(conn, runner: ExperimentRunner, job: SweepJob) -> None:
     conn.close()
 
 
-def _run_procs(runner, todo, workers, timeout_s, record, retry_or_fail, say) -> None:
+def _run_procs(
+    runners, todo, trace_of, workers, timeout_s, record, retry_or_fail, say
+) -> None:
     """Per-job supervised processes: one dead worker fails only its job.
 
     Every job is its own ``multiprocessing.Process``, at most
-    ``workers`` at a time, running ``runner.run_job`` on its copy of
-    ``runner`` (:func:`_proc_entry`).  A worker that dies *without*
-    reporting a result (OOM killer, SIGKILL) is detected by its exit
-    code; one past ``timeout_s`` (if set) is SIGKILLed and its slot
-    reclaimed at once.  Either way the job is retried under the backoff
-    policy, and every other job runs on untouched — unlike a shared
-    executor, where one dead worker breaks every in-flight job and every
-    later retry.
+    ``workers`` at a time, running ``run_job`` on its copy of the job's
+    runner and of the trace built here for the job's input
+    (:func:`_proc_entry`; inherited on fork).  A worker that dies
+    *without* reporting a result (OOM killer, SIGKILL) is detected by
+    its exit code; one past ``timeout_s`` (if set) is SIGKILLed and its
+    slot reclaimed at once.  Either way the job is retried under the
+    backoff policy, and every other job runs on untouched — unlike a
+    shared executor, where one dead worker breaks every in-flight job
+    and every later retry.
     """
     ctx = multiprocessing.get_context()
     queue: list = [(job, 0, 0.0) for job in todo]  # (job, attempt, ready_t)
@@ -471,8 +491,15 @@ def _run_procs(runner, todo, workers, timeout_s, record, retry_or_fail, say) -> 
                 break
             queue.remove(item)
             job, attempt, _ready = item
+            try:
+                trace = trace_of(job)
+            except Exception as exc:
+                settle(job, attempt, now, str(exc), type(exc).__name__)
+                continue
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_proc_entry, args=(send, runner, job))
+            proc = ctx.Process(
+                target=_proc_entry, args=(send, runners[job], job, trace)
+            )
             proc.daemon = True
             proc.start()
             send.close()  # child's end; parent sees EOF if the child dies

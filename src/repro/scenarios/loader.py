@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
+from repro.analysis.runner import check_benchmark
 from repro.core.config import SimConfig
 from repro.core.overrides import OverrideError, apply_override
 from repro.dram.timing import DRAM_PRESETS
@@ -32,8 +33,7 @@ from repro.scenarios.spec import (
     SpecError,
     WorkloadSpec,
 )
-from repro.workloads.profiles import ALL_PROFILES
-from repro.workloads.suite import Scale, benchmark_names
+from repro.workloads.suite import Scale
 from repro.workloads.trace import KernelTrace, TraceFormatError
 
 __all__ = ["find_specs", "load_spec", "validate_spec_file"]
@@ -237,19 +237,11 @@ def _validate_workload(ctx: _Ctx, doc: dict, spec_dir: str) -> WorkloadSpec:
     benches = ctx.str_list_at(
         raw.get("benchmarks"), ("workload", "benchmarks"), "benchmark names"
     )
-    valid = set(ALL_PROFILES) if kind == "synthetic" else set(benchmark_names())
     for i, bench in enumerate(benches):
-        if bench not in valid:
-            hint = (
-                " (no synthetic profile — try kind: algorithmic)"
-                if kind == "synthetic" and bench in benchmark_names()
-                else ""
-            )
-            raise ctx.fail(
-                ("workload", "benchmarks", str(i)),
-                f"unknown benchmark {bench!r} for kind {kind!r}{hint}; "
-                f"choose from {', '.join(sorted(valid))}",
-            )
+        try:
+            check_benchmark(kind, bench)
+        except ValueError as exc:
+            raise ctx.fail(("workload", "benchmarks", str(i)), str(exc)) from None
     return WorkloadSpec(kind=kind, benchmarks=tuple(benches))
 
 

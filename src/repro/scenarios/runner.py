@@ -179,8 +179,7 @@ def run_scenario(
     runner = build_runner(spec, cache_dir=cache_dir, scale=scale)
     spec_hash = spec.spec_hash()
     report = run_sweep(
-        runner,
-        product(spec.workload.names, spec.schedulers, [spec.perfect]),
+        [(runner, product(spec.workload.names, spec.schedulers, [spec.perfect]))],
         workers=spec.workers if workers is None else workers,
         timeout_s=spec.timeout_s,
         retries=spec.retries,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 from itertools import product
+from pathlib import Path
+from typing import Callable
 
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
@@ -92,19 +94,41 @@ class MCHarness:
         return [r.req_id for r in self.delivered]
 
 
-def count_trace_builds(monkeypatch) -> list[tuple[str, int]]:
-    """Record (benchmark, seed) for every synthetic trace the runner builds."""
+def count_trace_builds(monkeypatch, log_dir) -> Callable[[], list[tuple[str, int]]]:
+    """Log (benchmark, seed) for every synthetic trace the builder makes,
+    in this process or a worker forked from it, to a file under
+    ``log_dir``; returns a function that reads the log."""
     from repro.analysis import runner as runner_module
 
-    calls: list[tuple[str, int]] = []
+    log = Path(log_dir) / "trace-builds.log"
+    log.write_text("")
     real = runner_module.synthetic_trace
 
     def build(profile, *args, **kwargs):
-        calls.append((profile.name, kwargs["seed"]))
+        with open(log, "a") as fh:
+            fh.write(f"{profile.name} {kwargs['seed']}\n")
         return real(profile, *args, **kwargs)
 
     monkeypatch.setattr(runner_module, "synthetic_trace", build)
-    return calls
+
+    def builds() -> list[tuple[str, int]]:
+        return [
+            (bench, int(seed))
+            for bench, seed in (line.split() for line in log.read_text().splitlines())
+        ]
+
+    return builds
+
+
+def input_trace(runner, bench: str, seed: int = 1):
+    """A fresh build of ``runner``'s (bench, seed) input, the trace a
+    sweep hands ``runner.run_job``."""
+    from repro.analysis.runner import build_trace
+
+    return build_trace(
+        runner.kind, bench, runner.config, runner.scale, seed,
+        runner.trace_paths.get(bench),
+    )
 
 
 def cache_entries(path) -> dict[str, dict]:

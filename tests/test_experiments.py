@@ -16,12 +16,9 @@ from repro.analysis import runner as runner_module
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.sweep import run_sweep
 from repro.core.config import SimConfig
-from repro.idealized import perfect_coalescing
-from repro.workloads.profiles import ALL_PROFILES
 from repro.workloads.suite import Scale
-from repro.workloads.synthetic import synthetic_trace
 
-from helpers import count_trace_builds
+from helpers import count_trace_builds, input_trace
 
 
 def tiny_runner(**kw) -> ExperimentRunner:
@@ -29,16 +26,29 @@ def tiny_runner(**kw) -> ExperimentRunner:
 
 
 def sweep_declared(runner: ExperimentRunner, experiments) -> set[str]:
-    """Sweep the runs ``experiments`` read, inline; their cache names."""
-    names = set()
-    for sweep_runner, cells in declared_sweeps(runner, experiments):
-        run_sweep(sweep_runner, cells, workers=0).raise_on_failure()
-        names |= {
-            sweep_runner.cache_name(bench, sched, seed, perfect)
-            for bench, sched, perfect in cells
-            for seed in runner.seeds
-        }
-    return names
+    """Sweep the runs ``experiments`` read in one inline sweep; their
+    cache names."""
+    sweeps = declared_sweeps(runner, experiments)
+    if sweeps:
+        run_sweep(sweeps, workers=0).raise_on_failure()
+    return {
+        sweep_runner.cache_name(bench, sched, seed, perfect)
+        for sweep_runner, cells in sweeps
+        for bench, sched, perfect in cells
+        for seed in runner.seeds
+    }
+
+
+def one_input_per_suite(monkeypatch) -> None:
+    """Shrink the irregular suite to sad and the regular one to
+    streamcluster."""
+    monkeypatch.setattr(
+        ExperimentRunner, "irregular_benchmarks", staticmethod(lambda: ("sad",))
+    )
+    monkeypatch.setattr(
+        ExperimentRunner, "regular_benchmarks",
+        staticmethod(lambda: ("streamcluster",)),
+    )
 
 
 # -- runner ---------------------------------------------------------------------
@@ -49,14 +59,14 @@ def test_runner_rejects_bad_kind():
 
 def test_runner_memoizes_runs():
     r = tiny_runner()
-    a, _meta = r.run_job("sad", "gmc", 1)
+    a, _meta = r.run_job("sad", "gmc", 1, False, input_trace(r, "sad"))
     b = r.run("sad", "gmc", seed=1)
     assert a is b  # cached object
 
 
 def test_runner_disk_cache(tmp_path):
     r1 = ExperimentRunner(scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path))
-    a, _meta = r1.run_job("sad", "gmc", 1)
+    a, _meta = r1.run_job("sad", "gmc", 1, False, input_trace(r1, "sad"))
     r2 = ExperimentRunner(scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path))
     b = r2.run("sad", "gmc", seed=1)
     assert a == b
@@ -73,32 +83,15 @@ def test_reading_an_unswept_run_names_it(tmp_path):
 
 def test_runner_extras_present():
     r = tiny_runner()
-    s, _meta = r.run_job("sad", "gmc", 1)
+    s, _meta = r.run_job("sad", "gmc", 1, False, input_trace(r, "sad"))
     for key in ("unit_group_frac", "activates", "reads", "writes", "ipc"):
         assert key in s
     assert s["fallback_reads"] == 0.0  # only the WG family has the fallback
 
 
-def test_perfect_trace_derives_from_the_memoized_base(monkeypatch):
-    """The idealized trace reuses the base build and leaves it intact;
-    releasing a (benchmark, seed) drops both."""
-    builds = count_trace_builds(monkeypatch)
-    r = tiny_runner()
-    base = r.trace("sad", 1)
-    perfect = r.trace("sad", 1, perfect=True)
-    assert builds == [("sad", 1)]
-    fresh = synthetic_trace(
-        ALL_PROFILES["sad"], r.config, seed=1, scale=r.scale.factor
-    )
-    assert base == fresh
-    assert perfect == perfect_coalescing(fresh, r.config.dram_org.line_bytes)
-    r.release_traces("sad", 1)
-    assert r._traces == {}
-
-
 def test_speedup_is_relative():
     r = tiny_runner()
-    r.run_job("sad", "gmc", 1)
+    r.run_job("sad", "gmc", 1, False, input_trace(r, "sad"))
     assert r.speedup("sad", "gmc") == pytest.approx(1.0)
 
 
@@ -119,8 +112,9 @@ def test_distinct_configs_get_distinct_cache_entries(tmp_path):
         cache_dir=str(tmp_path),
     )
     assert base.config_hash != alpha.config_hash
-    a, _meta = base.run_job("sad", "sbwas", 1)
-    b, _meta = alpha.run_job("sad", "sbwas", 1)
+    trace = input_trace(base, "sad")
+    a, _meta = base.run_job("sad", "sbwas", 1, False, trace)
+    b, _meta = alpha.run_job("sad", "sbwas", 1, False, trace)
     assert a["ipc"] != b["ipc"]  # the alpha change is visible, not masked
     names = [p.name for p in tmp_path.iterdir() if p.suffix == ".json"]
     assert len(names) == 2
@@ -186,13 +180,7 @@ def test_each_experiment_reads_exactly_the_runs_it_declares(
     """Sweeping an experiment's declared runs into an empty cache fills
     exactly those entries, and the driver then renders from them alone,
     reading every one, with no simulation."""
-    monkeypatch.setattr(
-        ExperimentRunner, "irregular_benchmarks", staticmethod(lambda: ("sad",))
-    )
-    monkeypatch.setattr(
-        ExperimentRunner, "regular_benchmarks",
-        staticmethod(lambda: ("streamcluster",)),
-    )
+    one_input_per_suite(monkeypatch)
     r = tiny_runner(cache_dir=str(tmp_path))
     declared = sweep_declared(r, [experiment])
     assert {p.name for p in tmp_path.iterdir()} == declared
@@ -211,3 +199,12 @@ def test_each_experiment_reads_exactly_the_runs_it_declares(
     monkeypatch.setattr(ExperimentRunner, "run", run)
     assert DRIVERS[experiment].render(tiny_runner(cache_dir=str(tmp_path))).rows
     assert read == declared
+
+
+def test_one_sweep_builds_each_declared_input_once(tmp_path, monkeypatch):
+    """Every declared run, §VI-C's three SBWAS alphas included, sweeps
+    in one call that builds each (benchmark, seed) trace once."""
+    one_input_per_suite(monkeypatch)
+    builds = count_trace_builds(monkeypatch, tmp_path)
+    sweep_declared(tiny_runner(cache_dir=str(tmp_path / "cache")), list(DRIVERS))
+    assert sorted(builds()) == [("sad", 1), ("streamcluster", 1)]

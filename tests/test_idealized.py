@@ -3,6 +3,7 @@
 import dataclasses
 
 from repro.analysis.runner import ExperimentRunner
+from repro.analysis.sweep import run_sweep
 from repro.core.config import SimConfig
 from repro.core.overrides import apply_overrides
 from repro.gpu.coalescer import coalesce
@@ -33,21 +34,32 @@ def test_perfect_coalescing_every_op_single_line():
             assert len(coalesce(s.mem.lane_addrs, line_bytes)) == 1
 
 
-def test_perfect_coalescing_follows_the_configured_line_size():
-    """At a 64-byte line, every load of the perfectly coalesced trace the
-    runner simulates issues exactly one request, as at the default 128."""
+def test_perfect_coalescing_follows_the_configured_line_size(tmp_path, monkeypatch):
+    """At a 64-byte line, every load of the perfectly coalesced trace a
+    sweep simulates issues exactly one request, as at the default 128."""
     cfg = apply_overrides(SimConfig(), {"dram_org.line_bytes": 64})
-    runner = ExperimentRunner(config=cfg, scale=Scale.TINY, seeds=(1,))
+    runner = ExperimentRunner(
+        config=cfg, scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path)
+    )
+    handed = []
+    real_job = runner.run_job
+
+    def run_job(bench, scheduler, seed, perfect, trace):
+        handed.append(trace)
+        return real_job(bench, scheduler, seed, perfect, trace)
+
+    monkeypatch.setattr(runner, "run_job", run_job)
+    run_sweep([(runner, [("bfs", "gmc", True)])], workers=0).raise_on_failure()
+    (trace,) = handed
     loads = [
         s.mem.lane_addrs
-        for w in runner.trace("bfs", 1, perfect=True).warps
+        for w in trace.warps
         for s in w.segments
         if s.mem is not None and not s.mem.is_write
     ]
     assert loads
     assert {len(coalesce(lanes, 64)) for lanes in loads} == {1}
-    summary, _meta = runner.run_job("bfs", "gmc", 1, perfect=True)
-    assert summary["requests_per_load"] == 1.0
+    assert runner.run("bfs", "gmc", 1, perfect=True)["requests_per_load"] == 1.0
 
 
 def test_perfect_coalescing_preserves_structure():

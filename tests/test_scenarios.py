@@ -28,7 +28,7 @@ from repro.scenarios import (
 )
 from repro.workloads.suite import Scale
 
-from helpers import cache_entries, grid
+from helpers import cache_entries, grid, input_trace
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LIBRARY = os.path.join(REPO, "scenarios")
@@ -61,7 +61,7 @@ figure:
 def test_known_metrics_exist_in_real_summaries(tmp_path):
     """Every spec-selectable metric is a key the runner actually emits."""
     r = ExperimentRunner(scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path))
-    summary, _meta = r.run_job("sad", "gmc", 1)
+    summary, _meta = r.run_job("sad", "gmc", 1, False, input_trace(r, "sad"))
     missing = [m for m in KNOWN_METRICS if m not in summary]
     assert not missing, f"spec metrics without a summary key: {missing}"
 
@@ -246,7 +246,7 @@ def test_run_scenario_reuses_hand_coded_sweep_cache(tmp_path):
     runner = ExperimentRunner(
         scale=Scale.TINY, seeds=(1,), cache_dir=str(cache)
     )
-    run_sweep(runner, grid(["sad"], ["gmc", "wg"]), workers=0)
+    run_sweep([(runner, grid(["sad"], ["gmc", "wg"]))], workers=0)
     entries_before = {p.name: p.read_bytes() for p in cache.iterdir()}
     spec = load_spec(write_spec(tmp_path, TINY_SPEC))
     result = run_scenario(spec, cache_dir=str(cache), workers=0)
