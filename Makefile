@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test shapes shapes-quick bench reproduce reproduce-paper examples clean
+.PHONY: install test bench reproduce reproduce-paper examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -10,13 +10,6 @@ install:
 # The tier-1 suite, run from the tree as CI runs it.
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
-
-# The figure-shape tests of benchmarks/ (TINY scale by default).
-shapes:
-	REPRO_HISTORY=0 PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q
-
-shapes-quick:
-	REPRO_BENCH_SCALE=quick REPRO_HISTORY=0 PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q
 
 # The repository benchmark (BENCHMARK.json), as CI's perf-ab job runs it.
 bench:
@@ -26,8 +19,15 @@ bench:
 reproduce:
 	PYTHONPATH=src $(PYTHON) -m repro reproduce --scale quick
 
+# The paper's claims at PAPER scale, gated by their bands, as CI's
+# paper-claims job runs them: into an empty cache (a code change does not
+# move the cache key), writing results/accuracy.json; then EXPERIMENTS.md's
+# claims block is rendered from that file.
 reproduce-paper:
-	PYTHONPATH=src $(PYTHON) -m repro reproduce --scale paper --out results/
+	rm -rf .repro-paper
+	PYTHONPATH=src $(PYTHON) -m repro reproduce --scale paper --seeds 1 2 --workers 2 \
+		--cache-dir .repro-paper --out results/
+	PYTHONPATH=src $(PYTHON) tests/test_accuracy.py
 
 examples:
 	$(PYTHON) examples/quickstart.py
@@ -35,5 +35,5 @@ examples:
 	$(PYTHON) examples/dram_design_space.py
 
 clean:
-	rm -rf .repro-results benchmarks/.benchcache .pytest_cache
+	rm -rf .repro-results .repro-paper .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

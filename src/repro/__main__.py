@@ -16,12 +16,12 @@ Subcommands:
   already in the cache are not rerun, so rerunning a killed run
   finishes it;
 * ``reproduce``   — sweep the runs the paper's tables and figures read,
-  then render them (``--only`` for a subset, ``--out DIR`` for files);
+  render them and measure the paper's claims on them (``--only`` for a
+  subset, ``--out DIR`` for the tables and ``accuracy.json``); a PAPER
+  run at seeds 1 and 2 exits 1 when a claim leaves its band;
 * ``fuzz``        — differential/metamorphic fuzzing campaign over random
   configs and workloads, with failure minimization and replayable repro
   artifacts (``--replay``) — see docs/robustness.md;
-* ``accuracy``    — export the EXPERIMENTS.md paper-vs-measured table as
-  ``results/accuracy.json`` for the dashboard and external tooling;
 * ``history``     — inspect the append-only run-history store
   (``list``/``show``/``diff``) — see docs/observability.md;
 * ``dashboard``   — render the self-contained static HTML dashboard
@@ -46,9 +46,15 @@ from repro import (
     simulate,
 )
 from repro.analysis import format_table
-from repro.analysis.experiments import DRIVERS, declared_sweeps
+from repro.analysis.experiments import (
+    DRIVERS,
+    accuracy_doc,
+    declared_sweeps,
+    outside_band,
+)
 from repro.analysis.runner import ExperimentRunner, build_trace
 from repro.analysis.sweep import run_sweep
+from repro.core.atomic import atomic_write_json
 from repro.core.overrides import (
     apply_overrides as apply_config_overrides,
     parse_assignment,
@@ -61,6 +67,7 @@ from repro.guardrails import (
     load_checkpoint,
     peek_checkpoint,
 )
+from repro.history import record_run
 from repro.telemetry import TelemetryHub
 
 
@@ -364,13 +371,34 @@ def cmd_reproduce(args) -> int:
         ).raise_on_failure()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
+    results = {}
     for rid in experiments:
-        res = DRIVERS[rid].render(runner)
+        res = results[rid] = DRIVERS[rid].render(runner)
         print()
         print(res)
         if args.out:
             with open(os.path.join(args.out, f"{rid}.txt"), "w") as fh:
                 fh.write(f"{res}\n")
+    doc = accuracy_doc(runner, results)
+    if args.out:
+        atomic_write_json(os.path.join(args.out, "accuracy.json"), doc)
+        record_run("accuracy", doc)
+    misses = outside_band(doc) if doc["gated"] else []
+    if misses:
+        print(
+            f"repro reproduce: {len(misses)} claim(s) outside their band: "
+            + "; ".join(misses),
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"[accuracy] {len(doc['entries'])} claims, " + (
+            "all inside their bands" if doc["gated"] else
+            "bands not checked: they hold only for the run they were "
+            "measured at (analysis/experiments.py::BANDED_RUN)"
+        ),
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -467,19 +495,6 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def cmd_accuracy(args) -> int:
-    from repro.analysis.experiments import write_accuracy
-
-    doc = write_accuracy(args.out)
-    pct = sum(1 for e in doc["entries"] if e["unit"] == "pct")
-    print(
-        f"[accuracy] {len(doc['entries'])} paper-vs-measured entries "
-        f"({pct} percent-unit) -> {args.out}",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def _history_store(args):
     from repro.history import default_store
     from repro.history.store import HistoryStore
@@ -490,7 +505,7 @@ def _history_store(args):
     if not os.path.isdir(store.root):
         print(
             f"repro history: note: {store.root} does not exist yet — "
-            "scenario/fuzz/accuracy runs create it (REPRO_HISTORY_DIR overrides)",
+            "scenario/reproduce/fuzz runs create it (REPRO_HISTORY_DIR overrides)",
             file=sys.stderr,
         )
     return store
@@ -508,11 +523,6 @@ def _history_summary(record) -> str:
         return f"{p.get('cases_run', '?')} cases, {state}"
     if record.kind == "accuracy":
         return f"{len(p.get('entries') or [])} entries"
-    if record.kind == "benchmarks":
-        return (
-            f"{p.get('tests_collected', '?')} tests at {p.get('scale', '?')}, "
-            f"{p.get('tests_failed', 0)} failed"
-        )
     return f"{len(p)} payload keys"
 
 
@@ -601,8 +611,8 @@ def cmd_dashboard(args) -> int:
     if args.check and not build.ok:
         print(
             "repro dashboard: error: build is hollow (see PROBLEM lines); "
-            "run `python3 bench/run.py` / `python -m repro accuracy` to "
-            "produce its inputs",
+            "run `python3 bench/run.py` / `python -m repro reproduce "
+            "--scale paper --out results/` to produce its inputs",
             file=sys.stderr,
         )
         return 1
@@ -719,7 +729,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="run these experiments only (default: all, "
                             f"in the paper's order: {' '.join(DRIVERS)})")
     p_rep.add_argument("--out", default=None, metavar="DIR",
-                       help="also write each table to DIR/EXP.txt")
+                       help="also write each table to DIR/EXP.txt and the "
+                            "measured claims to DIR/accuracy.json")
     p_rep.set_defaults(fn=cmd_reproduce)
 
     p_fz = sub.add_parser(
@@ -748,14 +759,6 @@ def main(argv: list[str] | None = None) -> int:
     p_fz.add_argument("--quiet", action="store_true",
                       help="suppress per-case progress on stderr")
     p_fz.set_defaults(fn=cmd_fuzz)
-
-    p_acc = sub.add_parser(
-        "accuracy",
-        help="export EXPERIMENTS.md paper-vs-measured numbers as JSON",
-    )
-    p_acc.add_argument("--out", default="results/accuracy.json", metavar="PATH",
-                       help="export path (default results/accuracy.json)")
-    p_acc.set_defaults(fn=cmd_accuracy)
 
     p_h = sub.add_parser(
         "history", help="inspect the run-history store (docs/observability.md)"

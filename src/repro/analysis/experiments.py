@@ -3,54 +3,43 @@
 Each ``figN_*``/``secN_*`` function regenerates one table or figure of the
 paper's evaluation from an :class:`ExperimentRunner` and returns an
 :class:`ExperimentResult` whose ``table`` is ready to print and whose
-``headline`` dict carries the numbers EXPERIMENTS.md records against the
-paper's.  ``DRIVERS`` lists them in the paper's order (``python -m repro
+``headline`` dict and rows carry the numbers the paper's claims are read
+from.  ``DRIVERS`` lists them in the paper's order (``python -m repro
 reproduce`` runs them), each with the :class:`Runs` it reads.  A driver
 only reads: :func:`declared_sweeps` turns the runs a set of experiments
 reads into one (runner, cells) pair per config variant, and one
 :func:`repro.analysis.sweep.run_sweep` call simulates them all first.
-
-Paper targets (for orientation; see EXPERIMENTS.md for measured values):
-
-=========  ==============================================================
-Fig. 2     56% of irregular loads issue >1 request; mean 5.9 reqs/load
-Fig. 3     last/first DRAM latency ~1.6x; 2.5 controllers per warp
-Fig. 4     perfect coalescing ~5x; zero latency divergence +43%
-Table I    MERB(1..6+) = 31, 20, 10, 7, 5, 5
-Fig. 8     WG +3.4%, WG-M +6.2%, WG-Bw +8.4%, WG-W +10.1% (vs GMC)
-Fig. 9     effective latency: WG -9.1%, WG-M -16.9%
-Fig. 10    divergence shrinks under WG/WG-M, most for multi-channel warps
-Fig. 11    WG-Bw recovers >14% bandwidth over WG-M
-Fig. 12    WG-W wins where write intensity and unit groups are high
-§VI-A      regular apps: ~+1.8% with WG-W, no slowdowns
-§VI-B      16% lower row-hit rate -> ~+1.8% GDDR5 power
-§VI-C      SBWAS ~+2.5%; WAFCFS ~-11%
-=========  ==============================================================
+``CLAIMS`` holds every claim of the paper's evaluation, each read off
+its experiment's rendered result and held to a band;
+:func:`accuracy_doc` measures them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.report import format_table, geomean
-from repro.analysis.runner import ExperimentRunner
-from repro.core.atomic import atomic_write_json
+from repro.analysis.runner import ExperimentRunner, config_hash
+from repro.analysis.schema import ACCURACY_SCHEMA
 from repro.core.config import SimConfig
 from repro.core.overrides import apply_overrides
 from repro.dram.power import estimate_channel_power
 from repro.mc.merb import merb_table, single_bank_utilization
 
 __all__ = [
-    "ACCURACY_ENTRIES",
+    "BANDED_RUN",
+    "CLAIMS",
+    "Claim",
     "DRIVERS",
     "Experiment",
     "ExperimentResult",
     "Runs",
     "accuracy_doc",
     "declared_sweeps",
-    "write_accuracy",
+    "outside_band",
     "fig2_coalescing",
     "fig3_divergence",
     "fig4_opportunity",
@@ -483,125 +472,230 @@ def declared_sweeps(
     ]
 
 
+
+
 # ----------------------------------------------------------------------
-# paper-accuracy export (results/accuracy.json)
+# Paper claims (accuracy.json)
 # ----------------------------------------------------------------------
-#: Machine-readable mirror of the EXPERIMENTS.md paper-vs-measured table.
-#: Each entry's ``paper_text``/``measured_text`` is a literal snippet of
-#: that table's row — tests/test_accuracy.py asserts the doc and this
-#: export never drift apart.  :func:`accuracy_doc` adds each entry's
-#: ``delta``, measured - paper in the entry's own unit; percent entries
-#: feed the dashboard's accuracy chart.
-ACCURACY_ENTRIES: tuple[dict, ...] = (
-    {"id": "fig2-divergent", "figure": "Fig. 2",
-     "metric": "loads issuing >1 request", "unit": "pct",
-     "paper": 56.0, "measured": 59.0,
-     "paper_text": "56%", "measured_text": "59% divergent"},
-    {"id": "fig2-requests", "figure": "Fig. 2",
-     "metric": "requests per load", "unit": "count",
-     "paper": 5.9, "measured": 5.39,
-     "paper_text": "5.9 requests/load", "measured_text": "5.39 requests/load"},
-    {"id": "fig3-ratio", "figure": "Fig. 3",
-     "metric": "last/first main-memory latency", "unit": "x",
-     "paper": 1.6, "measured": 6.1,
-     "paper_text": "≈1.6×", "measured_text": "6.1×"},
-    {"id": "fig3-controllers", "figure": "Fig. 3",
-     "metric": "controllers per warp", "unit": "count",
-     "paper": 2.5, "measured": 2.17,
-     "paper_text": "2.5 controllers/warp",
-     "measured_text": "2.17 controllers/warp"},
-    {"id": "fig4-coalescing", "figure": "Fig. 4",
-     "metric": "perfect-coalescing speedup", "unit": "x",
-     "paper": 5.0, "measured": 4.55,
-     "paper_text": "≈5×", "measured_text": "4.55×"},
-    {"id": "fig4-zerodiv", "figure": "Fig. 4",
-     "metric": "zero-divergence speedup", "unit": "pct",
-     "paper": 43.0, "measured": 60.0,
-     "paper_text": "+43%", "measured_text": "+60%"},
-    {"id": "table1-util", "figure": "Table I",
-     "metric": "single-bank utilization bound", "unit": "pct",
-     "paper": 62.0, "measured": 62.0,
-     "paper_text": "62% single-bank util", "measured_text": "62.0%"},
-    {"id": "fig8-wg", "figure": "Fig. 8",
-     "metric": "WG speedup", "unit": "pct",
-     "paper": 3.4, "measured": 8.1,
-     "paper_text": "WG +3.4%", "measured_text": "WG +8.1%"},
-    {"id": "fig8-wgm", "figure": "Fig. 8",
-     "metric": "WG-M speedup", "unit": "pct",
-     "paper": 6.2, "measured": 7.2,
-     "paper_text": "WG-M +6.2%", "measured_text": "WG-M +7.2%"},
-    {"id": "fig8-wgbw", "figure": "Fig. 8",
-     "metric": "WG-Bw speedup", "unit": "pct",
-     "paper": 8.4, "measured": 9.2,
-     "paper_text": "WG-Bw +8.4%", "measured_text": "WG-Bw +9.2%"},
-    {"id": "fig8-wgw", "figure": "Fig. 8",
-     "metric": "WG-W speedup", "unit": "pct",
-     "paper": 10.1, "measured": 9.2,
-     "paper_text": "WG-W +10.1%", "measured_text": "WG-W +9.2%"},
-    {"id": "fig9-wg", "figure": "Fig. 9",
-     "metric": "WG effective-latency change", "unit": "pct",
-     "paper": -9.1, "measured": -4.4,
-     "paper_text": "WG −9.1%", "measured_text": "WG −4.4%"},
-    {"id": "fig9-wgm", "figure": "Fig. 9",
-     "metric": "WG-M effective-latency change", "unit": "pct",
-     "paper": -16.9, "measured": -4.1,
-     "paper_text": "WG-M −16.9%", "measured_text": "WG-M −4.1%"},
-    {"id": "fig11-margin", "figure": "Fig. 11",
-     "metric": "WG-Bw utilization margin over WG-M", "unit": "pct",
-     "paper": 14.0, "measured": 1.9,
-     "paper_text": ">14%", "measured_text": "+1.9%"},
-    {"id": "sec6a-regular", "figure": "§VI-A",
-     "metric": "regular-app geomean change", "unit": "pct",
-     "paper": 1.8, "measured": -0.5,
-     "paper_text": "+1.8%", "measured_text": "−0.5% geomean"},
-    {"id": "sec6b-energy", "figure": "§VI-B",
-     "metric": "GDDR5 energy change", "unit": "pct",
-     "paper": 1.8, "measured": -1.5,
-     "paper_text": "+1.8% GDDR5 power",
-     "measured_text": "energy/access −1.5%"},
-    {"id": "sec6c-sbwas", "figure": "§VI-C",
-     "metric": "SBWAS speedup", "unit": "pct",
-     "paper": 2.5, "measured": 1.9,
-     "paper_text": "SBWAS +2.5%", "measured_text": "SBWAS +1.9%"},
-    {"id": "sec6c-wafcfs", "figure": "§VI-C",
-     "metric": "WAFCFS change", "unit": "pct",
-     "paper": -11.2, "measured": -1.4,
-     "paper_text": "WAFCFS −11.2%", "measured_text": "WAFCFS −1.4%"},
-    {"id": "sec6c-gap", "figure": "§VI-C",
-     "metric": "WG-W gap over SBWAS", "unit": "pct",
-     "paper": 7.3, "measured": 7.3,
-     "paper_text": "by 7.3%", "measured_text": "by 7.3pp"},
-)
+@dataclass(frozen=True)
+class Claim:
+    """One claim of the paper's evaluation, read off the rendered result
+    of its experiment.
+
+    ``paper`` is None where the paper makes the claim only in words.
+    ``band`` is the closed interval (lo, hi), either side open as None,
+    that the measured value must fall in when the run is
+    :data:`BANDED_RUN`: a regression band around the value measured
+    there, or, for an ordering or threshold, a bound on a difference.
+    """
+
+    id: str
+    experiment: str  # a DRIVERS id
+    metric: str
+    unit: str  # "pct", "x" or "count"
+    paper: Optional[float]
+    read: Callable[[ExperimentResult], float]
+    band: tuple[Optional[float], Optional[float]]
 
 
-def accuracy_doc() -> dict:
-    """The paper-accuracy export as a schema-versioned document."""
-    from repro.analysis.schema import ACCURACY_SCHEMA
+#: The run the bands were measured at: (scale, seeds, kind, config hash).
+#: ``reproduce`` checks the bands only for a runner of exactly this run.
+BANDED_RUN = ("PAPER", (1, 2), "synthetic", config_hash(SimConfig()))
 
+MULTI_CONTROLLER = ("cfd", "sp", "sssp", "spmv")
+FEW_CONTROLLER = ("sad", "nw", "SS", "bfs")
+WRITE_HEAVY = ("nw", "SS", "sad", "PVC")
+READ_MOSTLY = ("bfs", "bh", "spmv", "sssp")
+
+
+def _pct(key: str) -> Callable[[ExperimentResult], float]:
+    """A headline fraction, in percent."""
+    return lambda r: 100.0 * r.headline[key]
+
+
+def _gain(key: str) -> Callable[[ExperimentResult], float]:
+    """A headline ratio to GMC, as a percent change."""
+    return lambda r: 100.0 * (r.headline[key] - 1.0)
+
+
+def _value(key: str) -> Callable[[ExperimentResult], float]:
+    return lambda r: r.headline[key]
+
+
+def _cut(key: str) -> Callable[[ExperimentResult], float]:
+    """A headline reduction, as a (negative) percent change."""
+    return lambda r: -100.0 * r.headline[key]
+
+
+def _minus(a: str, b: str) -> Callable[[ExperimentResult], float]:
+    """Headline ``a`` minus headline ``b``, in percentage points."""
+    return lambda r: 100.0 * (r.headline[a] - r.headline[b])
+
+
+def _over(a: str, b: str) -> Callable[[ExperimentResult], float]:
+    """Headline ``a`` over headline ``b``, as a percent change."""
+    return lambda r: 100.0 * (r.headline[a] / r.headline[b] - 1.0)
+
+
+def _column(result: ExperimentResult, col: int) -> dict[str, float]:
+    """Column ``col`` of each benchmark row (not the MEAN/GEOMEAN row)."""
     return {
-        "schema_version": ACCURACY_SCHEMA,
-        "kind": "accuracy",
-        "source": "EXPERIMENTS.md",
-        "generated_by": "repro.analysis.experiments.write_accuracy",
-        "entries": [_with_delta(e) for e in ACCURACY_ENTRIES],
+        row[0]: row[col] for row in result.rows
+        if row[0] not in ("MEAN", "GEOMEAN")
     }
 
 
-def _with_delta(entry: dict) -> dict:
-    """A copy of ``entry`` with ``delta`` inserted after ``measured``."""
-    out = {}
-    for key, value in entry.items():
-        out[key] = value
-        if key == "measured":
-            out["delta"] = round(entry["measured"] - entry["paper"], 6)
-    return out
+def _mean_over(values: dict[str, float], benches: Sequence[str]) -> float:
+    return sum(values[b] for b in benches) / len(benches)
 
 
-def write_accuracy(path: str = "results/accuracy.json") -> dict:
-    """Write ``results/accuracy.json`` (and append a history record)."""
-    from repro.history import record_run
+def _controller_split(r: ExperimentResult) -> float:
+    per_warp = _column(r, 2)
+    return (
+        _mean_over(per_warp, MULTI_CONTROLLER)
+        - _mean_over(per_warp, FEW_CONTROLLER)
+    )
 
-    doc = accuracy_doc()
-    atomic_write_json(path, doc)
-    record_run("accuracy", doc)
-    return doc
+
+def _wg_shrinks(r: ExperimentResult) -> float:
+    gmc, wg = _column(r, 1), _column(r, 2)
+    return float(sum(1 for b in gmc if wg[b] < gmc[b]))
+
+
+def _write_split(r: ExperimentResult) -> float:
+    intensity = _column(r, 1)
+    return (
+        _mean_over(intensity, WRITE_HEAVY) / _mean_over(intensity, READ_MOSTLY)
+    )
+
+
+#: Every claim, in the paper's order.  ``reproduce`` measures the claims
+#: of the experiments it renders; tests/test_accuracy.py checks the
+#: committed measurement (results/accuracy.json) against this table.
+CLAIMS: tuple[Claim, ...] = (
+    Claim("fig2-divergent", "fig2", "loads issuing >1 request", "pct", 56.0,
+          _pct("frac_divergent"), (56.01, 61.91)),
+    Claim("fig2-requests", "fig2", "requests per load", "count", 5.9,
+          _value("requests_per_load"), (5.12, 5.66)),
+    Claim("fig2-min-requests", "fig2", "fewest requests per load of a benchmark",
+          "count", None, lambda r: min(_column(r, 2).values()), (1.0, None)),
+    Claim("fig3-ratio", "fig3", "last/first main-memory latency", "x", 1.6,
+          _value("last_over_first"), (2.76, 9.42)),
+    Claim("fig3-controllers", "fig3", "controllers per warp", "count", 2.5,
+          _value("channels_per_warp"), (2.06, 2.28)),
+    Claim("fig3-split", "fig3",
+          "controllers per warp, cfd/sp/sssp/spmv minus sad/nw/SS/bfs",
+          "count", None, _controller_split, (0.0, None)),
+    Claim("fig4-coalescing", "fig4", "perfect-coalescing speedup", "x", 5.0,
+          _value("perfect_coalescing_x"), (4.33, 4.78)),
+    Claim("fig4-zerodiv", "fig4", "zero-divergence speedup", "pct", 43.0,
+          _gain("zero_divergence_x"), (49.99, 69.37)),
+    Claim("fig4-min-coalescing", "fig4",
+          "smallest perfect-coalescing speedup of a benchmark", "x", None,
+          lambda r: min(_column(r, 1).values()), (1.0, None)),
+    Claim("fig4-min-zerodiv", "fig4",
+          "smallest zero-divergence speedup of a benchmark", "x", None,
+          lambda r: min(_column(r, 2).values()), (1.0, None)),
+    Claim("table1-util", "table1", "single-bank utilization bound", "pct", 62.0,
+          _pct("single_bank_util_at_31"), (58.91, 65.11)),
+    Claim("fig8-wg", "fig8", "WG speedup", "pct", 3.4,
+          _gain("speedup_wg"), (5.7, 10.43)),
+    Claim("fig8-wgm", "fig8", "WG-M speedup", "pct", 6.2,
+          _gain("speedup_wg-m"), (3.4, 10.97)),
+    Claim("fig8-wgbw", "fig8", "WG-Bw speedup", "pct", 8.4,
+          _gain("speedup_wg-bw"), (6.84, 11.53)),
+    Claim("fig8-wgw", "fig8", "WG-W speedup", "pct", 10.1,
+          _gain("speedup_wg-w"), (6.62, 11.81)),
+    Claim("fig8-wgbw-over-wg", "fig8", "WG-Bw speedup minus WG speedup", "pct",
+          None, _minus("speedup_wg-bw", "speedup_wg"), (0.0, None)),
+    Claim("fig9-wg", "fig9", "WG effective-latency change", "pct", -9.1,
+          _cut("latency_reduction_wg"), (-9.71, 0.98)),
+    Claim("fig9-wgm", "fig9", "WG-M effective-latency change", "pct", -16.9,
+          _cut("latency_reduction_wg-m"), (-9.99, 1.72)),
+    Claim("fig9-wgbw", "fig9", "WG-Bw effective-latency change", "pct", None,
+          _cut("latency_reduction_wg-bw"), (None, 0.0)),
+    Claim("fig9-wgw", "fig9", "WG-W effective-latency change", "pct", None,
+          _cut("latency_reduction_wg-w"), (None, 0.0)),
+    Claim("fig10-wg", "fig10", "WG divergence change", "pct", None,
+          _over("divergence_wg", "divergence_gmc"), (None, 0.0)),
+    Claim("fig10-wgm", "fig10", "WG-M divergence change", "pct", None,
+          _over("divergence_wg-m", "divergence_gmc"), (None, 0.0)),
+    Claim("fig10-improved", "fig10", "benchmarks whose divergence WG shrinks",
+          "count", None,
+          _wg_shrinks, (8.0, None)),
+    Claim("fig11-margin", "fig11", "WG-Bw utilization margin over WG-M", "pct",
+          14.0, _pct("wgbw_over_wgm"), (0.36, 3.39)),
+    Claim("fig11-wgw", "fig11", "WG-W utilization change over WG-M", "pct",
+          None, _over("bw_wg-w", "bw_wg-m"), (-2.0, None)),
+    Claim("fig12-write-split", "fig12",
+          "write intensity, nw/SS/sad/PVC over bfs/bh/spmv/sssp", "x", None,
+          _write_split, (2.0, None)),
+    Claim("fig12-heavy-writes", "fig12", "write intensity of nw/SS/sad/PVC",
+          "pct", None,
+          lambda r: 100.0 * _mean_over(_column(r, 1), WRITE_HEAVY), (10.0, None)),
+    Claim("fig12-min-unit-groups", "fig12",
+          "smallest unit-size group share of a benchmark", "pct", None,
+          lambda r: 100.0 * min(_column(r, 2).values()), (10.0, None)),
+    Claim("sec6a-regular", "sec6a", "regular-app geomean change", "pct", 1.8,
+          _gain("regular_speedup"), (-0.96, 0.0)),
+    Claim("sec6a-worst", "sec6a", "worst regular-app change", "pct", None,
+          _gain("worst_case"), (-3.5, None)),
+    Claim("sec6b-energy", "sec6b", "GDDR5 energy change", "pct", 1.8,
+          _pct("mean_energy_delta"), (-2.14, -0.94)),
+    Claim("sec6c-sbwas", "sec6c", "SBWAS speedup", "pct", 2.5,
+          _gain("sbwas_speedup"), (-1.7, 5.45)),
+    Claim("sec6c-wafcfs", "sec6c", "WAFCFS change", "pct", -11.2,
+          _gain("wafcfs_speedup"), (-4.81, 0.0)),
+    Claim("sec6c-sbwas-over-wafcfs", "sec6c",
+          "SBWAS speedup minus WAFCFS speedup", "pct", None,
+          _minus("sbwas_speedup", "wafcfs_speedup"), (0.0, None)),
+    Claim("sec6c-gap", "sec6c", "WG-W gap over SBWAS", "pct", 7.3,
+          _minus("wgw_speedup", "sbwas_speedup"), (6.36, 8.31)),
+)
+
+
+def accuracy_doc(
+    runner: ExperimentRunner, results: dict[str, ExperimentResult]
+) -> dict:
+    """The claims of the rendered ``results`` (experiment id -> result),
+    measured, as the schema-versioned ``accuracy.json`` document:
+    ``gated`` says whether ``runner`` is :data:`BANDED_RUN`, whose bands
+    apply."""
+    entries = []
+    for claim in CLAIMS:
+        result = results.get(claim.experiment)
+        if result is None:
+            continue
+        measured = round(claim.read(result), 4)
+        entries.append({
+            "id": claim.id,
+            "figure": result.experiment.split(" - ")[0],
+            "metric": claim.metric,
+            "unit": claim.unit,
+            "paper": claim.paper,
+            "measured": measured,
+            "delta": (
+                None if claim.paper is None else round(measured - claim.paper, 4)
+            ),
+            "band": list(claim.band),
+        })
+    run = (runner.scale.name, tuple(runner.seeds), runner.kind, runner.config_hash)
+    return {
+        "schema_version": ACCURACY_SCHEMA,
+        "kind": "accuracy",
+        "run": dict(zip(("scale", "seeds", "kind", "config_hash"), run)),
+        "gated": run == BANDED_RUN,
+        "entries": entries,
+    }
+
+
+def outside_band(doc: dict) -> list[str]:
+    """The entries of an ``accuracy.json`` document outside their band,
+    as "id measured not in [lo, hi]" lines."""
+    misses = []
+    for e in doc["entries"]:
+        lo = -math.inf if e["band"][0] is None else e["band"][0]
+        hi = math.inf if e["band"][1] is None else e["band"][1]
+        if not lo <= e["measured"] <= hi:
+            misses.append(f"{e['id']} {e['measured']:g} not in [{lo:g}, {hi:g}]")
+    return misses

@@ -12,7 +12,7 @@ constant                      document
 ``METRICS_SCHEMA``            ``SimStats.write_metrics`` bundle
 ``SWEEP_SCHEMA``              ``SweepReport.to_dict`` / sweep history record
 ``FUZZ_SCHEMA``               fuzz campaign report (``FuzzReport.to_dict``)
-``ACCURACY_SCHEMA``           ``results/accuracy.json`` paper-vs-measured
+``ACCURACY_SCHEMA``           ``accuracy.json`` measured paper claims
 ``HISTORY_SCHEMA``            run-history record envelope
 ============================  ===========================================
 """
@@ -31,7 +31,8 @@ __all__ = [
 METRICS_SCHEMA = 1
 SWEEP_SCHEMA = 1
 FUZZ_SCHEMA = 1
-ACCURACY_SCHEMA = 1
+# v2: each entry is a measured claim with its band.
+ACCURACY_SCHEMA = 2
 # v2 envelopes carried "worker" and "attempt" stamps, which nothing writes
 # any more; readers ignore the two keys, and v1 and v2 lines both read.
 HISTORY_SCHEMA = 2
@@ -49,9 +50,8 @@ _PAYLOAD_CONTRACTS: dict[str, tuple[int, tuple[str, ...]]] = {
 def provenance_problems(kind: str, payload: dict) -> list[str]:
     """Why ``payload`` is not a valid document of ``kind`` (empty = valid).
 
-    Kinds without a registered contract (e.g. ad-hoc ``benchmarks``
-    session records) only need to be dicts — the history store accepts
-    them but cannot vouch for their shape.
+    Kinds without a registered contract only need to be dicts — the
+    history store accepts them but cannot vouch for their shape.
     """
     if not isinstance(payload, dict):
         return [f"{kind} payload is {type(payload).__name__}, not a dict"]

@@ -202,16 +202,18 @@ def _hero_tiles(
         })
     entries = (accuracy or {}).get("entries") or []
     if entries:
-        worst = max(
-            entries, key=lambda e: abs(float(e.get("delta") or 0.0))
-        )
-        tiles.append({
-            "label": "paper-accuracy entries",
-            "value": f"{len(entries)}",
-            "note": (
-                f"worst delta {float(worst['delta']):+.1f} "
+        against_paper = [e for e in entries if e.get("delta") is not None]
+        note = f"{len(against_paper)} with a paper value"
+        if against_paper:
+            worst = max(against_paper, key=lambda e: abs(float(e["delta"])))
+            note += (
+                f"; worst delta {float(worst['delta']):+.1f} "
                 f"({worst['figure']} {worst['metric']})"
-            ),
+            )
+        tiles.append({
+            "label": "paper claims",
+            "value": f"{len(entries)}",
+            "note": note,
         })
     return stat_tiles(tiles)
 
@@ -250,7 +252,7 @@ def _render_page(
         "Regenerate with <code>python -m repro dashboard</code>; "
         "benchmark with <code>python3 bench/run.py</code>; "
         "ingest runs via <code>python -m repro scenario run</code> / "
-        "<code>fuzz</code> / <code>accuracy</code>.</footer>"
+        "<code>fuzz</code> / <code>reproduce --out</code>.</footer>"
     )
     parts.append("</main></body></html>")
     return "\n".join(parts)

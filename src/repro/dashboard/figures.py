@@ -120,18 +120,19 @@ def benchmark_figure(results: Sequence[tuple[str, dict]]) -> Figure:
 # 2. paper-vs-measured accuracy
 # ----------------------------------------------------------------------
 def accuracy_figure(accuracy: Optional[dict]) -> Figure:
-    """Paper value vs this repo's measured value per EXPERIMENTS.md entry.
+    """Paper value vs this repo's measured value per claim.
 
-    Percent-unit entries are charted (as magnitudes, tip labels keep the
-    sign); entries in other units — ratios, multipliers, counts — live
-    in the table, where mixed units cannot silently share an axis.
+    Percent-unit claims with a paper value are charted (as magnitudes,
+    tip labels keep the sign); the rest — ratios, multipliers, counts,
+    and claims the paper makes only in words — live in the table, where
+    mixed units cannot silently share an axis.
     """
     fig = Figure(
         figure_id="accuracy",
         title="Paper vs measured",
         subtitle=(
-            "EXPERIMENTS.md headline numbers: the paper's reported "
-            "value against this simulator's measurement"
+            "The paper's claims as repro reproduce measured them: the "
+            "paper's value, this simulator's, and the band it must hold"
         ),
     )
     entries = (accuracy or {}).get("entries") or []
@@ -139,11 +140,14 @@ def accuracy_figure(accuracy: Optional[dict]) -> Figure:
         fig.empty = True
         fig.empty_reason = (
             "results/accuracy.json missing or empty — run "
-            "`python -m repro accuracy`"
+            "`python -m repro reproduce --scale paper --out results/`"
         )
         return fig
 
-    pct = [e for e in entries if e.get("unit") == "pct"]
+    pct = [
+        e for e in entries
+        if e.get("unit") == "pct" and e.get("paper") is not None
+    ]
     if pct:
         labels = [f"{e['figure']} · {e['metric']}" for e in pct]
         series = {
@@ -172,23 +176,32 @@ def accuracy_figure(accuracy: Optional[dict]) -> Figure:
         )
         fig.legend_html = legend_html(["paper", "measured"])
     fig.table_html = data_table(
-        ["figure", "metric", "unit", "paper", "measured", "delta"],
+        ["figure", "metric", "unit", "paper", "measured", "delta", "band"],
         [
             [e.get("figure"), e.get("metric"), e.get("unit"),
-             e.get("paper_text", e.get("paper")),
-             e.get("measured_text", e.get("measured")),
-             f"{float(e.get('delta', 0.0)):+.2f}"]
+             _or_dash(e.get("paper")), e.get("measured"),
+             _or_dash(e.get("delta"), "{:+.2f}"), _band_text(e.get("band"))]
             for e in entries
         ],
     )
-    non_pct = len(entries) - len(pct)
-    if non_pct:
+    table_only = len(entries) - len(pct)
+    if table_only:
         fig.note = (
-            f"{non_pct} non-percent entr{'y' if non_pct == 1 else 'ies'} "
-            "(ratios/multipliers/counts) are table-only — mixed units "
-            "never share an axis"
+            f"{table_only} claim{'' if table_only == 1 else 's'} "
+            "(ratios/multipliers/counts, or no paper value) are "
+            "table-only — mixed units never share an axis"
         )
     return fig
+
+
+def _or_dash(value, fmt: str = "{}") -> str:
+    return "—" if value is None else fmt.format(value)
+
+
+def _band_text(band) -> str:
+    """``[lo, hi]``, an open side as ``−∞``/``∞``."""
+    lo, hi = band or (None, None)
+    return f"[{'−∞' if lo is None else lo}, {'∞' if hi is None else hi}]"
 
 
 # ----------------------------------------------------------------------

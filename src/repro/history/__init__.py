@@ -9,8 +9,8 @@ door adds the environment-driven default plumbing the producers use:
   disables ingestion globally so simulations inside tests don't write
   into the working tree);
 * :func:`record_run` — best-effort append used by every producer
-  (the sweep harness, the fuzzer, the accuracy export, the benchmark
-  conftest): silently skips when disabled, *warns* instead of raising
+  (the sweep harness, the fuzzer, ``reproduce --out``'s claim
+  measurement): silently skips when disabled, *warns* instead of raising
   on any store problem, so observability can never fail a measurement.
 
 See docs/observability.md ("Run history & dashboard") for the record

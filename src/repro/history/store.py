@@ -1,7 +1,7 @@
 """Append-only, schema-versioned run-history store.
 
 Every measurement the repo produces — a sweep throughput report, a fuzz
-campaign, a paper-accuracy export — appends one JSON line to
+campaign, a measurement of the paper's claims — appends one JSON line to
 ``results/history/<kind>.jsonl``.  A record is an envelope
 (schema version, kind, sequence id, UTC timestamp, git SHA, config hash,
 host + interpreter, calibration score) around the producer's own
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: Kinds with first-class dashboard views, in display order.
-KNOWN_KINDS = ("sweep", "fuzz", "accuracy", "benchmarks")
+KNOWN_KINDS = ("sweep", "fuzz", "accuracy")
 
 
 class HistoryError(Exception):

@@ -138,8 +138,8 @@ MODERN_SUITE: dict[str, Builder] = {
 _ALL = {**IRREGULAR_SUITE, **REGULAR_SUITE, **MODERN_SUITE}
 
 
-def benchmark_names(irregular_only: bool = False) -> tuple[str, ...]:
-    return tuple(IRREGULAR_SUITE if irregular_only else _ALL)
+def benchmark_names() -> tuple[str, ...]:
+    return tuple(_ALL)
 
 
 def build_benchmark(

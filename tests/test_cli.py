@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.__main__ import main
+from repro.analysis.experiments import CLAIMS
 
 
 def test_list(capsys):
@@ -34,10 +35,11 @@ def test_rejects_unknown_benchmark():
         main(["run", "not-a-benchmark"])
 
 
-@pytest.mark.parametrize("gone", ["sweep", "compare"])
+@pytest.mark.parametrize("gone", ["sweep", "compare", "accuracy"])
 def test_one_front_end_per_job(gone, capsys):
     """``scenario run`` is the grid runner and ``reproduce`` the
-    evaluation runner; the duplicate front ends are not commands."""
+    evaluation runner, which also measures the paper's claims; the
+    duplicate front ends are not commands."""
     with pytest.raises(SystemExit) as exc_info:
         main([gone])
     assert exc_info.value.code == 2
@@ -73,10 +75,17 @@ def test_reproduce_only_writes_each_table(tmp_path, capsys):
     assert out.index("Table I") < out.index("Fig. 2")  # the order asked for
     for other in ("Fig. 3", "Fig. 4", "Fig. 8", "Sec VI"):
         assert other not in out
-    assert sorted(os.listdir(out_dir)) == ["fig2.txt", "table1.txt"]
+    assert sorted(os.listdir(out_dir)) == ["accuracy.json", "fig2.txt", "table1.txt"]
     for rid, title in (("table1", "Table I"), ("fig2", "Fig. 2")):
         text = (out_dir / f"{rid}.txt").read_text()
         assert title in text and text in out
+    # The claims of exactly the experiments rendered; a TINY run checks
+    # no band.
+    doc = json.loads((out_dir / "accuracy.json").read_text())
+    assert [e["id"] for e in doc["entries"]] == [
+        c.id for c in CLAIMS if c.experiment in ("fig2", "table1")
+    ]
+    assert doc["gated"] is False
 
 
 def test_run_json_output(capsys):

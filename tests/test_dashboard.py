@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
-from repro.analysis.experiments import accuracy_doc
 from repro.dashboard import REQUIRED_FIGURES, build_dashboard
 from repro.dashboard.figures import (
     accuracy_figure,
@@ -28,6 +27,9 @@ from repro.dashboard.svg import (
     series_var,
 )
 from repro.history.store import HistoryStore
+
+#: The committed PAPER measurement of the paper's claims (read-only here).
+ACCURACY = Path(__file__).resolve().parent.parent / "results" / "accuracy.json"
 
 #: Two real ``bench/run.py`` results of one commit (read-only here).
 BENCH_RESULTS = [
@@ -127,21 +129,28 @@ def test_benchmark_figure_folds_workloads_past_palette():
 
 
 def test_accuracy_figure_renders_real_export():
-    fig = accuracy_figure(accuracy_doc())
+    doc = json.loads(ACCURACY.read_text())
+    fig = accuracy_figure(doc)
     assert not fig.empty
     _assert_valid_svg(fig.svg)
     # signed tip labels survive the magnitude plot
-    assert "-9.1" in fig.svg or "−9.1" in fig.svg or "+8.1" in fig.svg
+    assert "-9.1" in fig.svg and "+8.1" in fig.svg
     assert "paper" in fig.legend_html and "measured" in fig.legend_html
-    # every entry lands in the table, charted or not
-    assert fig.table_html.count("<tr>") == 1 + len(accuracy_doc()["entries"])
+    # only percent claims with a paper value are charted
+    assert "WG-M speedup" in fig.svg
+    assert "WG-Bw effective-latency change" not in fig.svg  # no paper value
+    assert "requests per load" not in fig.svg  # not a percent
+    # every claim lands in the table with its band, charted or not
+    assert fig.table_html.count("<tr>") == 1 + len(doc["entries"])
+    assert "[56.01, 61.91]" in fig.table_html and "[1.0, ∞]" in fig.table_html
     assert "table-only" in fig.note
 
 
 def test_accuracy_figure_empty():
     for doc in (None, {}, {"entries": []}):
         fig = accuracy_figure(doc)
-        assert fig.empty and "repro accuracy" in fig.empty_reason
+        assert fig.empty
+        assert "repro reproduce --scale paper --out results/" in fig.empty_reason
 
 
 def test_fuzz_figure_renders(store):
@@ -163,11 +172,10 @@ def test_fuzz_figure_empty():
 # build
 # ----------------------------------------------------------------------
 def test_build_dashboard_self_contained(store, tmp_path):
-    acc = tmp_path / "accuracy.json"
-    acc.write_text(json.dumps(accuracy_doc()))
     out = tmp_path / "dash"
     build = build_dashboard(
-        store.root, str(out), accuracy_path=str(acc), bench_paths=BENCH_RESULTS
+        store.root, str(out), accuracy_path=str(ACCURACY),
+        bench_paths=BENCH_RESULTS,
     )
     assert build.ok, build.problems
     html = (out / "index.html").read_text()
@@ -291,14 +299,12 @@ def test_fmt_num():
 # CLI
 # ----------------------------------------------------------------------
 def test_cli_dashboard_check_gates(tmp_path, capsys):
-    acc = tmp_path / "accuracy.json"
-    acc.write_text(json.dumps(accuracy_doc()))
     out = str(tmp_path / "dash")
     # A bench/run.py result plus an accuracy export is enough: the
     # history may be empty.
     args = ["dashboard", "--out", out, "--check",
             "--history-dir", str(tmp_path / "empty-history"),
-            "--accuracy", str(acc)]
+            "--accuracy", str(ACCURACY)]
     assert main(args + ["--bench", BENCH_RESULTS[0]]) == 0
     err = capsys.readouterr().err
     assert re.search(r"benchmark\s+ok", err)
@@ -340,14 +346,6 @@ def test_cli_history_errors(store, capsys):
     assert main(["history", "--dir", store.root,
                  "diff", "sweep-0001", "fuzz-0001"]) == 2
     assert "cannot diff" in capsys.readouterr().err
-
-
-def test_cli_accuracy_export(tmp_path, capsys):
-    out = tmp_path / "acc.json"
-    assert main(["accuracy", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["entries"] and doc["kind"] == "accuracy"
-    assert "19 paper-vs-measured" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

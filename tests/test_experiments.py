@@ -140,8 +140,9 @@ def test_config_hash_is_stable_and_sensitive():
 # -- drivers ---------------------------------------------------------------------
 def test_table1_driver():
     res = table1_merb()
-    assert res.rows[0] == [1, 31]
-    assert res.rows[1] == [2, 20]
+    assert res.rows == [
+        [1, 31], [2, 20], [3, 10], [4, 7], [5, 5], [6, 5], ["6-16", 5],
+    ]
     assert "MERB" in res.table
     assert res.headline["single_bank_util_at_31"] == pytest.approx(0.62, abs=0.005)
 
