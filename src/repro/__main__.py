@@ -33,6 +33,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -329,9 +330,13 @@ def cmd_scenario(args) -> int:
     except SpecError as exc:
         print(f"repro scenario: error: {exc}", file=sys.stderr)
         return 2
+    if args.scale:
+        # One spec serves CI (tiny) and real runs; the spec that runs,
+        # and so its hash and --out document, names the scale it ran at.
+        spec = dataclasses.replace(spec, scale=args.scale.upper())
     print(
         f"[scenario] {spec.name}: preset {spec.preset}, "
-        f"{spec.n_jobs} jobs at {args.scale or spec.scale} "
+        f"{spec.n_jobs} jobs at {spec.scale} "
         f"(spec {spec.spec_hash()})",
         file=sys.stderr,
     )
@@ -340,7 +345,6 @@ def cmd_scenario(args) -> int:
             spec,
             cache_dir=args.cache_dir,
             workers=args.workers,
-            scale=args.scale,
             progress=lambda msg: print(msg, file=sys.stderr),
         )
     except ScenarioError as exc:

@@ -1,10 +1,10 @@
-"""Shared experiment runner with content-addressed result caching.
+"""Shared experiment runner over a content-addressed result cache.
 
 Figures 8-12 all derive from the same (benchmark x scheduler) sweep, so
 experiments share one :class:`ExperimentRunner`.  Its ``run_job`` is the
-one call that simulates a run, caching the summary in memory and
-optionally as JSON on disk; ``run`` and ``mean`` only read those, and a
-run nobody swept raises.
+one call that simulates a run, and it writes the summary as the run's
+JSON cache entry, the one place a result lives; ``run`` and ``mean`` only
+read entries, and a run nobody swept raises.
 
 :func:`build_trace` is the one place a benchmark name becomes a trace;
 :func:`repro.analysis.sweep.run_sweep` builds each input once and hands
@@ -34,8 +34,8 @@ Workload kinds:
 
 The parallel sweep harness built on top of this runner (worker dispatch,
 retries, progress) lives in :mod:`repro.analysis.sweep`; a sweep job is
-done once its cache entry is on disk, so the cache is the sweep's only
-record of finished work.
+named by its cache entry and done once that entry reads back, so the
+cache is the sweep's only record of finished work.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import time
 from typing import Optional
 
 from repro.core.atomic import atomic_write_json
@@ -125,9 +124,11 @@ def _file_fingerprint(path: str) -> str:
 
 
 class ExperimentRunner:
-    """Runs (benchmark, scheduler) pairs once and caches their summaries.
+    """Simulates (benchmark, scheduler, seed) runs into ``cache_dir`` and
+    reads them back.
 
-    It holds no traces: ``run_job`` simulates the one the sweep hands it."""
+    It holds neither traces nor results: ``run_job`` simulates the trace
+    the sweep hands it, and every read goes to the run's cache entry."""
 
     def __init__(
         self,
@@ -135,7 +136,8 @@ class ExperimentRunner:
         scale: Scale = Scale.QUICK,
         seeds: tuple[int, ...] = (1, 2),
         kind: str = "synthetic",
-        cache_dir: Optional[str] = None,
+        *,
+        cache_dir: str,
         trace_paths: Optional[dict[str, str]] = None,
     ) -> None:
         if kind not in ("synthetic", "algorithmic", "trace"):
@@ -161,7 +163,6 @@ class ExperimentRunner:
             for name, path in self.trace_paths.items()
         }
         self.config_hash = config_hash(self.config)
-        self._results: dict[tuple, dict[str, float]] = {}
 
     def _bench_key(self, bench: str) -> str:
         """``bench``, with its trace file's fingerprint for kind ``trace``."""
@@ -178,7 +179,7 @@ class ExperimentRunner:
         )
 
     # ------------------------------------------------------------------
-    # simulation with caching
+    # the result cache
     # ------------------------------------------------------------------
     def cache_name(
         self, bench: str, scheduler: str, seed: int, perfect: bool = False
@@ -192,10 +193,8 @@ class ExperimentRunner:
 
     def cache_path(
         self, bench: str, scheduler: str, seed: int, perfect: bool = False
-    ) -> Optional[str]:
-        """Cache file for one run (None without a ``cache_dir``)."""
-        if self.cache_dir is None:
-            return None
+    ) -> str:
+        """Cache file for one run."""
         return os.path.join(
             self.cache_dir, self.cache_name(bench, scheduler, seed, perfect)
         )
@@ -210,11 +209,8 @@ class ExperimentRunner:
         a miss like a missing one: the run simulates again and rewrites
         it atomically.
         """
-        path = self.cache_path(bench, scheduler, seed, perfect)
-        if path is None:
-            return None
         try:
-            with open(path) as fh:
+            with open(self.cache_path(bench, scheduler, seed, perfect)) as fh:
                 entry = json.load(fh)
         except (OSError, ValueError):
             return None
@@ -223,85 +219,65 @@ class ExperimentRunner:
     def run(
         self, bench: str, scheduler: str, seed: int, perfect: bool = False
     ) -> dict[str, float]:
-        """One run's summary, from memory or the disk cache.
+        """One run's summary, read from its cache entry.
 
-        Never simulates: a run that no :meth:`run_job` produced, here or
-        into the shared ``cache_dir``, raises ``LookupError`` naming it.
+        Never simulates: a run without a readable entry, because no
+        :meth:`run_job` wrote it or because it was deleted or damaged
+        since, raises ``LookupError`` naming it.
         """
-        key = (bench, scheduler, seed, perfect)
-        if key not in self._results:
-            entry = self.read_cache(bench, scheduler, seed, perfect)
-            if entry is None:
-                raise LookupError(
-                    f"run {self.cache_name(bench, scheduler, seed, perfect)} "
-                    "is in neither memory nor the cache; sweep it first"
-                )
-            self._results[key] = entry
-        return self._results[key]
+        entry = self.read_cache(bench, scheduler, seed, perfect)
+        if entry is None:
+            raise LookupError(
+                f"run {self.cache_name(bench, scheduler, seed, perfect)} "
+                "is not in the cache; sweep it first"
+            )
+        return entry
 
     def run_job(
         self, bench: str, scheduler: str, seed: int, perfect: bool,
         trace: KernelTrace,
-    ) -> tuple[dict[str, float], dict]:
-        """One sweep job: the run's summary, simulated on ``trace`` unless
-        it is already in memory or on disk.
+    ) -> None:
+        """One sweep job: simulate ``trace`` and write the run's summary as
+        its cache entry.
 
         The sweep runs every job through this method, inline and in
         worker processes alike, handing it the job's input trace
-        (perfectly coalesced for ``perfect``; :mod:`repro.analysis.sweep`).
-        Returns ``(summary, meta)``; ``meta`` records whether the job actually
-        simulated, plus its wall time and engine event count.  A sweep
-        reports a job done only with a readable cache entry on disk, so a
-        memo hit whose file has since been deleted or damaged writes it
-        again.
+        (perfectly coalesced for ``perfect``; :mod:`repro.analysis.sweep`),
+        and reads the entry back to report the job done.
         """
         # Chaos window at job entry (inert unless REPRO_CHAOS arms it): lets
         # the fault tests hang, fail or SIGKILL a job at a defined step —
         # the sweep's timeout supervisor and crash retry are proven against
         # exactly this point.
         chaos_point("job-start")
-        t0 = time.time()
-        key = (bench, scheduler, seed, perfect)
-        on_disk = self.read_cache(bench, scheduler, seed, perfect)
-        summary = self._results.get(key, on_disk)
-        simulated = summary is None
-        if simulated:
-            stats = simulate(self.config.with_scheduler(scheduler), trace)
-            summary = stats.summary()
-            # Extras the figures need beyond the headline summary.
-            recs = stats.dram_loads()
-            summary["unit_group_frac"] = (
-                sum(1 for r in recs if r.dram_requests == 1) / len(recs)
-                if recs else 0.0
-            )
-            summary["banks_per_warp"] = (
-                sum(r.banks_touched for r in recs if r.dram_requests > 1)
-                / max(1, sum(1 for r in recs if r.dram_requests > 1))
-            )
-            channels = stats.channels
-            for extra, counter in (
-                ("activates", "activates"), ("reads", "reads"), ("writes", "writes"),
-                ("coord_msgs", "coordination_msgs_applied"),
-                ("merb_deferrals", "merb_deferrals"),
-                ("wgw_promotions", "wgw_promotions"),
-                ("fallback_reads", "fallback_reads"),
-            ):
-                summary[extra] = float(sum(getattr(c, counter) for c in channels))
-            # Host-side cost of producing this entry (the sweep harness
-            # reports events/sec per job from these).
-            summary["sim_events"] = float(stats.events_processed)
-            summary["sim_wall_s"] = stats.wall_seconds
-        self._results[key] = summary
-        path = self.cache_path(bench, scheduler, seed, perfect)
-        if path and on_disk is None:
-            atomic_write_json(path, summary)
-        meta = {
-            "simulated": simulated,
-            "wall_s": time.time() - t0,
-            "sim_events": summary.get("sim_events", 0.0),
-            "sim_wall_s": summary.get("sim_wall_s", 0.0),
-        }
-        return summary, meta
+        stats = simulate(self.config.with_scheduler(scheduler), trace)
+        summary = stats.summary()
+        # Extras the figures need beyond the headline summary.
+        recs = stats.dram_loads()
+        summary["unit_group_frac"] = (
+            sum(1 for r in recs if r.dram_requests == 1) / len(recs)
+            if recs else 0.0
+        )
+        summary["banks_per_warp"] = (
+            sum(r.banks_touched for r in recs if r.dram_requests > 1)
+            / max(1, sum(1 for r in recs if r.dram_requests > 1))
+        )
+        channels = stats.channels
+        for extra, counter in (
+            ("activates", "activates"), ("reads", "reads"), ("writes", "writes"),
+            ("coord_msgs", "coordination_msgs_applied"),
+            ("merb_deferrals", "merb_deferrals"),
+            ("wgw_promotions", "wgw_promotions"),
+            ("fallback_reads", "fallback_reads"),
+        ):
+            summary[extra] = float(sum(getattr(c, counter) for c in channels))
+        # Host-side cost of producing this entry (the sweep harness
+        # reports events/sec per job from these).
+        summary["sim_events"] = float(stats.events_processed)
+        summary["sim_wall_s"] = stats.wall_seconds
+        atomic_write_json(
+            self.cache_path(bench, scheduler, seed, perfect), summary
+        )
 
     def mean(self, bench: str, scheduler: str, perfect: bool = False) -> dict[str, float]:
         """Summary averaged over the runner's seeds."""

@@ -1,32 +1,34 @@
 """Robust parallel sweep harness over :class:`ExperimentRunner`.
 
 ``run_sweep`` runs the (benchmark, scheduler, perfect) cells of one or
-more runners, one per config variant, at each of their seeds, one
-supervised process per job or inline (``workers <= 0``), and makes the
-sweep safe at scale:
+more runners, one per config variant, at each of their seeds, through
+one supervised loop that starts a process per job or, with
+``workers <= 0``, runs each job in this process, and makes the sweep
+safe at scale:
 
 * **one trace per input** — jobs whose runners agree on what enters a
   trace (:meth:`ExperimentRunner.trace_key`) share one input, whose
   trace the sweep builds on its first job, hands to each of its jobs
   (worker processes build nothing) and drops after its last job;
-* **the cache is the only state** — a job is done once its
-  content-addressed cache entry is on disk.  Every sweep reads each
-  job's entry up front and dispatches only the jobs without a readable
-  one, so rerunning the same command finishes an interrupted sweep with
-  zero re-simulation, and a damaged entry is simulated again instead of
-  aborting the sweep;
+* **the cache is the only state** — a job's id is the name of its
+  content-addressed cache entry, and the job is done once that entry
+  reads back.  Every sweep reads each job's entry up front and
+  dispatches only the jobs without a readable one, so rerunning the
+  same command finishes an interrupted sweep with zero re-simulation,
+  and a damaged entry is simulated again instead of aborting the sweep;
 * **harvest on completion** — results are collected as workers finish,
   with a live progress/ETA line per completion;
-* **bounded retry** — a worker exception or death fails only that job,
-  which is resubmitted up to ``retries`` times before being recorded as
-  failed (the rest of the sweep always completes);
+* **bounded retry** — an exception, a worker's death or an entry that
+  does not read back fails only that job's attempt, and the job is
+  resubmitted up to ``retries`` times before being recorded as failed
+  (the rest of the sweep always completes);
 * **atomic cache writes** — workers publish results via temp-file +
   rename (:func:`repro.core.atomic.atomic_write_json`), so concurrent
   workers and readers never see partial JSON;
 * **real timeout enforcement** — a job running past ``timeout_s`` has
   its process **killed**, not abandoned, and a worker that dies without
   reporting (OOM-killed, SIGKILL) is detected by its exit code; both
-  are retried like any other failure (:func:`_run_procs`);
+  are retried like any other failure (:func:`_dispatch`);
 * **seeded retry backoff** — retries wait out an exponential,
   deterministically-jittered delay (:func:`_backoff_s`) instead of
   re-firing instantly, so a deterministic crash cannot spin and
@@ -86,22 +88,26 @@ def _backoff_s(attempt: int, job_id: str) -> float:
 
 @dataclass(frozen=True)
 class SweepJob:
-    """One cell of the sweep grid (identity includes the config hash)."""
+    """One run of the sweep grid, on the runner that simulates it."""
 
-    kind: str
+    runner: ExperimentRunner
     bench: str
     scheduler: str
-    scale: str  # Scale name
     seed: int
     perfect: bool
-    config_hash: str
 
     @property
     def job_id(self) -> str:
-        return (
-            f"{self.kind}/{self.bench}/{self.scheduler}/{self.scale}"
-            f"/s{self.seed}/p{int(self.perfect)}/{self.config_hash}"
-        )
+        """The job's cache entry name without ``.json``: two jobs are one
+        exactly when they would write one entry."""
+        return self.runner.cache_name(
+            self.bench, self.scheduler, self.seed, self.perfect
+        ).removesuffix(".json")
+
+    @property
+    def trace_key(self) -> tuple:
+        """What enters the job's trace (:meth:`ExperimentRunner.trace_key`)."""
+        return self.runner.trace_key(self.bench, self.seed)
 
 
 @dataclass
@@ -111,7 +117,7 @@ class JobResult:
     job: SweepJob
     status: str  # "done" | "failed"
     simulated: bool = False  # False: served from cache
-    wall_s: float = 0.0  # worker wall-clock for this job
+    wall_s: float = 0.0  # last attempt's start to its settling, supervisor-timed
     sim_events: float = 0.0  # engine events of the producing simulation
     sim_wall_s: float = 0.0  # wall-clock of the producing simulation
     retries: int = 0
@@ -260,18 +266,19 @@ def run_sweep(
     """Run the (benchmark, scheduler, perfect) cells of each ``(runner,
     cells)`` pair at every seed of its runner; returns one report.
 
-    A job whose cache entry is already on disk and readable is reported
-    done from that entry and never dispatched; only the others run, a
-    damaged entry counting as missing.  ``workers >= 1`` runs up to
-    that many of them at once, each in its own supervised process;
-    ``timeout_s=None`` means no deadline.  ``workers <= 0``
-    executes inline (no processes, no timeout) with the same retry
-    semantics.  Both paths run one input's jobs back to back, whichever
-    pair they came from, each through its runner's ``run_job`` on the
-    input's trace; its perfectly coalesced trace derives from that one
-    build.  Inline, each runner's result memo then answers ``runner.run``
-    for every job it ran; a worker process hands its result back through
-    the runner's ``cache_dir``, which is required either way.
+    Each job is named by the cache entry it writes, so cells that would
+    write one entry are one job.  A job whose entry is already on disk
+    and readable is reported done from that entry and never dispatched;
+    only the others run, a damaged entry counting as missing.  They all
+    go through one supervised loop (:func:`_dispatch`): ``workers >= 1``
+    runs up to that many at once, each in its own process, and
+    ``timeout_s=None`` means no deadline; ``workers <= 0`` runs each job
+    in this process (no timeout), with the same queue, retries and
+    backoff.  One input's jobs run back to back, whichever pair they came
+    from, each through its runner's ``run_job`` on the input's trace; its
+    perfectly coalesced trace derives from that one build.  Either way a
+    job is done only once its entry reads back, and the report's
+    ``sim_events`` and ``sim_wall_s`` come from that entry.
 
     Retry attempts are spaced by a seeded exponential backoff
     (:func:`_backoff_s`), quick enough for tests while still
@@ -284,49 +291,36 @@ def run_sweep(
     """
     if not sweeps:
         raise ValueError("a sweep needs at least one (runner, cells) pair")
-    runners: dict[SweepJob, ExperimentRunner] = {}
-    inputs: dict[SweepJob, tuple] = {}  # job -> its runner's trace_key
-    by_input: dict[tuple, list[SweepJob]] = {}  # in first-seen order
+    # {input: {job id: job}}, both in first-seen order.
+    by_input: dict[tuple, dict[str, SweepJob]] = {}
     for runner, cells in sweeps:
-        if runner.cache_dir is None:
-            raise ValueError("a sweep requires a cache_dir")
         os.makedirs(runner.cache_dir, exist_ok=True)
         for bench, sched, perfect in cells:
             for seed in runner.seeds:
-                job = SweepJob(
-                    runner.kind, bench, sched, runner.scale.name, seed,
-                    perfect, runner.config_hash,
-                )
-                if job not in runners:
-                    runners[job] = runner
-                    inputs[job] = runner.trace_key(bench, seed)
-                    by_input.setdefault(inputs[job], []).append(job)
+                job = SweepJob(runner, bench, sched, seed, perfect)
+                by_input.setdefault(job.trace_key, {}).setdefault(job.job_id, job)
 
     say = progress if progress is not None else (lambda _msg: None)
 
     t0 = time.time()
     cached: list[JobResult] = []
-    todo: list[SweepJob] = []
-    for job in (job for jobs in by_input.values() for job in jobs):
-        entry = runners[job].read_cache(
-            job.bench, job.scheduler, job.seed, job.perfect
-        )
-        if entry is None:
-            todo.append(job)
-            continue
-        cached.append(JobResult(
-            job, "done", sim_events=entry.get("sim_events", 0.0),
-            sim_wall_s=entry.get("sim_wall_s", 0.0),
-        ))
+    queue: list[tuple[SweepJob, int, float]] = []  # (job, attempt, ready_t)
+    for job in (job for group in by_input.values() for job in group.values()):
+        res = _read_back(job)
+        if res is None:
+            queue.append((job, 0, 0.0))
+        else:
+            cached.append(res)
+    n_todo = len(queue)
 
     # The traces of inputs with unsettled jobs: {input: {perfect: trace}}.
     held: dict[tuple, dict[bool, KernelTrace]] = {}
-    unsettled = Counter(inputs[job] for job in todo)
+    unsettled = Counter(job.trace_key for job, _, _ in queue)
 
     def trace_of(job: SweepJob) -> KernelTrace:
         """``job``'s trace; a build that raises fails the attempt."""
-        runner = runners[job]
-        traces = held.setdefault(inputs[job], {})
+        runner = job.runner
+        traces = held.setdefault(job.trace_key, {})
         if False not in traces:
             traces[False] = build_trace(
                 runner.kind, job.bench, runner.config, runner.scale,
@@ -342,41 +336,51 @@ def run_sweep(
 
     def record(res: JobResult) -> None:
         dispatched.append(res)
-        key = inputs[res.job]
+        key = res.job.trace_key
         unsettled[key] -= 1
         if not unsettled[key]:  # the input's last job has settled
             held.pop(key, None)
         finished = len(dispatched)
         elapsed = time.time() - t0
-        eta = (elapsed / finished) * (len(todo) - finished)
+        eta = (elapsed / finished) * (n_todo - finished)
         n_failed = sum(1 for r in dispatched if r.status == "failed")
         say(
-            f"[sweep] {finished}/{len(todo)} "
+            f"[sweep] {finished}/{n_todo} "
             f"({n_failed} failed) | {elapsed:.0f}s elapsed, eta {eta:.0f}s"
         )
 
-    def retry_or_fail(
-        job: SweepJob, attempt: int, wall_s: float, error: str, error_type: str
-    ) -> Optional[float]:
-        """Backoff seconds before ``job``'s next attempt, or None once its
-        retries are exhausted and the job is recorded as failed, naming
-        the exception type.  Every attempt simulates from zero.
+    def settle(
+        job: SweepJob, attempt: int, t_start: float,
+        failure: Optional[tuple[str, str]],
+    ) -> None:
+        """Settle one attempt: done once the job's entry reads back;
+        otherwise queued again after its backoff, or, with its retries
+        spent, recorded as failed, naming the exception type.
+        ``failure`` is the attempt's (message, type name), None when it
+        reported success.  Every attempt simulates from zero.
         """
+        wall_s = time.time() - t_start
+        if failure is None:
+            res = _read_back(job, simulated=True, wall_s=wall_s, retries=attempt)
+            if res is not None:
+                record(res)
+                return
+            failure = (
+                "the job reported success but its cache entry does not "
+                "read back", "MissingEntry",
+            )
+        error, error_type = failure
         if attempt < retries:
             delay = _backoff_s(attempt + 1, job.job_id)
             say(f"[sweep] retrying {job.job_id} in {delay:.2f}s: {error}")
-            return delay
+            queue.append((job, attempt + 1, time.time() + delay))
+            return
         record(JobResult(
             job, "failed", wall_s=wall_s, retries=attempt, error=error,
             error_type=error_type,
         ))
-        return None
 
-    if todo and workers <= 0:
-        _run_inline(runners, todo, trace_of, record, retry_or_fail)
-    elif todo:
-        _run_procs(runners, todo, trace_of, workers, timeout_s, record,
-                   retry_or_fail, say)
+    _dispatch(queue, workers, timeout_s, trace_of, settle, say)
 
     runner = sweeps[0][0]
     report = SweepReport(
@@ -398,91 +402,88 @@ def run_sweep(
     return report
 
 
-def _done_result(job: SweepJob, meta: dict, attempt: int) -> JobResult:
+def _read_back(
+    job: SweepJob, simulated: bool = False, wall_s: float = 0.0, retries: int = 0
+) -> Optional[JobResult]:
+    """``job`` done, with the cost of the simulation that wrote its cache
+    entry read from that entry; None while the entry does not read back."""
+    entry = job.runner.read_cache(job.bench, job.scheduler, job.seed, job.perfect)
+    if entry is None:
+        return None
     return JobResult(
         job,
         "done",
-        simulated=meta["simulated"],
-        wall_s=meta["wall_s"],
-        sim_events=meta["sim_events"],
-        sim_wall_s=meta["sim_wall_s"],
-        retries=attempt,
+        simulated=simulated,
+        wall_s=wall_s,
+        sim_events=entry.get("sim_events", 0.0),
+        sim_wall_s=entry.get("sim_wall_s", 0.0),
+        retries=retries,
     )
 
 
-def _run_inline(runners, todo, trace_of, record, retry_or_fail) -> None:
-    """Run each job in this process through its runner (no timeout),
-    so the sweep holds only the traces of the input running now."""
-    for job in todo:
-        attempt = 0
-        while True:
-            t_start = time.time()
-            try:
-                _summary, meta = runners[job].run_job(
-                    job.bench, job.scheduler, job.seed, job.perfect,
-                    trace_of(job),
-                )
-            except Exception as exc:
-                delay = retry_or_fail(
-                    job, attempt, time.time() - t_start, str(exc), type(exc).__name__
-                )
-                if delay is None:
-                    break
-                time.sleep(delay)
-                attempt += 1
-                continue
-            record(_done_result(job, meta, attempt))
-            break
-
-
-def _proc_entry(conn, runner: ExperimentRunner, job: SweepJob, trace) -> None:
-    """Child entry for _run_procs: the inline job body, reported as
-    ``("ok", meta)`` or ``("err", (message, type name))`` through the pipe."""
+def _attempt(job: SweepJob, trace: KernelTrace) -> Optional[tuple[str, str]]:
+    """One attempt of ``job`` on ``trace``: None once ``run_job`` returns,
+    else the exception's message and type name."""
     try:
-        _summary, meta = runner.run_job(
-            job.bench, job.scheduler, job.seed, job.perfect, trace
-        )
-    except BaseException as exc:  # noqa: BLE001 - marshalled to the parent
-        try:
-            conn.send(("err", (str(exc), type(exc).__name__)))
-        finally:
-            conn.close()
-        return
-    conn.send(("ok", meta))
-    conn.close()
+        job.runner.run_job(job.bench, job.scheduler, job.seed, job.perfect, trace)
+    except Exception as exc:
+        return str(exc), type(exc).__name__
+    return None
 
 
-def _run_procs(
-    runners, todo, trace_of, workers, timeout_s, record, retry_or_fail, say
-) -> None:
-    """Per-job supervised processes: one dead worker fails only its job.
+def _proc_entry(conn, job: SweepJob, trace: KernelTrace) -> None:
+    """A worker process's body: one attempt, its outcome sent back."""
+    try:
+        conn.send(_attempt(job, trace))
+    finally:
+        conn.close()
 
-    Every job is its own ``multiprocessing.Process``, at most
-    ``workers`` at a time, running ``run_job`` on its copy of the job's
-    runner and of the trace built here for the job's input
-    (:func:`_proc_entry`; inherited on fork).  A worker that dies
-    *without* reporting a result (OOM killer, SIGKILL) is detected by
-    its exit code; one past ``timeout_s`` (if set) is SIGKILLed and its
+
+def _dispatch(queue, workers, timeout_s, trace_of, settle, say) -> None:
+    """The one supervised loop: start each queued attempt once its backoff
+    has passed, and hand every outcome to ``settle``, which may queue a
+    retry.
+
+    Inline (``workers <= 0``) an attempt runs to its end in this process
+    as it starts.  Otherwise every attempt is its own
+    ``multiprocessing.Process``, at most ``workers`` at a time, running
+    ``run_job`` on its copy of the job's runner and of the trace built
+    here for the job's input (:func:`_proc_entry`; inherited on fork).  A
+    worker that dies *without* reporting (OOM killer, SIGKILL) is detected
+    by its exit code; one past ``timeout_s`` (if set) is SIGKILLed and its
     slot reclaimed at once.  Either way the job is retried under the
     backoff policy, and every other job runs on untouched — unlike a
     shared executor, where one dead worker breaks every in-flight job
     and every later retry.
     """
     ctx = multiprocessing.get_context()
-    queue: list = [(job, 0, 0.0) for job in todo]  # (job, attempt, ready_t)
     running: dict = {}  # proc -> (job, attempt, t_start, recv_conn)
 
+    def start(job, attempt) -> None:
+        t_build = time.time()
+        try:
+            trace = trace_of(job)
+        except Exception as exc:
+            settle(job, attempt, t_build, (str(exc), type(exc).__name__))
+            return
+        if workers <= 0:
+            t_start = time.time()
+            failure = _attempt(job, trace)
+            settle(job, attempt, t_start, failure)
+            return
+        recv, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_proc_entry, args=(send, job, trace))
+        proc.daemon = True
+        proc.start()
+        send.close()  # child's end; parent sees EOF if the child dies
+        running[proc] = (job, attempt, time.time(), recv)
+
     def finish(proc) -> None:
-        _job, _attempt, _t, recv = running.pop(proc)
+        recv = running.pop(proc)[3]
         recv.close()
         if proc.is_alive():
             proc.kill()
         proc.join(timeout=5.0)
-
-    def settle(job, attempt, t_start, error, error_type) -> None:
-        delay = retry_or_fail(job, attempt, time.time() - t_start, error, error_type)
-        if delay is not None:
-            queue.append((job, attempt + 1, time.time() + delay))
 
     while queue or running:
         now = time.time()
@@ -490,56 +491,35 @@ def _run_procs(
             if len(running) >= max(1, workers):
                 break
             queue.remove(item)
-            job, attempt, _ready = item
-            try:
-                trace = trace_of(job)
-            except Exception as exc:
-                settle(job, attempt, now, str(exc), type(exc).__name__)
-                continue
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_proc_entry, args=(send, runners[job], job, trace)
-            )
-            proc.daemon = True
-            proc.start()
-            send.close()  # child's end; parent sees EOF if the child dies
-            running[proc] = (job, attempt, time.time(), recv)
+            start(*item[:2])
 
         progressed = False
         for proc in list(running):
             job, attempt, t_start, recv = running[proc]
-            message = None
-            if recv.poll(0):
-                try:
-                    message = recv.recv()
-                except (EOFError, OSError):
-                    message = None  # died mid-send: treated as a crash
-            if message is not None:
+            try:
+                reported = recv.poll(0)
+                failure = recv.recv() if reported else None
+            except (EOFError, OSError):
+                reported = False  # died mid-send: treated as a crash
+            if reported:
                 finish(proc)
                 progressed = True
-                status, value = message
-                if status == "ok":
-                    record(_done_result(job, value, attempt))
-                else:
-                    error, error_type = value
-                    settle(job, attempt, t_start, error, error_type)
+                settle(job, attempt, t_start, failure)
             elif not proc.is_alive():
                 exitcode = proc.exitcode
                 finish(proc)
                 progressed = True
-                settle(
-                    job, attempt, t_start,
+                settle(job, attempt, t_start, (
                     f"worker died without reporting (exit code {exitcode})",
                     "WorkerCrashed",
-                )
+                ))
             elif timeout_s is not None and time.time() - t_start > timeout_s:
                 proc.kill()  # actually terminate — never abandon the job
                 finish(proc)
                 progressed = True
                 say(f"[sweep] killed {job.job_id} after {timeout_s:.0f}s")
-                settle(
-                    job, attempt, t_start,
+                settle(job, attempt, t_start, (
                     f"timeout after {timeout_s:.0f}s", "TimeoutError",
-                )
-        if not progressed:
+                ))
+        if not progressed and (queue or running):
             time.sleep(_POLL_S)

@@ -10,7 +10,7 @@ from repro.core.config import (
 )
 from repro.core.engine import Engine, SimulationError
 from repro.core.request import LoadTransaction, MemoryRequest, warp_key
-from repro.core.stats import ChannelStats, Histogram, LoadRecord, SimStats
+from repro.core.stats import ChannelStats, LoadRecord, SimStats
 
 __all__ = [
     "CacheConfig",
@@ -19,7 +19,6 @@ __all__ = [
     "DRAMTimingConfig",
     "Engine",
     "GPUConfig",
-    "Histogram",
     "LoadRecord",
     "LoadTransaction",
     "MCConfig",

@@ -2,8 +2,7 @@
 
 Three layers:
 
-* :class:`Histogram` — cheap streaming summary (count/sum + sample
-  reservoir for percentiles);
+* :class:`Tally` — streaming count and total of one quantity;
 * :class:`ChannelStats` — per-memory-controller counters (row hits, drains,
   bus occupancy);
 * :class:`SimStats` — whole-run aggregation, including the per-load records
@@ -12,55 +11,23 @@ Three layers:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Optional
 
-__all__ = ["Histogram", "ChannelStats", "LoadRecord", "SimStats"]
+__all__ = ["Tally", "ChannelStats", "LoadRecord", "SimStats"]
 
 
-class Histogram:
-    """Streaming mean with a bounded reservoir for percentiles.
+class Tally:
+    """Streaming count and total of one quantity."""
 
-    The sorted reservoir is cached between :meth:`percentile` calls and
-    invalidated by :meth:`add`, so reading several percentiles off a
-    settled histogram sorts once.
-    """
+    __slots__ = ("count", "total")
 
-    __slots__ = ("count", "total", "_reservoir", "_capacity", "_rng", "_sorted")
-
-    def __init__(self, capacity: int = 4096, seed: int = 12345) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
-        self._reservoir: list[float] = []
-        self._capacity = capacity
-        self._rng = random.Random(seed)
-        self._sorted: Optional[list[float]] = None
 
     def add(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self._sorted = None
-        if len(self._reservoir) < self._capacity:
-            self._reservoir.append(value)
-        else:
-            j = self._rng.randrange(self.count)
-            if j < self._capacity:
-                self._reservoir[j] = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Approximate percentile from the reservoir (q in [0, 100])."""
-        if not self._reservoir:
-            return 0.0
-        if self._sorted is None:
-            self._sorted = sorted(self._reservoir)
-        data = self._sorted
-        idx = min(len(data) - 1, max(0, int(round(q / 100.0 * (len(data) - 1)))))
-        return data[idx]
 
 
 @dataclass
@@ -88,8 +55,8 @@ class ChannelStats:
     fallback_reads: int = 0
     # Latency breakdown (ns): time waiting for the transaction scheduler
     # vs. time from command-queue insertion to data.
-    sorter_wait: Histogram = field(default_factory=Histogram)
-    service_time: Histogram = field(default_factory=Histogram)
+    sorter_wait: Tally = field(default_factory=Tally)
+    service_time: Tally = field(default_factory=Tally)
 
 
 @dataclass(slots=True)

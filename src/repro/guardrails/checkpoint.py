@@ -2,8 +2,8 @@
 
 A checkpoint file is one JSON header line followed by a pickle of the
 entire :class:`~repro.gpu.system.GPUSystem` — event queue, controller
-queues, bank/channel timing, warp scoreboards, statistics, histogram
-RNGs.  The header makes restores refuse to lie:
+queues, bank/channel timing, warp scoreboards, statistics.  The header
+makes restores refuse to lie:
 
 * a **format marker** and **version**, checked before a single byte of
   the pickle is read, so a foreign file or a snapshot from another
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 #: Keys every header carries besides ``format`` and ``version``.
 _HEADER_KEYS = (

@@ -107,19 +107,12 @@ class ScenarioError(RuntimeError):
 
 
 def build_runner(
-    spec: ScenarioSpec,
-    *,
-    cache_dir: str = ".repro-results",
-    scale: Optional[str] = None,
+    spec: ScenarioSpec, *, cache_dir: str = ".repro-results"
 ) -> ExperimentRunner:
-    """The :class:`ExperimentRunner` a scenario resolves to.
-
-    ``scale`` overrides the spec's scale (a Scale name) — the CLI's
-    ``--scale`` lets one spec serve CI (tiny) and real runs unchanged.
-    """
+    """The :class:`ExperimentRunner` a scenario resolves to."""
     return ExperimentRunner(
         config=spec.resolved_config(),
-        scale=Scale[(scale or spec.scale).upper()],
+        scale=Scale[spec.scale.upper()],
         seeds=spec.seeds,
         kind=spec.workload.kind,
         cache_dir=cache_dir,
@@ -164,7 +157,6 @@ def run_scenario(
     *,
     cache_dir: str = ".repro-results",
     workers: Optional[int] = None,
-    scale: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> ScenarioResult:
     """Run the scenario's full grid and collect its kept metrics.
@@ -176,7 +168,7 @@ def run_scenario(
     :class:`ScenarioError` (the scenario's tables would silently hold
     zeros otherwise).
     """
-    runner = build_runner(spec, cache_dir=cache_dir, scale=scale)
+    runner = build_runner(spec, cache_dir=cache_dir)
     spec_hash = spec.spec_hash()
     report = run_sweep(
         [(runner, product(spec.workload.names, spec.schedulers, [spec.perfect]))],

@@ -10,8 +10,8 @@ happened — a drain storm, a queue-depth spike, a row-hit-rate collapse —
 rather than only that it happened somewhere inside an end-of-run total.
 
 Per-interval read latencies arrive through each controller's
-``on_read_done`` hook, which the sampler sets, and are summarized into a
-fresh :class:`~repro.core.stats.Histogram` each interval.
+``on_read_done`` hook, which the sampler sets; each sample summarizes the
+interval's latencies (count, mean, p50, p95) and starts a fresh list.
 
 Samples are plain dictionaries with the stable key set
 :data:`IntervalSampler.SCHEMA_KEYS` (validated by the test suite and
@@ -23,8 +23,6 @@ keeps the event queue alive after the workload finishes.
 """
 
 from __future__ import annotations
-
-from repro.core.stats import Histogram
 
 __all__ = ["IntervalSampler"]
 
@@ -78,17 +76,14 @@ class IntervalSampler:
         self.engine = system.engine
         self.period_ps = period_ps
         self.samples: list[dict] = []
-        self._interval_hist = Histogram()
+        self._latencies: list[float] = []  # this interval's, in arrival order
         self._prev: dict[str, list[int]] = {
             name: [0] * len(system.mcs) for name in _DELTA_COUNTERS
         }
         self._prev_bus_busy = [0] * len(system.mcs)
         self._prev_t = 0
         for mc in system.mcs:
-            mc.on_read_done = self._on_read_done
-
-    def _on_read_done(self, latency_ns: float) -> None:
-        self._interval_hist.add(latency_ns)
+            mc.on_read_done = self._latencies.append
 
     # -- scheduling ----------------------------------------------------------
     def start(self) -> None:
@@ -147,10 +142,22 @@ class IntervalSampler:
             sum(delta_busy) / (span * len(mcs)) if span > 0 else 0.0
         )
         self._prev_t = now
-        h = self._interval_hist
-        sample["lat_count"] = h.count
-        sample["lat_mean_ns"] = h.mean
-        sample["lat_p50_ns"] = h.percentile(50)
-        sample["lat_p95_ns"] = h.percentile(95)
-        self._interval_hist = Histogram()
+        latencies = self._latencies
+        total = 0.0
+        # Summed left to right in arrival order: built-in sum() compensates
+        # float rounding from Python 3.12 on, which would move the mean.
+        for ns in latencies:
+            total += ns
+        ranked = sorted(latencies)
+        sample["lat_count"] = len(latencies)
+        sample["lat_mean_ns"] = total / len(latencies) if latencies else 0.0
+        sample["lat_p50_ns"] = _percentile(ranked, 50)
+        sample["lat_p95_ns"] = _percentile(ranked, 95)
+        latencies.clear()
         self.samples.append(sample)
+
+
+def _percentile(ranked: list[float], q: float) -> float:
+    """Percentile ``q`` (0-100) of the sorted ``ranked``: the value at
+    ``q`` percent of its last index, rounded; 0.0 when it is empty."""
+    return ranked[round(q / 100.0 * (len(ranked) - 1))] if ranked else 0.0

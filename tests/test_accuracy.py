@@ -74,6 +74,9 @@ class _StubRunner(ExperimentRunner):
     """Serves every run a made-up summary that differs per (benchmark,
     scheduler, perfect, key), so each driver renders without a sweep."""
 
+    def __init__(self, scale: Scale, seeds: tuple[int, ...]) -> None:
+        super().__init__(scale=scale, seeds=seeds, cache_dir="never-read")
+
     def mean(self, bench, scheduler, perfect=False):
         class Summary(dict):
             def __missing__(self, key):
@@ -140,7 +143,9 @@ def test_reproduce_checks_bands_only_at_the_banded_run(tmp_path, monkeypatch, ca
     assert main(argv) == 0  # a TINY run: no band is checked
     assert "bands not checked" in capsys.readouterr().err
 
-    tiny = ExperimentRunner(scale=Scale.TINY, seeds=(1,))
+    tiny = ExperimentRunner(
+        scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path)
+    )
     monkeypatch.setattr(
         experiments, "BANDED_RUN",
         ("TINY", (1,), "synthetic", tiny.config_hash),

@@ -52,45 +52,40 @@ def one_input_per_suite(monkeypatch) -> None:
 
 
 # -- runner ---------------------------------------------------------------------
-def test_runner_rejects_bad_kind():
+def test_runner_rejects_bad_kind(tmp_path):
     with pytest.raises(ValueError):
-        ExperimentRunner(kind="bogus")
-
-
-def test_runner_memoizes_runs():
-    r = tiny_runner()
-    a, _meta = r.run_job("sad", "gmc", 1, False, input_trace(r, "sad"))
-    b = r.run("sad", "gmc", seed=1)
-    assert a is b  # cached object
+        ExperimentRunner(kind="bogus", cache_dir=str(tmp_path))
 
 
 def test_runner_disk_cache(tmp_path):
     r1 = ExperimentRunner(scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path))
-    a, _meta = r1.run_job("sad", "gmc", 1, False, input_trace(r1, "sad"))
+    r1.run_job("sad", "gmc", 1, False, input_trace(r1, "sad"))
+    a = r1.run("sad", "gmc", seed=1)
     r2 = ExperimentRunner(scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path))
     b = r2.run("sad", "gmc", seed=1)
     assert a == b
-    assert any(p.suffix == ".json" for p in tmp_path.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == [r1.cache_name("sad", "gmc", 1)]
 
 
 def test_reading_an_unswept_run_names_it(tmp_path):
-    """``run`` never simulates: a run in neither the memo nor the cache
-    raises, naming the run."""
+    """``run`` never simulates: a run without a cache entry raises,
+    naming the run."""
     r = tiny_runner(cache_dir=str(tmp_path))
     with pytest.raises(LookupError, match=r.cache_name("sad", "wg", 1)):
         r.mean("sad", "wg")
 
 
-def test_runner_extras_present():
-    r = tiny_runner()
-    s, _meta = r.run_job("sad", "gmc", 1, False, input_trace(r, "sad"))
+def test_runner_extras_present(tmp_path):
+    r = tiny_runner(cache_dir=str(tmp_path))
+    r.run_job("sad", "gmc", 1, False, input_trace(r, "sad"))
+    s = r.run("sad", "gmc", 1)
     for key in ("unit_group_frac", "activates", "reads", "writes", "ipc"):
         assert key in s
     assert s["fallback_reads"] == 0.0  # only the WG family has the fallback
 
 
-def test_speedup_is_relative():
-    r = tiny_runner()
+def test_speedup_is_relative(tmp_path):
+    r = tiny_runner(cache_dir=str(tmp_path))
     r.run_job("sad", "gmc", 1, False, input_trace(r, "sad"))
     assert r.speedup("sad", "gmc") == pytest.approx(1.0)
 
@@ -113,8 +108,9 @@ def test_distinct_configs_get_distinct_cache_entries(tmp_path):
     )
     assert base.config_hash != alpha.config_hash
     trace = input_trace(base, "sad")
-    a, _meta = base.run_job("sad", "sbwas", 1, False, trace)
-    b, _meta = alpha.run_job("sad", "sbwas", 1, False, trace)
+    base.run_job("sad", "sbwas", 1, False, trace)
+    alpha.run_job("sad", "sbwas", 1, False, trace)
+    a, b = base.run("sad", "sbwas", 1), alpha.run("sad", "sbwas", 1)
     assert a["ipc"] != b["ipc"]  # the alpha change is visible, not masked
     names = [p.name for p in tmp_path.iterdir() if p.suffix == ".json"]
     assert len(names) == 2

@@ -7,6 +7,7 @@ stamping into the history store, cache bit-identity with hand-coded
 sweeps, and the CLI surface (``repro scenario ...``).
 """
 
+import dataclasses
 import json
 import os
 import textwrap
@@ -61,7 +62,8 @@ figure:
 def test_known_metrics_exist_in_real_summaries(tmp_path):
     """Every spec-selectable metric is a key the runner actually emits."""
     r = ExperimentRunner(scale=Scale.TINY, seeds=(1,), cache_dir=str(tmp_path))
-    summary, _meta = r.run_job("sad", "gmc", 1, False, input_trace(r, "sad"))
+    r.run_job("sad", "gmc", 1, False, input_trace(r, "sad"))
+    summary = r.run("sad", "gmc", 1)
     missing = [m for m in KNOWN_METRICS if m not in summary]
     assert not missing, f"spec metrics without a summary key: {missing}"
 
@@ -317,11 +319,14 @@ def test_trace_kind_scenario_runs_and_fingerprints_cache(tmp_path):
 
 
 def test_run_scenario_scale_override(tmp_path):
+    """A spec with its scale replaced, as ``scenario run --scale`` does,
+    resolves to a runner at that scale."""
     from repro.scenarios import build_runner
 
     spec = load_spec(write_spec(tmp_path, TINY_SPEC.replace("tiny", "paper")))
     assert build_runner(spec, cache_dir=".").scale is Scale.PAPER
-    assert build_runner(spec, cache_dir=".", scale="tiny").scale is Scale.TINY
+    tiny = dataclasses.replace(spec, scale="TINY")
+    assert build_runner(tiny, cache_dir=".").scale is Scale.TINY
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +365,26 @@ def test_cli_scenario_rerun_is_served_from_cache(tmp_path, capsys):
     assert second["sweep"]["jobs_simulated"] == 0
     assert second["sweep"]["jobs_cached"] == 2
     assert second["metrics"] == first["metrics"]
+
+
+def test_cli_scenario_scale_override_names_the_scale_that_ran(tmp_path, capsys):
+    """``--scale`` replaces the spec's scale before anything runs, so the
+    ``--out`` document, its spec hash, its sweep report and every cache
+    entry name the scale that ran."""
+    path = write_spec(tmp_path, TINY_SPEC.replace("scale: tiny", "scale: quick"))
+    out_json = tmp_path / "out.json"
+    assert main([
+        "scenario", "run", path, "--scale", "tiny", "--workers", "0",
+        "--cache-dir", str(tmp_path / "c"), "--out", str(out_json),
+    ]) == 0
+    doc = json.loads(out_json.read_text())
+    assert doc["scale"] == doc["sweep"]["scale"] == "TINY"
+    quick = load_spec(path)
+    assert doc["spec_hash"] == dataclasses.replace(quick, scale="TINY").spec_hash()
+    assert doc["spec_hash"] != quick.spec_hash()
+    ids = [job["id"] for job in doc["sweep"]["jobs"]]
+    assert sorted(os.listdir(tmp_path / "c")) == sorted(f"{i}.json" for i in ids)
+    assert all("-TINY-" in i for i in ids)
 
 
 def test_cli_scenario_failed_job_still_writes_out(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,10 @@
 """Unit tests for statistics aggregation."""
 
-from hypothesis import given, strategies as st
+import random
 
-from repro.core.stats import Histogram, LoadRecord, SimStats
+from repro import Scale, SimConfig, TelemetryHub, build_benchmark
+from repro.core.stats import LoadRecord, SimStats, Tally
+from repro.gpu.system import GPUSystem
 
 
 def rec(
@@ -17,39 +19,43 @@ def rec(
     )
 
 
-def histogram(values, **kwargs) -> Histogram:
-    h = Histogram(**kwargs)
-    for v in values:
-        h.add(v)
-    return h
+def test_tally_counts_and_sums():
+    t = Tally()
+    for v in (1.5, 2.0, 3.5):
+        t.add(v)
+    assert (t.count, t.total) == (3, 7.0)
 
 
-def test_histogram_count_and_mean():
-    h = histogram([1.0, 2.0, 3.0])
-    assert h.mean == 2.0
-    assert h.count == 3
+def interval_digests(latencies) -> list[tuple]:
+    """The sampler's latency digest of each interval, for ``latencies``
+    arriving at two controllers of a system that has not run."""
+    cfg = SimConfig()
+    system = GPUSystem(
+        cfg, build_benchmark("sad", cfg, Scale.TINY, seed=1),
+        telemetry=TelemetryHub(sample_period_ns=100.0),
+    )
+    for i, ns in enumerate(latencies):
+        system.mcs[i % 2].on_read_done(ns)
+    system.sampler.finalize()  # samples them, then an empty interval
+    return [
+        (s["lat_count"], s["lat_mean_ns"], s["lat_p50_ns"], s["lat_p95_ns"])
+        for s in system.sampler.samples
+    ]
 
 
-def test_histogram_percentile():
-    h = histogram(float(i) for i in range(101))
-    assert h.percentile(0) == 0.0
-    assert h.percentile(100) == 100.0
-    assert 40 <= h.percentile(50) <= 60
-
-
-@given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1, max_size=500))
-def test_histogram_reservoir_bounds(values):
-    h = histogram(values, capacity=64)
-    assert h.count == len(values)
-    assert min(values) <= h.percentile(50) <= max(values)
-
-
-def test_histogram_percentile_cache_invalidated_by_add():
-    h = histogram([1.0, 2.0, 3.0])
-    assert h.percentile(100) == 3.0
-    h.add(10.0)  # must invalidate the cached sorted reservoir
-    assert h.percentile(100) == 10.0
-    assert h.percentile(0) == 1.0
+def test_interval_sampler_digests_every_latency_of_its_interval():
+    """Each sample digests exactly the read latencies that arrived since
+    the previous one: their count, their mean and their p50/p95, taken
+    at the rounded rank over all of them, however many there are."""
+    empty = (0, 0.0, 0.0, 0.0)
+    # Ranks round(0.5 * 4) = 2 and round(0.95 * 4) = 4 of the sorted five.
+    assert interval_digests([400.0, 1000.0, 100.0, 300.0, 200.0]) == [
+        (5, 400.0, 300.0, 1000.0), empty,
+    ]
+    many = [float(ns) for ns in range(5000)]
+    random.Random(7).shuffle(many)
+    # Ranks round(2499.5) = 2500 and round(4749.05) = 4749.
+    assert interval_digests(many) == [(5000, 2499.5, 2500.0, 4749.0), empty]
 
 
 def test_load_record_metrics():

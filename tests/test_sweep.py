@@ -28,9 +28,9 @@ def tiny_runner(tmp_path, seeds=(1,)) -> ExperimentRunner:
 
 
 def test_sweep_requires_cache_dir():
-    r = ExperimentRunner(scale=Scale.TINY, seeds=(1,))
-    with pytest.raises(ValueError):
-        run_sweep([(r, grid(["sad"], ["gmc"]))])
+    """Every runner has the cache its sweep jobs write into."""
+    with pytest.raises(TypeError, match="cache_dir"):
+        ExperimentRunner(scale=Scale.TINY, seeds=(1,))
     with pytest.raises(ValueError):
         run_sweep([])  # and at least one (runner, cells) pair
 
@@ -145,15 +145,46 @@ def test_rerun_simulates_job_whose_cache_entry_vanished(tmp_path):
 
 
 def test_run_job_roundtrip(tmp_path):
+    """``run_job`` writes the run's cache entry and returns nothing; every
+    runner on that cache reads the run from the entry."""
     r = tiny_runner(tmp_path)
-    trace = input_trace(r, "sad")
-    summary, meta = r.run_job("sad", "gmc", 1, False, trace)
-    assert summary["ipc"] > 0
-    assert meta["simulated"] and meta["sim_events"] > 0
-    # A second runner is served from the disk cache.
-    summary2, meta2 = tiny_runner(tmp_path).run_job("sad", "gmc", 1, False, trace)
-    assert not meta2["simulated"] and summary2 == summary
-    assert meta2["sim_events"] == meta["sim_events"]
+    assert r.run_job("sad", "gmc", 1, False, input_trace(r, "sad")) is None
+    assert [p.name for p in tmp_path.iterdir()] == [r.cache_name("sad", "gmc", 1)]
+    summary = r.run("sad", "gmc", 1)
+    assert summary["ipc"] > 0 and summary["sim_events"] > 0
+    assert tiny_runner(tmp_path).run("sad", "gmc", 1) == summary
+
+
+def test_run_reads_only_the_cache_entry(tmp_path):
+    """A run lives only in its cache entry: once the entry of a run this
+    runner swept is deleted, the runner cannot read the run."""
+    r = tiny_runner(tmp_path)
+    run_sweep([(r, grid(["sad"], ["gmc", "wg"]))], workers=0).raise_on_failure()
+    (tmp_path / r.cache_name("sad", "gmc", 1)).unlink()
+    with pytest.raises(LookupError, match=r.cache_name("sad", "gmc", 1)):
+        r.run("sad", "gmc", 1)
+    assert r.run("sad", "wg", 1)["ipc"] > 0
+
+
+def test_job_ids_are_the_cache_entry_names(tmp_path):
+    """Inline and worker sweeps of one grid report the same jobs, each
+    named by its cache entry, with the event count that entry records."""
+    reports = {}
+    for workers in (0, 2):
+        cache = tmp_path / f"w{workers}"
+        report = run_sweep(
+            [(tiny_runner(cache), grid(["sad", "bfs"], ["gmc", "wg"]))],
+            workers=workers,
+        )
+        assert report.n_simulated == 4 and report.n_failed == 0
+        assert sorted(f"{res.job.job_id}.json" for res in report.results) == sorted(
+            p.name for p in cache.iterdir()
+        )
+        reports[workers] = sorted(
+            (res.job.job_id, res.sim_events) for res in report.results
+        )
+    assert reports[0] == reports[2]
+    assert all(events > 0 for _id, events in reports[0])
 
 
 def test_parallel_sweep_fills_runner_cache(tmp_path):
@@ -303,7 +334,7 @@ def test_config_variants_share_inputs_only_when_their_traces_match(
     assert builds() == [("sad", 1), ("sad", 1)]
     # The report is the first runner's; each job keeps its own hash.
     assert report.config_hash == base.config_hash
-    assert {res.job.config_hash for res in report.results} == {
+    assert {res.job.runner.config_hash for res in report.results} == {
         base.config_hash, alpha.config_hash, sms.config_hash
     }
 
@@ -326,22 +357,6 @@ def test_trace_that_fails_to_build_fails_only_its_input(tmp_path, workers):
     )
 
 
-def test_memo_hit_rewrites_a_deleted_cache_entry(tmp_path):
-    """A job reported done has its cache entry on disk, even when the
-    reused runner serves the job from its result memo."""
-    r = tiny_runner(tmp_path)
-    run_sweep([(r, grid(["sad"], ["gmc", "wg"]))], workers=0)
-    victim = tmp_path / r.cache_name("sad", "gmc", 1)
-    published = victim.read_text()
-    victim.unlink()
-    report = run_sweep([(r, grid(["sad"], ["gmc", "wg"]))], workers=0)
-    assert report.n_failed == 0 and report.n_simulated == 0
-    assert report.n_cached == 2 and report.n_done == 2
-    for res in report.results:
-        assert (tmp_path / r.cache_name("sad", res.job.scheduler, 1)).exists()
-    assert victim.read_text() == published
-
-
 @pytest.mark.parametrize("workers", [0, 1])
 def test_unreadable_cache_entry_is_a_miss(tmp_path, workers):
     """A truncated cache entry is simulated again and rewritten, like a
@@ -358,6 +373,69 @@ def test_unreadable_cache_entry_is_a_miss(tmp_path, workers):
     (redone,) = [r for r in report.results if r.simulated]
     assert redone.job.scheduler == "gmc"
     assert cache_entries(tmp_path) == first
+
+
+def test_trace_runners_with_distinct_files_are_distinct_jobs(tmp_path):
+    """Two trace-kind runners whose files differ under one benchmark name
+    write two cache entries, so one sweep runs them as two jobs on two
+    inputs, and each runner reads its own run."""
+    from repro.workloads.trace import KernelTrace, MemOp, Segment, WarpTrace
+
+    runners = []
+    for stride in (128, 4096):
+        path = tmp_path / f"ext-{stride}.trace.json"
+        KernelTrace("ext", [
+            WarpTrace(0, w, [Segment(3, MemOp(False, [
+                (w * 32 + i) * stride for i in range(32)
+            ]))])
+            for w in range(4)
+        ]).save_json(str(path))
+        runners.append(ExperimentRunner(
+            scale=Scale.TINY, seeds=(1,), kind="trace",
+            cache_dir=str(tmp_path / "c"), trace_paths={"ext": str(path)},
+        ))
+    report = run_sweep(
+        [(r, grid(["ext"], ["gmc"])) for r in runners], workers=0
+    )
+    assert report.n_simulated == 2 and report.n_failed == 0
+    assert sorted(p.name for p in (tmp_path / "c").iterdir()) == sorted(
+        r.cache_name("ext", "gmc", 1) for r in runners
+    )
+    first, second = (r.run("ext", "gmc", 1) for r in runners)
+    assert first["row_hit_rate"] != second["row_hit_rate"]
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_job_whose_entry_does_not_read_back_is_retried(
+    tmp_path, monkeypatch, workers
+):
+    """A job is done only once its cache entry reads back: an attempt
+    that reports success without writing the entry is a failed attempt,
+    retried like any other."""
+    r = tiny_runner(tmp_path / "cache")
+    real_job = r.run_job
+    skipped = tmp_path / "skipped"
+
+    def run_job(*args):
+        if skipped.exists():
+            return real_job(*args)
+        skipped.touch()  # the first attempt returns without writing
+
+    monkeypatch.setattr(r, "run_job", run_job)
+    lines = []
+    report = run_sweep(
+        [(r, grid(["sad"], ["gmc"]))], workers=workers, progress=lines.append
+    )
+    assert report.n_failed == 0 and report.n_simulated == 1
+    (res,) = report.results
+    assert res.retries == 1 and res.sim_events > 0
+    assert any("retrying" in ln and "does not read back" in ln for ln in lines)
+    # With no retry left, such a job fails, naming why.
+    monkeypatch.setattr(r, "run_job", lambda *args: None)
+    (tmp_path / "cache" / r.cache_name("sad", "gmc", 1)).unlink()
+    report = run_sweep([(r, grid(["sad"], ["gmc"]))], workers=workers, retries=0)
+    (failed,) = report.failed
+    assert failed.error_type == "MissingEntry"
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +627,11 @@ def test_backoff_jitter_decorrelates_jobs():
 
 
 def test_retry_policy_paces_local_retries(tmp_path, monkeypatch):
-    """The seeded backoff is honored by both local dispatch paths
-    (inline and per-job processes), with the deterministic delay visible
-    in the progress log.  On both paths the retried job and the next
-    scheduler still share one trace build, and the cache entries equal
-    those of an uninterrupted sweep."""
+    """The seeded backoff is honored inline and with per-job processes
+    alike, with the deterministic delay visible in the progress log.  On
+    both paths the retried job and the next scheduler still share one
+    trace build, and the cache entries equal those of an uninterrupted
+    sweep."""
     monkeypatch.setattr(sweep, "_BACKOFF_BASE_S", 0.4)
     monkeypatch.setattr(sweep, "_BACKOFF_JITTER", 0.0)  # exact delay
     builds = count_trace_builds(monkeypatch, tmp_path)
